@@ -145,11 +145,12 @@ int main() {
     Matrix<float> a(4096, 32);
     fill_normal(rng, a.view());
     Matrix<float> q(4096, 32), r(32, 32);
+    Workspace ws;
     for (index_t leaf : {64, 128, 256, 512, 1024}) {
       tsqr::TsqrOptions opts;
       opts.leaf_rows = leaf;
       const double t =
-          bench::time_s([&] { tsqr::tsqr_factor(a.view(), q.view(), r.view(), opts); });
+          bench::time_s([&] { tsqr::tsqr_factor(ws, a.view(), q.view(), r.view(), opts); });
       std::printf("leaf %5lld: %8.2f ms\n", static_cast<long long>(leaf), t * 1e3);
     }
   }

@@ -67,7 +67,7 @@ inline std::string out_path(const std::string& filename) {
 /// Print the per-stage wall-clock splits a context's telemetry accumulated —
 /// one indented line per stage, milliseconds and call counts. The [measured]
 /// sections call this after each run so the stage timers recorded throughout
-/// the pipeline (evd.reduction, sbr.wy, sbr.wy.lookahead, evd.bulge, ...)
+/// the pipeline (evd.reduction, sbr.wy, sbr.dbr.trailing, evd.bulge, ...)
 /// are actually surfaced instead of dying with the context.
 inline void stage_splits(const Telemetry& telemetry, const char* indent = "    ") {
   if (telemetry.stages().empty()) return;

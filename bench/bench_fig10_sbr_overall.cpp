@@ -9,7 +9,6 @@
 #include "bench/bench_common.hpp"
 #include "src/common/context.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/perfmodel/a100_model.hpp"
 #include "src/perfmodel/shape_trace.hpp"
 #include "src/sbr/sbr.hpp"
@@ -134,48 +133,5 @@ int main() {
     bench::stage_splits(c_dbr.telemetry());
   }
 
-  bench::section("[measured] look-ahead overlap (b = 64, nb = 128, fp32), wall ms");
-  {
-    // Same reflectors either way; look-ahead reschedules the next block's
-    // panel factorization into the overlap window of the trailing update, so
-    // the available win is the panel time the serial schedule exposes. The
-    // `hidden` column is that exposed panel time (sbr.wy.lookahead.panel),
-    // which a host with a free core recovers from the wall clock; `overlap%`
-    // is its share of the serial run. On a single-hardware-thread host the
-    // two tasks time-slice one core and `lookahead` degrades to `serial`
-    // plus split-update overhead — the measured column only shows a
-    // reduction when a second core exists.
-    if (ThreadPool::hardware_threads() == 1)
-      std::printf("(single hardware thread: overlap window time-slices, expect\n"
-                  " measured lookahead ~= serial; `hidden` is the multicore win)\n");
-    std::printf("%8s | %10s %10s | %10s %8s\n", "n", "serial", "lookahead", "hidden",
-                "overlap%");
-    for (index_t n : {1024, 2048}) {
-      Rng rng(29 + static_cast<unsigned>(n));
-      Matrix<float> a(n, n);
-      fill_normal(rng, a.view());
-      make_symmetric(a.view());
-      sbr::SbrOptions opt;
-      opt.bandwidth = 64;
-      opt.big_block = 128;
-
-      tc::Fp32Engine eng;
-      Context ctx(eng);
-      opt.lookahead = false;
-      // Warm the arena so neither timed run pays first-touch allocation.
-      (void)sbr::sbr_wy(a.view(), ctx, opt);
-      const double t_serial =
-          bench::time_once_s([&] { (void)sbr::sbr_wy(a.view(), ctx, opt); });
-      opt.lookahead = true;
-      (void)sbr::sbr_wy(a.view(), ctx, opt);
-      ctx.telemetry().clear_stages();  // isolate the timed run's splits
-      const double t_la =
-          bench::time_once_s([&] { (void)sbr::sbr_wy(a.view(), ctx, opt); });
-      const double hidden = ctx.telemetry().stage_seconds("sbr.wy.lookahead.panel");
-      std::printf("%8lld | %10.1f %10.1f | %10.1f %7.1f%%\n", static_cast<long long>(n),
-                  1e3 * t_serial, 1e3 * t_la, 1e3 * hidden, 100.0 * hidden / t_serial);
-      bench::stage_splits(ctx.telemetry());
-    }
-  }
   return 0;
 }

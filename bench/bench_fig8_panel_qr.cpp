@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/common/context.hpp"
 #include "src/common/rng.hpp"
 #include "src/perfmodel/a100_model.hpp"
 #include "src/perfmodel/shape_trace.hpp"
@@ -19,13 +20,15 @@ namespace {
 
 double measured_panel_sweep_s(index_t n, index_t b, sbr::PanelKind kind) {
   Rng rng(7);
+  tc::Fp32Engine eng;  // panels run in scalar fp32; the context lends its arena
+  Context ctx(eng);
   double total = 0.0;
   for (const auto& p : perf::trace_panels(n, b)) {
     Matrix<float> panel(p.m, b);
     fill_normal(rng, panel.view());
     Matrix<float> w(p.m, b), y(p.m, b);
     total += bench::time_once_s(
-        [&] { sbr::panel_factor_wy(kind, panel.view(), w.view(), y.view()); });
+        [&] { sbr::panel_factor_wy(ctx, kind, panel.view(), w.view(), y.view()); });
   }
   return total;
 }

@@ -75,8 +75,9 @@ void BM_Tsqr(benchmark::State& state) {
   Rng rng(4);
   Matrix<float> a(m, b), q(m, b), r(b, b);
   fill_normal(rng, a.view());
+  Workspace ws;
   for (auto _ : state) {
-    tsqr::tsqr_factor(a.view(), q.view(), r.view());
+    tsqr::tsqr_factor(ws, a.view(), q.view(), r.view());
     benchmark::DoNotOptimize(q.data());
   }
 }
@@ -89,9 +90,11 @@ void BM_PanelFactorWy(benchmark::State& state) {
   Matrix<float> a(m, b);
   fill_normal(rng, a.view());
   Matrix<float> panel(m, b), w(m, b), y(m, b);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
   for (auto _ : state) {
     copy_matrix<float>(a.view(), panel.view());
-    sbr::panel_factor_wy(sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
+    sbr::panel_factor_wy(ctx, sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
     benchmark::DoNotOptimize(w.data());
   }
 }

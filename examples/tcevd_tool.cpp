@@ -6,7 +6,7 @@
 //              [--cond C] [--engine fp32|tc|tf32|ectc]
 //              [--reduction wy|dbr|zy|one]
 //              [--solver dc|ql|bisect] [--b B] [--nb NB] [--vectors]
-//              [--lookahead] [--check] [--seed S]
+//              [--check] [--seed S]
 //
 // Examples:
 //   tcevd_tool --n 300 --type geo --cond 1e3 --engine tc --check
@@ -30,7 +30,7 @@ namespace {
   std::fprintf(stderr,
                "usage: tcevd_tool [--n N] [--type T] [--cond C] [--engine E]\n"
                "                  [--reduction R] [--solver S] [--b B] [--nb NB]\n"
-               "                  [--vectors] [--lookahead] [--check] [--seed S]\n");
+               "                  [--vectors] [--check] [--seed S]\n");
   std::exit(2);
 }
 
@@ -87,8 +87,6 @@ int main(int argc, char** argv) {
       opt.big_block = std::atoll(next());
     } else if (arg == "--vectors") {
       opt.vectors = true;
-    } else if (arg == "--lookahead") {
-      opt.lookahead = true;
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--seed") {

@@ -25,10 +25,10 @@
 // value the direct path adds to C — so ABFT on/off is bitwise-identical.
 //
 // Enabling is process-wide and ref-counted (AbftScope), so GEMMs issued from
-// pool workers and look-ahead siblings are covered without threading a flag
-// through every call chain. Detections are aggregated per top-level GEMM
-// call and surfaced on the calling thread's recovery scope at site
-// "blas.abft", plus monotone process counters for tests and telemetry.
+// pool workers are covered without threading a flag through every call
+// chain. Detections are aggregated per top-level GEMM call and surfaced on
+// the calling thread's recovery scope at site "blas.abft", plus monotone
+// process counters for tests and telemetry.
 #pragma once
 
 #include <atomic>

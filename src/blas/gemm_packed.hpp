@@ -550,7 +550,7 @@ struct PairTileCtx {
 };
 
 template <typename T>
-void run_pair_tile(void* vctx, long idx) {
+void run_nt_pair_tile(void* vctx, long idx) {
   const auto* ctx = static_cast<const PairTileCtx<T>*>(vctx);
   const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
   const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
@@ -687,7 +687,7 @@ struct AbftPairTileCtx {
 };
 
 template <typename T>
-void run_pair_tile_abft(void* vctx, long idx) {
+void run_nt_pair_tile_abft(void* vctx, long idx) {
   const auto* ctx = static_cast<const AbftPairTileCtx<T>*>(vctx);
   const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
   const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
@@ -923,7 +923,7 @@ void gemm_packed_nt_pair(T alpha, ConstMatrixView<T> a1, ConstMatrixView<T> b1,
           PairTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.a2.data(), bufs.b2.data(),
                              alpha,         &c(i0, j0),    c.ld(),         mc,
                              nc,            kc,            mtiles};
-          dispatch_tiles(ntiles, pooled, &run_pair_tile<T>, &ctx);
+          dispatch_tiles(ntiles, pooled, &run_nt_pair_tile<T>, &ctx);
         } else {
           packed::compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(),
                                       ab->sa_abs.data());
@@ -938,7 +938,7 @@ void gemm_packed_nt_pair(T alpha, ConstMatrixView<T> a1, ConstMatrixView<T> b1,
                                          ab->sa_abs.data(), ab->sa2.data(),
                                          ab->sa2_abs.data(), i0,
                                          j0,             sp};
-          dispatch_tiles(ntiles, pooled, &packed::run_pair_tile_abft<T>, &ctx);
+          dispatch_tiles(ntiles, pooled, &packed::run_nt_pair_tile_abft<T>, &ctx);
           sp->checked += ntiles;
         }
       }

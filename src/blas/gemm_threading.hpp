@@ -5,14 +5,13 @@
 // machine. The composition contract has three layers:
 //
 //   1. ThreadPool::on_worker_thread(): a GEMM issued from inside ANY pool
-//      worker (solve_many batch workers, the look-ahead run_pair task) takes
-//      the serial tile loop. The batch/overlap pools own the parallelism
-//      budget at their level; GEMM-level threads stand down underneath them.
-//   2. SerialGemmScope: an RAII guard for caller threads that are not pool
-//      workers but still co-run with pool work — e.g. the look-ahead inline
-//      task, which runs on the main thread while its sibling drains the
-//      trailing update on overlap_pool(). Entering the scope forces the
-//      serial tile loop on this thread until the scope exits (nestable).
+//      worker (EvdService / solve_many workers) takes the serial tile loop.
+//      The service pool owns the parallelism budget at its level; GEMM-level
+//      threads stand down underneath it.
+//   2. SerialGemmScope: an RAII guard that forces the serial tile loop on
+//      this thread until the scope exits (nestable) — the serial reference
+//      the pooled-vs-serial bitwise tests and kernel benchmarks compare
+//      against.
 //   3. A size floor: tiny GEMMs (2mnk below ~4 Mflop) are not worth a
 //      broadcast round-trip and stay serial regardless.
 //
@@ -44,8 +43,8 @@ bool gemm_serial_forced() noexcept;
 
 /// Process-wide count of macro-tile fan-outs dispatched onto gemm_pool()
 /// (a large gemm contributes one per macro block that actually broadcast).
-/// Test hook: stress tests assert this stays flat while nested (solve_many /
-/// look-ahead) GEMMs run, proving the stand-down contract holds.
+/// Test hook: stress tests assert this stays flat while nested (solve_many)
+/// GEMMs run, proving the stand-down contract holds.
 std::uint64_t gemm_pool_dispatches() noexcept;
 
 namespace detail {

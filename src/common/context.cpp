@@ -90,35 +90,6 @@ void Telemetry::record_recovery(const RecoveryLog& log) {
   recovery_.insert(recovery_.end(), log.begin(), log.end());
 }
 
-Context& Context::lookahead_sibling() {
-  if (!sibling_) sibling_ = std::make_unique<Context>(*engine_);
-  return *sibling_;
-}
-
-void Context::absorb_sibling_telemetry() {
-  if (!sibling_) return;
-  telemetry_.merge_from(sibling_->telemetry_);
-  sibling_->telemetry_.clear_recorded();
-  sibling_->telemetry_.clear_stages();
-  sibling_->telemetry_.clear_recovery();
-}
-
-Context& compat_context(tc::GemmEngine& engine) {
-  struct Entry {
-    const tc::GemmEngine* engine;
-    std::unique_ptr<Context> ctx;
-  };
-  thread_local std::vector<Entry> cache;
-  for (Entry& e : cache)
-    if (e.engine == &engine) return *e.ctx;
-  // A full cache means the caller churns through short-lived engines; their
-  // scratch contexts are cold anyway, so drop the lot rather than grow.
-  constexpr std::size_t kMaxEntries = 8;
-  if (cache.size() >= kMaxEntries) cache.clear();
-  cache.push_back(Entry{&engine, std::make_unique<Context>(engine)});
-  return *cache.back().ctx;
-}
-
 void Telemetry::merge_from(const Telemetry& other) {
   shapes_.insert(shapes_.end(), other.shapes_.begin(), other.shapes_.end());
   for (const StageStat& s : other.stages_) {

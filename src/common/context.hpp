@@ -174,55 +174,29 @@ class Context {
     engine_->gemm(transa, transb, alpha, a, b, beta, c);
   }
 
-  // --- look-ahead sibling ---------------------------------------------------
-  // Overlapped schedules (sbr_wy look-ahead) run two stages in flight at
-  // once; two stages sharing one bump-pointer arena or one telemetry sink
-  // would race, so the second stage gets a sibling context: same engine,
-  // private arena + telemetry. Ownership rules during an overlap window:
-  // exactly one thread touches the parent (arena, telemetry, gemm) and
-  // exactly one thread touches the sibling; the join point then restores
-  // single-thread access before absorb_sibling_telemetry() folds the
-  // sibling's counters back into the parent.
-
-  /// Lazily created, persistent sibling (its arena stays warm across calls,
-  /// preserving the steady-state zero-allocation contract).
-  Context& lookahead_sibling();
-  bool has_lookahead_sibling() const noexcept { return sibling_ != nullptr; }
-  /// Merge the sibling's telemetry into this context's and clear the
-  /// sibling's. Call only when both sides are quiescent (after the join).
-  void absorb_sibling_telemetry();
-
  private:
   friend class EngineOverrideScope;
   tc::GemmEngine* engine_;
   std::unique_ptr<tc::GemmEngine> owned_;
   Workspace workspace_;
   Telemetry telemetry_;
-  std::unique_ptr<Context> sibling_;
 };
 
 /// RAII engine swap on an existing Context: while the scope is alive every
-/// GEMM issued through `ctx` (and its look-ahead sibling, existing or created
-/// during the scope) runs on `engine`; the destructor restores the original.
-/// This is how verified solves escalate precision without rebuilding the
-/// context — the warm workspace arena and accumulated telemetry carry over,
-/// only the numerics change. The override engine is borrowed and must outlive
-/// the scope; scopes nest (each restores what it saw). Same thread-ownership
-/// rule as the Context itself: do not override an engine another thread is
-/// solving on.
+/// GEMM issued through `ctx` runs on `engine`; the destructor restores the
+/// original. This is how verified solves escalate precision without
+/// rebuilding the context — the warm workspace arena and accumulated
+/// telemetry carry over, only the numerics change. The override engine is
+/// borrowed and must outlive the scope; scopes nest (each restores what it
+/// saw). Same thread-ownership rule as the Context itself: do not override
+/// an engine another thread is solving on.
 class EngineOverrideScope {
  public:
   EngineOverrideScope(Context& ctx, tc::GemmEngine& engine) noexcept
       : ctx_(&ctx), prev_(ctx.engine_) {
     ctx.engine_ = &engine;
-    if (ctx.sibling_) ctx.sibling_->engine_ = &engine;
   }
-  ~EngineOverrideScope() {
-    ctx_->engine_ = prev_;
-    // The sibling always shares the parent's engine, including one created
-    // lazily while the override was live — restore it to the parent's.
-    if (ctx_->sibling_) ctx_->sibling_->engine_ = prev_;
-  }
+  ~EngineOverrideScope() { ctx_->engine_ = prev_; }
   EngineOverrideScope(const EngineOverrideScope&) = delete;
   EngineOverrideScope& operator=(const EngineOverrideScope&) = delete;
 
@@ -230,16 +204,5 @@ class EngineOverrideScope {
   Context* ctx_;
   tc::GemmEngine* prev_;
 };
-
-/// Per-thread scratch context for the deprecated `GemmEngine&` compatibility
-/// overloads. The old shims built a throwaway Context per call — cold arena,
-/// telemetry dropped on the floor — so a legacy caller in a loop re-allocated
-/// its entire workspace every solve. This returns one thread_local Context
-/// per (thread, engine) instead: the arena reaches its steady state after the
-/// first call and telemetry/recovery accumulate somewhere inspectable.
-/// Entries are keyed by engine address and capped; the cache belongs to the
-/// calling thread, so the one-context-per-thread contract holds by
-/// construction. New code should own a real Context.
-Context& compat_context(tc::GemmEngine& engine);
 
 }  // namespace tcevd

@@ -80,32 +80,6 @@ void ThreadPool::parallel_for(long count,
   state->done.wait(lock, [&] { return state->remaining.load(std::memory_order_acquire) == 0; });
 }
 
-void ThreadPool::run_pair(const std::function<void()>& pooled,
-                          const std::function<void()>& inline_task) {
-  TCEVD_CHECK(pooled != nullptr && inline_task != nullptr,
-              "ThreadPool::run_pair requires two non-null tasks");
-  // The caller blocks in this frame until the pooled half finishes, so the
-  // task may capture `pooled` by reference; the shared_ptr keeps the join
-  // state alive even if the worker is still unwinding after notify.
-  struct Join {
-    std::mutex mutex;
-    std::condition_variable done;
-    bool finished = false;
-  };
-  auto join = std::make_shared<Join>();
-  submit([join, &pooled] {
-    pooled();
-    {
-      std::lock_guard<std::mutex> lock(join->mutex);
-      join->finished = true;
-    }
-    join->done.notify_all();
-  });
-  inline_task();
-  std::unique_lock<std::mutex> lock(join->mutex);
-  join->done.wait(lock, [&] { return join->finished; });
-}
-
 bool ThreadPool::broadcast_live_locked() const noexcept {
   if (!bcast_.active) return false;
   const std::uint64_t t = bcast_.ticket.load(std::memory_order_relaxed);
@@ -197,11 +171,6 @@ bool ThreadPool::try_broadcast(long count, void (*fn)(void* ctx, long index), vo
     bcast_.active = false;
   }
   return true;
-}
-
-ThreadPool& overlap_pool() {
-  static ThreadPool pool(std::min(4, ThreadPool::hardware_threads()));
-  return pool;
 }
 
 ThreadPool& gemm_pool() {

@@ -57,19 +57,6 @@ class ThreadPool {
   /// Blocks until every index has been processed.
   void parallel_for(long count, const std::function<void(int worker, long index)>& body);
 
-  /// Two-task join: run `pooled` on a pool worker while `inline_task` runs on
-  /// the calling thread; returns only after both complete. This is the
-  /// look-ahead overlap primitive — the caller keeps the latency-critical
-  /// stage (e.g. the next panel factorization) on its own thread while the
-  /// bulk stage (the trailing update) drains on a worker. The join gives the
-  /// usual happens-before edges: everything written before the call is
-  /// visible to `pooled`, and everything `pooled` writes is visible to the
-  /// caller after return. Neither task may submit nested run_pair work into
-  /// the same single-worker pool from inside `pooled` (queueing is fine from
-  /// `inline_task`/other threads — tasks never block on each other).
-  void run_pair(const std::function<void()>& pooled,
-                const std::function<void()>& inline_task);
-
   /// Allocation-free data-parallel fan-out: run fn(ctx, index) for every
   /// index in [0, count), with the pool's workers AND the calling thread
   /// stealing indices off a shared atomic counter. Unlike parallel_for this
@@ -88,7 +75,7 @@ class ThreadPool {
   /// True when the calling thread is a worker of ANY ThreadPool. This is the
   /// nested-parallelism guard: the packed GEMM macro-kernel consults it and
   /// routes to the serial tile loop instead of fanning out again, so GEMMs
-  /// under solve_many workers / look-ahead run_pair tasks never oversubscribe.
+  /// under EvdService / solve_many workers never oversubscribe.
   static bool on_worker_thread() noexcept;
 
   /// std::thread::hardware_concurrency with a sane floor of 1.
@@ -141,20 +128,13 @@ class ThreadPool {
 /// lane on one core — still makes progress.
 void spin_wait_hint(int& backoff) noexcept;
 
-/// Small process-wide pool backing two-task overlap joins (the look-ahead
-/// schedule in sbr_wy). Lazily constructed on first use with
-/// min(4, hardware_threads()) workers and shared by every overlapping driver
-/// in the process: run_pair tasks from concurrent callers simply queue, so
-/// oversubscription degrades to less overlap, never to deadlock.
-ThreadPool& overlap_pool();
-
 /// Process-wide pool backing the packed GEMM macro-kernel's tile fan-out
 /// (blas/gemm_packed.hpp). Lazily constructed on first use with
 /// hardware_threads() - 1 workers (the broadcasting caller steals tiles too,
 /// so the total equals the hardware width). Thread-ownership contract: this
 /// pool is only ever driven via try_broadcast from threads that are NOT pool
-/// workers — nested GEMMs under solve_many workers, look-ahead run_pair
-/// tasks, or any other pool task take the serial tile loop instead (see
+/// workers — nested GEMMs under EvdService / solve_many workers, or any
+/// other pool task, take the serial tile loop instead (see
 /// ThreadPool::on_worker_thread and blas::SerialGemmScope).
 ThreadPool& gemm_pool();
 

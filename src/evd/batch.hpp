@@ -43,8 +43,10 @@ struct BatchOptions {
   /// would only cost an idle Context.
   int num_threads = 0;
   /// Partial-spectrum mode: solve each problem for eigenvalue indices
-  /// [il, iu] (0-based, inclusive) via evd::solve_selected instead of the
-  /// full solve. evd.vectors then requests the selected vectors only.
+  /// [il, iu] (0-based, inclusive) as evd::solve_selected does, instead of
+  /// the full solve. evd.vectors then requests the selected vectors only.
+  /// Selected problems are not verified: evd.verify != Off is noted at
+  /// recovery site "evd.verify" in each problem's recovery log.
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
@@ -57,7 +59,7 @@ struct ProblemResult {
   Matrix<float> vectors;           ///< empty unless evd.vectors
   RecoveryLog recovery;            ///< per-problem degradation events
   /// Per-problem verification verdict (evd.verify != Off, full solves only;
-  /// the selected-spectrum driver does not verify).
+  /// a selected problem notes the skipped verification at "evd.verify").
   verify::Report verify;
   int worker = -1;                 ///< pool worker that solved it (diagnostics)
   double seconds = 0.0;            ///< wall time of this problem's solve

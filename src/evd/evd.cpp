@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "src/evd/partial.hpp"
 #include "src/evd/solve_job.hpp"
 
 #include "src/blas/abft.hpp"
@@ -97,6 +98,19 @@ std::unique_ptr<tc::GemmEngine> next_escalation_engine(tc::EngineKind kind,
   return nullptr;
 }
 
+/// Synchronous driver: step `job` to completion on the calling thread.
+StatusOr<EvdResult> run_to_completion(SolveJob& job) {
+  while (!job.done()) job.step();
+  StatusOr<EvdResult> out = job.take();
+  if (!out.ok()) {
+    // On the synchronous path a failed attempt's unclaimed recovery events
+    // historically propagated to the caller's enclosing recovery::Scope when
+    // the per-solve scope unwound; the job parks them instead, so re-note.
+    for (const RecoveryEvent& ev : job.dropped_events()) recovery::note(ev.site, ev.action);
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -109,13 +123,18 @@ std::unique_ptr<tc::GemmEngine> next_escalation_engine(tc::EngineKind kind,
 // (steps of one job may run on different scheduler threads).
 // ---------------------------------------------------------------------------
 
-SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt)
-    : a_(a), ctx_(ctx), opt_(opt) {
+SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+                   std::optional<IndexRange> range)
+    : a_(a), ctx_(ctx), opt_(opt), range_(range) {
   TCEVD_CHECK(a_.cols() == a_.rows(), "evd::solve requires a square symmetric matrix");
+  TCEVD_CHECK(!range_ || (0 <= range_->il && range_->il <= range_->iu &&
+                          range_->iu < a_.rows()),
+              "SolveJob: selected index range outside [0, n)");
   if (opt_.abft) abft_.emplace();  // covers every attempt, escalations included
   // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n)),
-  // and never verify — matching the old solve() routing for n <= 1.
-  verified_ = opt_.verify != verify::Policy::Off && a_.rows() > 1;
+  // and never verify — matching the old solve() routing for n <= 1. Nor do
+  // selected ranges: the estimators need the full spectrum.
+  verified_ = opt_.verify != verify::Policy::Off && a_.rows() > 1 && !range_;
   max_attempts_ = std::max(1, opt_.verify_max_attempts);
 }
 
@@ -230,8 +249,6 @@ void SolveJob::step_reduction() {
   sopt.big_block = std::max(opt_.big_block, sopt.bandwidth);
   sopt.panel = opt_.panel;
   sopt.accumulate_q = opt_.vectors;
-  sopt.lookahead = opt_.lookahead && (opt_.reduction == Reduction::TwoStageWy ||
-                                      opt_.reduction == Reduction::TwoStageDbr);
 
   Timer t;
   StatusOr<sbr::SbrResult> sres_or =
@@ -284,6 +301,29 @@ void SolveJob::step_bulge() {
 void SolveJob::step_solver() {
   recovery::Scope scope;
   Timer ts;
+  Status sst = range_ ? solve_range() : solve_tridiagonal();
+  result_.timings.solver_s = ts.seconds();
+  ctx_.telemetry().record_stage("evd.solver", result_.timings.solver_s);
+  append_log(attempt_log_, scope.take());
+  if (!sst.ok()) {
+    fail_attempt(sst);
+    return;
+  }
+  result_.converged = true;
+  result_.timings.total_s = attempt_timer_.seconds();
+  result_.recovery = std::move(attempt_log_);
+  attempt_log_.clear();
+  ctx_.telemetry().record_recovery(result_.recovery);
+  attempt_scope_.reset();  // the estimate (and any re-solve) re-opens its own
+
+  if (!verified_) {
+    complete_success();
+    return;
+  }
+  stage_ = Stage::Finish;
+}
+
+Status SolveJob::solve_tridiagonal() {
   MatrixView<float> zv = q_.view();
   MatrixView<float>* zp = opt_.vectors ? &zv : nullptr;
 
@@ -316,27 +356,54 @@ void SolveJob::step_solver() {
       tried = fb;
     }
   }
-  result_.timings.solver_s = ts.seconds();
-  ctx_.telemetry().record_stage("evd.solver", result_.timings.solver_s);
-  append_log(attempt_log_, scope.take());
-  if (!sst.ok()) {
-    fail_attempt(sst);
-    return;
-  }
-  result_.converged = true;
+  if (!sst.ok()) return sst;
   result_.eigenvalues = std::move(d_);
   if (opt_.vectors) result_.vectors = std::move(q_);
-  result_.timings.total_s = attempt_timer_.seconds();
-  result_.recovery = std::move(attempt_log_);
-  attempt_log_.clear();
-  ctx_.telemetry().record_recovery(result_.recovery);
-  attempt_scope_.reset();  // the estimate (and any re-solve) re-opens its own
+  return ok_status();
+}
 
-  if (!verified_) {
-    complete_success();
-    return;
+Status SolveJob::solve_range() {
+  const index_t n = a_.rows();
+  const index_t il = range_->il;
+  const index_t nev = range_->iu - il + 1;
+  if (opt_.verify != verify::Policy::Off)
+    recovery::note("evd.verify",
+                   "verification skipped: a selected range has no full spectrum to "
+                   "estimate against; returning the result unverified");
+
+  // stebz and stein read d/e by const, so no restore points are needed.
+  result_.eigenvalues = lapack::stebz<float>(d_, e_, il, range_->iu);
+  if (!opt_.vectors) return ok_status();
+
+  // Tridiagonal eigenvectors by inverse iteration, then back-transform.
+  auto z = attempt_scope_->matrix<float>(n, nev);
+  Status st = lapack::stein<float>(d_, e_, result_.eigenvalues, z);
+  if (!st.ok() && opt_.allow_fallbacks && is_recoverable(st)) {
+    // Inverse iteration stagnated on at least one vector. Solve the full
+    // tridiagonal problem with QL instead and keep the selected columns —
+    // slower (O(n^3) vs O(n * nev)) but unconditionally convergent in
+    // practice on the matrices QL handles.
+    recovery::note("evd.partial", "stein failed (" + st.to_string() +
+                                      "); recomputed selected vectors with full QL solve");
+    std::vector<float> dq = d_, eq = e_;
+    auto ql_scope = ctx_.workspace().scope();
+    auto zfull = ql_scope.matrix<float>(n, n);
+    set_identity(zfull);
+    MatrixView<float> zfv = zfull;
+    TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(dq, eq, &zfv));
+    // steqr returns ascending eigenvalues, so columns il..iu line up with
+    // the bisection selection.
+    for (index_t j = 0; j < nev; ++j) {
+      result_.eigenvalues[static_cast<std::size_t>(j)] = dq[static_cast<std::size_t>(il + j)];
+      for (index_t i = 0; i < n; ++i) z(i, j) = zfull(i, il + j);
+    }
+  } else if (!st.ok()) {
+    return st;
   }
-  stage_ = Stage::Finish;
+  result_.vectors = Matrix<float>(n, nev);
+  blas::gemm(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(q_.view()),
+             ConstMatrixView<float>(z), 0.0f, result_.vectors.view());
+  return ok_status();
 }
 
 void SolveJob::step_finish() {
@@ -497,22 +564,25 @@ const char* tri_solver_name(TriSolver solver) noexcept {
 
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt) {
   SolveJob job(a, ctx, opt);
-  while (!job.done()) job.step();
-  StatusOr<EvdResult> out = job.take();
-  if (!out.ok()) {
-    // On the synchronous path a failed attempt's unclaimed recovery events
-    // historically propagated to the caller's enclosing recovery::Scope when
-    // the per-solve scope unwound; the job parks them instead, so re-note.
-    for (const RecoveryEvent& ev : job.dropped_events()) recovery::note(ev.site, ev.action);
-  }
-  return out;
+  return run_to_completion(job);
 }
 
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-StatusOr<EvdResult> solve(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                          const EvdOptions& opt) {
-  return solve(a, compat_context(engine), opt);
+StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
+                                   const EvdOptions& opt, index_t il, index_t iu,
+                                   bool vectors) {
+  const index_t n = a.rows();
+  TCEVD_CHECK(a.cols() == n, "solve_selected requires a square symmetric matrix");
+  // The index window is caller data, not a programmer contract: a streaming
+  // service (or solve_many) feeding per-request ranges must be able to reject
+  // one bad request without taking the process down.
+  if (!(0 <= il && il <= iu && iu < n))
+    return invalid_argument_error(
+        "solve_selected: selected index range [il, iu] = [" + std::to_string(il) + ", " +
+        std::to_string(iu) + "] invalid for n = " + std::to_string(n));
+  EvdOptions sel = opt;
+  sel.vectors = vectors;
+  SolveJob job(a, ctx, sel, IndexRange{il, iu});
+  return run_to_completion(job);
 }
 
 std::size_t workspace_query(index_t n, const EvdOptions& opt) {

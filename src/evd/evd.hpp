@@ -77,12 +77,6 @@ struct EvdOptions {
   /// (pool worker, bandwidth < 2, or n <= 2) runs the serial chase and notes
   /// the downgrade in EvdResult::recovery at site "evd.second_stage".
   int bulge_threads = 0;
-  /// Forwarded to SbrOptions::lookahead for the TwoStageWy and TwoStageDbr
-  /// reductions: overlap each big block's panel factorization with the
-  /// previous block's trailing update. Numerically identical banded output;
-  /// ignored by the ZY and one-stage reductions, and noted + run serial by
-  /// DBR when b < nb (site "sbr.dbr").
-  bool lookahead = false;
   /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)
   /// instead of feeding garbage to the pipeline. O(n^2) scan.
   bool screen_input = true;
@@ -103,7 +97,9 @@ struct EvdOptions {
   /// additionally re-solves a breached problem on the next higher-accuracy
   /// engine (Tc -> EcTc -> Fp32) under `verify_max_attempts`; when the chain
   /// or the budget is exhausted without a passing estimate, the solve
-  /// returns PrecisionLoss instead of a result.
+  /// returns PrecisionLoss instead of a result. Selected-range solves
+  /// (solve_selected) are never verified — the estimators need the full
+  /// spectrum — and note a policy other than Off at "evd.verify" instead.
   verify::Policy verify = verify::Policy::Off;
   /// Probe vectors per verification (see verify::Options::probes).
   int verify_probes = 4;
@@ -129,8 +125,9 @@ struct EvdTimings {
 };
 
 struct EvdResult {
-  std::vector<float> eigenvalues;  ///< ascending
-  Matrix<float> vectors;           ///< n x n (empty unless requested)
+  std::vector<float> eigenvalues;  ///< ascending (iu - il + 1 values when selected)
+  Matrix<float> vectors;           ///< n x n, or n x (iu - il + 1) when selected
+                                   ///< (empty unless requested)
   EvdTimings timings;
   bool converged = false;
   /// Every graceful-degradation event taken while solving (panel QR
@@ -158,12 +155,6 @@ struct EvdResult {
 /// propagates if every fallback is exhausted. A returned EvdResult is
 /// always converged; `recovery` says what it took.
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
-
-/// Deprecated: routes through the per-thread scratch Context of
-/// `compat_context(engine)` (warm arena after the first call). New code
-/// should construct a Context; see DESIGN.md §8.
-StatusOr<EvdResult> solve(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                          const EvdOptions& opt);
 
 /// Peak workspace-arena bytes one solve of size n needs (LAPACK-lwork
 /// style, conservative — covers the SBR stage, the one-stage scratch, the

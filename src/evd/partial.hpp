@@ -3,42 +3,32 @@
 // eigenvectors requested" workload the paper discusses around the SICE
 // algorithm and the bisection method of its related work.
 //
-// Pipeline: SBR (engine numerics) -> bulge chasing -> Sturm bisection for
-// the selected eigenvalues -> inverse iteration (stein) for the tridiagonal
-// eigenvectors -> back-transformation through the accumulated two-stage Q.
+// Pipeline: the SolveJob reduction and bulge stages of evd::solve, then Sturm
+// bisection for the selected eigenvalues -> inverse iteration (stein) for
+// the tridiagonal eigenvectors -> back-transformation through the
+// accumulated Q (see src/evd/solve_job.hpp).
 #pragma once
-
-#include <vector>
 
 #include "src/common/matrix.hpp"
 #include "src/evd/evd.hpp"
 
 namespace tcevd::evd {
 
-struct PartialResult {
-  std::vector<float> eigenvalues;  ///< iu - il + 1 values, ascending
-  Matrix<float> vectors;           ///< n x nev (empty unless requested)
-  bool converged = false;
-  RecoveryLog recovery;            ///< degradation events (see EvdResult)
-};
-
 /// Compute eigenvalues il..iu (0-based, inclusive, ascending order) of
-/// symmetric `a`, optionally with eigenvectors. Uses opt.reduction /
-/// bandwidth / big_block / panel; opt.solver is ignored (bisection+stein by
-/// construction). If inverse iteration fails on a vector (or the
-/// stein.stagnate fault fires) and opt.allow_fallbacks is set, the selected
-/// vectors are recomputed with the full QL solver instead; only when that
-/// also fails does the error propagate. An out-of-bounds index range returns
-/// InvalidArgument (it is request data, not a programmer contract — batch
-/// and streaming drivers surface it per problem instead of aborting).
-StatusOr<PartialResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
-                                       const EvdOptions& opt, index_t il, index_t iu,
-                                       bool vectors = false);
-
-/// Deprecated: wraps a temporary Context (cold workspace, no telemetry)
-/// around the bare engine.
-StatusOr<PartialResult> solve_selected(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                                       const EvdOptions& opt, index_t il, index_t iu,
-                                       bool vectors = false);
+/// symmetric `a`, optionally with eigenvectors (n x (iu - il + 1)). Uses
+/// opt.reduction / bandwidth / big_block / panel and the input screen, ABFT
+/// and recovery options exactly as evd::solve does; opt.solver and
+/// opt.vectors are ignored (bisection + stein by construction; `vectors`
+/// decides). The result is not verified: a verify policy other than Off is
+/// noted at recovery site "evd.verify". If inverse iteration fails on a
+/// vector (or the stein.stagnate fault fires) and opt.allow_fallbacks is
+/// set, the selected vectors are recomputed with the full QL solver instead
+/// (noted at "evd.partial"); only when that also fails does the error
+/// propagate. An out-of-bounds index range returns InvalidArgument (it is
+/// request data, not a programmer contract — batch and streaming drivers
+/// surface it per problem instead of aborting).
+StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
+                                   const EvdOptions& opt, index_t il, index_t iu,
+                                   bool vectors = false);
 
 }  // namespace tcevd::evd

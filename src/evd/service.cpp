@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/timer.hpp"
-#include "src/evd/partial.hpp"
 
 namespace tcevd::evd {
 
@@ -35,8 +34,6 @@ const char* stage_key(SolveJob::Stage stage) noexcept {
   }
   return "service.stage.done";  // unreachable: done jobs are never stepped
 }
-
-constexpr const char* kPartialKey = "service.stage.partial";
 
 double elapsed_s(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) noexcept {
@@ -117,6 +114,7 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
         req.submit_tp + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(ropt.deadline_s));
   req.size_class = size_class;
+  req.range = ropt.selected ? std::optional(IndexRange{ropt.il, ropt.iu}) : std::nullopt;
   req.started = false;
   req.completed = false;
   req.result = RequestResult{};
@@ -202,44 +200,30 @@ void EvdService::runner_loop(int runner) {
     // Run exactly one stage with the lock dropped; the slot is out of ready_,
     // so this runner owns the request until it is requeued or finalized.
     lock.unlock();
-    const char* key = kPartialKey;
+    const char* key = stage_key(SolveJob::Stage::Reduction);
     Timer step_timer;
     bool done = false;
     try {
-      if (req.opt.selected) {
-        StatusOr<PartialResult> r = solve_selected(*req.a, *req.ctx, req.opt.evd,
-                                                   req.opt.il, req.opt.iu, req.opt.evd.vectors);
+      if (req.job == nullptr)
+        req.job = std::make_unique<SolveJob>(*req.a, *req.ctx, req.opt.evd, req.range);
+      key = stage_key(req.job->stage());
+      req.job->step();
+      if (req.job->done()) {
+        // A failed job's dropped_events() are intentionally discarded: the
+        // synchronous path re-notes them into the caller's recovery scope,
+        // but a service request has no caller scope — matching what
+        // solve_many has always reported for failed problems.
+        StatusOr<EvdResult> r = req.job->take();
         if (r.ok()) {
           req.result.status = ok_status();
           req.result.eigenvalues = std::move(r->eigenvalues);
           req.result.vectors = std::move(r->vectors);
           req.result.recovery = std::move(r->recovery);
+          req.result.verify = std::move(r->verify);
         } else {
           req.result.status = r.status();
         }
         done = true;
-      } else {
-        if (req.job == nullptr)
-          req.job = std::make_unique<SolveJob>(*req.a, *req.ctx, req.opt.evd);
-        key = stage_key(req.job->stage());
-        req.job->step();
-        if (req.job->done()) {
-          // A failed job's dropped_events() are intentionally discarded: the
-          // synchronous path re-notes them into the caller's recovery scope,
-          // but a service request has no caller scope — matching what
-          // solve_many has always reported for failed problems.
-          StatusOr<EvdResult> r = req.job->take();
-          if (r.ok()) {
-            req.result.status = ok_status();
-            req.result.eigenvalues = std::move(r->eigenvalues);
-            req.result.vectors = std::move(r->vectors);
-            req.result.recovery = std::move(r->recovery);
-            req.result.verify = std::move(r->verify);
-          } else {
-            req.result.status = r.status();
-          }
-          done = true;
-        }
       }
     } catch (const std::exception& e) {
       // A throw out of a pool task would take the process down; isolate it to
@@ -307,7 +291,6 @@ void EvdService::release_context_locked(std::size_t size_class,
   // Over the retention limit: the arena goes, but the per-problem telemetry
   // it accumulated must survive into the aggregate — snapshots (and
   // solve_many's merged BatchResult::telemetry) count every problem.
-  if (ctx->has_lookahead_sibling()) ctx->absorb_sibling_telemetry();
   telemetry_.merge_from(ctx->telemetry());
 }
 
@@ -344,10 +327,7 @@ Telemetry EvdService::telemetry_snapshot() {
   out.merge_from(telemetry_);
   for (auto& [size_class, idle] : idle_contexts_) {
     (void)size_class;
-    for (std::unique_ptr<Context>& ctx : idle) {
-      if (ctx->has_lookahead_sibling()) ctx->absorb_sibling_telemetry();
-      out.merge_from(ctx->telemetry());
-    }
+    for (const std::unique_ptr<Context>& ctx : idle) out.merge_from(ctx->telemetry());
   }
   return out;
 }

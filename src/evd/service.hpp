@@ -5,12 +5,13 @@
 // problem finishes, EvdService accepts an open-ended stream of requests —
 // mixed sizes, mixed options, full or selected spectra — and keeps a fixed
 // worker pool saturated by interleaving the pipeline stages of many solves:
-// each request is a SolveJob (src/evd/solve_job.hpp) that advances one stage
-// (reduction -> bulge -> solver -> verify) per scheduling turn, so a worker
-// never idles behind one problem's long stage while other requests have
-// runnable work. Because a job executes the identical step sequence as
-// sequential evd::solve on a private Context, per-request results are
-// bitwise-identical to evd::solve — the service changes scheduling, never
+// every request, selected ranges included, is a SolveJob
+// (src/evd/solve_job.hpp) that advances one stage (reduction -> bulge ->
+// solver -> verify) per scheduling turn, so a worker never idles behind one
+// problem's long stage while other requests have runnable work. Because a
+// job executes the identical step sequence as sequential evd::solve (or
+// evd::solve_selected) on a private Context, per-request results are
+// bitwise-identical to those calls — the service changes scheduling, never
 // numerics.
 //
 // Admission control: at most ServiceOptions::max_in_flight requests may be
@@ -34,7 +35,7 @@
 // Telemetry: per-problem evd.* stages land on the solving Context exactly as
 // in a sequential solve; the service additionally records, under its own
 // aggregate sink, "service.queue" (admission-to-first-stage wait) and
-// "service.stage.<reduction|bulge|solver|finish|partial>" (per-step wall
+// "service.stage.<reduction|bulge|solver|finish>" (per-step wall
 // time), each both as a StageStat (throughput) and a LatencyStat (histogram
 // quantiles). telemetry_snapshot() merges the service sink with every idle
 // pooled Context; call it quiescent (after wait_all) for complete numbers.
@@ -92,8 +93,10 @@ struct ServiceOptions {
 /// Per-request configuration: the solve itself plus scheduling attributes.
 struct RequestOptions {
   EvdOptions evd;
-  /// Partial-spectrum mode: eigenvalue indices [il, iu] (0-based, inclusive)
-  /// via evd::solve_selected; evd.vectors then requests the selected vectors.
+  /// Partial-spectrum mode: eigenvalue indices [il, iu] (0-based, inclusive),
+  /// solved as evd::solve_selected does; evd.vectors then requests the
+  /// selected vectors. Selected requests are never verified (a verify policy
+  /// other than Off is noted at recovery site "evd.verify").
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
@@ -183,6 +186,7 @@ class EvdService {
     Clock::time_point deadline_tp;
     bool has_deadline = false;
     std::size_t size_class = 0;
+    std::optional<IndexRange> range;  ///< set for selected requests
     // Execution state (owned by the runner that popped the slot off ready_).
     std::unique_ptr<SolveJob> job;
     std::unique_ptr<Context> ctx;

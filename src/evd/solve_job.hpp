@@ -4,9 +4,12 @@
 // A SolveJob owns one problem's in-flight state (workspace scope, partial
 // factorizations, verification attempt bookkeeping) and advances one pipeline
 // stage per step() call: reduction (SBR / sytrd) -> bulge chasing ->
-// tridiagonal solver -> verification. The synchronous evd::solve is a loop of
-// step() calls on the caller's thread; the streaming EvdService runs the same
-// steps on pool workers, picking which job advances next at every boundary.
+// tridiagonal solver -> verification. A job with a selected index range
+// shares the reduction and bulge stages; its solver stage runs bisection and
+// inverse iteration for that range only and ends the job (no verification).
+// The synchronous evd::solve and evd::solve_selected are loops of step()
+// calls on the caller's thread; the streaming EvdService runs the same steps
+// on pool workers, picking which job advances next at every boundary.
 // Because both drivers execute the identical step sequence on one Context,
 // the service's results are bitwise-identical to sequential evd::solve by
 // construction.
@@ -33,6 +36,12 @@
 
 namespace tcevd::evd {
 
+/// Selected eigenvalue indices [il, iu]: 0-based, inclusive, ascending order.
+struct IndexRange {
+  index_t il = 0;
+  index_t iu = 0;
+};
+
 class SolveJob {
  public:
   enum class Stage { Reduction, Bulge, Solver, Finish, Done };
@@ -40,8 +49,12 @@ class SolveJob {
   /// `a` and `ctx` are borrowed and must outlive the job; the context must
   /// not be used by anything else until the job is done (it holds a live
   /// workspace scope — and, while escalated, an engine override — between
-  /// steps).
-  SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
+  /// steps). With `range` set, the solver stage computes eigenvalues
+  /// range->il..range->iu by Sturm bisection and, when opt.vectors, their
+  /// eigenvectors by inverse iteration back-transformed through Q; the range
+  /// must satisfy 0 <= il <= iu < n (callers validate request data first).
+  SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+           std::optional<IndexRange> range = std::nullopt);
   ~SolveJob();
   SolveJob(const SolveJob&) = delete;
   SolveJob& operator=(const SolveJob&) = delete;
@@ -70,6 +83,8 @@ class SolveJob {
   void step_reduction();
   void step_bulge();
   void step_solver();
+  Status solve_tridiagonal();
+  Status solve_range();
   void step_finish();
   void fail_attempt(const Status& status);
   void escalate_engine(std::unique_ptr<tc::GemmEngine> next);
@@ -79,6 +94,7 @@ class SolveJob {
   ConstMatrixView<float> a_;
   Context& ctx_;
   EvdOptions opt_;
+  std::optional<IndexRange> range_;
   std::optional<blas::abft::AbftScope> abft_;  // spans every attempt, like solve()
 
   // Verification attempt loop (mirrors the old solve_verified locals).

@@ -78,8 +78,11 @@ Status blocked_qr_panel(Workspace& arena, MatrixView<float> panel, MatrixView<fl
   return ok_status();
 }
 
-Status panel_factor_impl(Workspace& arena, PanelKind kind, MatrixView<float> panel,
-                         MatrixView<float> w, MatrixView<float> y) {
+}  // namespace
+
+Status panel_factor_wy(Context& ctx, PanelKind kind, MatrixView<float> panel,
+                       MatrixView<float> w, MatrixView<float> y) {
+  Workspace& arena = ctx.workspace();
   const index_t m = panel.rows();
   const index_t k = panel.cols();
   TCEVD_CHECK(w.rows() == m && w.cols() == k && y.rows() == m && y.cols() == k,
@@ -99,22 +102,6 @@ Status panel_factor_impl(Workspace& arena, PanelKind kind, MatrixView<float> pan
     set_zero(y);
   }
   return blocked_qr_panel(arena, panel, w, y);
-}
-
-}  // namespace
-
-Status panel_factor_wy(Context& ctx, PanelKind kind, MatrixView<float> panel,
-                       MatrixView<float> w, MatrixView<float> y) {
-  return panel_factor_impl(ctx.workspace(), kind, panel, w, y);
-}
-
-// Deprecated compatibility overload: per-thread scratch arena, warm after the
-// first call (the engine-keyed compat_context does not apply — this path
-// never touches a GemmEngine).
-Status panel_factor_wy(PanelKind kind, MatrixView<float> panel, MatrixView<float> w,
-                       MatrixView<float> y) {
-  thread_local Workspace arena;
-  return panel_factor_impl(arena, kind, panel, w, y);
 }
 
 }  // namespace tcevd::sbr

@@ -88,16 +88,6 @@ struct SbrOptions {
   /// form. Ignored for non-TC engines and when b == nb (where the trailing
   /// update is the multiplicative sbr_wy form).
   bool dbr_use_tc_syr2k = false;
-  /// WY only: left-looking look-ahead. The post-block trailing update is
-  /// split so the next block's first-panel columns are updated first; that
-  /// panel is then factored (TSQR + WY reconstruction) on the context's
-  /// look-ahead sibling while the remainder of the trailing update runs
-  /// concurrently on the shared overlap pool, removing the pipeline bubble
-  /// between consecutive big blocks. Same reflectors, different schedule:
-  /// the banded output matches the lookahead=false band to fp32 roundoff
-  /// (bitwise on column-independent engines), and lookahead=false remains
-  /// bitwise identical to the pre-look-ahead code. See DESIGN.md §10.
-  bool lookahead = false;
 };
 
 /// One accumulated block reflector I - W Y^T whose row support starts at
@@ -125,9 +115,7 @@ StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
 /// over nb >= b columns; the per-block trailing update is the detached
 /// symmetric rank-2k form with inner dimension nb (see the header comment).
 /// Stage telemetry lands under "sbr.dbr" / "sbr.dbr.trailing". With b == nb
-/// the output is bitwise identical to sbr_wy (same code path). Look-ahead is
-/// not supported for b < nb: the request is noted at recovery site "sbr.dbr"
-/// and the block schedule runs serial.
+/// the output is bitwise identical to sbr_wy (same code path).
 StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt);
 
 /// Validate and normalize caller options against problem size n: rejects
@@ -142,18 +130,8 @@ StatusOr<SbrOptions> validate_options(const SbrOptions& opt, index_t n);
 /// (LAPACK-lwork style, conservative). Reserve it on the context's arena —
 /// `ctx.workspace().reserve(workspace_query(n, opt))` — to make every solve
 /// after the first allocation-free; the drivers also reserve it themselves
-/// on entry. The bound covers the split trailing update too, so it is
-/// unchanged by `opt.lookahead` (the overlapped panel draws from the
-/// sibling arena sized by lookahead_workspace_query below).
+/// on entry.
 std::size_t workspace_query(index_t n, const SbrOptions& opt);
-
-/// Peak bytes the look-ahead *sibling* arena needs: the doubled W/Y panel
-/// checkout (the prefactored next-panel reflectors held across the block
-/// boundary on top of the panel factorization's own W/Y scratch) plus TSQR
-/// tree buffers. Zero when `opt.lookahead` is false. sbr_wy reserves this on
-/// `ctx.lookahead_sibling()` itself on entry; exposed for callers that want
-/// to pre-warm the sibling arena.
-std::size_t lookahead_workspace_query(index_t n, const SbrOptions& opt);
 
 /// Factor `panel` (m x k, m >= 2) into (I - W Y^T) [R; 0]; writes [R; 0]
 /// back into `panel` and fills w, y (m x k). Shared by both SBR variants and
@@ -184,28 +162,6 @@ Matrix<float> form_q(const std::vector<WyBlock>& blocks, index_t n, Context& ctx
 /// ever forming Q — the memory-lean way to back-transform a block of
 /// eigenvectors (n x nev GEMMs instead of an n x n Q).
 void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, Context& ctx,
-                          MatrixView<float> x);
-
-// ---------------------------------------------------------------------------
-// Deprecated compatibility overloads: each routes through the per-thread
-// scratch Context of `compat_context(engine)` (warm arena after the first
-// call, telemetry accumulated on the scratch context), so legacy callers
-// keep working — and stop re-allocating per call — while they migrate. New
-// code should construct a Context. See DESIGN.md §8.
-// ---------------------------------------------------------------------------
-
-StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt);
-StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt);
-StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                            const SbrOptions& opt);
-Status panel_factor_wy(PanelKind kind, MatrixView<float> panel, MatrixView<float> w,
-                       MatrixView<float> y);
-void form_wy_product(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine,
-                     Matrix<float>& w_out, Matrix<float>& y_out);
-Matrix<float> form_q(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine);
-void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, tc::GemmEngine& engine,
                           MatrixView<float> x);
 
 }  // namespace tcevd::sbr

@@ -22,27 +22,12 @@
 // out of the context's workspace arena: the outer scope lives for one big
 // block, a nested scope per panel iteration. A steady-state caller therefore
 // performs zero heap allocations here once the arena is warm.
-//
-// Look-ahead (SbrOptions::lookahead): the serial schedule leaves block i+1's
-// first panel factorization stalled behind block i's full trailing update —
-// the classic pipeline bubble left-looking look-ahead removes. Because every
-// trailing column is an independent restriction of the block invariant, the
-// update splits by columns with no change in the computed values: the first
-// b trailing columns (the next panel's support) are produced eagerly on the
-// calling thread, then the next panel is factored against the context's
-// look-ahead sibling (private arena + telemetry) while the remaining
-// trailing columns drain on a pool worker that touches only the *main*
-// context. The prefactored reflectors are merged into block i+1's W/Y
-// accumulation when its iteration begins. Same reflectors, different
-// schedule; see DESIGN.md §10 for the arena-ownership rules.
 #include <optional>
 #include <string>
 
 #include "src/blas/blas.hpp"
-#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/recovery.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/sbr/wy_block.hpp"
 #include "src/tensorcore/tc_syr2k.hpp"
@@ -76,7 +61,7 @@ namespace detail {
 
 /// Process the big block starting at global offset s; returns the number of
 /// columns reduced (0 when the active matrix is already banded).
-StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel& la) {
+StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s) {
   const index_t na = prm.n - s;  // active size
   const index_t b = prm.b;
   if (na - b < 2) return index_t{0};
@@ -145,21 +130,11 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
         for (index_t r = 0; r < rrows; ++r) A(s + c + j, s + c + r) = A(s + c + r, s + c + j);
     }
 
-    // Panel QR: global rows [s+c+b, n) x cols [s+c, s+c+b). When the panel
-    // was prefactored during the previous block's overlap window, A already
-    // holds [R; 0] and the reflectors come from the sibling arena; only the
-    // band-column mirror (deferred past the join) remains.
-    const bool prefactored = (p == 0) && la.valid && la.owner == s;
-    MatrixView<float> w, y;
-    if (prefactored) {
-      w = la.w;
-      y = la.y;
-    } else {
-      auto panel = A.sub(s + c + b, s + c, m, b);
-      w = panel_scope.matrix<float>(m, b);
-      y = panel_scope.matrix<float>(m, b);
-      TCEVD_RETURN_IF_ERROR(panel_factor_wy(ctx, prm.panel_kind, panel, w, y));
-    }
+    // Panel QR: global rows [s+c+b, n) x cols [s+c, s+c+b).
+    auto panel = A.sub(s + c + b, s + c, m, b);
+    auto w = panel_scope.matrix<float>(m, b);
+    auto y = panel_scope.matrix<float>(m, b);
+    TCEVD_RETURN_IF_ERROR(panel_factor_wy(ctx, prm.panel_kind, panel, w, y));
     for (index_t j = 0; j < b; ++j)  // mirror the finalized band columns
       for (index_t r = 0; r < m; ++r) A(s + c + j, s + c + b + r) = A(s + c + b + r, s + c + j);
 
@@ -172,7 +147,6 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
     auto wcol = W.sub(0, c, mt, b);
     set_zero(wcol);
     copy_matrix<float>(ConstMatrixView<float>(w), W.sub(c, c, m, b));
-    if (prefactored) la.drop();  // reflectors copied out; release the sibling scope
     if (c > 0) {
       // w' = w - W (Y^T w).
       auto ytw = panel_scope.matrix<float>(c, b);
@@ -195,12 +169,6 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
   // Full trailing update: rows/cols [cols_done, na) — OA coords [cols_done-b, mt).
   const index_t t0 = cols_done - b;  // OA-coordinate offset
   const index_t tw = mt - t0;        // trailing width
-  // Look-ahead fires only when a next block will actually run: its first
-  // panel has next_rows = tw - b reflector rows and process_block requires
-  // at least 2 of them.
-  const index_t next_rows = tw - b;
-  const bool overlap = prm.trailing == TrailingKind::Multiplicative && prm.lookahead &&
-                       tw > 0 && next_rows >= 2;
   if (tw > 0) {
     std::optional<StageTimer> trail_timer;
     if (prm.trailing_stage != nullptr)
@@ -242,7 +210,7 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
         ctx.gemm(Trans::No, Trans::Yes, -1.0f, yt, ConstMatrixView<float>(z), 1.0f, a22);
         ctx.gemm(Trans::No, Trans::Yes, -1.0f, ConstMatrixView<float>(z), yt, 1.0f, a22);
       }
-    } else if (!overlap) {
+    } else {
       auto mcol = trail_scope.matrix<float>(mt, tw);
       copy_matrix<float>(oa.sub(0, t0, mt, tw), mcol);
       ctx.gemm(Trans::No, Trans::Yes, -1.0f, big_v,
@@ -257,83 +225,6 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
 
       copy_matrix<float>(ConstMatrixView<float>(ga),
                          A.sub(s + cols_done, s + cols_done, tw, tw));
-    } else {
-      // --- look-ahead schedule -------------------------------------------
-      // Every trailing column j is M(:, j) = OA(:, t0+j) - P Y(t0+j, :)^T
-      // followed by the left restriction — column-independent, so the split
-      // below computes exactly the values of the unsplit update.
-      //
-      // (1) First b columns now, on this thread: the next panel's support.
-      {
-        auto pre_scope = ws.scope();
-        auto mcol = pre_scope.matrix<float>(mt, b);
-        copy_matrix<float>(oa.sub(0, t0, mt, b), mcol);
-        ctx.gemm(Trans::No, Trans::Yes, -1.0f, big_v,
-                 ConstMatrixView<float>(Y.sub(t0, 0, b, cols_done)), 1.0f, mcol);
-        auto wtm = pre_scope.matrix<float>(cols_done, b);
-        ctx.gemm(Trans::Yes, Trans::No, 1.0f, Wv, mcol, 0.0f, wtm);
-        auto ga = pre_scope.matrix<float>(tw, b);
-        copy_matrix<float>(mcol.sub(t0, 0, tw, b), ga);
-        ctx.gemm(Trans::No, Trans::No, -1.0f,
-                 ConstMatrixView<float>(Y.sub(t0, 0, tw, cols_done)), wtm, 1.0f, ga);
-        copy_matrix<float>(ConstMatrixView<float>(ga),
-                           A.sub(s + cols_done, s + cols_done, tw, b));
-      }
-
-      // (2) Remainder scratch checked out *before* the worker starts: during
-      // the overlap window the worker must never touch this arena's bump
-      // pointer (it only fills buffers the caller handed it).
-      const index_t tw2 = tw - b;
-      auto mcol2 = trail_scope.matrix<float>(mt, tw2);
-      auto wtm2 = trail_scope.matrix<float>(cols_done, tw2);
-      auto ga2 = trail_scope.matrix<float>(tw, tw2);
-
-      // (3) Overlap: the trailing remainder drains on a pool worker through
-      // the MAIN context (arena untouched, telemetry exclusively its own for
-      // the window) while this thread factors block i+1's first panel
-      // against the SIBLING context. Worker-side recovery notes land in a
-      // local scope and are re-homed onto this thread's ambient scope after
-      // the join (recovery scopes are thread-local).
-      Context& sib = ctx.lookahead_sibling();
-      la.scope.emplace(sib.workspace());
-      la.w = la.scope->matrix<float>(next_rows, b);
-      la.y = la.scope->matrix<float>(next_rows, b);
-      Status panel_st = ok_status();
-      RecoveryLog trailing_log;
-      StageTimer overlap_timer(ctx.telemetry(), "sbr.wy.lookahead");
-      overlap_pool().run_pair(
-          [&] {  // pool worker: trailing-update remainder
-            recovery::Scope worker_scope;
-            StageTimer t(ctx.telemetry(), "sbr.wy.trailing");
-            copy_matrix<float>(oa.sub(0, t0 + b, mt, tw2), mcol2);
-            ctx.gemm(Trans::No, Trans::Yes, -1.0f, big_v,
-                     ConstMatrixView<float>(Y.sub(t0 + b, 0, tw2, cols_done)), 1.0f, mcol2);
-            ctx.gemm(Trans::Yes, Trans::No, 1.0f, Wv, mcol2, 0.0f, wtm2);
-            copy_matrix<float>(mcol2.sub(t0, 0, tw, tw2), ga2);
-            ctx.gemm(Trans::No, Trans::No, -1.0f,
-                     ConstMatrixView<float>(Y.sub(t0, 0, tw, cols_done)), wtm2, 1.0f, ga2);
-            copy_matrix<float>(ConstMatrixView<float>(ga2),
-                               A.sub(s + cols_done, s + cols_done + b, tw, tw2));
-            trailing_log = worker_scope.take();
-          },
-          [&] {  // calling thread: next block's first panel, sibling arena
-            // GEMM-level threads stand down for the overlap window: the
-            // worker half's GEMMs already run serial (pool-worker guard), and
-            // this scope keeps the panel's GEMMs off gemm_pool() too so the
-            // pair never competes with itself for the machine.
-            blas::SerialGemmScope serial_gemms;
-            StageTimer t(sib.telemetry(), "sbr.wy.lookahead.panel");
-            auto panel = A.sub(s + cols_done + b, s + cols_done, next_rows, b);
-            panel_st = panel_factor_wy(sib, prm.panel_kind, panel, la.w, la.y);
-          });
-      overlap_timer.stop();
-      for (const RecoveryEvent& ev : trailing_log) recovery::note(ev.site, ev.action);
-      if (!panel_st.ok()) {
-        la.drop();
-        return panel_st;
-      }
-      la.owner = s + cols_done;
-      la.valid = true;
     }
   }
 
@@ -355,10 +246,10 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
 namespace {
 
 /// Shared driver loop of sbr_wy / sbr_dbr: run process_wy_block over the
-/// recursion, absorb look-ahead telemetry, form Q on request.
+/// recursion, form Q on request.
 StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
                                   const SbrOptions& opt, index_t nb,
-                                  detail::TrailingKind trailing, bool lookahead,
+                                  detail::TrailingKind trailing,
                                   const char* trailing_stage) {
   const index_t n = a.rows();
   SbrResult result;
@@ -374,22 +265,16 @@ StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
   prm.panel_kind = opt.panel;
   prm.blocks = &result.blocks;
   prm.cache_oa = opt.wy_cache_oa_product;
-  prm.lookahead = lookahead;
   prm.trailing = trailing;
   prm.use_tc_syr2k = opt.dbr_use_tc_syr2k;
   prm.trailing_stage = trailing_stage;
 
-  {
-    detail::LookaheadPanel la;  // prefactored panel carried across block boundaries
-    index_t s = 0;
-    for (;;) {
-      StatusOr<index_t> done = detail::process_wy_block(prm, s, la);
-      if (!done.ok()) return done.status();
-      if (*done == 0) break;
-      s += *done;
-    }
+  for (index_t s = 0;;) {
+    StatusOr<index_t> done = detail::process_wy_block(prm, s);
+    if (!done.ok()) return done.status();
+    if (*done == 0) break;
+    s += *done;
   }
-  if (ctx.has_lookahead_sibling()) ctx.absorb_sibling_telemetry();
 
   if (opt.accumulate_q) {
     result.q = form_q(result.blocks, n, ctx);
@@ -407,11 +292,9 @@ StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
   const SbrOptions vopt = *vopt_or;
 
   ctx.workspace().reserve(workspace_query(n, vopt));
-  if (vopt.lookahead)
-    ctx.lookahead_sibling().workspace().reserve(lookahead_workspace_query(n, vopt));
   StageTimer stage(ctx.telemetry(), "sbr.wy");
   return run_wy_blocks(a, ctx, vopt, vopt.big_block, detail::TrailingKind::Multiplicative,
-                       vopt.lookahead, nullptr);
+                       nullptr);
 }
 
 StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt) {
@@ -423,25 +306,15 @@ StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOpt
 
   // b == nb degenerates to one sub-panel per block, where the detached form
   // buys nothing: run the multiplicative sbr_wy path verbatim so the output
-  // is bitwise identical to sbr_wy (including its look-ahead schedule).
+  // is bitwise identical to sbr_wy.
   const bool detached = vopt.bandwidth < vopt.big_block;
-  bool lookahead = vopt.lookahead;
-  if (detached && lookahead) {
-    // The detached trailing update is one fused rank-2k, not a column-
-    // splittable two-step — there is no overlap window to schedule into.
-    recovery::note("sbr.dbr",
-                   "look-ahead is not supported for b < nb; running the serial schedule");
-    lookahead = false;
-  }
 
   ctx.workspace().reserve(workspace_query(n, vopt));
-  if (lookahead)
-    ctx.lookahead_sibling().workspace().reserve(lookahead_workspace_query(n, vopt));
   StageTimer stage(ctx.telemetry(), "sbr.dbr");
   return run_wy_blocks(a, ctx, vopt, vopt.big_block,
                        detached ? detail::TrailingKind::DetachedSyr2k
                                 : detail::TrailingKind::Multiplicative,
-                       lookahead, "sbr.dbr.trailing");
+                       "sbr.dbr.trailing");
 }
 
 std::size_t workspace_query(index_t n, const SbrOptions& opt) {
@@ -467,41 +340,12 @@ std::size_t workspace_query(index_t n, const SbrOptions& opt) {
   // reconstruction LU copy, and the blocked-QR fallback work buffer.
   f += 6.0 * double(mt) * b;
   f += 8.0 * double(b) * b * 64.0;
-  // The look-ahead split checks out column slices of the same trailing
-  // buffers (part-1 slices under a nested scope released before the part-2
-  // checkout), so the trailing terms above already bound it.
   // ZY-variant scratch (P, S, Z, back-transform T) is strictly smaller and
   // also covered by the panel + trailing terms above.
 
   // Alignment slop: every checkout rounds up to Workspace::kAlignment.
   constexpr std::size_t kAllocSlop = 512 * Workspace::kAlignment;
   return static_cast<std::size_t>(f) * sizeof(float) + kAllocSlop;
-}
-
-std::size_t lookahead_workspace_query(index_t n, const SbrOptions& opt) {
-  if (!opt.lookahead || n <= 1) return 0;
-  const index_t b = std::min<index_t>(std::max<index_t>(opt.bandwidth, 1), n - 1);
-  const index_t mt = std::max<index_t>(n - b, 1);
-  // The prefactored reflectors held across the block boundary (w, y) plus
-  // the panel factorization's own scratch running on top of them — the
-  // "doubled W/Y checkout": same panel terms as workspace_query, doubled.
-  double f = 2.0 * double(mt) * b;         // held w/y
-  f += 6.0 * double(mt) * b;               // TSQR q/r + tree scratch
-  f += 8.0 * double(b) * b * 64.0;         // combine buffers, LU copy, fallback
-  constexpr std::size_t kAllocSlop = 128 * Workspace::kAlignment;
-  return static_cast<std::size_t>(f) * sizeof(float) + kAllocSlop;
-}
-
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt) {
-  return sbr_wy(a, compat_context(engine), opt);
-}
-
-StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                            const SbrOptions& opt) {
-  return sbr_dbr(a, compat_context(engine), opt);
 }
 
 }  // namespace tcevd::sbr

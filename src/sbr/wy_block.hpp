@@ -7,7 +7,7 @@
 //
 //   * Multiplicative (sbr_wy, and sbr_dbr at b == nb): the two-step
 //     restriction of the block invariant, M = OA - (OA W) Y^T then
-//     GA = M - Y (W^T M). Supports the look-ahead split schedule.
+//     GA = M - Y (W^T M).
 //
 //   * DetachedSyr2k (sbr_dbr at b < nb): the detached symmetric rank-2k
 //     form S = W^T (OA W), Z = OA W - (1/2) Y S, GA = OA - Y Z^T - Z Y^T —
@@ -20,11 +20,8 @@
 // WY-SBR.
 #pragma once
 
-#include <optional>
-
 #include "src/common/matrix.hpp"
 #include "src/common/status.hpp"
-#include "src/common/workspace.hpp"
 #include "src/sbr/sbr.hpp"
 
 namespace tcevd {
@@ -34,7 +31,7 @@ class Context;
 namespace tcevd::sbr::detail {
 
 enum class TrailingKind {
-  Multiplicative,  ///< sbr_wy's M/GA two-step (look-ahead capable)
+  Multiplicative,  ///< sbr_wy's M/GA two-step
   DetachedSyr2k,   ///< DBR's rank-2k form with inner dimension nb
 };
 
@@ -48,34 +45,14 @@ struct WyBlockParams {
   std::vector<WyBlock>* blocks = nullptr;
   bool cache_oa = false;  // maintain P = OA*W incrementally instead of
                           // recomputing it with the full W every panel
-  bool lookahead = false;  // Multiplicative only
   TrailingKind trailing = TrailingKind::Multiplicative;
   bool use_tc_syr2k = false;          // DetachedSyr2k only
   const char* trailing_stage = nullptr;  // StageTimer name for the trailing
                                          // update (nullptr = untimed)
 };
 
-/// Next-block panel prefactored during the look-ahead overlap window. The
-/// reflectors live in the sibling arena under `scope`, which stays open
-/// across the block boundary until block i+1 consumes them; A already holds
-/// the panel's [R; 0] columns (mirroring waits for the join — the row strip
-/// it writes belongs to the concurrent trailing task).
-struct LookaheadPanel {
-  MatrixView<float> w, y;
-  std::optional<Workspace::Scope> scope;
-  index_t owner = -1;  // global block offset s' these reflectors belong to
-  bool valid = false;
-
-  void drop() {
-    valid = false;
-    w = MatrixView<float>();
-    y = MatrixView<float>();
-    scope.reset();
-  }
-};
-
 /// Process the big block starting at global offset s; returns the number of
 /// columns reduced (0 when the active matrix is already banded).
-StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel& la);
+StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s);
 
 }  // namespace tcevd::sbr::detail

@@ -98,13 +98,6 @@ SvdResult svd_via_evd(ConstMatrixView<float> a, Context& ctx, const SvdOptions& 
   return out;
 }
 
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-SvdResult svd_via_evd(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                      const SvdOptions& opt) {
-  return svd_via_evd(a, compat_context(engine), opt);
-}
-
 template <typename T>
 DenseSvdResult<T> svd_golub_kahan(ConstMatrixView<T> a, bool vectors) {
   const index_t m = a.rows();

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/blas/blas.hpp"
-#include "src/common/context.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/workspace.hpp"
 #include "src/lapack/lu.hpp"
@@ -75,16 +74,6 @@ Status reconstruct_impl(Workspace& ws, ConstMatrixView<T> q, MatrixView<T> w, Ma
 
 }  // namespace
 
-Status reconstruct_wy(Context& ctx, ConstMatrixView<float> q, MatrixView<float> w,
-                      MatrixView<float> y, std::vector<float>& signs) {
-  return reconstruct_impl(ctx.workspace(), q, w, y, signs);
-}
-
-Status reconstruct_wy(Context& ctx, ConstMatrixView<double> q, MatrixView<double> w,
-                      MatrixView<double> y, std::vector<double>& signs) {
-  return reconstruct_impl(ctx.workspace(), q, w, y, signs);
-}
-
 Status reconstruct_wy(Workspace& ws, ConstMatrixView<float> q, MatrixView<float> w,
                       MatrixView<float> y, std::vector<float>& signs) {
   return reconstruct_impl(ws, q, w, y, signs);
@@ -92,18 +81,6 @@ Status reconstruct_wy(Workspace& ws, ConstMatrixView<float> q, MatrixView<float>
 
 Status reconstruct_wy(Workspace& ws, ConstMatrixView<double> q, MatrixView<double> w,
                       MatrixView<double> y, std::vector<double>& signs) {
-  return reconstruct_impl(ws, q, w, y, signs);
-}
-
-Status reconstruct_wy(ConstMatrixView<float> q, MatrixView<float> w, MatrixView<float> y,
-                      std::vector<float>& signs) {
-  Workspace ws;
-  return reconstruct_impl(ws, q, w, y, signs);
-}
-
-Status reconstruct_wy(ConstMatrixView<double> q, MatrixView<double> w, MatrixView<double> y,
-                      std::vector<double>& signs) {
-  Workspace ws;
   return reconstruct_impl(ws, q, w, y, signs);
 }
 

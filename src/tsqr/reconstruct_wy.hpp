@@ -23,7 +23,6 @@
 #include "src/common/status.hpp"
 
 namespace tcevd {
-class Context;
 class Workspace;
 }  // namespace tcevd
 
@@ -38,23 +37,11 @@ namespace tcevd::tsqr {
 /// orthonormality upstream and reports SingularPanel with the offending
 /// column in detail(). Shape violations remain programmer errors.
 ///
-/// The LU scratch copy comes from the context's workspace arena (or the
-/// given Workspace); the plain overloads allocate a private arena per call
-/// and remain for standalone/reference use.
-Status reconstruct_wy(Context& ctx, ConstMatrixView<float> q, MatrixView<float> w,
-                      MatrixView<float> y, std::vector<float>& signs);
-Status reconstruct_wy(Context& ctx, ConstMatrixView<double> q, MatrixView<double> w,
-                      MatrixView<double> y, std::vector<double>& signs);
-
+/// The LU scratch copy is checked out of `ws` (a Context's arena, for
+/// pipeline callers).
 Status reconstruct_wy(Workspace& ws, ConstMatrixView<float> q, MatrixView<float> w,
                       MatrixView<float> y, std::vector<float>& signs);
 Status reconstruct_wy(Workspace& ws, ConstMatrixView<double> q, MatrixView<double> w,
                       MatrixView<double> y, std::vector<double>& signs);
-
-/// Deprecated: self-allocating compatibility forms.
-Status reconstruct_wy(ConstMatrixView<float> q, MatrixView<float> w, MatrixView<float> y,
-                      std::vector<float>& signs);
-Status reconstruct_wy(ConstMatrixView<double> q, MatrixView<double> w, MatrixView<double> y,
-                      std::vector<double>& signs);
 
 }  // namespace tcevd::tsqr

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/blas/blas.hpp"
-#include "src/common/context.hpp"
 #include "src/common/workspace.hpp"
 #include "src/lapack/qr.hpp"
 
@@ -86,16 +85,6 @@ Status tsqr_impl(Workspace& ws, ConstMatrixView<T> a, MatrixView<T> q, MatrixVie
 
 }  // namespace
 
-Status tsqr_factor(Context& ctx, ConstMatrixView<float> a, MatrixView<float> q,
-                   MatrixView<float> r, const TsqrOptions& opts) {
-  return tsqr_impl(ctx.workspace(), a, q, r, opts);
-}
-
-Status tsqr_factor(Context& ctx, ConstMatrixView<double> a, MatrixView<double> q,
-                   MatrixView<double> r, const TsqrOptions& opts) {
-  return tsqr_impl(ctx.workspace(), a, q, r, opts);
-}
-
 Status tsqr_factor(Workspace& ws, ConstMatrixView<float> a, MatrixView<float> q,
                    MatrixView<float> r, const TsqrOptions& opts) {
   return tsqr_impl(ws, a, q, r, opts);
@@ -103,18 +92,6 @@ Status tsqr_factor(Workspace& ws, ConstMatrixView<float> a, MatrixView<float> q,
 
 Status tsqr_factor(Workspace& ws, ConstMatrixView<double> a, MatrixView<double> q,
                    MatrixView<double> r, const TsqrOptions& opts) {
-  return tsqr_impl(ws, a, q, r, opts);
-}
-
-Status tsqr_factor(ConstMatrixView<float> a, MatrixView<float> q, MatrixView<float> r,
-                   const TsqrOptions& opts) {
-  Workspace ws;
-  return tsqr_impl(ws, a, q, r, opts);
-}
-
-Status tsqr_factor(ConstMatrixView<double> a, MatrixView<double> q, MatrixView<double> r,
-                   const TsqrOptions& opts) {
-  Workspace ws;
   return tsqr_impl(ws, a, q, r, opts);
 }
 

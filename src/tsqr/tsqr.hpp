@@ -7,16 +7,14 @@
 // the way back down. The output is an explicit orthonormal Q plus R — the
 // Householder (WY) form is recovered afterwards by reconstruct_wy.
 //
-// Tree temporaries come from a workspace arena: pass a Context (pipeline
-// callers) or a bare Workspace; the self-allocating overloads remain for
-// standalone/reference use and simply spin up a private arena per call.
+// Tree temporaries come from a workspace arena (a Context's, for pipeline
+// callers).
 #pragma once
 
 #include "src/common/matrix.hpp"
 #include "src/common/status.hpp"
 
 namespace tcevd {
-class Context;
 class Workspace;
 }  // namespace tcevd
 
@@ -34,22 +32,11 @@ struct TsqrOptions {
 /// Factor a (m x n, m >= n) into Q (m x n, orthonormal columns) * R (n x n,
 /// upper triangular). `a` is not modified. Shape violations are programmer
 /// errors (TCEVD_CHECK); non-finite input reports InvalidInput. Tree
-/// temporaries are checked out of the context's workspace arena.
-Status tsqr_factor(Context& ctx, ConstMatrixView<float> a, MatrixView<float> q,
-                   MatrixView<float> r, const TsqrOptions& opts = {});
-Status tsqr_factor(Context& ctx, ConstMatrixView<double> a, MatrixView<double> q,
-                   MatrixView<double> r, const TsqrOptions& opts = {});
-
-/// Workspace-only forms (no engine involved — TSQR runs in scalar fp32/fp64).
+/// temporaries are checked out of `ws` (no engine involved — TSQR runs in
+/// scalar fp32/fp64).
 Status tsqr_factor(Workspace& ws, ConstMatrixView<float> a, MatrixView<float> q,
                    MatrixView<float> r, const TsqrOptions& opts = {});
 Status tsqr_factor(Workspace& ws, ConstMatrixView<double> a, MatrixView<double> q,
                    MatrixView<double> r, const TsqrOptions& opts = {});
-
-/// Deprecated: self-allocating compatibility forms (private arena per call).
-Status tsqr_factor(ConstMatrixView<float> a, MatrixView<float> q, MatrixView<float> r,
-                   const TsqrOptions& opts = {});
-Status tsqr_factor(ConstMatrixView<double> a, MatrixView<double> q, MatrixView<double> r,
-                   const TsqrOptions& opts = {});
 
 }  // namespace tcevd::tsqr

@@ -226,25 +226,6 @@ TEST(SolveMany, SelectedRangeOutOfBoundsFailsPerProblemWithInvalidArgument) {
   }
 }
 
-TEST(SolveMany, LookaheadBatchMatchesSerialScheduleBitwise) {
-  const index_t n = 64;
-  auto batch = make_batch(n, 6, 6100);
-  tc::Fp32Engine engine;
-  evd::BatchOptions bopt;
-  bopt.evd.bandwidth = 8;
-  bopt.evd.big_block = 16;
-  bopt.num_threads = 2;
-  auto serial = evd::solve_many(batch, engine, bopt);
-  bopt.evd.lookahead = true;
-  auto overlapped = evd::solve_many(batch, engine, bopt);
-  ASSERT_TRUE(serial.all_ok());
-  ASSERT_TRUE(overlapped.all_ok());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-      EXPECT_EQ(overlapped.problems[i].eigenvalues[j], serial.problems[i].eigenvalues[j])
-          << "problem " << i << " eigenvalue " << j;
-}
-
 // ---------------------------------------------------------------------------
 // Failure isolation: a poisoned problem must not fail its neighbors.
 // ---------------------------------------------------------------------------

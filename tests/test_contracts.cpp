@@ -83,7 +83,8 @@ TEST(Contracts, SbrBigBlockNotMultipleRoundsDown) {
 
 TEST_F(ContractsDeath, TsqrWideInputAborts) {
   Matrix<float> a(4, 8), q(4, 8), r(8, 8);
-  EXPECT_DEATH((void)tsqr::tsqr_factor(a.view(), q.view(), r.view()), "tall");
+  Workspace ws;
+  EXPECT_DEATH((void)tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()), "tall");
 }
 
 // Bisection with vectors is no longer a contract violation: the solver

@@ -69,7 +69,6 @@ bool has_site(const RecoveryLog& log, const std::string& site) {
 struct BitwiseCase {
   index_t n, b;
   bool cache_oa;
-  bool lookahead;
 };
 
 class DbrBitwiseTest : public ::testing::TestWithParam<BitwiseCase> {};
@@ -81,7 +80,6 @@ TEST_P(DbrBitwiseTest, EqualsWySbrAtEqualBlocksizes) {
   opt.bandwidth = p.b;
   opt.big_block = p.b;  // the degenerate configuration the refactor must pin
   opt.wy_cache_oa_product = p.cache_oa;
-  opt.lookahead = p.lookahead;
 
   for (int eng_kind = 0; eng_kind < 2; ++eng_kind) {
     tc::Fp32Engine fp32;
@@ -117,11 +115,11 @@ TEST_P(DbrBitwiseTest, EqualsWySbrAtEqualBlocksizes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DbrBitwiseTest,
-    ::testing::Values(BitwiseCase{96, 8, true, false}, BitwiseCase{96, 8, false, false},
-                      BitwiseCase{130, 16, true, false}, BitwiseCase{64, 4, true, false},
-                      BitwiseCase{100, 8, true, true},  // look-ahead works at b == nb
-                      BitwiseCase{33, 16, true, false},  // tiny trailing
-                      BitwiseCase{120, 32, false, true}));
+    ::testing::Values(BitwiseCase{96, 8, true}, BitwiseCase{96, 8, false},
+                      BitwiseCase{130, 16, true}, BitwiseCase{64, 4, true},
+                      BitwiseCase{100, 8, true},
+                      BitwiseCase{33, 16, true},  // tiny trailing
+                      BitwiseCase{120, 32, false}));
 
 // ---------------------------------------------------------------------------
 // b < nb: narrow-band correctness (the point of DBR).
@@ -320,41 +318,17 @@ TEST(DbrShapes, TcSyr2kVariantMatchesTwoGemmNumerics) {
   const index_t n = 96, b = 8, nb = 32;
   auto a = test::random_symmetric<float>(n, 17);
   tc::TcEngine e1(tc::TcPrecision::Fp16), e2(tc::TcPrecision::Fp16);
+  Context c1(e1), c2(e2);
   SbrOptions two_gemm;
   two_gemm.bandwidth = b;
   two_gemm.big_block = nb;
   SbrOptions syr2k = two_gemm;
   syr2k.dbr_use_tc_syr2k = true;
-  auto r1 = *sbr::sbr_dbr(a.view(), e1, two_gemm);
-  auto r2 = *sbr::sbr_dbr(a.view(), e2, syr2k);
+  auto r1 = *sbr::sbr_dbr(a.view(), c1, two_gemm);
+  auto r2 = *sbr::sbr_dbr(a.view(), c2, syr2k);
   // Same fp16-operand/fp32-accumulate numerics, different tile walk: agree
   // to TC roundoff.
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-2);
-}
-
-// ---------------------------------------------------------------------------
-// Look-ahead: unsupported for b < nb, noted + serial.
-// ---------------------------------------------------------------------------
-
-TEST(DbrLookahead, RequestFallsBackToSerialWithNote) {
-  const index_t n = 100, b = 4, nb = 32;
-  auto a = test::random_symmetric<float>(n, 19);
-  tc::Fp32Engine eng;
-  Context c1(eng), c2(eng);
-  SbrOptions serial;
-  serial.bandwidth = b;
-  serial.big_block = nb;
-  SbrOptions overlapped = serial;
-  overlapped.lookahead = true;
-
-  auto r1 = *sbr::sbr_dbr(a.view(), c1, serial);
-  recovery::Scope scope;
-  auto r2 = *sbr::sbr_dbr(a.view(), c2, overlapped);
-  RecoveryLog log = scope.take();
-  EXPECT_TRUE(has_site(log, "sbr.dbr")) << "silent look-ahead downgrade";
-
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) ASSERT_EQ(r1.band(i, j), r2.band(i, j));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "src/tsqr/reconstruct_wy.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
+#include "src/evd/service.hpp"
 #include "src/lapack/stein.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/matgen/matgen.hpp"
@@ -177,34 +178,60 @@ TEST_F(FaultTest, ReconstructSingularReportsStatus) {
   for (index_t j = 0; j < 4; ++j) q(j, j) = 1.0f;  // trivially orthonormal
   Matrix<float> w(8, 4), y(8, 4);
   std::vector<float> signs;
-  Status st = tsqr::reconstruct_wy(ConstMatrixView<float>(q.view()), w.view(), y.view(), signs);
+  Workspace ws;
+  Status st =
+      tsqr::reconstruct_wy(ws, ConstMatrixView<float>(q.view()), w.view(), y.view(), signs);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), ErrorCode::FaultInjected);
   EXPECT_TRUE(
-      tsqr::reconstruct_wy(ConstMatrixView<float>(q.view()), w.view(), y.view(), signs).ok());
+      tsqr::reconstruct_wy(ws, ConstMatrixView<float>(q.view()), w.view(), y.view(), signs)
+          .ok());
 }
 
 // --- Input screening -------------------------------------------------------
 
-TEST_F(FaultTest, SolveRejectsNonFiniteInput) {
-  auto a = test::random_symmetric<float>(32, 7);
-  a(3, 4) = std::numeric_limits<float>::quiet_NaN();
-  a(4, 3) = std::numeric_limits<float>::quiet_NaN();
+/// Every solve entry point screens its input: the full solve, a selected
+/// range, and a selected EvdService request all refuse `a` as InvalidInput.
+void expect_rejected_everywhere(const Matrix<float>& a) {
+  const ConstMatrixView<float> av(a.view());
   tc::Fp32Engine engine;
   Context ctx(engine);
-  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, {});
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::InvalidInput);
+  auto full = evd::solve(av, ctx, {});
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), ErrorCode::InvalidInput);
+
+  auto sel = evd::solve_selected(av, ctx, {}, 0, 4, /*vectors=*/true);
+  ASSERT_FALSE(sel.ok()) << "solve_selected accepted unscreened input";
+  EXPECT_EQ(sel.status().code(), ErrorCode::InvalidInput);
+
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(engine, sopt);
+  evd::RequestOptions ropt;
+  ropt.selected = true;
+  ropt.il = 0;
+  ropt.iu = 4;
+  auto id = service.submit(av, ropt);
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(service.wait(*id).status.code(), ErrorCode::InvalidInput)
+      << "a selected service request accepted unscreened input";
+}
+
+TEST_F(FaultTest, SolveRejectsNonFiniteInput) {
+  auto nan_pair = test::random_symmetric<float>(32, 7);
+  nan_pair(3, 4) = std::numeric_limits<float>::quiet_NaN();
+  nan_pair(4, 3) = std::numeric_limits<float>::quiet_NaN();
+  expect_rejected_everywhere(nan_pair);
+
+  auto inf_diag = test::random_symmetric<float>(32, 7);
+  inf_diag(5, 5) = std::numeric_limits<float>::infinity();
+  expect_rejected_everywhere(inf_diag);
 }
 
 TEST_F(FaultTest, SolveRejectsAsymmetricInput) {
   auto a = test::random_symmetric<float>(32, 7);
   a(3, 4) += 10.0f;  // gross asymmetry
-  tc::Fp32Engine engine;
-  Context ctx(engine);
-  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, {});
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::InvalidInput);
+  expect_rejected_everywhere(a);
 }
 
 TEST_F(FaultTest, ScreeningCanBeDisabled) {
@@ -226,8 +253,11 @@ TEST_F(FaultTest, PanelFallsBackToBlockedQr) {
   Matrix<float> panel(96, 16);
   copy_matrix<float>(ConstMatrixView<float>(panel_src.view()), panel.view());
   Matrix<float> w(96, 16), y(96, 16);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
   recovery::Scope scope;
-  Status st = sbr::panel_factor_wy(sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
+  Status st =
+      sbr::panel_factor_wy(ctx, sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
   ASSERT_TRUE(st.ok()) << st.to_string();
   auto log = scope.take();
   ASSERT_EQ(log.size(), 1u);

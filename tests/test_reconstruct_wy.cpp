@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/common/workspace.hpp"
 #include "src/lapack/qr.hpp"
 #include "src/tsqr/reconstruct_wy.hpp"
 #include "src/tsqr/tsqr.hpp"
@@ -22,11 +23,12 @@ void check_reconstruction(index_t m, index_t n, std::uint64_t seed, double tol) 
   Matrix<T> a(m, n);
   fill_normal(rng, a.view());
   Matrix<T> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view()).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()).ok());
 
   Matrix<T> w(m, n), y(m, n);
   std::vector<T> signs;
-  ASSERT_TRUE(tsqr::reconstruct_wy(q.view(), w.view(), y.view(), signs).ok());
+  ASSERT_TRUE(tsqr::reconstruct_wy(ws, q.view(), w.view(), y.view(), signs).ok());
 
   // Y unit lower trapezoidal.
   for (index_t j = 0; j < n; ++j) {
@@ -79,10 +81,11 @@ TEST(ReconstructWy, SignsAreUnitMagnitude) {
   const index_t m = 100, n = 10;
   auto a = test::random_matrix(m, n, 9);
   Matrix<double> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view()).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()).ok());
   Matrix<double> w(m, n), y(m, n);
   std::vector<double> signs;
-  ASSERT_TRUE(tsqr::reconstruct_wy(q.view(), w.view(), y.view(), signs).ok());
+  ASSERT_TRUE(tsqr::reconstruct_wy(ws, q.view(), w.view(), y.view(), signs).ok());
   ASSERT_EQ(signs.size(), static_cast<std::size_t>(n));
   for (double s : signs) EXPECT_DOUBLE_EQ(std::abs(s), 1.0);
 }
@@ -105,7 +108,8 @@ TEST(ReconstructWy, MatchesBuildWyFromHouseholderQr) {
   }
   Matrix<double> w2(m, n), y2(m, n);
   std::vector<double> signs;
-  ASSERT_TRUE(tsqr::reconstruct_wy(q.view(), w2.view(), y2.view(), signs).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::reconstruct_wy(ws, q.view(), w2.view(), y2.view(), signs).ok());
 
   // Both (I - W Y^T) are orthogonal matrices whose first n columns equal
   // Q (up to signs). Compare action on a random block.
@@ -127,10 +131,11 @@ TEST(ReconstructWy, OrthogonalityOfIWYt) {
   const index_t m = 60, n = 8;
   auto a = test::random_matrix(m, n, 13);
   Matrix<double> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view()).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()).ok());
   Matrix<double> w(m, n), y(m, n);
   std::vector<double> signs;
-  ASSERT_TRUE(tsqr::reconstruct_wy(q.view(), w.view(), y.view(), signs).ok());
+  ASSERT_TRUE(tsqr::reconstruct_wy(ws, q.view(), w.view(), y.view(), signs).ok());
 
   Matrix<double> full(m, m);
   set_identity(full.view());

@@ -367,7 +367,12 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   for (int i = 0; i < count; ++i) mats.push_back(test::random_symmetric<float>(64, 200 + i));
   std::vector<evd::RequestId> ids;
   for (int i = 0; i < count; ++i) {
-    auto id = service.submit(mats[static_cast<std::size_t>(i)].view(), {});
+    // The last request is a selected range: it is staged like any other.
+    evd::RequestOptions ropt;
+    ropt.selected = i == count - 1;
+    ropt.il = 8;
+    ropt.iu = 15;
+    auto id = service.submit(mats[static_cast<std::size_t>(i)].view(), ropt);
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
@@ -384,6 +389,7 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   EXPECT_EQ(stage_calls("service.stage.reduction"), count);
   EXPECT_EQ(stage_calls("service.stage.bulge"), count);
   EXPECT_EQ(stage_calls("service.stage.solver"), count);
+  EXPECT_EQ(stage_calls("service.stage.partial"), 0);
   // Per-problem pipeline stages arrive via the pooled contexts.
   EXPECT_EQ(stage_calls("evd.reduction"), count);
   EXPECT_EQ(stage_calls("evd.solver"), count);

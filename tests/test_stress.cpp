@@ -87,10 +87,6 @@ TEST_P(SharedEngineStress, ConcurrentSolvesOnOneEngineStayCorrect) {
     opt.bandwidth = s.b;
     opt.big_block = s.nb;
     opt.vectors = (i % 3 == 0);
-    // Half the tasks run the overlapped look-ahead schedule, so the TSan CI
-    // job sees the run_pair window (sibling arena + split telemetry) under
-    // shared-engine contention.
-    opt.lookahead = (i % 2 == 0);
     auto res = evd::solve(a.view(), ctx, opt);
     if (!res.ok() || !res->converged) {
       failures.fetch_add(1);
@@ -137,7 +133,6 @@ TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
     opt.bandwidth = std::min<index_t>(s.b, s.n - 1);
     opt.big_block = std::max<index_t>(s.nb, opt.bandwidth);
     opt.big_block -= opt.big_block % opt.bandwidth;
-    opt.lookahead = (i % 2 == 0);  // exercise the overlap window under TSan
     auto res = sbr::sbr_wy(a.view(), ctx, opt);
     if (!res.ok()) {
       failures.fetch_add(1);
@@ -204,7 +199,6 @@ TEST(SharedEngineStressFixture, GemmPoolStandsDownUnderBatchWorkers) {
   evd::BatchOptions bopt;
   bopt.evd.bandwidth = 16;
   bopt.evd.big_block = 32;
-  bopt.evd.lookahead = true;  // cover the run_pair window's stand-down too
   bopt.num_threads = kThreads;
 
   const auto before = blas::gemm_pool_dispatches();

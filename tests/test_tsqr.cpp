@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/blas/blas.hpp"
+#include "src/common/workspace.hpp"
 #include "src/lapack/qr.hpp"
 #include "src/tsqr/tsqr.hpp"
 #include "test_util.hpp"
@@ -18,7 +19,8 @@ void check_tsqr(index_t m, index_t n, std::uint64_t seed, double tol,
   Matrix<T> a(m, n);
   fill_normal(rng, a.view());
   Matrix<T> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view(), opts).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view(), opts).ok());
 
   // Q R == A.
   Matrix<T> qr(m, n);
@@ -76,7 +78,8 @@ TEST(Tsqr, IllConditionedPanelStillOrthogonal) {
     for (index_t j = 1; j < n; ++j) a(i, j) = a(i, 0) + 1e-9 * a(i, j);
   }
   Matrix<double> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view()).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()).ok());
   EXPECT_LT(orthogonality_residual<double>(q.view()), 1e-11 * m);
   Matrix<double> qr(m, n);
   blas::gemm(Trans::No, Trans::No, 1.0, q.view(), r.view(), 0.0, qr.view());
@@ -88,7 +91,8 @@ TEST(Tsqr, MatchesHouseholderQrUpToSigns) {
   const index_t m = 300, n = 12;
   auto a = test::random_matrix(m, n, 7);
   Matrix<double> q(m, n), r(n, n);
-  ASSERT_TRUE(tsqr::tsqr_factor(a.view(), q.view(), r.view()).ok());
+  Workspace ws;
+  ASSERT_TRUE(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()).ok());
 
   auto work = a;
   std::vector<double> tau;

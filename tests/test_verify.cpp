@@ -21,6 +21,7 @@
 #include "src/common/verify.hpp"
 #include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
+#include "src/evd/partial.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "tests/test_util.hpp"
@@ -317,6 +318,22 @@ TEST_F(VerifyTest, AbftSolveUnderCorruptionIsBitwiseEqualToFaultFree) {
   for (const auto& ev : ctx.telemetry().recovery())
     if (ev.site == "blas.abft") in_telemetry = true;
   EXPECT_TRUE(in_telemetry);
+
+  // A selected range runs the same reduction and bulge stages, so ABFT
+  // checks its tiles too and leaves its bits alone.
+  Context sel_ref_ctx(engine), sel_ctx(engine);
+  auto sel_ref = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ref_ctx, opt, 0,
+                                     9, true);
+  ASSERT_TRUE(sel_ref.ok());
+  const auto checked0 = blas::abft::tiles_checked();
+  auto sel = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ctx, abft_opt, 0, 9,
+                                 true);
+  ASSERT_TRUE(sel.ok()) << sel.status().to_string();
+  EXPECT_GT(blas::abft::tiles_checked(), checked0) << "selected solve skipped ABFT";
+  EXPECT_EQ(sel->eigenvalues, sel_ref->eigenvalues);
+  ASSERT_EQ(sel->vectors.cols(), 10);
+  EXPECT_EQ(std::memcmp(sel->vectors.data(), sel_ref->vectors.data(), sizeof(float) * n * 10),
+            0);
 }
 
 TEST_F(VerifyTest, EscalationConvertsCorruptionIntoPassingResolve) {
@@ -510,6 +527,32 @@ TEST_F(VerifyTest, SolveManyCountsEscalationsAndExhaustedChains) {
   EXPECT_EQ(batch.verify_failures, 1);
   EXPECT_TRUE(batch.problems[1].verify.passed);
   EXPECT_TRUE(batch.problems[2].verify.passed);
+}
+
+TEST_F(VerifyTest, SelectedRangeNotesSkippedVerification) {
+  // The estimators need the full spectrum, so a selected range cannot be
+  // verified — but a requested policy must not vanish without a trace.
+  const index_t n = 48;
+  auto a = test::random_symmetric<float>(n, 71);
+  tc::Fp32Engine engine;
+  auto notes_skip = [](const RecoveryLog& log) {
+    for (const auto& ev : log)
+      if (ev.site == "evd.verify") return true;
+    return false;
+  };
+  for (verify::Policy policy : {verify::Policy::Estimate, verify::Policy::EstimateEscalate}) {
+    Context ctx(engine);
+    evd::EvdOptions opt;
+    opt.verify = policy;
+    auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 4, 11, true);
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    EXPECT_TRUE(notes_skip(res->recovery)) << verify::policy_name(policy);
+    EXPECT_EQ(ctx.telemetry().stage_seconds("evd.verify"), 0.0);
+  }
+  Context ctx(engine);
+  auto off = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, {}, 4, 11, true);
+  ASSERT_TRUE(off.ok());
+  EXPECT_FALSE(notes_skip(off->recovery));
 }
 
 TEST_F(VerifyTest, TrivialOrdersSkipVerification) {
