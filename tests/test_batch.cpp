@@ -4,7 +4,15 @@
 // telemetry aggregation semantics (merge totals == sum of worker totals).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
@@ -32,27 +40,41 @@ std::vector<Matrix<float>> make_batch(index_t n, std::size_t count, std::uint64_
 // ---------------------------------------------------------------------------
 
 TEST(SolveMany, BitwiseMatchesSequentialSolve) {
+  // With vectors on, each problem also runs the back-transform through Q on
+  // a pool worker (serial GEMM tiles): values AND vectors must still equal
+  // the caller-thread solve bit for bit.
   const index_t n = 64;
   auto batch = make_batch(n, 10, 1000);
 
   tc::Fp32Engine engine;
-  evd::BatchOptions bopt;
-  bopt.evd.bandwidth = 8;
-  bopt.evd.big_block = 32;
-  bopt.num_threads = 4;
-  auto res = evd::solve_many(batch, engine, bopt);
+  for (bool vectors : {false, true}) {
+    evd::BatchOptions bopt;
+    bopt.evd.bandwidth = 8;
+    bopt.evd.big_block = 32;
+    bopt.evd.vectors = vectors;
+    bopt.num_threads = 4;
+    auto res = evd::solve_many(batch, engine, bopt);
 
-  ASSERT_EQ(res.problems.size(), batch.size());
-  ASSERT_TRUE(res.all_ok());
-  EXPECT_EQ(res.num_threads, 4);
+    ASSERT_EQ(res.problems.size(), batch.size());
+    ASSERT_TRUE(res.all_ok());
+    EXPECT_EQ(res.num_threads, 4);
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Context ctx(engine);
-    auto ref = *evd::solve(batch[i].view(), ctx, bopt.evd);
-    ASSERT_EQ(res.problems[i].eigenvalues.size(), ref.eigenvalues.size()) << "problem " << i;
-    for (std::size_t j = 0; j < ref.eigenvalues.size(); ++j)
-      EXPECT_EQ(res.problems[i].eigenvalues[j], ref.eigenvalues[j])
-          << "problem " << i << " eigenvalue " << j << " differs from sequential solve";
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Context ctx(engine);
+      auto ref = *evd::solve(batch[i].view(), ctx, bopt.evd);
+      const auto& got = res.problems[i];
+      ASSERT_EQ(got.eigenvalues.size(), ref.eigenvalues.size()) << "problem " << i;
+      for (std::size_t j = 0; j < ref.eigenvalues.size(); ++j)
+        EXPECT_EQ(got.eigenvalues[j], ref.eigenvalues[j])
+            << "problem " << i << " eigenvalue " << j << " differs from sequential solve";
+      if (!vectors) continue;
+      ASSERT_EQ(got.vectors.rows(), n);
+      ASSERT_EQ(got.vectors.cols(), n);
+      for (index_t c = 0; c < n; ++c)
+        for (index_t r = 0; r < n; ++r)
+          ASSERT_EQ(std::memcmp(&got.vectors(r, c), &ref.vectors(r, c), sizeof(float)), 0)
+              << "problem " << i << " vector entry (" << r << ", " << c << ")";
+    }
   }
 }
 
@@ -396,6 +418,118 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1);
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
+}
+
+TEST(ThreadPool, SingleWorkerTaskMayWaitOnTheCaller) {
+  // The pool never runs a task on the submitting thread, so a one-worker
+  // pool's task may block until the caller acts after submit() returns.
+  ThreadPool pool(1);
+  std::mutex m;
+  std::condition_variable cv;
+  bool go = false, saw_go = false;
+  std::thread::id task_thread;
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(m);
+    task_thread = std::this_thread::get_id();
+    saw_go = cv.wait_for(lock, std::chrono::seconds(30), [&] { return go; });
+  });
+  {
+    std::lock_guard<std::mutex> lock(m);
+    go = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_TRUE(saw_go);
+  EXPECT_NE(task_thread, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, OnWorkerThreadHoldsOnlyInsidePoolTasks) {
+  // The nested-parallelism guard the packed GEMM consults: true on every
+  // worker of any pool, false on threads the pool does not own.
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  ThreadPool pool(2);
+  std::atomic<int> on_worker{0}, off_worker{0};
+  pool.parallel_for(16, [&](int, long) {
+    (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1);
+  });
+  pool.submit([&] { (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(on_worker.load(), 17);
+  EXPECT_EQ(off_worker.load(), 0);
+  bool plain_thread = true;
+  std::thread([&] { plain_thread = ThreadPool::on_worker_thread(); }).join();
+  EXPECT_FALSE(plain_thread);
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+}
+
+TEST(ThreadPool, TryBroadcastReportsBusyWhileAnotherIsInFlight) {
+  // One broadcast at a time per pool: a second caller gets false and nothing
+  // of its work runs, so it can take the indices itself.
+  ThreadPool pool(2);
+  struct Held {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+  } held;
+  bool first_ran = false;
+  std::thread first([&] {
+    first_ran = pool.try_broadcast(
+        1,
+        [](void* c, long) {
+          auto* h = static_cast<Held*>(c);
+          h->entered.store(true);
+          int backoff = 0;
+          while (!h->release.load()) spin_wait_hint(backoff);
+        },
+        &held);
+  });
+  int backoff = 0;
+  while (!held.entered.load()) spin_wait_hint(backoff);
+
+  std::atomic<int> second_hits{0};
+  const bool second_ran = pool.try_broadcast(
+      8, [](void* c, long) { static_cast<std::atomic<int>*>(c)->fetch_add(1); }, &second_hits);
+  held.release.store(true);
+  first.join();
+  EXPECT_TRUE(first_ran);
+  EXPECT_FALSE(second_ran);
+  EXPECT_EQ(second_hits.load(), 0);
+
+  // Once the first broadcast has returned the pool takes the next one.
+  EXPECT_TRUE(pool.try_broadcast(
+      8, [](void* c, long) { static_cast<std::atomic<int>*>(c)->fetch_add(1); }, &second_hits));
+  EXPECT_EQ(second_hits.load(), 8);
+}
+
+TEST(ThreadPool, ConcurrentBroadcastCallersEachRunEveryIndexOnce) {
+  // The packed GEMM's contract on the shared gemm_pool(): callers on several
+  // threads race for it, a refused caller runs its own indices, and every
+  // index of every caller runs exactly once.
+  ThreadPool& pool = gemm_pool();
+  EXPECT_EQ(&pool, &gemm_pool());
+  EXPECT_EQ(pool.size(), std::max(1, ThreadPool::hardware_threads() - 1));
+  constexpr int kCallers = 4;
+  constexpr long kCount = 64;
+  constexpr int kRounds = 200;
+  struct Hits {
+    std::atomic<int> at[kCount];
+  };
+  std::vector<Hits> hits(kCallers);
+  for (Hits& h : hits)
+    for (std::atomic<int>& x : h.at) x.store(0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] {
+      Hits& h = hits[static_cast<std::size_t>(t)];
+      auto fn = [](void* c, long i) { static_cast<Hits*>(c)->at[i].fetch_add(1); };
+      for (int r = 0; r < kRounds; ++r)
+        if (!pool.try_broadcast(kCount, fn, &h))
+          for (long i = 0; i < kCount; ++i) fn(&h, i);
+    });
+  for (std::thread& c : callers) c.join();
+  for (int t = 0; t < kCallers; ++t)
+    for (long i = 0; i < kCount; ++i)
+      EXPECT_EQ(hits[static_cast<std::size_t>(t)].at[i].load(), kRounds)
+          << "caller " << t << " index " << i;
 }
 
 }  // namespace

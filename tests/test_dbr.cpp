@@ -9,10 +9,12 @@
 // note, never a silent clamp.  (ctest label: dbr)
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
@@ -329,6 +331,37 @@ TEST(DbrShapes, TcSyr2kVariantMatchesTwoGemmNumerics) {
   // Same fp16-operand/fp32-accumulate numerics, different tile walk: agree
   // to TC roundoff.
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-2);
+}
+
+TEST(DbrShapes, PooledGemmMatchesSerialGemmScopeBitwise) {
+  // The detached rank-2k trailing update (k = nb = 128 against n = 384) is
+  // large enough to fan out on gemm_pool(); the band and Q must not change
+  // by a bit against the serial tile loop.
+  const index_t n = 384, b = 16, nb = 128;
+  auto a = test::random_symmetric<float>(n, 23);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  SbrOptions opt;
+  opt.bandwidth = b;
+  opt.big_block = nb;
+  opt.accumulate_q = true;
+
+  const auto before = blas::gemm_pool_dispatches();
+  auto pooled = *sbr::sbr_dbr(a.view(), ctx, opt);
+  EXPECT_GT(blas::gemm_pool_dispatches(), before) << "no GEMM fanned out: the check is vacuous";
+  sbr::SbrResult serial;
+  {
+    blas::SerialGemmScope scope;
+    serial = *sbr::sbr_dbr(a.view(), ctx, opt);
+  }
+  EXPECT_EQ(sbr::band_violation<float>(pooled.band.view(), b), 0.0);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::memcmp(&pooled.band(i, j), &serial.band(i, j), sizeof(float)), 0)
+          << "band (" << i << ", " << j << ")";
+      ASSERT_EQ(std::memcmp(&pooled.q(i, j), &serial.q(i, j), sizeof(float)), 0)
+          << "Q (" << i << ", " << j << ")";
+    }
 }
 
 // ---------------------------------------------------------------------------

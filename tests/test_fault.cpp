@@ -21,6 +21,7 @@
 #include "src/lapack/stein.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/matgen/matgen.hpp"
+#include "src/sbr/band.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "tests/test_util.hpp"
@@ -276,6 +277,41 @@ TEST_F(FaultTest, PanelFallsBackToBlockedQr) {
             1e-4);
 }
 
+TEST_F(FaultTest, SbrWyRecoversWhenEveryPanelIsPoisoned) {
+  // Unlimited panel.nan: every TSQR panel of every big block falls back to
+  // blocked QR, each fallback is noted once, and the result is still an
+  // exact band orthogonally similar to A.
+  const index_t n = 96, b = 8;
+  auto a = test::random_symmetric<float>(n, 0xFA17);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  sbr::SbrOptions opt;
+  opt.bandwidth = b;
+  opt.big_block = 32;
+  opt.accumulate_q = true;
+
+  recovery::Scope scope;
+  fault::arm(fault::Site::PanelNan, -1);
+  auto res = sbr::sbr_wy(ConstMatrixView<float>(a.view()), ctx, opt);
+  const int fired = fault::fired(fault::Site::PanelNan);
+  fault::disarm_all();
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  auto log = scope.take();
+  EXPECT_GT(fired, 4) << "expected panels of more than one big block to be poisoned";
+  EXPECT_EQ(static_cast<int>(log.size()), fired);
+  for (const RecoveryEvent& ev : log) EXPECT_EQ(ev.site, "sbr.panel");
+
+  EXPECT_EQ(sbr::band_violation<float>(res->band.view(), b), 0.0);
+  Matrix<float> qb(n, n), qbqt(n, n);
+  blas::gemm<float>(blas::Trans::No, blas::Trans::No, 1.0f,
+                    ConstMatrixView<float>(res->q.view()),
+                    ConstMatrixView<float>(res->band.view()), 0.0f, qb.view());
+  blas::gemm<float>(blas::Trans::No, blas::Trans::Yes, 1.0f, ConstMatrixView<float>(qb.view()),
+                    ConstMatrixView<float>(res->q.view()), 0.0f, qbqt.view());
+  EXPECT_LT(test::rel_diff(ConstMatrixView<float>(qbqt.view()), ConstMatrixView<float>(a.view())),
+            1e-5);
+}
+
 TEST_F(FaultTest, EcTcEngineRetriesSaturatedBlockInFp32) {
   // Finite fp32 values beyond fp16's 65504 max saturate the head split; the
   // engine must transparently redo the GEMM in fp32 and match plain SGEMM.
@@ -460,12 +496,23 @@ TEST_F(FaultTest, ReferenceEigenvaluesReturnsStatusOr) {
 TEST_F(FaultTest, CleanRunHasEmptyRecoveryLog) {
   auto a = test::random_symmetric<float>(96, 55);
   tc::EcTcEngine engine;
-  Context ctx(engine);
-  evd::EvdOptions opt;
-  opt.vectors = true;
-  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
-  ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res->recovery.empty());
+  evd::EvdOptions wy;
+  wy.vectors = true;
+  // A narrow DBR band (b = 4 < nb = 32, nb a multiple of b) is a supported
+  // request as given: no option note either.
+  evd::EvdOptions dbr = wy;
+  dbr.reduction = evd::Reduction::TwoStageDbr;
+  dbr.bandwidth = 4;
+  dbr.big_block = 32;
+  for (const evd::EvdOptions& opt : {wy, dbr}) {
+    Context ctx(engine);
+    auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+    ASSERT_TRUE(res.ok());
+    EXPECT_TRUE(res->recovery.empty())
+        << (opt.reduction == evd::Reduction::TwoStageDbr ? "dbr" : "wy")
+        << ": first note at " << res->recovery.front().site;
+    EXPECT_TRUE(ctx.telemetry().recovery().empty());
+  }
   EXPECT_EQ(engine.fp32_fallbacks(), 0);
 }
 

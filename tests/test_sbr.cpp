@@ -1,11 +1,16 @@
 // Successive band reduction: both variants, all engines, panel kinds.
 // Checks bandedness (exact), backward error A = Q B Q^T, orthogonality of Q,
-// spectrum preservation, and WY-vs-ZY agreement.
+// spectrum preservation, WY-vs-ZY agreement, bitwise equality of pooled and
+// serial GEMM schedules, and per-call stage telemetry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/lapack/sytrd.hpp"
@@ -49,6 +54,17 @@ std::vector<double> reference_eigs(ConstMatrixView<float> a) {
 /// Eigenvalues of the band matrix (through full double tridiagonalization).
 std::vector<double> band_eigs(ConstMatrixView<float> band) {
   return reference_eigs(band);
+}
+
+/// Number of elements whose bit patterns differ (shapes must match).
+long count_bit_mismatches(ConstMatrixView<float> x, ConstMatrixView<float> y) {
+  EXPECT_EQ(x.rows(), y.rows());
+  EXPECT_EQ(x.cols(), y.cols());
+  long diff = 0;
+  for (index_t j = 0; j < std::min(x.cols(), y.cols()); ++j)
+    for (index_t i = 0; i < std::min(x.rows(), y.rows()); ++i)
+      if (std::memcmp(&x(i, j), &y(i, j), sizeof(float)) != 0) ++diff;
+  return diff;
 }
 
 struct SbrCase {
@@ -221,6 +237,100 @@ TEST(Sbr, CachedOaVariantMatchesLiteral) {
   auto r1 = *sbr::sbr_wy(a.view(), c1, lit);
   auto r2 = *sbr::sbr_wy(a.view(), c2, cached);
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-4);
+}
+
+// The packed GEMM fans large products out on gemm_pool(); tiles are disjoint
+// C blocks with the serial k-order, so pooling must not move a single bit of
+// the band or of Q. n = 384 with nb = 128 puts the trailing updates well
+// above the pool's size floor.
+class SbrPooledGemmTest : public ::testing::TestWithParam<tc::EngineKind> {};
+
+TEST_P(SbrPooledGemmTest, WyBandMatchesSerialGemmScopeBitwise) {
+  const index_t n = 384;
+  auto a = test::random_symmetric<float>(n, 41);
+  tc::Fp32Engine fp32;
+  tc::TcEngine tc16(tc::TcPrecision::Fp16);
+  tc::GemmEngine& eng = GetParam() == tc::EngineKind::Tc ? static_cast<tc::GemmEngine&>(tc16)
+                                                         : static_cast<tc::GemmEngine&>(fp32);
+  Context ctx(eng);
+  SbrOptions opt;
+  opt.bandwidth = 32;
+  opt.big_block = 128;
+  opt.accumulate_q = true;
+
+  const auto before = blas::gemm_pool_dispatches();
+  auto pooled = *sbr::sbr_wy(a.view(), ctx, opt);
+  EXPECT_GT(blas::gemm_pool_dispatches(), before) << "no GEMM fanned out: the check is vacuous";
+  sbr::SbrResult serial;
+  {
+    blas::SerialGemmScope scope;
+    serial = *sbr::sbr_wy(a.view(), ctx, opt);
+  }
+  EXPECT_EQ(count_bit_mismatches(pooled.band.view(), serial.band.view()), 0);
+  EXPECT_EQ(count_bit_mismatches(pooled.q.view(), serial.q.view()), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, SbrPooledGemmTest,
+                         ::testing::Values(tc::EngineKind::Fp32, tc::EngineKind::Tc),
+                         [](const ::testing::TestParamInfo<tc::EngineKind>& info) {
+                           return std::string(info.param == tc::EngineKind::Tc ? "TcFp16"
+                                                                               : "Fp32");
+                         });
+
+TEST(Sbr, SingleBigBlockYieldsOneWyBlock) {
+  // n = 20, b = 8, nb = 16: the first big block's two panels reach every
+  // column outside the band (the second one short, m = 4 < b), so the
+  // recursion ends after one block.
+  const index_t n = 20, b = 8;
+  auto a = test::random_symmetric<float>(n, 0x51A6);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  SbrOptions opt;
+  opt.bandwidth = b;
+  opt.big_block = 16;
+  opt.accumulate_q = true;
+  auto res = *sbr::sbr_wy(a.view(), ctx, opt);
+  ASSERT_EQ(res.blocks.size(), 1u);
+  EXPECT_EQ(res.blocks[0].row_offset, b);
+  EXPECT_EQ(res.blocks[0].w.cols(), 16);
+  EXPECT_EQ(sbr::band_violation<float>(res.band.view(), b), 0.0);
+  EXPECT_LT(sbr_backward_error(a.view(), res.q.view(), res.band.view()), 1e-5);
+}
+
+TEST(Sbr, StageTelemetryAccumulatesPerCallOnContext) {
+  // n = 130, b = 16, nb = 32: four big blocks, each leaving a trailing
+  // matrix, so sbr_dbr records one trailing stage per WY block.
+  const index_t n = 130;
+  auto a = test::random_symmetric<float>(n, 0x57A6E);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  SbrOptions opt;
+  opt.bandwidth = 16;
+  opt.big_block = 32;
+  auto calls = [&](const char* stage) {
+    for (const Telemetry::StageStat& st : ctx.telemetry().stages())
+      if (st.name == stage) return st.calls;
+    return 0L;
+  };
+
+  ASSERT_TRUE(sbr::sbr_wy(a.view(), ctx, opt).ok());
+  EXPECT_EQ(calls("sbr.wy"), 1);
+  EXPECT_EQ(calls("sbr.dbr"), 0);
+  EXPECT_EQ(calls("sbr.dbr.trailing"), 0);  // sbr_wy times only the whole call
+
+  auto res = *sbr::sbr_dbr(a.view(), ctx, opt);
+  ASSERT_EQ(res.blocks.size(), 4u);
+  EXPECT_EQ(calls("sbr.dbr"), 1);
+  EXPECT_EQ(calls("sbr.dbr.trailing"), 4);
+
+  // A second call adds to the same keys instead of opening new ones.
+  const std::size_t keys = ctx.telemetry().stages().size();
+  ASSERT_TRUE(sbr::sbr_wy(a.view(), ctx, opt).ok());
+  ASSERT_TRUE(sbr::sbr_dbr(a.view(), ctx, opt).ok());
+  EXPECT_EQ(ctx.telemetry().stages().size(), keys);
+  EXPECT_EQ(calls("sbr.wy"), 2);
+  EXPECT_EQ(calls("sbr.dbr"), 2);
+  EXPECT_EQ(calls("sbr.dbr.trailing"), 8);
 }
 
 TEST(Sbr, FormWMatchesProgressiveAccumulation) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "src/blas/blas.hpp"
 #include "src/bulge/bulge_chasing.hpp"
@@ -15,6 +16,7 @@
 #include "src/common/thread_pool.hpp"
 #include "src/common/workspace.hpp"
 #include "src/sbr/band.hpp"
+#include "src/sbr/sbr.hpp"
 #include "src/evd/evd.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
@@ -230,6 +232,48 @@ TEST(Context, StageTimerAccumulatesByName) {
   EXPECT_EQ(ctx.telemetry().stage_seconds("stage.nope"), 0.0);
 }
 
+TEST(Context, EngineOverrideScopeNestsAndRestores) {
+  // Verified solves escalate precision by overriding the engine in place:
+  // GEMMs follow the innermost scope, each scope restores what it saw, and
+  // the arena and telemetry stay the context's own throughout.
+  tc::Fp32Engine base;
+  tc::TcEngine tc16(tc::TcPrecision::Fp16);
+  tc::EcTcEngine ec16(tc::TcPrecision::Fp16);
+  Context ctx(base);
+  ctx.telemetry().set_recording(true);
+  Workspace* const arena = &ctx.workspace();
+  Matrix<float> a(8, 8), c(8, 8);
+  auto gemm = [&] {
+    ctx.gemm(blas::Trans::No, blas::Trans::No, 1.0f, ConstMatrixView<float>(a.view()),
+             ConstMatrixView<float>(a.view()), 0.0f, c.view());
+  };
+
+  gemm();
+  {
+    EngineOverrideScope outer(ctx, tc16);
+    EXPECT_EQ(&ctx.engine(), static_cast<tc::GemmEngine*>(&tc16));
+    gemm();
+    {
+      EngineOverrideScope inner(ctx, ec16);
+      EXPECT_EQ(&ctx.engine(), static_cast<tc::GemmEngine*>(&ec16));
+      EXPECT_EQ(&ctx.workspace(), arena);
+      gemm();
+    }
+    EXPECT_EQ(&ctx.engine(), static_cast<tc::GemmEngine*>(&tc16));
+    gemm();
+  }
+  EXPECT_EQ(&ctx.engine(), static_cast<tc::GemmEngine*>(&base));
+  gemm();
+
+  const auto& shapes = ctx.telemetry().recorded();
+  ASSERT_EQ(shapes.size(), 5u);  // one sink across every override
+  const tc::EngineKind want[] = {tc::EngineKind::Fp32, tc::EngineKind::Tc,
+                                 tc::EngineKind::EcTc, tc::EngineKind::Tc,
+                                 tc::EngineKind::Fp32};
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    EXPECT_EQ(shapes[i].engine, want[i]) << "gemm " << i;
+}
+
 // The allocation-regression guarantee of the refactor: a second evd::solve
 // of the same shape on the same Context must not grow the arena at all —
 // no new blocks, no spills — regardless of how accurate workspace_query is.
@@ -409,6 +453,64 @@ TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
   EXPECT_EQ(ctx.workspace().spill_count(), 0) << "workspace_query undersized the arena";
   EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
 }
+
+// The SBR drivers reserve sbr::workspace_query on entry, so the estimate must
+// bound the true peak (no spill even on a cold context), every scope must be
+// closed on return, and repeat calls on one Context must reuse the arena.
+enum class SbrVariant { Zy, Wy, Dbr };
+
+class SbrWorkspaceQueryTest : public ::testing::TestWithParam<SbrVariant> {};
+
+TEST_P(SbrWorkspaceQueryTest, BoundsArenaPeakAndReachesSteadyState) {
+  const index_t n = 130;  // four big blocks, the last one short
+  auto a = test::random_symmetric<float>(n, 0xD00D);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  sbr::SbrOptions opt;
+  opt.bandwidth = GetParam() == SbrVariant::Dbr ? 4 : 16;
+  opt.big_block = 32;
+  opt.accumulate_q = true;
+  auto run = [&] {
+    switch (GetParam()) {
+      case SbrVariant::Zy: return sbr::sbr_zy(a.view(), ctx, opt);
+      case SbrVariant::Wy: return sbr::sbr_wy(a.view(), ctx, opt);
+      case SbrVariant::Dbr: break;
+    }
+    return sbr::sbr_dbr(a.view(), ctx, opt);
+  };
+
+  auto first = run();
+  ASSERT_TRUE(first.ok());
+  Workspace& ws = ctx.workspace();
+  EXPECT_EQ(ws.spill_count(), 0) << "sbr::workspace_query undersized the arena";
+  EXPECT_LE(ws.high_water_mark(), sbr::workspace_query(n, opt));
+  EXPECT_EQ(ws.bytes_in_use(), 0u);
+  const std::size_t blocks = ws.block_count();
+  const std::size_t hwm = ws.high_water_mark();
+
+  for (int i = 0; i < 3; ++i) {
+    auto again = run();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(ws.spill_count(), 0) << "call " << i;
+    EXPECT_EQ(ws.block_count(), blocks) << "call " << i << " grew the arena";
+    EXPECT_EQ(ws.high_water_mark(), hwm) << "call " << i << " peaked higher";
+    EXPECT_EQ(ws.bytes_in_use(), 0u);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r = 0; r < n; ++r)
+        ASSERT_EQ(again->band(r, j), first->band(r, j)) << "call " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, SbrWorkspaceQueryTest,
+                         ::testing::Values(SbrVariant::Zy, SbrVariant::Wy, SbrVariant::Dbr),
+                         [](const ::testing::TestParamInfo<SbrVariant>& info) {
+                           switch (info.param) {
+                             case SbrVariant::Zy: return std::string("Zy");
+                             case SbrVariant::Wy: return std::string("Wy");
+                             case SbrVariant::Dbr: break;
+                           }
+                           return std::string("Dbr");
+                         });
 
 }  // namespace
 }  // namespace tcevd
