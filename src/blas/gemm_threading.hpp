@@ -5,7 +5,7 @@
 // machine. The composition contract has three layers:
 //
 //   1. ThreadPool::on_worker_thread(): a GEMM issued from inside ANY pool
-//      worker (EvdService / solve_many workers) takes the serial tile loop.
+//      worker (EvdService runners) takes the serial tile loop.
 //      The service pool owns the parallelism budget at its level; GEMM-level
 //      threads stand down underneath it.
 //   2. SerialGemmScope: an RAII guard that forces the serial tile loop on
@@ -43,8 +43,8 @@ bool gemm_serial_forced() noexcept;
 
 /// Process-wide count of macro-tile fan-outs dispatched onto gemm_pool()
 /// (a large gemm contributes one per macro block that actually broadcast).
-/// Test hook: stress tests assert this stays flat while nested (solve_many)
-/// GEMMs run, proving the stand-down contract holds.
+/// Test hook: stress tests assert this stays flat while nested (EvdService
+/// runner) GEMMs run, proving the stand-down contract holds.
 std::uint64_t gemm_pool_dispatches() noexcept;
 
 namespace detail {

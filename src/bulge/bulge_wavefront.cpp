@@ -11,6 +11,7 @@
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/sbr/band.hpp"
+#include "src/sbr/band_storage.hpp"
 
 namespace tcevd::bulge {
 
@@ -184,12 +185,14 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads) {
   const index_t n = a.rows();
   const bool forced = bulge_threads >= 2;
-  const bool eligible = bulge_threads != 1 && bw >= 2 && n > 2 &&
+  const bool eligible = q != nullptr && bulge_threads != 1 && bw >= 2 && n > 2 &&
                         !ThreadPool::on_worker_thread();
   if (forced && !eligible) {
     // An explicit lane request that cannot engage used to serialize without
     // a trace; say why the lanes never lit up so perf-knob users can see it.
-    const char* why = ThreadPool::on_worker_thread()
+    const char* why = q == nullptr ? "no Q is accumulated, so the band is chased in "
+                                     "compact storage"
+                      : ThreadPool::on_worker_thread()
                           ? "the caller is already a thread-pool worker (nested "
                             "parallelism stays serial)"
                       : bw < 2 ? "the band is too narrow (bandwidth < 2)"
@@ -197,7 +200,16 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
     recovery::note("evd.second_stage",
                    "bulge_threads = " + std::to_string(bulge_threads) +
                        " requested but the wavefront cannot engage: " + why +
-                       "; running the serial chase (bitwise-identical output)");
+                       "; running a serial chase (bulge_threads never changes the output)");
+  }
+  if (q == nullptr) {
+    Timer timer;
+    auto band = sbr::BandMatrix<T>::from_full(ConstMatrixView<T>(a),
+                                              std::min(bw, std::max<index_t>(n - 1, 0)));
+    BulgeResult<T> out;
+    sbr::bulge_chase_band(band, out.d, out.e);
+    ctx.telemetry().record_stage("bulge.chase.compact", timer.seconds());
+    return out;
   }
   if (eligible && (forced || n >= kAutoWavefrontMinN)) {
     WavefrontOptions wopt;

@@ -80,13 +80,22 @@ extern template BulgeResult<double> bulge_chase_wavefront<double>(
 /// out: below this the per-diagonal broadcast join overhead beats the win.
 inline constexpr index_t kAutoWavefrontMinN = 256;
 
-/// Routing shim for the solver drivers (EvdOptions::bulge_threads): 1 forces
-/// the serial chase, >= 2 forces the wavefront on gemm_pool() capped at that
-/// many lanes, anything else picks the wavefront automatically when the
-/// problem is big enough (kAutoWavefrontMinN), the band is chaseable
-/// (bw >= 2), and the caller is not itself a pool worker (solve_many workers
-/// are the parallelism — fanning out under them would only add spin
-/// overhead). Output is bitwise-identical across every setting.
+/// Routing shim for the solver drivers: the one place the second stage's
+/// storage and threading are chosen. Without Q (q == nullptr, a values-only
+/// solve) the band is copied into compact O(n*b) storage and chased by
+/// sbr::bulge_chase_band, serially and leaving `a` untouched; the stage is
+/// memory-bound, and the compact chase beat the full-storage wavefront in
+/// whole values-only solves (EXPERIMENTS.md). Its time lands on the context
+/// telemetry under "bulge.chase.compact". With Q, EvdOptions::bulge_threads
+/// decides: 1 forces the serial chase, >= 2 forces the wavefront on
+/// gemm_pool() capped at that many lanes, anything else picks the wavefront
+/// automatically when the problem is big enough (kAutoWavefrontMinN), the
+/// band is chaseable (bw >= 2), and the caller is not itself a pool worker
+/// (EvdService runners are the parallelism — fanning out under them would
+/// only add spin overhead). An explicit bulge_threads >= 2 that cannot
+/// engage notes the downgrade at recovery site "evd.second_stage". Output
+/// never depends on bulge_threads: both full-storage chases apply the same
+/// rotations bit for bit, and every chase without Q is compact.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

@@ -16,7 +16,7 @@
 // Thread-safety contract: one Context per thread. Engines are stateless
 // (their one diagnostic counter is atomic) and may be shared by any number
 // of contexts; the Context itself — arena, telemetry — must not be. This is
-// the shape concurrent/batched solve() needs: N threads, N contexts, one
+// the shape concurrent solve() needs: N threads, N contexts, one
 // engine.
 #pragma once
 
@@ -98,8 +98,8 @@ class Telemetry {
   /// Fold another telemetry sink into this one: recorded GEMM shapes are
   /// appended, stage timers accumulate by name (seconds and call counts both
   /// add), latency histograms accumulate bucket-wise by name, and recovery
-  /// events are appended. This is how batched drivers
-  /// collapse per-worker telemetry into one aggregate view; merging is
+  /// events are appended. This is how EvdService
+  /// collapses per-context telemetry into one aggregate view; merging is
   /// lossless for totals (sum over workers == merged totals) but does not
   /// preserve interleaving order across sources. `other` is left untouched;
   /// the caller serializes — merge while workers still record and you have a

@@ -1,10 +1,11 @@
-// Fixed-size worker thread pool for the batched drivers.
+// Fixed-size worker thread pool: the EvdService runners and the shared
+// gemm_pool() fan-out.
 //
 // The pool owns `size()` long-lived workers draining one FIFO task queue.
-// Batched drivers (evd::solve_many) use parallel_for, which enqueues one
-// looping task per worker; the workers then work-steal iteration indices off
-// a shared atomic counter, so a slow problem on one worker never strands the
-// rest of the batch behind it.
+// EvdService submits one long-lived runner task per worker; parallel_for
+// enqueues one looping task per worker that work-steals iteration indices
+// off a shared atomic counter, so a slow index on one worker never strands
+// the rest behind it.
 //
 // Thread-safety contract: the pool's own state (queue, counters) is fully
 // synchronized; everything a task touches is the task's business. The
@@ -53,7 +54,7 @@ class ThreadPool {
   /// Run body(worker_id, index) for every index in [0, count), with the
   /// pool's workers stealing indices off a shared atomic counter.
   /// worker_id is in [0, size()) and is stable within one body invocation —
-  /// it is the index batched drivers use to pick a per-worker Context.
+  /// the index a caller uses to pick per-worker state such as a Context.
   /// Blocks until every index has been processed.
   void parallel_for(long count, const std::function<void(int worker, long index)>& body);
 
@@ -75,7 +76,7 @@ class ThreadPool {
   /// True when the calling thread is a worker of ANY ThreadPool. This is the
   /// nested-parallelism guard: the packed GEMM macro-kernel consults it and
   /// routes to the serial tile loop instead of fanning out again, so GEMMs
-  /// under EvdService / solve_many workers never oversubscribe.
+  /// under EvdService runners never oversubscribe.
   static bool on_worker_thread() noexcept;
 
   /// std::thread::hardware_concurrency with a sane floor of 1.
@@ -133,7 +134,7 @@ void spin_wait_hint(int& backoff) noexcept;
 /// hardware_threads() - 1 workers (the broadcasting caller steals tiles too,
 /// so the total equals the hardware width). Thread-ownership contract: this
 /// pool is only ever driven via try_broadcast from threads that are NOT pool
-/// workers — nested GEMMs under EvdService / solve_many workers, or any
+/// workers — nested GEMMs under EvdService runners, or any
 /// other pool task, take the serial tile loop instead (see
 /// ThreadPool::on_worker_thread and blas::SerialGemmScope).
 ThreadPool& gemm_pool();

@@ -1,5 +1,6 @@
 #include "src/evd/evd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -19,8 +20,6 @@
 #include "src/lapack/stein.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
-#include "src/sbr/band.hpp"
-#include "src/sbr/band_storage.hpp"
 
 namespace tcevd::evd {
 
@@ -123,13 +122,29 @@ StatusOr<EvdResult> run_to_completion(SolveJob& job) {
 // (steps of one job may run on different scheduler threads).
 // ---------------------------------------------------------------------------
 
+Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
+                        std::optional<IndexRange> range, const char* who) {
+  const index_t n = a.rows();
+  if (a.cols() != n)
+    return invalid_argument_error(std::string(who) + ": matrix is " + std::to_string(n) +
+                                  " x " + std::to_string(a.cols()) +
+                                  ", not square symmetric");
+  if (opt.bandwidth < 1)
+    return invalid_argument_error(std::string(who) + ": bandwidth " +
+                                  std::to_string(opt.bandwidth) + " is below 1");
+  if (range && !(0 <= range->il && range->il <= range->iu && range->iu < n))
+    return invalid_argument_error(
+        std::string(who) + ": selected index range [il, iu] = [" +
+        std::to_string(range->il) + ", " + std::to_string(range->iu) +
+        "] invalid for n = " + std::to_string(n));
+  return ok_status();
+}
+
 SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
                    std::optional<IndexRange> range)
     : a_(a), ctx_(ctx), opt_(opt), range_(range) {
-  TCEVD_CHECK(a_.cols() == a_.rows(), "evd::solve requires a square symmetric matrix");
-  TCEVD_CHECK(!range_ || (0 <= range_->il && range_->il <= range_->iu &&
-                          range_->iu < a_.rows()),
-              "SolveJob: selected index range outside [0, n)");
+  TCEVD_CHECK(validate_request(a_, opt_, range_, "SolveJob").ok(),
+              "SolveJob: invalid request (callers check validate_request first)");
   if (opt_.abft) abft_.emplace();  // covers every attempt, escalations included
   // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n)),
   // and never verify — matching the old solve() routing for n <= 1. Nor do
@@ -274,22 +289,11 @@ void SolveJob::step_bulge() {
   sbr::SbrResult& sres = *sres_;
 
   Timer t;
-  if (opt_.compact_second_stage && !opt_.vectors) {
-    auto band =
-        sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(sres.band.view()), bw);
-    sbr::bulge_chase_band(band, d_, e_);
-  } else {
-    if (opt_.compact_second_stage && opt_.vectors)
-      recovery::note("evd.second_stage",
-                     "compact_second_stage ignored: eigenvectors requested, bulge "
-                     "rotations must stream into Q; proceeding on full storage");
-    MatrixView<float> qv = sres.q.view();
-    MatrixView<float>* qp = opt_.vectors ? &qv : nullptr;
-    auto tri =
-        bulge::bulge_chase_auto<float>(ctx_, sres.band.view(), bw, qp, opt_.bulge_threads);
-    d_ = std::move(tri.d);
-    e_ = std::move(tri.e);
-  }
+  MatrixView<float> qv = sres.q.view();
+  auto tri = bulge::bulge_chase_auto<float>(ctx_, sres.band.view(), bw,
+                                            opt_.vectors ? &qv : nullptr, opt_.bulge_threads);
+  d_ = std::move(tri.d);
+  e_ = std::move(tri.e);
   result_.timings.bulge_s = t.seconds();
   ctx_.telemetry().record_stage("evd.bulge", result_.timings.bulge_s);
   if (opt_.vectors) q_ = std::move(sres.q);
@@ -488,8 +492,7 @@ void SolveJob::fail_attempt(const Status& status) {
   if (!verified_) {
     // The synchronous path propagated the attempt's unclaimed events to the
     // caller's enclosing recovery::Scope when the per-solve scope unwound;
-    // park them for the wrapper to re-note (schedulers drop them, matching
-    // what solve_many has always reported for failed problems).
+    // park them for the wrapper to re-note (schedulers drop them).
     dropped_events_ = std::move(attempt_log_);
     attempt_log_.clear();
     error_ = status;
@@ -563,6 +566,7 @@ const char* tri_solver_name(TriSolver solver) noexcept {
 }
 
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt) {
+  TCEVD_RETURN_IF_ERROR(validate_request(a, opt, std::nullopt, "evd::solve"));
   SolveJob job(a, ctx, opt);
   return run_to_completion(job);
 }
@@ -570,15 +574,7 @@ StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptio
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
                                    const EvdOptions& opt, index_t il, index_t iu,
                                    bool vectors) {
-  const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "solve_selected requires a square symmetric matrix");
-  // The index window is caller data, not a programmer contract: a streaming
-  // service (or solve_many) feeding per-request ranges must be able to reject
-  // one bad request without taking the process down.
-  if (!(0 <= il && il <= iu && iu < n))
-    return invalid_argument_error(
-        "solve_selected: selected index range [il, iu] = [" + std::to_string(il) + ", " +
-        std::to_string(iu) + "] invalid for n = " + std::to_string(n));
+  TCEVD_RETURN_IF_ERROR(validate_request(a, opt, IndexRange{il, iu}, "solve_selected"));
   EvdOptions sel = opt;
   sel.vectors = vectors;
   SolveJob job(a, ctx, sel, IndexRange{il, iu});
@@ -588,7 +584,7 @@ StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
 std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   if (n <= 0) return 0;
   sbr::SbrOptions sopt;
-  sopt.bandwidth = std::min(opt.bandwidth, std::max<index_t>(n - 1, 1));
+  sopt.bandwidth = std::clamp<index_t>(opt.bandwidth, 1, std::max<index_t>(n - 1, 1));
   sopt.big_block = std::max(opt.big_block, sopt.bandwidth);
   sopt.big_block -= sopt.big_block % sopt.bandwidth;
   sopt.panel = opt.panel;
@@ -600,8 +596,9 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   // the z*S product buffer.
   bytes += 3 * nn * sizeof(float);
   // Wavefront bulge chasing's progress vector + Q support windows (two-stage
-  // reductions with bulge_threads != 1 may take the wavefront path).
-  if (opt.reduction != Reduction::OneStage && opt.bulge_threads != 1)
+  // reductions that accumulate Q with bulge_threads != 1 may take the
+  // wavefront path; values-only chases run on compact band storage).
+  if (opt.reduction != Reduction::OneStage && opt.vectors && opt.bulge_threads != 1)
     bytes += bulge::wavefront_workspace_bytes(n);
   bytes += 64 * Workspace::kAlignment;  // per-checkout alignment slop
   return bytes;

@@ -44,8 +44,9 @@ const char* tri_solver_name(TriSolver solver) noexcept;
 struct EvdOptions {
   Reduction reduction = Reduction::TwoStageWy;
   TriSolver solver = TriSolver::DivideConquer;
-  /// SBR band half-width b (size-clamped to n - 1; for TwoStageDbr pick it
-  /// small — the second stage is O(n^2 b) — and pick big_block large).
+  /// SBR band half-width b, at least 1 (size-clamped to n - 1; for
+  /// TwoStageDbr pick it small — the second stage is O(n^2 b) — and pick
+  /// big_block large). A bandwidth below 1 is InvalidArgument.
   index_t bandwidth = 32;
   /// WY/DBR accumulation blocksize nb. The driver derives a valid SbrOptions
   /// pair from (bandwidth, big_block): values below the (clamped) bandwidth
@@ -56,26 +57,19 @@ struct EvdOptions {
   index_t big_block = 128;
   sbr::PanelKind panel = sbr::PanelKind::Tsqr;
   bool vectors = false;                         ///< compute eigenvectors
-  /// Run bulge chasing on compact O(n*b) band storage instead of the full
-  /// matrix. Eigenvalues-only pipelines only: when `vectors` is also set the
-  /// flag is IGNORED — the bulge rotations must stream into Q, which the
-  /// compact kernel does not support — and the solve proceeds on full
-  /// storage, noting the ignored request in EvdResult::recovery (site
-  /// "evd.second_stage") so callers relying on the compact path's memory
-  /// profile find out.
-  bool compact_second_stage = false;
-  /// Threading of the second stage (full-storage bulge chasing only; the
-  /// compact eigenvalues-only path is already O(n*b) and stays serial).
-  /// 0 = auto: the wavefront engine (src/bulge/bulge_wavefront.hpp) on the
-  /// shared gemm_pool() when the problem is big enough (n >= 256, band >= 2)
-  /// and the caller is not itself a pool worker (solve_many workers keep the
-  /// serial chase — they ARE the parallelism). 1 = always the serial chase.
-  /// k >= 2 = wavefront with at most k lanes. Every setting produces
-  /// bitwise-identical output — the wavefront schedule is pinned to the
-  /// serial rotation sequence (DESIGN.md §14) — so this is a performance
-  /// knob, never an accuracy one. An explicit k >= 2 that cannot engage
-  /// (pool worker, bandwidth < 2, or n <= 2) runs the serial chase and notes
-  /// the downgrade in EvdResult::recovery at site "evd.second_stage".
+  /// Threading of the second stage when it accumulates Q (`vectors`). A
+  /// values-only solve always chases on compact O(n*b) band storage, serially
+  /// (src/bulge/bulge_wavefront.hpp, bulge_chase_auto).
+  /// 0 = auto: the wavefront engine on the shared gemm_pool() when the
+  /// problem is big enough (n >= 256, band >= 2) and the caller is not itself
+  /// a pool worker (EvdService runners keep the serial chase — they ARE the
+  /// parallelism). 1 = always the serial chase. k >= 2 = wavefront with at
+  /// most k lanes. Every setting produces bitwise-identical output — the
+  /// wavefront schedule is pinned to the serial rotation sequence (DESIGN.md
+  /// §14) — so this is a performance knob, never an accuracy one. An explicit
+  /// k >= 2 that cannot engage (values-only, pool worker, bandwidth < 2, or
+  /// n <= 2) runs a serial chase and notes the downgrade in
+  /// EvdResult::recovery at site "evd.second_stage".
   int bulge_threads = 0;
   /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)
   /// instead of feeding garbage to the pipeline. O(n^2) scan.
@@ -149,7 +143,8 @@ struct EvdResult {
 /// steady-state test); per-stage wall time and the aggregated recovery log
 /// additionally land on the context's telemetry.
 ///
-/// Failure semantics: invalid input (NaN/Inf/asymmetric) is InvalidInput;
+/// Failure semantics: a non-square matrix or a bandwidth below 1 is
+/// InvalidArgument; invalid input (NaN/Inf/asymmetric) is InvalidInput;
 /// recoverable numerical trouble first walks the documented fallbacks
 /// (TSQR -> blocked QR panels, fp32 GEMM retry, solver chain) and only
 /// propagates if every fallback is exhausted. A returned EvdResult is

@@ -24,9 +24,9 @@ namespace tcevd::evd {
 /// vector (or the stein.stagnate fault fires) and opt.allow_fallbacks is
 /// set, the selected vectors are recomputed with the full QL solver instead
 /// (noted at "evd.partial"); only when that also fails does the error
-/// propagate. An out-of-bounds index range returns InvalidArgument (it is
-/// request data, not a programmer contract — batch and streaming drivers
-/// surface it per problem instead of aborting).
+/// propagate. A non-square matrix, a bandwidth below 1 or an out-of-bounds
+/// index range returns InvalidArgument (request data, not a programmer
+/// contract — EvdService refuses such a request at submit).
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
                                    const EvdOptions& opt, index_t il, index_t iu,
                                    bool vectors = false);

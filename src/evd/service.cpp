@@ -46,9 +46,6 @@ EvdService::EvdService(tc::GemmEngine& engine, const ServiceOptions& opt)
     : engine_(&engine), opt_(opt) {
   threads_ = opt_.num_threads > 0 ? opt_.num_threads : ThreadPool::hardware_threads();
   opt_.max_in_flight = std::max(opt_.max_in_flight, 1);
-  max_started_ = opt_.max_started > 0 ? opt_.max_started : 2 * threads_;
-  max_idle_per_class_ =
-      opt_.max_idle_contexts_per_class > 0 ? opt_.max_idle_contexts_per_class : threads_;
   pool_ = std::make_unique<ThreadPool>(threads_);
   // One runner task per worker; they occupy the pool for the service's whole
   // life, idling on sched_cv_ between requests.
@@ -68,19 +65,10 @@ EvdService::~EvdService() {
 
 StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
                                        const RequestOptions& ropt) {
-  const index_t n = a.rows();
-  // Request data, not programmer contracts: a streaming client feeding
-  // heterogeneous problems must be able to have one bad request refused
-  // without taking the process down.
-  if (a.cols() != n)
-    return invalid_argument_error("EvdService::submit: matrix is " + std::to_string(n) +
-                                  " x " + std::to_string(a.cols()) +
-                                  ", not square symmetric");
-  if (ropt.selected && !(0 <= ropt.il && ropt.il <= ropt.iu && ropt.iu < n))
-    return invalid_argument_error(
-        "EvdService::submit: selected index range [il, iu] = [" + std::to_string(ropt.il) +
-        ", " + std::to_string(ropt.iu) + "] invalid for n = " + std::to_string(n));
-  const std::size_t size_class = workspace_size_class(workspace_query(n, ropt.evd));
+  const std::optional<IndexRange> range =
+      ropt.selected ? std::optional(IndexRange{ropt.il, ropt.iu}) : std::nullopt;
+  TCEVD_RETURN_IF_ERROR(validate_request(a, ropt.evd, range, "EvdService::submit"));
+  const std::size_t size_class = workspace_size_class(workspace_query(a.rows(), ropt.evd));
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (in_flight_ >= opt_.max_in_flight) {
@@ -114,7 +102,7 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
         req.submit_tp + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(ropt.deadline_s));
   req.size_class = size_class;
-  req.range = ropt.selected ? std::optional(IndexRange{ropt.il, ropt.iu}) : std::nullopt;
+  req.range = range;
   req.started = false;
   req.completed = false;
   req.result = RequestResult{};
@@ -131,9 +119,11 @@ int EvdService::pick_ready_locked(Clock::time_point now) const noexcept {
   for (int i = 0; i < static_cast<int>(ready_.size()); ++i) {
     const Request& r = slots_[ready_[i]];
     const bool expired = r.has_deadline && now >= r.deadline_tp;
-    // The start cap gates fresh requests only; started ones must keep moving
-    // (they hold arenas) and expired ones only need a cheap finalize.
-    if (!r.started && !expired && started_ >= max_started_) continue;
+    // The start cap (2 x runners: enough spare started work to cover
+    // stage-length imbalance) gates fresh requests only; started ones must
+    // keep moving (they hold arenas) and expired ones only need a cheap
+    // finalize.
+    if (!r.started && !expired && started_ >= 2 * threads_) continue;
     if (best < 0) {
       best = i;
       best_expired = expired;
@@ -211,8 +201,7 @@ void EvdService::runner_loop(int runner) {
       if (req.job->done()) {
         // A failed job's dropped_events() are intentionally discarded: the
         // synchronous path re-notes them into the caller's recovery scope,
-        // but a service request has no caller scope — matching what
-        // solve_many has always reported for failed problems.
+        // but a service request has no caller scope.
         StatusOr<EvdResult> r = req.job->take();
         if (r.ok()) {
           req.result.status = ok_status();
@@ -283,15 +272,9 @@ std::unique_ptr<Context> EvdService::acquire_context_locked(std::size_t size_cla
 
 void EvdService::release_context_locked(std::size_t size_class,
                                         std::unique_ptr<Context> ctx) {
-  std::vector<std::unique_ptr<Context>>& idle = idle_contexts_[size_class];
-  if (static_cast<int>(idle.size()) < max_idle_per_class_) {
-    idle.push_back(std::move(ctx));
-    return;
-  }
-  // Over the retention limit: the arena goes, but the per-problem telemetry
-  // it accumulated must survive into the aggregate — snapshots (and
-  // solve_many's merged BatchResult::telemetry) count every problem.
-  telemetry_.merge_from(ctx->telemetry());
+  // No retention cap is needed: a class only grows when a request starts
+  // with none of its contexts idle, so it never exceeds the start cap.
+  idle_contexts_[size_class].push_back(std::move(ctx));
 }
 
 RequestResult EvdService::wait(RequestId id) {

@@ -1,10 +1,9 @@
 // Streaming EVD service: a long-lived, stage-pipelined driver for mixed
-// workloads.
+// workloads, and the library's one multi-request API.
 //
-// Where solve_many takes one same-shape batch and returns when the last
-// problem finishes, EvdService accepts an open-ended stream of requests —
-// mixed sizes, mixed options, full or selected spectra — and keeps a fixed
-// worker pool saturated by interleaving the pipeline stages of many solves:
+// EvdService accepts an open-ended stream of requests — mixed sizes, mixed
+// options, full or selected spectra — and keeps a fixed worker pool
+// saturated by interleaving the pipeline stages of many solves:
 // every request, selected ranges included, is a SolveJob
 // (src/evd/solve_job.hpp) that advances one stage (reduction -> bulge ->
 // solver -> verify) per scheduling turn, so a worker never idles behind one
@@ -20,17 +19,18 @@
 // honored at stage boundaries — the scheduler always picks the runnable
 // request with the highest priority (ties: earliest deadline, then FIFO),
 // and a request whose deadline expires before its next stage begins fails
-// with DeadlineExceeded instead of occupying a worker. max_started caps how
-// many requests are mid-pipeline at once, bounding the live workspace
-// footprint independently of the queue depth.
+// with DeadlineExceeded instead of occupying a worker. At most 2 x
+// num_threads requests are mid-pipeline at once: enough spare started work
+// to cover stage-length imbalance, and a bound on the live workspace
+// footprint that does not grow with the queue depth.
 //
 // Contexts are pooled by workspace size-class (workspace_query rounded up to
 // a power of two): a request checks a warm Context out of its class, runs
 // every stage on it, and returns it, so the steady state of a homogeneous
-// stream performs zero arena growth per request — the same contract
-// solve_many's per-worker contexts gave one batch, extended across batch
-// boundaries. solve_many itself is now a thin synchronous wrapper over this
-// service (src/evd/batch.cpp).
+// stream performs zero arena growth per request. A context is created only
+// when a request starts and its class has none idle, so a class never holds
+// more contexts than requests were started at once, and every context stays
+// pooled for the service's lifetime.
 //
 // Telemetry: per-problem evd.* stages land on the solving Context exactly as
 // in a sequential solve; the service additionally records, under its own
@@ -79,15 +79,6 @@ struct ServiceOptions {
   /// wait() have already released their slot). Values < 1 clamp to 1.
   int max_in_flight = 256;
   OverflowPolicy overflow = OverflowPolicy::Block;
-  /// Cap on requests that are mid-pipeline (first stage begun, not yet
-  /// finished) at once — this bounds live workspace arenas, not queue depth.
-  /// 0 picks 2 * num_threads: enough spare started work to cover stage-length
-  /// imbalance without ballooning resident memory.
-  int max_started = 0;
-  /// Idle Contexts retained per workspace size-class; an over-limit release
-  /// folds the context's telemetry into the service aggregate and frees its
-  /// arena. 0 picks num_threads.
-  int max_idle_contexts_per_class = 0;
 };
 
 /// Per-request configuration: the solve itself plus scheduling attributes.
@@ -113,7 +104,7 @@ struct RequestOptions {
 /// Opaque request handle returned by submit() and claimed by wait().
 using RequestId = std::uint64_t;
 
-/// Outcome of one streamed request; mirrors solve_many's ProblemResult.
+/// Outcome of one streamed request.
 struct RequestResult {
   Status status;                   ///< Ok => the value fields below are valid
   std::vector<float> eigenvalues;  ///< ascending (iu-il+1 values when selected)
@@ -150,9 +141,10 @@ class EvdService {
 
   int num_threads() const noexcept { return threads_; }
 
-  /// Enqueue one request. Fails with InvalidArgument (non-square input, bad
-  /// selected range) or ResourceExhausted (Reject policy, queue full)
-  /// without consuming a slot. `a` is borrowed until wait() returns.
+  /// Enqueue one request. Fails with InvalidArgument (non-square input,
+  /// bandwidth < 1, bad selected range) or ResourceExhausted (Reject policy,
+  /// queue full) without consuming a slot. `a` is borrowed until wait()
+  /// returns.
   StatusOr<RequestId> submit(ConstMatrixView<float> a, const RequestOptions& opt = {});
 
   /// Block until request `id` completes and claim its result (each id may be
@@ -211,8 +203,6 @@ class EvdService {
   tc::GemmEngine* engine_;
   ServiceOptions opt_;
   int threads_ = 0;
-  int max_started_ = 0;
-  int max_idle_per_class_ = 0;
 
   mutable std::mutex mutex_;
   std::condition_variable sched_cv_;  ///< ready_/started_/stopping_ changed
@@ -226,7 +216,7 @@ class EvdService {
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::map<std::size_t, std::vector<std::unique_ptr<Context>>> idle_contexts_;
-  Telemetry telemetry_;  ///< service.queue / service.stage.* + retired contexts
+  Telemetry telemetry_;  ///< service.queue / service.stage.*
   long submitted_ = 0;
   long completed_ = 0;
   long rejected_ = 0;

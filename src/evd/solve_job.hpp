@@ -42,6 +42,14 @@ struct IndexRange {
   index_t iu = 0;
 };
 
+/// The request checks evd::solve, evd::solve_selected and EvdService::submit
+/// make before any work: InvalidArgument (message prefixed with `who`) when
+/// `a` is not square, opt.bandwidth < 1, or `range` is not within [0, n).
+/// These are caller data, not programmer contracts, so a bad request is
+/// refused with a Status instead of aborting the process.
+Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
+                        std::optional<IndexRange> range, const char* who);
+
 class SolveJob {
  public:
   enum class Stage { Reduction, Bulge, Solver, Finish, Done };
@@ -51,8 +59,8 @@ class SolveJob {
   /// workspace scope — and, while escalated, an engine override — between
   /// steps). With `range` set, the solver stage computes eigenvalues
   /// range->il..range->iu by Sturm bisection and, when opt.vectors, their
-  /// eigenvectors by inverse iteration back-transformed through Q; the range
-  /// must satisfy 0 <= il <= iu < n (callers validate request data first).
+  /// eigenvectors by inverse iteration back-transformed through Q. The
+  /// request must pass validate_request (checked; callers validate first).
   SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
            std::optional<IndexRange> range = std::nullopt);
   ~SolveJob();
@@ -75,8 +83,7 @@ class SolveJob {
   /// Recovery events a failed solve would have propagated to the caller's
   /// enclosing recovery::Scope on the synchronous path (where the scope chain
   /// spans the whole solve). Empty on success. The sync wrapper re-notes
-  /// them; the service intentionally drops them, matching what solve_many
-  /// has always reported for failed problems.
+  /// them; the service drops them, since a request has no caller scope.
   const RecoveryLog& dropped_events() const noexcept { return dropped_events_; }
 
  private:

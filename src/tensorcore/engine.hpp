@@ -76,7 +76,7 @@ class GemmEngine {
   /// const — and therefore callable through the `const GemmEngine&` a shared
   /// engine hands concurrent workers: execution touches only its arguments
   /// plus (for EcTcEngine) one atomic diagnostic counter. This signature is
-  /// the engine-sharing contract the batched drivers rely on; an engine whose
+  /// the engine-sharing contract EvdService relies on; an engine whose
   /// do_gemm needs non-atomic mutable state is not shareable and does not
   /// belong under this interface.
   void gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,

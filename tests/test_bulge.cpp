@@ -18,11 +18,12 @@
 #include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
+#include "src/evd/service.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band.hpp"
+#include "src/sbr/band_storage.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "test_util.hpp"
 
@@ -311,35 +312,91 @@ TEST(BulgeWavefront, RecordsWavefrontStages) {
   }
 }
 
-// The bulge_threads routing shim: 1 = serial, >= 2 = forced wavefront on the
-// shared gemm pool — all bitwise-identical.
+// The bulge_threads routing shim with Q: 1 = serial, >= 2 = forced
+// wavefront on the shared gemm pool — all bitwise-identical, Q included.
+// Without Q every setting takes the compact band chase, so the output equals
+// sbr::bulge_chase_band on the same band whatever bulge_threads says.
 TEST(BulgeWavefront, AutoRouteIsBitwiseInvariant) {
   const index_t n = 80, bw = 8;  // n < kAutoWavefrontMinN: auto stays serial
   auto a = random_band<float>(n, bw, 31);
   tc::Fp32Engine eng;
 
-  std::vector<bulge::BulgeResult<float>> results;
+  auto expect_same = [&](const bulge::BulgeResult<float>& want,
+                         const bulge::BulgeResult<float>& got, int threads) {
+    ASSERT_EQ(want.d.size(), got.d.size());
+    ASSERT_EQ(want.e.size(), got.e.size());
+    for (std::size_t i = 0; i < want.d.size(); ++i)
+      EXPECT_EQ(want.d[i], got.d[i]) << "bulge_threads = " << threads << ", d[" << i << "]";
+    for (std::size_t i = 0; i < want.e.size(); ++i)
+      EXPECT_EQ(want.e[i], got.e[i]) << "bulge_threads = " << threads << ", e[" << i << "]";
+  };
+
+  Matrix<float> q_ref(n, n);
+  set_identity(q_ref.view());
+  auto ref_work = a;
+  auto qr = q_ref.view();
+  const auto with_q_ref = bulge::bulge_chase<float>(ref_work.view(), bw, &qr);
+
+  bulge::BulgeResult<float> values_ref;
+  auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(a.view()), bw);
+  sbr::bulge_chase_band(band, values_ref.d, values_ref.e);
+
   for (int threads : {0, 1, 2, 8}) {
     Context ctx(eng);
     auto work = a;
-    results.push_back(bulge::bulge_chase_auto<float>(ctx, work.view(), bw, nullptr, threads));
-  }
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[0].d.size(), results[r].d.size());
-    for (std::size_t i = 0; i < results[0].d.size(); ++i) {
-      EXPECT_EQ(results[0].d[i], results[r].d[i]);
-      if (i + 1 < results[0].d.size()) {
-        EXPECT_EQ(results[0].e[i], results[r].e[i]);
-      }
-    }
+    Matrix<float> q(n, n);
+    set_identity(q.view());
+    auto qv = q.view();
+    expect_same(with_q_ref,
+                bulge::bulge_chase_auto<float>(ctx, work.view(), bw, &qv, threads), threads);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_EQ(q(i, j), q_ref(i, j)) << "bulge_threads = " << threads;
+
+    auto values_work = a;
+    expect_same(values_ref,
+                bulge::bulge_chase_auto<float>(ctx, values_work.view(), bw, nullptr, threads),
+                threads);
   }
 }
 
+// Without Q the route copies the band into compact storage: the full-storage
+// input is left as it was, and the time lands under "bulge.chase.compact",
+// never under the full-storage stages.
+TEST(BulgeWavefront, CompactRouteLeavesInputAndRecordsItsStage) {
+  const index_t n = 300, bw = 8;  // large enough for the auto wavefront with Q
+  auto a = random_band<double>(n, bw, 41);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  auto work = a;
+  auto got = bulge::bulge_chase_auto<double>(ctx, work.view(), bw, nullptr, 0);
+  ASSERT_EQ(got.d.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(frobenius_diff<double>(work.view(), a.view()), 0.0)
+      << "the compact route wrote to the full-storage band";
+  long compact_calls = 0;
+  for (const auto& s : ctx.telemetry().stages()) {
+    if (s.name == "bulge.chase.compact") compact_calls += s.calls;
+    EXPECT_NE(s.name, "bulge.chase.wavefront");
+    EXPECT_NE(s.name, "bulge.chase");
+  }
+  EXPECT_EQ(compact_calls, 1);
+
+  // Same spectrum as the full-storage chase, to roundoff.
+  auto serial_work = a;
+  auto serial = bulge::bulge_chase<double>(serial_work.view(), bw);
+  auto d1 = got.d, e1 = got.e, d2 = serial.d, e2 = serial.e;
+  ASSERT_TRUE(lapack::steqr<double>(d1, e1, nullptr).ok());
+  ASSERT_TRUE(lapack::steqr<double>(d2, e2, nullptr).ok());
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(d1[static_cast<std::size_t>(i)], d2[static_cast<std::size_t>(i)], 1e-10 * n)
+        << i;
+}
+
 // Regression for the silent-serialization bug: an explicit bulge_threads >= 2
-// that cannot engage the wavefront (narrow band, tiny matrix, or a caller
-// that is already a pool worker) used to fall back to the serial chase with
-// no trace. It must now note the downgrade at site "evd.second_stage" — and
-// still produce bitwise-identical output.
+// that cannot engage the wavefront (no Q, narrow band, tiny matrix, or a
+// caller that is already a pool worker) used to fall back to a serial chase
+// with no trace. It must now note the downgrade at site "evd.second_stage" —
+// and still produce bitwise-identical output.
 TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   const index_t n = 16, bw = 1;  // bandwidth < 2: the wavefront can never engage
   auto a = random_band<float>(n, bw, 77);
@@ -367,37 +424,40 @@ TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   ASSERT_EQ(serial.d.size(), forced.d.size());
   for (std::size_t i = 0; i < serial.d.size(); ++i) EXPECT_EQ(serial.d[i], forced.d[i]);
 
-  // An engageable forced request (bw >= 2, main thread) must NOT note.
-  const index_t bw2 = 8;
-  auto b = random_band<float>(64, bw2, 78);
+  // An engageable forced request (Q accumulated, bw >= 2, main thread) must
+  // NOT note.
+  const index_t n2 = 64, bw2 = 8;
+  auto b = random_band<float>(n2, bw2, 78);
+  Matrix<float> q(n2, n2);
+  set_identity(q.view());
+  auto qv = q.view();
   Context ctx2(eng);
   recovery::Scope scope2;
-  (void)bulge::bulge_chase_auto<float>(ctx2, b.view(), bw2, nullptr, /*bulge_threads=*/4);
+  (void)bulge::bulge_chase_auto<float>(ctx2, b.view(), bw2, &qv, /*bulge_threads=*/4);
   for (const RecoveryEvent& ev : scope2.take())
     EXPECT_NE(ev.site, "evd.second_stage") << ev.action;
+  EXPECT_GT(ctx2.telemetry().stage_seconds("bulge.chase.wavefront"), 0.0);
 }
 
-// The downgrade is also visible end-to-end: a batch worker IS a pool thread,
-// so an explicit lane request under solve_many serializes — with the note
-// surfaced in the per-problem recovery log.
-TEST(BulgeWavefront, ForcedThreadsUnderBatchWorkerNoteTheDowngrade) {
-  auto a = test::random_symmetric<float>(64, 79);
+// The downgrade is also visible end-to-end: an EvdService runner IS a pool
+// thread, so an explicit lane request on a vectors solve serializes there —
+// with the note surfaced in the request's recovery log.
+TEST(BulgeWavefront, ForcedThreadsUnderServiceRunnerNoteTheDowngrade) {
+  std::vector<Matrix<float>> mats;
+  mats.push_back(test::random_symmetric<float>(64, 79));
   tc::Fp32Engine eng;
-  Context ctx(eng);
-  evd::EvdOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 32;
-  opt.bulge_threads = 4;
-
-  std::vector<Matrix<float>> batch;
-  batch.push_back(std::move(a));
-  evd::BatchOptions bopt;
-  bopt.evd = opt;
-  bopt.num_threads = 1;
-  auto res = evd::solve_many(batch, eng, bopt);
-  ASSERT_TRUE(res.all_ok());
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+  ropt.evd.bulge_threads = 4;
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_TRUE(res[0].status.ok()) << res[0].status.to_string();
   bool noted = false;
-  for (const RecoveryEvent& ev : res.problems[0].recovery)
+  for (const RecoveryEvent& ev : res[0].recovery)
     if (ev.site == "evd.second_stage" &&
         ev.action.find("thread-pool worker") != std::string::npos)
       noted = true;

@@ -460,6 +460,9 @@ TEST(DbrEvd, VerifyGatePassesOnAllEngines) {
 }
 
 TEST(DbrEvd, CompactSecondStageAcceptsDbrBandsEigenvaluesOnly) {
+  // A values-only DBR solve chases its narrow band in compact storage; the
+  // vectors solve chases the same band on full storage into Q. The spectra
+  // agree to roundoff and neither route notes anything.
   const index_t n = 64;
   auto a = test::random_symmetric<float>(n, 37);
   tc::Fp32Engine eng;
@@ -469,12 +472,13 @@ TEST(DbrEvd, CompactSecondStageAcceptsDbrBandsEigenvaluesOnly) {
   opt.big_block = 16;
 
   Context c1(eng);
-  auto full = *evd::solve(a.view(), c1, opt);
-  opt.compact_second_stage = true;
+  auto compact = *evd::solve(a.view(), c1, opt);
+  opt.vectors = true;
   Context c2(eng);
-  auto compact = *evd::solve(a.view(), c2, opt);
+  auto full = *evd::solve(a.view(), c2, opt);
   ASSERT_TRUE(compact.converged);
   EXPECT_FALSE(has_site(compact.recovery, "evd.second_stage"));
+  EXPECT_GT(c1.telemetry().stage_seconds("bulge.chase.compact"), 0.0);
 
   ASSERT_EQ(full.eigenvalues.size(), compact.eigenvalues.size());
   float scale = 0.0f;
@@ -483,11 +487,10 @@ TEST(DbrEvd, CompactSecondStageAcceptsDbrBandsEigenvaluesOnly) {
     EXPECT_NEAR(full.eigenvalues[i], compact.eigenvalues[i], 1e-4f * scale) << i;
 }
 
-TEST(DbrEvd, CompactSecondStageWithVectorsIsStillNoted) {
-  // Regression for the surfaced downgrade: with vectors the compact flag is
-  // ignored (rotations must stream into Q) and the caller must be told —
-  // including on the DBR reduction, where narrow bands make the compact
-  // memory profile the whole point.
+TEST(DbrEvd, NarrowBandVectorsMatchCompactValues) {
+  // On the DBR reduction, where narrow bands make the compact memory profile
+  // the whole point, a vectors solve still streams its rotations into Q:
+  // small residual, no note, and the values-only (compact) spectrum.
   const index_t n = 48;
   auto a = test::random_symmetric<float>(n, 41);
   tc::Fp32Engine eng;
@@ -496,15 +499,18 @@ TEST(DbrEvd, CompactSecondStageWithVectorsIsStillNoted) {
   opt.reduction = evd::Reduction::TwoStageDbr;
   opt.bandwidth = 2;
   opt.big_block = 16;
+  auto values = *evd::solve(a.view(), ctx, opt);
   opt.vectors = true;
-  opt.compact_second_stage = true;
   auto res = *evd::solve(a.view(), ctx, opt);
   ASSERT_TRUE(res.converged);
-  EXPECT_TRUE(has_site(res.recovery, "evd.second_stage"))
-      << "ignored compact_second_stage request was not surfaced";
+  EXPECT_FALSE(has_site(res.recovery, "evd.second_stage"));
   EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues,
                                     ConstMatrixView<float>(res.vectors.view())),
             1e-4);
+  float scale = 0.0f;
+  for (float v : res.eigenvalues) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < res.eigenvalues.size(); ++i)
+    EXPECT_NEAR(values.eigenvalues[i], res.eigenvalues[i], 1e-4f * scale) << i;
 }
 
 TEST(DbrEvd, BigBlockBelowBandwidthIsNotedAndRaised) {

@@ -2,6 +2,8 @@
 // against the double reference, eigenvector residuals, timings populated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "src/common/context.hpp"
@@ -162,31 +164,51 @@ TEST(Evd, TimingsPopulated) {
             res.timings.reduction_s + res.timings.bulge_s + res.timings.solver_s - 1e-9);
 }
 
-TEST(Evd, CompactSecondStageIgnoredWithVectorsIsLogged) {
-  // compact_second_stage cannot stream the bulge rotations into Q, so with
-  // vectors requested it is ignored — but the caller must be told.
-  const index_t n = 64;
+// The second stage's storage follows from `vectors`: a values-only solve
+// chases the band in compact storage (stage "bulge.chase.compact", never the
+// full-storage wavefront) without a note, while a vectors solve at n >= 256
+// still takes the wavefront, which streams the rotations into Q.
+TEST(Evd, SecondStageStorageFollowsVectors) {
+  const index_t n = 288;
   auto a = test::random_symmetric<float>(n, 23);
   EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 32;
-  opt.vectors = true;
-  opt.compact_second_stage = true;
   tc::Fp32Engine eng;
-  Context ctx(eng);
-  auto res = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(res.converged);
-  bool noted = false;
-  for (const RecoveryEvent& ev : res.recovery)
-    if (ev.site == "evd.second_stage") noted = true;
-  EXPECT_TRUE(noted) << "ignored compact_second_stage request was not surfaced";
+  auto calls = [](const Context& ctx, const char* stage) {
+    long c = 0;
+    for (const auto& s : ctx.telemetry().stages())
+      if (s.name == stage) c += s.calls;
+    return c;
+  };
+  auto noted = [](const RecoveryLog& log) {
+    for (const RecoveryEvent& ev : log)
+      if (ev.site == "evd.second_stage") return true;
+    return false;
+  };
 
-  // Eigenvalues-only with the same flag takes the compact path silently.
-  opt.vectors = false;
-  Context ctx2(eng);
-  auto res2 = *evd::solve(a.view(), ctx2, opt);
-  ASSERT_TRUE(res2.converged);
-  for (const RecoveryEvent& ev : res2.recovery) EXPECT_NE(ev.site, "evd.second_stage");
+  Context values_ctx(eng);
+  auto values = *evd::solve(a.view(), values_ctx, opt);
+  ASSERT_TRUE(values.converged);
+  EXPECT_EQ(calls(values_ctx, "bulge.chase.compact"), 1);
+  EXPECT_EQ(calls(values_ctx, "bulge.chase.wavefront"), 0);
+  EXPECT_FALSE(noted(values.recovery));
+
+  opt.vectors = true;
+  Context vectors_ctx(eng);
+  auto vectors = *evd::solve(a.view(), vectors_ctx, opt);
+  ASSERT_TRUE(vectors.converged);
+  EXPECT_EQ(calls(vectors_ctx, "bulge.chase.compact"), 0);
+  EXPECT_EQ(calls(vectors_ctx, "bulge.chase.wavefront"), 1);
+  EXPECT_FALSE(noted(vectors.recovery));
+
+  // Both chases reduce the same band: the spectra agree to roundoff.
+  float scale = 0.0f;
+  for (float v : vectors.eigenvalues) scale = std::max(scale, std::abs(v));
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(values.eigenvalues[static_cast<std::size_t>(i)],
+                vectors.eigenvalues[static_cast<std::size_t>(i)], 1e-5f * scale)
+        << i;
 }
 
 TEST(Evd, TrivialSizesSolveInsteadOfAborting) {

@@ -1,11 +1,14 @@
-// Options wired in after the core reproduction: compact second stage,
-// engine-native TC syr2k in ZY-SBR, and block-reflector application.
+// Options wired in after the core reproduction: the compact second stage of
+// values-only solves, engine-native TC syr2k in ZY-SBR, and block-reflector
+// application.
 #include <gtest/gtest.h>
 
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
+#include "src/lapack/tridiag.hpp"
+#include "src/sbr/band_storage.hpp"
 #include "src/sbr/sbr.hpp"
 #include "test_util.hpp"
 
@@ -14,6 +17,10 @@ namespace {
 
 using blas::Trans;
 
+// A values-only solve chases the SBR band in compact storage whatever
+// bulge_threads says: its eigenvalues are bit for bit those of sbr_wy ->
+// BandMatrix::from_full -> bulge_chase_band -> stedc, and agree with the
+// vectors solve (full-storage chase) to roundoff.
 TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
   const index_t n = 96;
   auto a = test::random_symmetric<float>(n, 1);
@@ -22,16 +29,33 @@ TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 32;
+  opt.vectors = true;
   auto full = *evd::solve(a.view(), ctx, opt);
-  opt.compact_second_stage = true;
-  auto compact = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(full.converged && compact.converged);
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(full.eigenvalues[static_cast<std::size_t>(i)],
-                compact.eigenvalues[static_cast<std::size_t>(i)], 2e-5f);
+  ASSERT_TRUE(full.converged);
+
+  sbr::SbrOptions sopt;
+  sopt.bandwidth = 8;
+  sopt.big_block = 32;
+  auto sres = *sbr::sbr_wy(a.view(), ctx, sopt);
+  auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(sres.band.view()), 8);
+  std::vector<float> d, e;
+  sbr::bulge_chase_band(band, d, e);
+  ASSERT_TRUE(lapack::stedc<float>(d, e, nullptr).ok());
+
+  opt.vectors = false;
+  for (int threads : {0, 1, 8}) {
+    opt.bulge_threads = threads;
+    auto compact = *evd::solve(a.view(), ctx, opt);
+    ASSERT_TRUE(compact.converged);
+    for (index_t i = 0; i < n; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      EXPECT_EQ(compact.eigenvalues[k], d[k]) << "bulge_threads = " << threads << ", " << i;
+      EXPECT_NEAR(full.eigenvalues[k], compact.eigenvalues[k], 2e-5f) << i;
+    }
+  }
 }
 
-TEST(CompactSecondStage, IgnoredWhenVectorsRequested) {
+TEST(CompactSecondStage, VectorsSolveChasesFullStorage) {
   const index_t n = 48;
   auto a = test::random_symmetric<float>(n, 2);
   tc::Fp32Engine eng;
@@ -39,11 +63,12 @@ TEST(CompactSecondStage, IgnoredWhenVectorsRequested) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
-  opt.compact_second_stage = true;
-  opt.vectors = true;  // falls back to the full-storage chase + Q
+  opt.vectors = true;  // the rotations stream into Q on full storage
   auto res = *evd::solve(a.view(), ctx, opt);
   ASSERT_TRUE(res.converged);
   EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues, res.vectors.view()), 1e-5);
+  EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
+  EXPECT_EQ(ctx.telemetry().stage_seconds("bulge.chase.compact"), 0.0);
 }
 
 TEST(ZyTcSyr2k, MatchesTwoGemmTrailingUpdate) {

@@ -235,6 +235,67 @@ TEST_F(FaultTest, SolveRejectsAsymmetricInput) {
   expect_rejected_everywhere(a);
 }
 
+// Invalid options and shapes are request data: every entry point refuses
+// them with InvalidArgument before doing any work. A bandwidth of 0 used to
+// divide by zero while sizing the workspace (SIGFPE), and a non-square
+// matrix aborted evd::solve in the SolveJob constructor.
+TEST_F(FaultTest, SolveRejectsBadOptionsAndShapes) {
+  tc::Fp32Engine engine;
+  Context ctx(engine);
+  auto expect_invalid = [](const Status& st, const char* what) {
+    EXPECT_EQ(st.code(), ErrorCode::InvalidArgument) << st.to_string();
+    EXPECT_NE(st.message().find(what), std::string::npos) << st.to_string();
+  };
+
+  auto a = test::random_symmetric<float>(32, 7);
+  for (evd::Reduction reduction : {evd::Reduction::TwoStageWy, evd::Reduction::TwoStageDbr,
+                                   evd::Reduction::OneStage}) {
+    for (index_t bandwidth : {0, -1}) {
+      evd::EvdOptions opt;
+      opt.reduction = reduction;
+      opt.bandwidth = bandwidth;
+      expect_invalid(evd::solve(ConstMatrixView<float>(a.view()), ctx, opt).status(),
+                     "bandwidth");
+      expect_invalid(
+          evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 0, 4).status(),
+          "bandwidth");
+    }
+  }
+
+  Matrix<float> rect(32, 20);
+  expect_invalid(evd::solve(ConstMatrixView<float>(rect.view()), ctx, {}).status(), "square");
+  expect_invalid(
+      evd::solve_selected(ConstMatrixView<float>(rect.view()), ctx, {}, 0, 4).status(),
+      "square");
+
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(engine, sopt);
+  evd::RequestOptions zero_band;
+  zero_band.evd.bandwidth = 0;
+  expect_invalid(service.submit(ConstMatrixView<float>(a.view()), zero_band).status(),
+                 "bandwidth");
+  expect_invalid(service.submit(ConstMatrixView<float>(rect.view()), {}).status(), "square");
+  EXPECT_EQ(service.stats().submitted, 0);
+
+  // The context is untouched by the refusals: a valid solve runs as usual.
+  EXPECT_TRUE(evd::solve(ConstMatrixView<float>(a.view()), ctx, {}).ok());
+  EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
+}
+
+// The public workspace estimate clamps the bandwidth into [1, n - 1] instead
+// of dividing by zero for bandwidth < 1.
+TEST_F(FaultTest, WorkspaceQueryClampsBandwidthBelowOne) {
+  evd::EvdOptions opt;
+  opt.bandwidth = 1;
+  const std::size_t at_one = evd::workspace_query(64, opt);
+  EXPECT_GT(at_one, 0u);
+  for (index_t bandwidth : {0, -5}) {
+    opt.bandwidth = bandwidth;
+    EXPECT_EQ(evd::workspace_query(64, opt), at_one) << bandwidth;
+  }
+}
+
 TEST_F(FaultTest, ScreeningCanBeDisabled) {
   auto a = test::random_symmetric<float>(32, 7);
   a(3, 4) += 1e-2f;  // beyond the default tolerance but harmless

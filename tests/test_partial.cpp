@@ -11,7 +11,10 @@
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
 #include "src/evd/solve_job.hpp"
+#include "src/lapack/tridiag.hpp"
 #include "src/matgen/matgen.hpp"
+#include "src/sbr/band_storage.hpp"
+#include "src/sbr/sbr.hpp"
 #include "test_util.hpp"
 
 namespace tcevd {
@@ -179,33 +182,46 @@ TEST(Partial, SolveJobWithRangeEndsAfterSolverStage) {
   }
 }
 
-TEST(Partial, ValuesOnlySelectedSolveHonoursCompactSecondStage) {
+TEST(Partial, ValuesOnlySelectedSolveChasesCompactBand) {
   // Without vectors the selected solve chases the band in compact storage
-  // like a full solve does; with vectors the flag is ignored and noted.
+  // like a full solve does, whatever bulge_threads says: its eigenvalues are
+  // bit for bit stebz on the compact chase of the same SBR band. With
+  // vectors the chase streams into Q on full storage; the spectra agree.
   const index_t n = 64;
   auto a = test::random_symmetric<float>(n, 10);
   tc::Fp32Engine eng;
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
-  auto noted = [](const RecoveryLog& log) {
-    for (const RecoveryEvent& ev : log)
-      if (ev.site == "evd.second_stage") return true;
-    return false;
-  };
 
-  Context c1(eng), c2(eng), c3(eng);
-  auto plain = *evd::solve_selected(a.view(), c1, opt, 0, n - 1);
-  opt.compact_second_stage = true;
-  auto compact = *evd::solve_selected(a.view(), c2, opt, 0, n - 1);
-  auto with_vectors = *evd::solve_selected(a.view(), c3, opt, 0, 3, true);
-  EXPECT_FALSE(noted(compact.recovery));
-  EXPECT_TRUE(noted(with_vectors.recovery));
-  ASSERT_EQ(compact.eigenvalues.size(), plain.eigenvalues.size());
+  Context ref_ctx(eng);
+  sbr::SbrOptions sopt;
+  sopt.bandwidth = 8;
+  sopt.big_block = 16;
+  auto sres = *sbr::sbr_wy(a.view(), ref_ctx, sopt);
+  auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(sres.band.view()), 8);
+  std::vector<float> d, e;
+  sbr::bulge_chase_band(band, d, e);
+  const std::vector<float> want = lapack::stebz<float>(d, e, 0, n - 1);
+
+  for (int threads : {0, 1, 8}) {
+    opt.bulge_threads = threads;
+    Context ctx(eng);
+    auto compact = *evd::solve_selected(a.view(), ctx, opt, 0, n - 1);
+    ASSERT_EQ(compact.eigenvalues.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(compact.eigenvalues[i], want[i]) << "bulge_threads = " << threads << ", " << i;
+    EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase.compact"), 0.0);
+  }
+
+  opt.bulge_threads = 0;
+  Context vctx(eng);
+  auto with_vectors = *evd::solve_selected(a.view(), vctx, opt, 0, 3, true);
+  EXPECT_EQ(vctx.telemetry().stage_seconds("bulge.chase.compact"), 0.0);
   float scale = 0.0f;
-  for (float v : plain.eigenvalues) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < plain.eigenvalues.size(); ++i)
-    EXPECT_NEAR(compact.eigenvalues[i], plain.eigenvalues[i], 1e-4f * scale) << i;
+  for (float v : want) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(with_vectors.eigenvalues[i], want[i], 1e-4f * scale) << i;
 }
 
 TEST(Partial, SteadyStateSelectedSolveReusesArena) {

@@ -10,8 +10,8 @@
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
 #include "src/common/norms.hpp"
-#include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
+#include "src/evd/service.hpp"
 #include "src/matgen/matgen.hpp"
 #include "src/sbr/band.hpp"
 #include "src/sbr/sbr.hpp"
@@ -340,8 +340,8 @@ INSTANTIATE_TEST_SUITE_P(
                           DecompCase{matgen::MatrixType::Arith, 1e3, true}),
         ::testing::Values<std::uint64_t>(101, 202)));
 
-// The same invariants hold — bitwise — through the batched driver: the batch
-// path must be the single-solve path run N times, nothing more.
+// The same invariants hold — bitwise — through EvdService: a set of
+// requests must be the single-solve path run N times, nothing more.
 TEST(DecompositionInvariantsBatch, BatchedPathSharesSingleSolveInvariants) {
   const index_t n = 56;
   Rng rng(4242);
@@ -353,16 +353,18 @@ TEST(DecompositionInvariantsBatch, BatchedPathSharesSingleSolveInvariants) {
                                            &expected[static_cast<std::size_t>(i)]));
 
   tc::Fp32Engine eng;
-  evd::BatchOptions bopt;
-  bopt.evd.bandwidth = 8;
-  bopt.evd.big_block = 32;
-  bopt.evd.vectors = true;
-  bopt.num_threads = 4;
-  auto bres = evd::solve_many(batch, eng, bopt);
-  ASSERT_TRUE(bres.all_ok());
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 4;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+  auto bres = test::solve_all(service, batch, ropt);
+  ASSERT_EQ(test::num_ok(bres), batch.size());
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& p = bres.problems[i];
+    const auto& p = bres[i];
     for (std::size_t j = 0; j + 1 < p.eigenvalues.size(); ++j)
       EXPECT_LE(p.eigenvalues[j], p.eigenvalues[j + 1]);
     EXPECT_LT(orthogonality_error<float>(p.vectors.view()), 1e-3) << "problem " << i;
@@ -370,7 +372,7 @@ TEST(DecompositionInvariantsBatch, BatchedPathSharesSingleSolveInvariants) {
         << "problem " << i;
 
     Context ctx(eng);
-    auto sres = *evd::solve(batch[i].view(), ctx, bopt.evd);
+    auto sres = *evd::solve(batch[i].view(), ctx, ropt.evd);
     for (std::size_t j = 0; j < sres.eigenvalues.size(); ++j)
       EXPECT_EQ(p.eigenvalues[j], sres.eigenvalues[j]) << "problem " << i;
     EXPECT_EQ(frobenius_diff<float>(p.vectors.view(), sres.vectors.view()), 0.0)

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,7 +21,9 @@
 
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
+#include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
 #include "src/evd/service.hpp"
@@ -203,6 +207,16 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequests) {
   EXPECT_NE(bad_shape.status().message().find("square"), std::string::npos);
 
   auto a = test::random_symmetric<float>(16, 5);
+  for (index_t bandwidth : {0, -3}) {
+    // Sizing the workspace of a bandwidth-0 request divided by zero.
+    evd::RequestOptions narrow;
+    narrow.evd.bandwidth = bandwidth;
+    auto bad_band = service.submit(a.view(), narrow);
+    ASSERT_FALSE(bad_band.ok());
+    EXPECT_EQ(bad_band.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(bad_band.status().message().find("bandwidth"), std::string::npos);
+  }
+
   evd::RequestOptions ropt;
   ropt.selected = true;
   ropt.il = 5;
@@ -217,6 +231,10 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequests) {
   EXPECT_EQ(bad_hi.status().code(), ErrorCode::InvalidArgument);
 
   EXPECT_EQ(service.stats().submitted, 0);
+  // The service is still up: a well-formed request solves.
+  auto good = service.submit(a.view(), {});
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(service.wait(*good).status.ok());
 }
 
 TEST_F(ServiceTest, WaitClaimsEachIdExactlyOnce) {
@@ -294,7 +312,6 @@ TEST_F(ServiceTest, DeadlineExpiresBehindHigherPriorityWork) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 1;
-  sopt.max_started = 1;
   evd::EvdService service(eng, sopt);
 
   auto blocker_mat = test::random_symmetric<float>(256, 21);
@@ -323,7 +340,6 @@ TEST_F(ServiceTest, PriorityOrdersExecutionAtStageBoundaries) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 1;
-  sopt.max_started = 1;
   evd::EvdService service(eng, sopt);
 
   auto blocker_mat = test::random_symmetric<float>(192, 31);
@@ -514,8 +530,6 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 2;
-  sopt.max_started = 2;  // context pool holds exactly the live set
-  sopt.max_idle_contexts_per_class = 2;
   sopt.max_in_flight = 64;
   evd::EvdService service(eng, sopt);
 
@@ -603,6 +617,295 @@ TEST_F(ServiceTest, SoakMixedStreamCompletesAndSpotChecksBitwise) {
   EXPECT_EQ(stats.completed, count);
   EXPECT_EQ(stats.rejected, 0);
   EXPECT_EQ(stats.deadline_expired, 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Same-shape request sets: many problems of one order through one service,
+// submitted up front and claimed in order (test::solve_all).
+// ---------------------------------------------------------------------------
+
+std::vector<Matrix<float>> make_set(index_t n, std::size_t count, std::uint64_t seed0) {
+  std::vector<Matrix<float>> mats;
+  mats.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    mats.push_back(test::random_symmetric<float>(n, seed0 + i));
+  return mats;
+}
+
+TEST_F(ServiceTest, SameShapeSetBitwiseMatchesSequentialSolve) {
+  // With vectors on, each request also runs the back-transform through Q on
+  // a runner (serial GEMM tiles): values AND vectors must still equal the
+  // caller-thread solve bit for bit.
+  const index_t n = 64;
+  auto mats = make_set(n, 10, 1000);
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 4;
+  evd::EvdService service(eng, sopt);
+  for (bool vectors : {false, true}) {
+    evd::RequestOptions ropt;
+    ropt.evd.bandwidth = 8;
+    ropt.evd.big_block = 32;
+    ropt.evd.vectors = vectors;
+    auto res = test::solve_all(service, mats, ropt);
+    ASSERT_EQ(test::num_ok(res), mats.size());
+    for (std::size_t i = 0; i < mats.size(); ++i) {
+      Context ctx(eng);
+      auto ref = *evd::solve(mats[i].view(), ctx, ropt.evd);
+      expect_bitwise_equal(res[i].eigenvalues, ref.eigenvalues, "same-shape set");
+      if (!vectors) continue;
+      ASSERT_EQ(res[i].vectors.rows(), n);
+      ASSERT_EQ(res[i].vectors.cols(), n);
+      for (index_t c = 0; c < n; ++c)
+        for (index_t r = 0; r < n; ++r)
+          ASSERT_EQ(std::memcmp(&res[i].vectors(r, c), &ref.vectors(r, c), sizeof(float)), 0)
+              << "request " << i << " vector entry (" << r << ", " << c << ")";
+    }
+  }
+}
+
+TEST_F(ServiceTest, VectorsSatisfyResidualAndOrthogonalityBounds) {
+  const index_t n = 48;
+  auto mats = make_set(n, 6, 2000);
+  tc::EcTcEngine eng;  // shared atomic-counter engine, the production pick
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 3;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 16;
+  ropt.evd.vectors = true;
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    const evd::RequestResult& r = res[i];
+    ASSERT_EQ(r.vectors.rows(), n);
+    ASSERT_EQ(r.vectors.cols(), n);
+    EXPECT_LT(evd::eigenpair_residual(mats[i].view(), r.eigenvalues, r.vectors.view()), 1e-2)
+        << "request " << i;
+    EXPECT_LT(orthogonality_error<float>(r.vectors.view()), 1e-3) << "request " << i;
+    EXPECT_GE(r.worker, 0);
+    EXPECT_LT(r.worker, service.num_threads());
+  }
+}
+
+TEST_F(ServiceTest, SelectedWindowMatchesFullSpectrumSlice) {
+  const index_t n = 40;
+  auto mats = make_set(n, 4, 3000);
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 2;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 4;
+  ropt.evd.big_block = 8;
+  ropt.selected = true;
+  ropt.il = 2;
+  ropt.iu = 9;
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    ASSERT_EQ(res[i].eigenvalues.size(), 8u);
+    Context ctx(eng);
+    auto full = *evd::solve(mats[i].view(), ctx, ropt.evd);
+    for (std::size_t j = 0; j < 8; ++j)
+      EXPECT_NEAR(res[i].eigenvalues[j], full.eigenvalues[j + 2], 1e-3) << "request " << i;
+  }
+}
+
+TEST_F(ServiceTest, NonPositiveThreadCountPicksHardwareThreads) {
+  auto mats = make_set(24, 3, 5200);
+  tc::Fp32Engine eng;
+  for (int threads : {0, -7}) {
+    evd::ServiceOptions sopt;
+    sopt.num_threads = threads;
+    evd::EvdService service(eng, sopt);
+    EXPECT_EQ(service.num_threads(), ThreadPool::hardware_threads()) << threads;
+    evd::RequestOptions ropt;
+    ropt.evd.bandwidth = 4;
+    auto res = test::solve_all(service, mats, ropt);
+    EXPECT_EQ(test::num_ok(res), mats.size()) << threads;
+  }
+}
+
+TEST_F(ServiceTest, TinyRequestsSolveInsteadOfAborting) {
+  // n = 1 can never reach the SBR pipeline (bandwidth must sit in [1, n));
+  // it is answered directly, never from inside a runner's SBR stage.
+  std::vector<Matrix<float>> mats;
+  for (int i = 0; i < 4; ++i) {
+    Matrix<float> a(1, 1);
+    a(0, 0) = 2.5f + static_cast<float>(i);
+    mats.push_back(std::move(a));
+  }
+  tc::Fp32Engine eng;
+  evd::EvdService service(eng, {});
+  evd::RequestOptions ropt;
+  ropt.evd.vectors = true;
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    ASSERT_EQ(res[i].eigenvalues.size(), 1u);
+    EXPECT_EQ(res[i].eigenvalues[0], 2.5f + static_cast<float>(i));
+    EXPECT_EQ(res[i].vectors(0, 0), 1.0f);
+  }
+}
+
+// Malformed request data — a non-square matrix, an out-of-range selected
+// window — fails that request alone with InvalidArgument; its neighbours
+// solve normally.
+TEST_F(ServiceTest, NonSquareRequestFailsAloneWithInvalidArgument) {
+  auto mats = make_set(24, 2, 7300);
+  mats.push_back(Matrix<float>(24, 16));
+  tc::Fp32Engine eng;
+  evd::EvdService service(eng, {});
+  auto res = test::solve_all(service, mats);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_TRUE(res[0].status.ok());
+  EXPECT_TRUE(res[1].status.ok());
+  EXPECT_EQ(res[2].status.code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(res[2].status.message().find("square"), std::string::npos);
+}
+
+TEST_F(ServiceTest, SelectedRangeOutOfBoundsFailsPerRequestWithInvalidArgument) {
+  auto mats = make_set(16, 3, 7400);
+  tc::Fp32Engine eng;
+  evd::EvdService service(eng, {});
+  evd::RequestOptions ropt;
+  ropt.selected = true;
+  ropt.il = 4;
+  ropt.iu = 16;  // iu == n: out of bounds for every request
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(res.size(), 3u);
+  for (const evd::RequestResult& r : res) {
+    EXPECT_EQ(r.status.code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.status.message().find("range"), std::string::npos);
+  }
+  EXPECT_EQ(service.stats().submitted, 0);
+}
+
+TEST_F(ServiceTest, NanInputFailsAloneWithInvalidInput) {
+  auto mats = make_set(32, 5, 8000);
+  mats[2](4, 5) = std::nanf("");  // poison one request's input
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 4;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 4;
+  auto res = test::solve_all(service, mats, ropt);
+  EXPECT_EQ(test::num_ok(res), mats.size() - 1);
+  EXPECT_EQ(res[2].status.code(), ErrorCode::InvalidInput);
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    if (i != 2) {
+      EXPECT_TRUE(res[i].status.ok()) << "request " << i;
+    }
+  }
+}
+
+// Failure isolation under injection: a poisoned request must not fail its
+// neighbours.
+TEST_F(ServiceTest, PoisonedRequestFailsAloneUnderInjection) {
+  const index_t n = 48;
+  auto mats = make_set(n, 8, 6000);
+  // One QL exhaustion, fallbacks off: exactly one request (whichever draws
+  // the injected failure) reports the fault; every other request —
+  // including later ones on the same runner — succeeds.
+  fault::arm(fault::Site::SteqrExhaust, 1);
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 4;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.solver = evd::TriSolver::Ql;
+  ropt.evd.allow_fallbacks = false;
+  auto res = test::solve_all(service, mats, ropt);
+
+  EXPECT_EQ(fault::fired(fault::Site::SteqrExhaust), 1);
+  EXPECT_EQ(test::num_ok(res), mats.size() - 1);
+  std::size_t failed = 0;
+  for (const evd::RequestResult& r : res) {
+    if (!r.status.ok()) {
+      ++failed;
+      EXPECT_EQ(r.status.code(), ErrorCode::FaultInjected) << r.status.to_string();
+    } else {
+      EXPECT_EQ(r.eigenvalues.size(), std::size_t(n));
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+}
+
+TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {
+  auto mats = make_set(48, 6, 7000);
+  fault::arm(fault::Site::SteqrExhaust, 1);
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 3;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.solver = evd::TriSolver::Ql;
+  ropt.evd.allow_fallbacks = true;  // injected failure walks the solver chain
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  // The degradation is visible per request and in the service snapshot.
+  std::size_t recovered = 0;
+  for (const evd::RequestResult& r : res) recovered += r.recovery.empty() ? 0 : 1;
+  EXPECT_EQ(recovered, 1u);
+  EXPECT_FALSE(service.telemetry_snapshot().recovery().empty());
+}
+
+TEST_F(ServiceTest, StageCallCountsCoverEveryRequest) {
+  // Two size classes: every context the requests ran on stays pooled, so
+  // the snapshot accounts for each request's reduction/bulge/solver stage.
+  std::vector<Matrix<float>> mats = make_set(32, 6, 9000);
+  for (Matrix<float>& a : make_set(96, 3, 9100)) mats.push_back(std::move(a));
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 3;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 4;
+  auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  const Telemetry t = service.telemetry_snapshot();
+  for (const char* stage : {"evd.reduction", "evd.bulge", "evd.solver"}) {
+    long calls = 0;
+    for (const auto& s : t.stages())
+      if (s.name == stage) calls = s.calls;
+    EXPECT_EQ(calls, static_cast<long>(mats.size())) << stage;
+    EXPECT_GE(t.stage_seconds(stage), 0.0);
+  }
+}
+
+// The context pool is bounded by the derived start cap (2 x runners): a
+// context is founded only when a request starts with none of its class
+// idle, so no class ever pools more contexts than requests ran at once.
+TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
+  tc::Fp32Engine eng;
+  for (int threads : {1, 2}) {
+    evd::ServiceOptions sopt;
+    sopt.num_threads = threads;
+    evd::EvdService service(eng, sopt);
+    // Many more same-class requests than the cap, all queued at once, with
+    // stage-boundary interleaving forced by a spread of priorities.
+    std::vector<Matrix<float>> mats = make_set(48, 24, 9300);
+    std::vector<evd::RequestId> ids;
+    for (std::size_t i = 0; i < mats.size(); ++i) {
+      evd::RequestOptions ropt;
+      ropt.evd.bandwidth = 8;
+      ropt.evd.vectors = true;
+      ropt.priority = static_cast<int>(i % 3);
+      auto id = service.submit(mats[i].view(), ropt);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (evd::RequestId id : ids) EXPECT_TRUE(service.wait(id).status.ok());
+    const std::size_t pooled = service.stats().pooled_contexts;
+    EXPECT_GE(pooled, 1u);
+    EXPECT_LE(pooled, static_cast<std::size_t>(2 * threads)) << threads << " runners";
+  }
 }
 
 }  // namespace

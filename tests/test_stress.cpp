@@ -24,8 +24,8 @@
 #include "src/common/norms.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
+#include "src/evd/service.hpp"
 #include "src/sbr/band.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/tensorcore/engine.hpp"
@@ -152,8 +152,9 @@ TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// solve_many itself under thread churn: repeated batches on one engine, with
-// the shared EC-TC fallback counter read concurrently.
+// EvdService under thread churn: repeated request sets on one engine, each
+// through a fresh service, with the shared EC-TC fallback counter read
+// concurrently.
 // ---------------------------------------------------------------------------
 
 TEST(SharedEngineStressFixture, RepeatedBatchesKeepEngineConsistent) {
@@ -162,50 +163,56 @@ TEST(SharedEngineStressFixture, RepeatedBatchesKeepEngineConsistent) {
   std::vector<Matrix<float>> batch;
   for (int i = 0; i < 12; ++i) batch.push_back(test::random_symmetric<float>(n, 7100 + i));
 
-  evd::BatchOptions bopt;
-  bopt.evd.bandwidth = 8;
-  bopt.evd.big_block = 16;
-  bopt.num_threads = kThreads;
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 16;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = kThreads;
 
   std::vector<float> first;
   for (int round = 0; round < 3; ++round) {
-    auto res = evd::solve_many(batch, engine, bopt);
-    ASSERT_TRUE(res.all_ok()) << "round " << round;
+    evd::EvdService service(engine, sopt);
+    auto res = test::solve_all(service, batch, ropt);
+    ASSERT_EQ(test::num_ok(res), batch.size()) << "round " << round;
     if (round == 0) {
-      first = res.problems[0].eigenvalues;
+      first = res[0].eigenvalues;
     } else {
       // Shared-engine state must not leak between rounds: bitwise identical.
       for (std::size_t j = 0; j < first.size(); ++j)
-        EXPECT_EQ(res.problems[0].eigenvalues[j], first[j]) << "round " << round;
+        EXPECT_EQ(res[0].eigenvalues[j], first[j]) << "round " << round;
     }
     EXPECT_GE(engine.fp32_fallbacks(), 0L);  // concurrent-read smoke check
   }
 }
 
 // ---------------------------------------------------------------------------
-// Nested-oversubscription guard: while a batch (or any pool worker) is
-// running solves, the GEMMs inside them must take the serial tile loop
-// instead of fanning out on gemm_pool — the batch pool owns the machine at
+// Nested-oversubscription guard: while service runners (or any pool worker)
+// are running solves, the GEMMs inside them must take the serial tile loop
+// instead of fanning out on gemm_pool — the service pool owns the machine at
 // its level. The toggle contrast: the same large GEMM issued from the main
 // thread afterwards DOES dispatch to gemm_pool.
 // ---------------------------------------------------------------------------
 
-TEST(SharedEngineStressFixture, GemmPoolStandsDownUnderBatchWorkers) {
+TEST(SharedEngineStressFixture, GemmPoolStandsDownUnderServiceRunners) {
   tc::Fp32Engine engine;
   const index_t n = 200;  // big enough that its GEMMs clear the pooling floor
   std::vector<Matrix<float>> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(test::random_symmetric<float>(n, 9200 + i));
 
-  evd::BatchOptions bopt;
-  bopt.evd.bandwidth = 16;
-  bopt.evd.big_block = 32;
-  bopt.num_threads = kThreads;
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 16;
+  ropt.evd.big_block = 32;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = kThreads;
 
   const auto before = blas::gemm_pool_dispatches();
-  auto res = evd::solve_many(batch, engine, bopt);
-  ASSERT_TRUE(res.all_ok());
+  {
+    evd::EvdService service(engine, sopt);
+    auto res = test::solve_all(service, batch, ropt);
+    ASSERT_EQ(test::num_ok(res), batch.size());
+  }
   EXPECT_EQ(blas::gemm_pool_dispatches(), before)
-      << "a GEMM nested under a batch worker fanned out on gemm_pool";
+      << "a GEMM nested under a service runner fanned out on gemm_pool";
 
   // Toggle: the identical shape from the main thread is allowed to pool.
   Matrix<float> c(n, n);
@@ -254,7 +261,7 @@ TEST(BroadcastStress, BackToBackBroadcastsRunEachIndexExactlyOnce) {
 
 // ---------------------------------------------------------------------------
 // Wavefront bulge chasing under contention: repeated chases broadcasting on a
-// shared pool while solve_many traffic churns on ANOTHER pool's workers. The
+// shared pool while EvdService traffic churns on ANOTHER pool's workers. The
 // chase's progress-vector spins, per-chunk release publishes, and the block
 // ticket all run with lanes preempted mid-chunk (oversubscribed machine), and
 // every chase must still be bitwise-equal to the serial reference. Run under
@@ -265,21 +272,23 @@ TEST(BroadcastStress, BackToBackBroadcastsRunEachIndexExactlyOnce) {
 TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
   tc::Fp32Engine engine;
 
-  // Background solve_many traffic on its own pool, kept alive for the whole
-  // hammer via a submitted task.
+  // Background EvdService traffic on its own runners, fed for the whole
+  // hammer from a submitted task.
   ThreadPool traffic_pool(kThreads / 2);
   std::atomic<bool> stop_traffic{false};
   std::atomic<long> traffic_failures{0};
   traffic_pool.submit([&] {
     std::vector<Matrix<float>> batch;
     for (int i = 0; i < 6; ++i) batch.push_back(test::random_symmetric<float>(36, 4400 + i));
-    evd::BatchOptions bopt;
-    bopt.evd.bandwidth = 4;
-    bopt.evd.big_block = 8;
-    bopt.num_threads = 2;
+    evd::RequestOptions ropt;
+    ropt.evd.bandwidth = 4;
+    ropt.evd.big_block = 8;
+    evd::ServiceOptions sopt;
+    sopt.num_threads = 2;
+    evd::EvdService service(engine, sopt);
     while (!stop_traffic.load(std::memory_order_relaxed)) {
-      auto res = evd::solve_many(batch, engine, bopt);
-      if (!res.all_ok()) traffic_failures.fetch_add(1);
+      auto res = test::solve_all(service, batch, ropt);
+      if (test::num_ok(res) != batch.size()) traffic_failures.fetch_add(1);
     }
   });
 

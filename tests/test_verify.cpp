@@ -19,9 +19,9 @@
 #include "src/common/fault.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/verify.hpp"
-#include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
+#include "src/evd/service.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "tests/test_util.hpp"
@@ -480,53 +480,86 @@ TEST_F(VerifyTest, CleanVerifiedSolvePassesFirstAttempt) {
   EXPECT_GT(res->timings.verify_s, 0.0);
 }
 
-// --- batch isolation --------------------------------------------------------
+// --- isolation across service requests --------------------------------------
 
-TEST_F(VerifyTest, SolveManyIsolatesAVerificationFailure) {
-  // One forced breach, one worker (deterministic problem order): exactly one
-  // problem is annotated as failed verification, its neighbors pass clean.
+/// Verification tallies over a request set: escalations taken, and requests
+/// whose verification never passed — a breached verdict returned annotated
+/// (Estimate) or an escalation chain that gave up (PrecisionLoss).
+struct VerifyTally {
+  long escalations = 0;
+  long failures = 0;
+};
+
+VerifyTally tally(const std::vector<evd::RequestResult>& results) {
+  VerifyTally t;
+  for (const evd::RequestResult& r : results) {
+    t.escalations += r.verify.escalations;
+    if ((r.verify.checked && !r.verify.passed) ||
+        r.status.code() == ErrorCode::PrecisionLoss)
+      ++t.failures;
+  }
+  return t;
+}
+
+TEST_F(VerifyTest, ServiceIsolatesAVerificationFailure) {
+  // One forced breach, one runner (deterministic request order): exactly one
+  // request is annotated as failed verification, its neighbours pass clean.
   const index_t n = 48;
   std::vector<Matrix<float>> problems;
   for (int i = 0; i < 3; ++i) problems.push_back(test::random_symmetric<float>(n, 80 + i));
 
   tc::Fp32Engine engine;
-  evd::BatchOptions opt;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(engine, sopt);
+  evd::RequestOptions opt;
   opt.evd.vectors = true;
   opt.evd.verify = verify::Policy::Estimate;
-  opt.num_threads = 1;
   fault::arm(fault::Site::VerifyResidual, 1);
-  auto batch = evd::solve_many(problems, engine, opt);
-  ASSERT_EQ(batch.problems.size(), 3u);
-  EXPECT_TRUE(batch.all_ok());  // Estimate annotates, never fails the solve
-  EXPECT_EQ(batch.verify_failures, 1);
-  EXPECT_FALSE(batch.problems[0].verify.passed);  // first problem ate the budget
-  EXPECT_TRUE(batch.problems[1].verify.passed);
-  EXPECT_TRUE(batch.problems[2].verify.passed);
+  auto res = test::solve_all(service, problems, opt);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(test::num_ok(res), 3u);  // Estimate annotates, never fails the solve
+  EXPECT_EQ(tally(res).failures, 1);
+  EXPECT_EQ(tally(res).escalations, 0);
+  EXPECT_FALSE(res[0].verify.passed);  // first request ate the budget
+  EXPECT_TRUE(res[1].verify.passed);
+  EXPECT_TRUE(res[2].verify.passed);
 }
 
-TEST_F(VerifyTest, SolveManyCountsEscalationsAndExhaustedChains) {
+TEST_F(VerifyTest, ServiceCountsEscalationsAndExhaustedChains) {
   const index_t n = 48;
   std::vector<Matrix<float>> problems;
   for (int i = 0; i < 3; ++i) problems.push_back(test::random_symmetric<float>(n, 90 + i));
 
-  // Fp32 is terminal: the forced breach cannot escalate, so problem 0 fails
-  // with PrecisionLoss while its neighbors still verify and pass.
+  // Fp32 is terminal: the forced breach cannot escalate, so request 0 fails
+  // with PrecisionLoss while its neighbours still verify and pass.
   tc::Fp32Engine engine;
-  evd::BatchOptions opt;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(engine, sopt);
+  evd::RequestOptions opt;
   opt.evd.vectors = true;
   opt.evd.verify = verify::Policy::EstimateEscalate;
-  opt.num_threads = 1;
   fault::arm(fault::Site::VerifyResidual, 1);
-  auto batch = evd::solve_many(problems, engine, opt);
-  ASSERT_EQ(batch.problems.size(), 3u);
-  EXPECT_FALSE(batch.problems[0].status.ok());
-  EXPECT_EQ(batch.problems[0].status.code(), ErrorCode::PrecisionLoss);
-  EXPECT_TRUE(batch.problems[1].status.ok());
-  EXPECT_TRUE(batch.problems[2].status.ok());
-  EXPECT_EQ(batch.num_ok(), 2u);
-  EXPECT_EQ(batch.verify_failures, 1);
-  EXPECT_TRUE(batch.problems[1].verify.passed);
-  EXPECT_TRUE(batch.problems[2].verify.passed);
+  auto res = test::solve_all(service, problems, opt);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[0].status.code(), ErrorCode::PrecisionLoss);
+  EXPECT_TRUE(res[1].status.ok());
+  EXPECT_TRUE(res[2].status.ok());
+  EXPECT_EQ(test::num_ok(res), 2u);
+  EXPECT_EQ(tally(res).failures, 1);
+  EXPECT_TRUE(res[1].verify.passed);
+  EXPECT_TRUE(res[2].verify.passed);
+
+  // On Tc the same breach escalates once to EC-TC and passes: one
+  // escalation, no failure.
+  tc::TcEngine tc_engine(tc::TcPrecision::Fp16);
+  evd::EvdService tc_service(tc_engine, sopt);
+  fault::arm(fault::Site::VerifyResidual, 1);
+  auto escalated = test::solve_all(tc_service, problems, opt);
+  EXPECT_EQ(test::num_ok(escalated), 3u);
+  EXPECT_EQ(tally(escalated).escalations, 1);
+  EXPECT_EQ(tally(escalated).failures, 0);
 }
 
 TEST_F(VerifyTest, SelectedRangeNotesSkippedVerification) {

@@ -307,12 +307,11 @@ TEST(Workspace, SteadyStateEvdSolveReusesArena) {
     EXPECT_EQ(r1.eigenvalues[i], r2.eigenvalues[i]);
 }
 
-// solve_many's steady-state contract: a Context reused across a 16-problem
-// batch (different matrices, same shape) must rewind the arena to its
-// reserved high-water mark between iterations — zero new blocks, zero
+// The pooled-context steady-state contract: a Context reused across a
+// 16-problem batch (different matrices, same shape) must rewind the arena to
+// its reserved high-water mark between iterations — zero new blocks, zero
 // re-spills, stable peak after the first problem — not pay per-problem
-// growth. This is the regression guard for the batched driver's "one
-// pre-reserved Context per worker" design.
+// growth. This is the regression guard for EvdService's warm-context pool.
 TEST(Workspace, SteadyStateHoldsAcrossSixteenProblemBatch) {
   const index_t n = 72;
   tc::Fp32Engine eng;
