@@ -34,7 +34,8 @@ enum class Reduction {
 
 enum class TriSolver {
   Ql,             ///< implicit QL/QR with Wilkinson shifts (steqr)
-  DivideConquer,  ///< Cuppen D&C (stedc) — what MAGMA's ssyevd uses
+  DivideConquer,  ///< Cuppen D&C (stedc) — what MAGMA's ssyevd uses; without
+                  ///< vectors stedc runs the root-free O(n^2) sterf
   Bisection,      ///< Sturm bisection (+ inverse iteration for vectors)
 };
 

@@ -232,9 +232,12 @@ Status dc_solve(std::vector<double>& d, std::vector<double>& e, MatrixView<doubl
 
 template <typename T>
 Status stedc(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z) {
+  // Without vectors the merges would only feed eigenvalues that the
+  // root-free iteration finds in O(n^2), as ?syevd does for jobz = 'N'.
+  if (!z) return sterf(d, e);
   const index_t n = static_cast<index_t>(d.size());
   if (n == 0) return ok_status();
-  if (z) TCEVD_CHECK(z->cols() == n, "stedc z must have n columns");
+  TCEVD_CHECK(z->cols() == n, "stedc z must have n columns");
 
   std::vector<double> dd(d.begin(), d.end());
   std::vector<double> ee(e.begin(), e.end());
@@ -244,16 +247,14 @@ Status stedc(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z) {
   for (index_t i = 0; i < n; ++i) d[static_cast<std::size_t>(i)] = static_cast<T>(dd[static_cast<std::size_t>(i)]);
   std::fill(e.begin(), e.end(), T{});
 
-  if (z) {
-    // z := z * V in the caller's precision.
-    Matrix<T> vt(n, n);
-    convert_matrix<double, T>(v.view(), vt.view());
-    Matrix<T> tmp(z->rows(), n);
-    blas::gemm<T>(blas::Trans::No, blas::Trans::No, T{1},
-               ConstMatrixView<T>(z->data(), z->rows(), n, z->ld()), vt.view(), T{},
-               tmp.view());
-    copy_matrix<T>(tmp.view(), *z);
-  }
+  // z := z * V in the caller's precision.
+  Matrix<T> vt(n, n);
+  convert_matrix<double, T>(v.view(), vt.view());
+  Matrix<T> tmp(z->rows(), n);
+  blas::gemm<T>(blas::Trans::No, blas::Trans::No, T{1},
+             ConstMatrixView<T>(z->data(), z->rows(), n, z->ld()), vt.view(), T{},
+             tmp.view());
+  copy_matrix<T>(tmp.view(), *z);
   return ok_status();
 }
 

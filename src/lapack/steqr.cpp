@@ -32,7 +32,7 @@ void sort_eigensystem(std::vector<T>& d, MatrixView<T>* z) {
 }
 
 /// Core implicit QL sweep (EISPACK tql2 lineage). When `z` is null the
-/// rotation application is skipped (sterf mode).
+/// rotation application is skipped.
 template <typename T>
 Status tql_implicit(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z) {
   const index_t n = static_cast<index_t>(d.size());
@@ -124,14 +124,7 @@ Status steqr(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z) {
   return tql_implicit(d, e, z);
 }
 
-template <typename T>
-Status sterf(std::vector<T>& d, std::vector<T>& e) {
-  return tql_implicit<T>(d, e, nullptr);
-}
-
 template Status steqr<float>(std::vector<float>&, std::vector<float>&, MatrixView<float>*);
 template Status steqr<double>(std::vector<double>&, std::vector<double>&, MatrixView<double>*);
-template Status sterf<float>(std::vector<float>&, std::vector<float>&);
-template Status sterf<double>(std::vector<double>&, std::vector<double>&);
 
 }  // namespace tcevd::lapack

@@ -5,10 +5,11 @@
 //
 //   steqr — implicit QL/QR with Wilkinson shifts, optional eigenvector
 //           accumulation (the robust workhorse; used as the D&C base case)
-//   sterf — eigenvalues only, same iteration without vector updates
+//   sterf — eigenvalues only: the root-free QL/QR of LAPACK dsterf, O(n^2)
 //   stebz — Sturm-sequence bisection (selected or all eigenvalues)
 //   stedc — divide & conquer with deflation and a secular-equation solver
-//           (the paper's final stage uses MAGMA's D&C)
+//           (the paper's final stage uses MAGMA's D&C); without vectors it
+//           is sterf, as MAGMA's and LAPACK's ?syevd are for jobz = 'N'
 //
 // All solvers return eigenvalues in ascending order. Convergence failure is
 // reported as a Status (NoConvergence with the failing eigenvalue index in
@@ -32,7 +33,14 @@ namespace tcevd::lapack {
 template <typename T>
 Status steqr(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z = nullptr);
 
-/// Eigenvalues only (no vector accumulation).
+/// Eigenvalues only, by the root-free Pal-Walker-Kahan QL/QR of LAPACK
+/// dsterf, in double for both precisions. d (n) is overwritten with the
+/// ascending eigenvalues, e (at least n-1 entries) is zero-filled. Each
+/// unreduced block is scaled by a power of two before its off-diagonals are
+/// squared, so the whole double range works. Fires the `steqr.exhaust` fault
+/// site for n > 1. NoConvergence (with the index in detail()) if an
+/// eigenvalue fails to converge in 30 iterations or a block holds a NaN or
+/// Inf; d and e are then destroyed.
 template <typename T>
 Status sterf(std::vector<T>& d, std::vector<T>& e);
 
@@ -48,9 +56,11 @@ std::vector<T> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t i
                      T tol = T{-1});
 
 /// Divide & conquer. Same contract as steqr: eigenvalues into d, optional
-/// accumulation into z (z := z * V where V are tridiagonal eigenvectors).
-/// Internally computes in double regardless of T for a stable secular solve.
-/// A base-case steqr failure propagates as NoConvergence.
+/// accumulation into z (z := z * V where V are tridiagonal eigenvectors),
+/// e zero-filled. Internally computes in double regardless of T for a stable
+/// secular solve. A base-case steqr failure propagates as NoConvergence.
+/// With z == nullptr it returns sterf(d, e): no merge, O(n^2), no n x n
+/// buffer.
 template <typename T>
 Status stedc(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z = nullptr);
 

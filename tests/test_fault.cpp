@@ -479,22 +479,26 @@ TEST_F(FaultTest, ClusteredSolveRecoversFromPanelNan) {
 }
 
 TEST_F(FaultTest, SolverChainFallsBackFromDc) {
-  // One-shot steqr exhaustion fails D&C (whose base case is steqr); the
-  // driver must retry with QL and record the switch.
+  // One-shot steqr exhaustion fails D&C: with vectors its steqr base case,
+  // without vectors sterf, which fires the same site. The driver must retry
+  // with QL and record the switch.
   const index_t n = 128;
   auto a = test::random_symmetric<float>(n, 21);
-  fault::arm(fault::Site::SteqrExhaust, 1);
-  tc::Fp32Engine engine;
-  Context ctx(engine);
-  evd::EvdOptions opt;
-  opt.solver = evd::TriSolver::DivideConquer;
-  opt.vectors = true;
-  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
-  ASSERT_TRUE(res.ok()) << res.status().to_string();
-  bool solver_fallback_logged = false;
-  for (const auto& ev : res->recovery)
-    if (ev.site == "evd.solver") solver_fallback_logged = true;
-  EXPECT_TRUE(solver_fallback_logged);
+  for (bool vectors : {true, false}) {
+    fault::arm(fault::Site::SteqrExhaust, 1);
+    tc::Fp32Engine engine;
+    Context ctx(engine);
+    evd::EvdOptions opt;
+    opt.solver = evd::TriSolver::DivideConquer;
+    opt.vectors = vectors;
+    auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    EXPECT_EQ(fault::fired(fault::Site::SteqrExhaust), 1) << "vectors " << vectors;
+    bool solver_fallback_logged = false;
+    for (const auto& ev : res->recovery)
+      if (ev.site == "evd.solver") solver_fallback_logged = true;
+    EXPECT_TRUE(solver_fallback_logged) << "vectors " << vectors;
+  }
 }
 
 TEST_F(FaultTest, FallbacksCanBeDisabled) {

@@ -60,6 +60,14 @@ void check_eigensystem(const std::vector<double>& d0, const std::vector<double>&
   ASSERT_TRUE(lapack::steqr<double>(ds, es, nullptr).ok());
   for (index_t i = 0; i < n; ++i)
     EXPECT_NEAR(d[static_cast<std::size_t>(i)], ds[static_cast<std::size_t>(i)], tol * scale);
+
+  // The values-only path (no merges) agrees with the vectors path.
+  auto dv = d0;
+  auto ev = e0;
+  ASSERT_TRUE(lapack::stedc<double>(dv, ev, nullptr).ok());
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(dv[static_cast<std::size_t>(i)], d[static_cast<std::size_t>(i)], tol * scale);
+  for (double v : ev) EXPECT_EQ(v, 0.0);
 }
 
 class StedcRandomTest : public ::testing::TestWithParam<index_t> {};
@@ -149,11 +157,15 @@ TEST(Stedc, FloatInterfaceConverts) {
   Matrix<float> z(n, n);
   set_identity(z.view());
   auto zv = z.view();
+  auto dv = d;
+  auto ev = e;
   ASSERT_TRUE(lapack::stedc<float>(d, e, &zv).ok());
+  ASSERT_TRUE(lapack::stedc<float>(dv, ev, nullptr).ok());
   EXPECT_LT(orthogonality_residual<float>(z.view()), 1e-4);
   for (index_t k = 1; k <= n; ++k) {
     const double ref = 2.0 - 2.0 * std::cos(k * M_PI / (n + 1));
     EXPECT_NEAR(d[static_cast<std::size_t>(k - 1)], ref, 1e-5);
+    EXPECT_NEAR(dv[static_cast<std::size_t>(k - 1)], ref, 1e-5);
   }
 }
 

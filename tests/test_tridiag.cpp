@@ -1,7 +1,10 @@
 // steqr / sterf / stebz on matrices with known or cross-checkable spectra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -33,6 +36,8 @@ TEST_P(LaplacianTest, SteqrFindsKnownSpectrum) {
     EXPECT_NEAR(d[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-12);
 }
 
+// sterf is a different (root-free) iteration from steqr, so the two agree to
+// roundoff, not bitwise; both are held to the known spectrum.
 TEST_P(LaplacianTest, SterfMatchesSteqr) {
   const index_t n = GetParam();
   std::vector<double> d1(static_cast<std::size_t>(n), 2.0);
@@ -41,8 +46,12 @@ TEST_P(LaplacianTest, SterfMatchesSteqr) {
   auto e2 = e1;
   ASSERT_TRUE(lapack::steqr<double>(d1, e1, nullptr).ok());
   ASSERT_TRUE(lapack::sterf(d2, e2).ok());
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_DOUBLE_EQ(d1[static_cast<std::size_t>(i)], d2[static_cast<std::size_t>(i)]);
+  auto ref = laplacian_eigs(n);
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(d2[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-12);
+    EXPECT_NEAR(d2[static_cast<std::size_t>(i)], d1[static_cast<std::size_t>(i)], 1e-12);
+  }
+  for (double v : e2) EXPECT_EQ(v, 0.0);
 }
 
 TEST_P(LaplacianTest, StebzMatchesKnownSpectrum) {
@@ -56,6 +65,125 @@ TEST_P(LaplacianTest, StebzMatchesKnownSpectrum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LaplacianTest, ::testing::Values<index_t>(2, 3, 10, 33, 100));
+
+/// Largest |computed - s * ref| over s * max|ref|.
+template <typename T>
+double scaled_error(const std::vector<T>& got, const std::vector<double>& ref, double s) {
+  double err = 0.0;
+  double norm = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    err = std::max(err, std::abs(static_cast<double>(got[i]) - s * ref[i]));
+    norm = std::max(norm, std::abs(s * ref[i]));
+  }
+  return err / norm;
+}
+
+// The root-free iteration squares the off-diagonals, which overflows or
+// underflows near the ends of the exponent range unless each block is
+// scaled first.
+class ScaledLaplacianTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(ScaledLaplacianTest, ValuesOnlySolversKeepRelativeAccuracy) {
+  const double s = GetParam();
+  const index_t n = 100;
+  const auto ref = laplacian_eigs(n);
+  const std::vector<double> d0(static_cast<std::size_t>(n), 2.0 * s);
+  const std::vector<double> e0(static_cast<std::size_t>(n - 1), -s);
+
+  auto d = d0;
+  auto e = e0;
+  ASSERT_TRUE(lapack::sterf<double>(d, e).ok());
+  EXPECT_LE(scaled_error(d, ref, s), 1e-12);
+
+  d = d0;
+  e = e0;
+  ASSERT_TRUE(lapack::stedc<double>(d, e, nullptr).ok());
+  EXPECT_LE(scaled_error(d, ref, s), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scales, ScaledLaplacianTest,
+                         ::testing::Values(1e150, 1e-150, 1e160, 1e-160, 1e300, 1e-300));
+
+TEST(Sterf, FloatInputWhoseSquaresLeaveFloatRange) {
+  // e^2 is 1e60 or 1e-60: outside float range, well inside double's.
+  const index_t n = 60;
+  const auto ref = laplacian_eigs(n);
+  for (float s : {1e30f, 1e-30f}) {
+    std::vector<float> d(static_cast<std::size_t>(n), 2.0f * s);
+    std::vector<float> e(static_cast<std::size_t>(n - 1), -s);
+    auto dc = d;
+    auto ec = e;
+    ASSERT_TRUE(lapack::sterf<float>(d, e).ok());
+    EXPECT_LE(scaled_error(d, ref, s), 1e-6) << "scale " << s;
+    ASSERT_TRUE(lapack::stedc<float>(dc, ec, nullptr).ok());
+    EXPECT_LE(scaled_error(dc, ref, s), 1e-6) << "scale " << s;
+  }
+}
+
+TEST(Sterf, MatchesSteqrOnRandomAndGradedTridiagonals) {
+  // kind 0: random; 1 / 2: graded down / up, so sterf picks QR / QL;
+  // 3: zero diagonal; 4: Wilkinson W+ (pairs of nearly equal eigenvalues).
+  for (index_t n : {2, 3, 17, 64, 200}) {
+    for (int kind = 0; kind < 5; ++kind) {
+      Rng rng(static_cast<std::uint64_t>(500 + 5 * n + kind));
+      std::vector<double> d(static_cast<std::size_t>(n));
+      std::vector<double> e(static_cast<std::size_t>(n - 1));
+      for (index_t i = 0; i < n; ++i) {
+        const double grade = kind == 1 ? std::pow(10.0, -8.0 * i / n)
+                             : kind == 2 ? std::pow(10.0, 8.0 * i / n)
+                                         : 1.0;
+        double di = grade * rng.normal();
+        double ei = grade * rng.normal();
+        if (kind == 3) di = 0.0;
+        if (kind == 4) {
+          di = std::abs(static_cast<double>(i) - 0.5 * static_cast<double>(n - 1));
+          ei = 1.0;
+        }
+        d[static_cast<std::size_t>(i)] = di;
+        if (i + 1 < n) e[static_cast<std::size_t>(i)] = ei;
+      }
+      double scale = 1.0;
+      for (double v : d) scale = std::max(scale, std::abs(v));
+      for (double v : e) scale = std::max(scale, std::abs(v));
+      auto ds = d;
+      auto es = e;
+      ASSERT_TRUE(lapack::steqr<double>(ds, es, nullptr).ok());
+      ASSERT_TRUE(lapack::sterf<double>(d, e).ok());
+      for (index_t i = 0; i < n; ++i) {
+        if (i > 0) {
+          EXPECT_LE(d[static_cast<std::size_t>(i - 1)], d[static_cast<std::size_t>(i)]);
+        }
+        EXPECT_NEAR(d[static_cast<std::size_t>(i)], ds[static_cast<std::size_t>(i)], 1e-12 * scale)
+            << "n " << n << " kind " << kind << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(Sterf, SplitBlocksAndTrivialSizes) {
+  std::vector<double> d{3.0};
+  std::vector<double> e;
+  ASSERT_TRUE(lapack::sterf<double>(d, e).ok());
+  EXPECT_EQ(d[0], 3.0);
+
+  // Two decoupled blocks, [[2, 1], [1, 2]] and diag(-1), plus a zero block.
+  d = {2.0, 2.0, -1.0, 0.0, 0.0};
+  e = {1.0, 0.0, 0.0, 0.0};
+  ASSERT_TRUE(lapack::sterf<double>(d, e).ok());
+  const std::vector<double> want{-1.0, 0.0, 0.0, 1.0, 3.0};
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_NEAR(d[i], want[i], 1e-15);
+}
+
+TEST(Sterf, NonFiniteInputIsNoConvergence) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<double> d(8, 1.0);
+    std::vector<double> e(7, 0.5);
+    e[3] = bad;
+    const Status st = lapack::sterf<double>(d, e);
+    EXPECT_EQ(st.code(), ErrorCode::NoConvergence) << st.to_string();
+  }
+}
 
 TEST(Steqr, EigenvectorsDiagonalizeT) {
   const index_t n = 50;

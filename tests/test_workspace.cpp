@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/blas/blas.hpp"
 #include "src/bulge/bulge_chasing.hpp"
@@ -18,6 +19,7 @@
 #include "src/sbr/band.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/evd/evd.hpp"
+#include "src/lapack/tridiag.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "test_util.hpp"
@@ -392,6 +394,27 @@ TEST(Workspace, SteadyStateGemmAndTcGemmAreAllocationFree) {
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << (after - before)
                            << " heap allocations in steady-state gemm/tc_gemm calls";
+}
+
+// Values-only stedc runs the root-free sterf: one double working copy of a
+// float input and nothing per merge level, so the allocation count does not
+// grow with n.
+TEST(Workspace, ValuesOnlyStedcAllocatesAConstant) {
+  const auto allocations = [](index_t n) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<float> d(static_cast<std::size_t>(n));
+    std::vector<float> e(static_cast<std::size_t>(n - 1));
+    for (auto& v : d) v = static_cast<float>(rng.normal());
+    for (auto& v : e) v = static_cast<float>(rng.normal());
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const Status st = lapack::stedc<float>(d, e, nullptr);
+    const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+    return after - before;
+  };
+  const std::uint64_t at_128 = allocations(128);
+  EXPECT_EQ(allocations(1024), at_128);
+  EXPECT_LE(at_128, 2u);
 }
 
 // The wavefront bulge chase's steady-state allocation budget must equal the
