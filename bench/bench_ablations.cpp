@@ -16,7 +16,6 @@
 #include "src/sbr/sbr.hpp"
 #include "src/evd/refine.hpp"
 #include "src/tensorcore/ec_tcgemm.hpp"
-#include "src/tensorcore/tc_syr2k.hpp"
 #include "src/tsqr/tsqr.hpp"
 
 using namespace tcevd;
@@ -85,33 +84,12 @@ int main() {
       tc::tc_gemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
     });
     const double t_ec = bench::time_s([&] {
-      tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f,
-                    c.view());
+      bench::require_ok(tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(),
+                                      b.view(), 0.0f, c.view()),
+                        "ec_tcgemm");
     });
     std::printf("tc-gemm %.2f ms, ec-tcgemm %.2f ms -> overhead %.2fx (theory ~3x)\n",
                 t_tc * 1e3, t_ec * 1e3, t_ec / t_tc);
-  }
-
-  bench::section("TC syr2k vs two TC GEMMs (paper future work; n = 192, k = 32)");
-  {
-    Rng rng(5);
-    const index_t n = 192, k = 32;
-    Matrix<float> a(n, k), b(n, k), c(n, n);
-    fill_normal(rng, a.view());
-    fill_normal(rng, b.view());
-    const double t_two = bench::time_s([&] {
-      tc::tc_gemm(blas::Trans::No, blas::Trans::Yes, -1.0f, a.view(), b.view(), 1.0f, c.view());
-      tc::tc_gemm(blas::Trans::No, blas::Trans::Yes, -1.0f, b.view(), a.view(), 1.0f, c.view());
-    });
-    const double t_syr = bench::time_s([&] {
-      tc::tc_syr2k(blas::Uplo::Lower, -1.0f, a.view(), b.view(), 1.0f, c.view());
-    });
-    const auto tiles = tc::tc_syr2k_tile_counts(n, k);
-    std::printf("two TC GEMMs %.2f ms vs tc_syr2k %.2f ms (measured)\n", t_two * 1e3,
-                t_syr * 1e3);
-    std::printf("tile MMAs: syr2k %lld vs two-GEMM %lld -> %.0f%% of the work\n",
-                static_cast<long long>(tiles.syr2k), static_cast<long long>(tiles.two_gemm),
-                100.0 * tiles.syr2k / tiles.two_gemm);
   }
 
   bench::section("eigenpair refinement cost vs accuracy (n = 192, top-4 pairs)");
@@ -149,8 +127,10 @@ int main() {
     for (index_t leaf : {64, 128, 256, 512, 1024}) {
       tsqr::TsqrOptions opts;
       opts.leaf_rows = leaf;
-      const double t =
-          bench::time_s([&] { tsqr::tsqr_factor(ws, a.view(), q.view(), r.view(), opts); });
+      const double t = bench::time_s([&] {
+        bench::require_ok(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view(), opts),
+                          "tsqr_factor");
+      });
       std::printf("leaf %5lld: %8.2f ms\n", static_cast<long long>(leaf), t * 1e3);
     }
   }

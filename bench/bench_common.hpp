@@ -16,6 +16,7 @@
 #include <string>
 
 #include "src/common/context.hpp"
+#include "src/common/status.hpp"
 #include "src/common/timer.hpp"
 
 namespace tcevd::bench {
@@ -42,6 +43,14 @@ double time_s(F&& f) {
   if (best[1] > best[2]) std::swap(best[1], best[2]);
   if (best[0] > best[1]) std::swap(best[0], best[1]);
   return best[1];
+}
+
+/// Abort the harness when a timed call failed: the time of a failed call is
+/// not a measurement of the operation.
+inline void require_ok(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.to_string().c_str());
+  std::exit(1);
 }
 
 /// Single-shot wall time (for expensive cases).

@@ -27,8 +27,10 @@ double measured_panel_sweep_s(index_t n, index_t b, sbr::PanelKind kind) {
     Matrix<float> panel(p.m, b);
     fill_normal(rng, panel.view());
     Matrix<float> w(p.m, b), y(p.m, b);
-    total += bench::time_once_s(
-        [&] { sbr::panel_factor_wy(ctx, kind, panel.view(), w.view(), y.view()); });
+    total += bench::time_once_s([&] {
+      bench::require_ok(sbr::panel_factor_wy(ctx, kind, panel.view(), w.view(), y.view()),
+                        "panel_factor_wy");
+    });
   }
   return total;
 }

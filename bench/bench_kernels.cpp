@@ -62,8 +62,9 @@ void BM_EcTcGemm(benchmark::State& state) {
   fill_normal(rng, a.view());
   fill_normal(rng, b.view());
   for (auto _ : state) {
-    tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f,
-                  c.view());
+    bench::require_ok(tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(),
+                                    b.view(), 0.0f, c.view()),
+                      "ec_tcgemm");
     benchmark::DoNotOptimize(c.data());
   }
 }
@@ -77,7 +78,7 @@ void BM_Tsqr(benchmark::State& state) {
   fill_normal(rng, a.view());
   Workspace ws;
   for (auto _ : state) {
-    tsqr::tsqr_factor(ws, a.view(), q.view(), r.view());
+    bench::require_ok(tsqr::tsqr_factor(ws, a.view(), q.view(), r.view()), "tsqr_factor");
     benchmark::DoNotOptimize(q.data());
   }
 }
@@ -94,7 +95,9 @@ void BM_PanelFactorWy(benchmark::State& state) {
   Context ctx(eng);
   for (auto _ : state) {
     copy_matrix<float>(a.view(), panel.view());
-    sbr::panel_factor_wy(ctx, sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
+    bench::require_ok(
+        sbr::panel_factor_wy(ctx, sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view()),
+        "panel_factor_wy");
     benchmark::DoNotOptimize(w.data());
   }
 }
@@ -241,7 +244,7 @@ void BM_Steqr(benchmark::State& state) {
   for (auto _ : state) {
     auto d = d0;
     auto e = e0;
-    lapack::steqr<double>(d, e, nullptr);
+    bench::require_ok(lapack::steqr<double>(d, e, nullptr), "steqr");
     benchmark::DoNotOptimize(d.data());
   }
 }

@@ -52,37 +52,6 @@ void micro_kernel_scalar(index_t kc, const T* ap, const T* bp, T alpha, T* c0, i
   }
 }
 
-/// Two products sharing one C tile: C += alpha * (A1·B1 + A2·B2), with both
-/// accumulators carried per k-step and their sum added element-wise. tc_syr2k
-/// relies on this shape for bitwise upper/lower symmetry: the (j,i) tile's
-/// acc1/acc2 are the (i,j) tile's acc2/acc1 value-for-value (fp multiply and
-/// add are commutative bitwise), so acc1+acc2 matches across the diagonal.
-template <typename T>
-void micro_kernel_pair_scalar(index_t kc, const T* ap1, const T* bp1, const T* ap2,
-                              const T* bp2, T alpha, T* c0, index_t ldc, index_t mr,
-                              index_t nr) {
-  T acc1[kNR][kMR] = {};
-  T acc2[kNR][kMR] = {};
-  for (index_t k = 0; k < kc; ++k) {
-    const T* a1 = ap1 + k * kMR;
-    const T* b1 = bp1 + k * kNR;
-    const T* a2 = ap2 + k * kMR;
-    const T* b2 = bp2 + k * kNR;
-    for (index_t jj = 0; jj < kNR; ++jj) {
-      const T bv1 = b1[jj];
-      const T bv2 = b2[jj];
-      for (index_t ii = 0; ii < kMR; ++ii) {
-        acc1[jj][ii] += a1[ii] * bv1;
-        acc2[jj][ii] += a2[ii] * bv2;
-      }
-    }
-  }
-  for (index_t jj = 0; jj < nr; ++jj) {
-    T* cc = c0 + jj * ldc;
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += alpha * (acc1[jj][ii] + acc2[jj][ii]);
-  }
-}
-
 }  // namespace packed
 }  // namespace blas
 }  // namespace tcevd

@@ -35,7 +35,7 @@
 // added, so clean results are bitwise-identical with ABFT on or off.
 //
 // These entry points do NOT touch the FlopCounter — callers (blas::gemm,
-// tc_gemm, ec_tcgemm, tc_syr2k) account for their own logical flops.
+// tc_gemm, ec_tcgemm) account for their own logical flops.
 #pragma once
 
 #include <algorithm>
@@ -80,18 +80,17 @@ inline constexpr index_t kNC = 1024;
 inline constexpr std::size_t kApackElems = static_cast<std::size_t>(kMC + kMR) * kKC;
 inline constexpr std::size_t kBpackElems = static_cast<std::size_t>(kKC) * (kNC + kNR);
 
-/// Thread-local pack storage, sized once per thread at first use. The second
-/// pair (a2/b2) backs the dual-operand kernels (EC head–tail split packing,
-/// the syr2k product pair). The arenas are 64-byte aligned: the AVX2 kernels
-/// aligned-load the packed A panels, legal because every panel/micro-panel
-/// offset into the arena is a multiple of kMR elements.
+/// Thread-local pack storage, sized once per thread at first use. b2 backs
+/// the tail panel of the EC head–tail split packing. The arenas are 64-byte
+/// aligned: the AVX2 kernels aligned-load the packed A panels, legal because
+/// every panel/micro-panel offset into the arena is a multiple of kMR
+/// elements.
 template <typename T>
 struct PackBuffers {
-  AlignedVector<T> a, b, a2, b2;
-  PackBuffers() : a(kApackElems), b(kBpackElems), a2(kApackElems), b2(kBpackElems) {
+  AlignedVector<T> a, b, b2;
+  PackBuffers() : a(kApackElems), b(kBpackElems), b2(kBpackElems) {
     TCEVD_CHECK(reinterpret_cast<std::uintptr_t>(a.data()) % kKernelAlignment == 0 &&
                     reinterpret_cast<std::uintptr_t>(b.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(a2.data()) % kKernelAlignment == 0 &&
                     reinterpret_cast<std::uintptr_t>(b2.data()) % kKernelAlignment == 0,
                 "pack arenas must be 64-byte aligned for the SIMD kernels");
   }
@@ -117,12 +116,10 @@ inline constexpr std::size_t kAcsumElems =
     static_cast<std::size_t>(kMC / kMR) * kKC;
 
 /// Thread-local checksum storage, allocated lazily on a thread's first ABFT
-/// GEMM (non-ABFT callers never touch it). The second pair backs the
-/// dual-A-operand pair kernel (tc_syr2k).
+/// GEMM (non-ABFT callers never touch it).
 struct AbftBuffers {
-  std::vector<double> sa, sa_abs, sa2, sa2_abs;
-  AbftBuffers()
-      : sa(kAcsumElems), sa_abs(kAcsumElems), sa2(kAcsumElems), sa2_abs(kAcsumElems) {}
+  std::vector<double> sa, sa_abs;
+  AbftBuffers() : sa(kAcsumElems), sa_abs(kAcsumElems) {}
 };
 
 inline AbftBuffers& abft_buffers() {
@@ -233,36 +230,6 @@ bool tile_checksum_ok(const T* tile, index_t mr, index_t nr, index_t kc, const T
     const T* tcol = tile + jj * kMR;
     for (index_t ii = 0; ii < mr; ++ii) actual += static_cast<double>(tcol[ii]);
     if (std::abs(actual - expect) > abft_tolerance<T>(kc, scale)) return false;
-  }
-  return true;
-}
-
-/// Pair-kernel variant: tile holds fl(alpha*(acc1+acc2)), so the expected
-/// column sum combines both products' checksums.
-template <typename T>
-bool tile_checksum_ok_pair(const T* tile, index_t mr, index_t nr, index_t kc,
-                           const T* bp1, const T* bp2, T alpha, const double* sa1,
-                           const double* sa1_abs, const double* sa2,
-                           const double* sa2_abs) {
-  const double al = static_cast<double>(alpha);
-  const double al_abs = std::abs(al);
-  for (index_t jj = 0; jj < nr; ++jj) {
-    double expect = 0.0;
-    double scale = 0.0;
-    for (index_t k = 0; k < kc; ++k) {
-      const double b1 = static_cast<double>(bp1[k * kNR + jj]);
-      const double b2 = static_cast<double>(bp2[k * kNR + jj]);
-      expect += sa1[k] * b1 + sa2[k] * b2;
-      scale += sa1_abs[k] * std::abs(b1) + sa2_abs[k] * std::abs(b2);
-    }
-    expect *= al;
-    scale *= al_abs;
-    double actual = 0.0;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) actual += static_cast<double>(tcol[ii]);
-    // The pair kernel carries two accumulators per k-step, so double the
-    // single-product accumulation bound.
-    if (std::abs(actual - expect) > 2.0 * abft_tolerance<T>(kc, scale)) return false;
   }
   return true;
 }
@@ -437,26 +404,6 @@ inline void micro_kernel(index_t kc, const T* ap, const T* bp, T alpha, T* c0, i
   micro_kernel_scalar(kc, ap, bp, alpha, c0, ldc, mr, nr);
 }
 
-/// Paired variant (see micro_kernel_pair_scalar for the accumulation shape
-/// and the syr2k symmetry argument). Same dispatch rule as micro_kernel.
-template <typename T>
-inline void micro_kernel_pair(index_t kc, const T* ap1, const T* bp1, const T* ap2,
-                              const T* bp2, T alpha, T* c0, index_t ldc, index_t mr,
-                              index_t nr) {
-  if constexpr (std::is_same_v<T, float>) {
-    if (const auto fn = simd::active_kernels().gemm_pair_f32) {
-      fn(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (const auto fn = simd::active_kernels().gemm_pair_f64) {
-      fn(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  }
-  micro_kernel_pair_scalar(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-}
-
 /// Fan `ntiles` independent bodies out on gemm_pool() when `pooled`, falling
 /// back to the calling thread when the pool is busy (another broadcast is in
 /// flight) or pooling is disabled. Returns true when the pool actually ran it.
@@ -534,35 +481,6 @@ void run_split_tile(void* vctx, long idx) {
                ctx->c1base + ir + jr * ctx->ldc1, ctx->ldc1, mr, nr);
   if (fault::should_fire(fault::Site::GemmTileCorrupt))
     corrupt_value(*(ctx->c0base + ir + jr * ctx->ldc0));
-}
-
-template <typename T>
-struct PairTileCtx {
-  const T* apack1;
-  const T* bpack1;
-  const T* apack2;
-  const T* bpack2;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-};
-
-template <typename T>
-void run_nt_pair_tile(void* vctx, long idx) {
-  const auto* ctx = static_cast<const PairTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const index_t aoff = (ir / kMR) * ctx->kc * kMR;
-  const index_t boff = (jr / kNR) * ctx->kc * kNR;
-  micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff, ctx->apack2 + aoff,
-                    ctx->bpack2 + boff, ctx->alpha, ctx->cbase + ir + jr * ctx->ldc,
-                    ctx->ldc, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->cbase + ir + jr * ctx->ldc));
 }
 
 // --- ABFT tile runners -----------------------------------------------------
@@ -664,57 +582,6 @@ void run_split_tile_abft(void* vctx, long idx) {
       const T* tcol = tile + jj * kMR;
       for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
     }
-  }
-}
-
-template <typename T>
-struct AbftPairTileCtx {
-  const T* apack1;
-  const T* bpack1;
-  const T* apack2;
-  const T* bpack2;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa1;
-  const double* sa1_abs;
-  const double* sa2;
-  const double* sa2_abs;
-  index_t gi0, gj0;
-  abft::CallStats* stats;
-};
-
-template <typename T>
-void run_nt_pair_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftPairTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const index_t aoff = (ir / kMR) * ctx->kc * kMR;
-  const index_t boff = (jr / kNR) * ctx->kc * kNR;
-  const index_t soff = (ir / kMR) * ctx->kc;
-
-  T tile[kNR * kMR] = {};
-  micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff, ctx->apack2 + aoff,
-                    ctx->bpack2 + boff, ctx->alpha, tile, kMR, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-  if (!tile_checksum_ok_pair(tile, mr, nr, ctx->kc, ctx->bpack1 + boff,
-                             ctx->bpack2 + boff, ctx->alpha, ctx->sa1 + soff,
-                             ctx->sa1_abs + soff, ctx->sa2 + soff, ctx->sa2_abs + soff)) {
-    std::fill(tile, tile + kNR * kMR, T{});
-    micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff,
-                      ctx->apack2 + aoff, ctx->bpack2 + boff, ctx->alpha, tile, kMR, mr,
-                      nr);
-    ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
-  }
-  T* cc0 = ctx->cbase + ir + jr * ctx->ldc;
-  for (index_t jj = 0; jj < nr; ++jj) {
-    T* cc = cc0 + jj * ctx->ldc;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
   }
 }
 
@@ -880,71 +747,6 @@ void gemm_packed_split_b(Trans transa, Trans transb, ConstMatrixView<T> a,
   else
     packed::gemm_packed_split_b_impl<true, true>(a, b, c0, c1, m, n, ka, fa, split, sp);
   if (sp != nullptr) abft::finish_call(stats, "gemm.split_b");
-}
-
-/// C += alpha * (A1·B1ᵀ + A2·B2ᵀ) with the paired micro-kernel (both
-/// accumulators carried per k-step, summed on the final add). tc_syr2k's
-/// packed path: A1/A2 and B1/B2 get fa/fb applied during packing. The caller
-/// prescales C. Does not count flops.
-template <typename T, typename FA, typename FB>
-void gemm_packed_nt_pair(T alpha, ConstMatrixView<T> a1, ConstMatrixView<T> b1,
-                         ConstMatrixView<T> a2, ConstMatrixView<T> b2, MatrixView<T> c,
-                         const FA& fa, const FB& fb) {
-  using namespace packed;
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t k = a1.cols();
-  TCEVD_CHECK(a1.rows() == m && a2.rows() == m && a2.cols() == k,
-              "pair gemm A shape mismatch");
-  TCEVD_CHECK(b1.rows() == n && b1.cols() == k && b2.rows() == n && b2.cols() == k,
-              "pair gemm B shape mismatch");
-  if (m == 0 || n == 0 || k == 0 || alpha == T{}) return;
-  simd::detail::record_dispatch(simd::active_level());
-
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  const bool pooled = blas::detail::use_gemm_pool(m, n, k);
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  packed::AbftBuffers* ab = sp != nullptr ? &packed::abft_buffers() : nullptr;
-
-  for (index_t j0 = 0; j0 < n; j0 += kNC) {
-    const index_t nc = std::min(kNC, n - j0);
-    for (index_t k0 = 0; k0 < k; k0 += kKC) {
-      const index_t kc = std::min(kKC, k - k0);
-      pack_b_block<true>(b1, k0, j0, kc, nc, bufs.b.data(), fb);
-      pack_b_block<true>(b2, k0, j0, kc, nc, bufs.b2.data(), fb);
-      for (index_t i0 = 0; i0 < m; i0 += kMC) {
-        const index_t mc = std::min(kMC, m - i0);
-        pack_a_block<false>(a1, i0, k0, mc, kc, bufs.a.data(), fa);
-        pack_a_block<false>(a2, i0, k0, mc, kc, bufs.a2.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
-        if (sp == nullptr) {
-          PairTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.a2.data(), bufs.b2.data(),
-                             alpha,         &c(i0, j0),    c.ld(),         mc,
-                             nc,            kc,            mtiles};
-          dispatch_tiles(ntiles, pooled, &run_nt_pair_tile<T>, &ctx);
-        } else {
-          packed::compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(),
-                                      ab->sa_abs.data());
-          packed::compute_a_checksums(bufs.a2.data(), mc, kc, ab->sa2.data(),
-                                      ab->sa2_abs.data());
-          packed::AbftPairTileCtx<T> ctx{bufs.a.data(),  bufs.b.data(),
-                                         bufs.a2.data(), bufs.b2.data(),
-                                         alpha,          &c(i0, j0),
-                                         c.ld(),         mc,
-                                         nc,             kc,
-                                         mtiles,         ab->sa.data(),
-                                         ab->sa_abs.data(), ab->sa2.data(),
-                                         ab->sa2_abs.data(), i0,
-                                         j0,             sp};
-          dispatch_tiles(ntiles, pooled, &packed::run_nt_pair_tile_abft<T>, &ctx);
-          sp->checked += ntiles;
-        }
-      }
-    }
-  }
-  if (sp != nullptr) abft::finish_call(stats, "syr2k");
 }
 
 }  // namespace blas

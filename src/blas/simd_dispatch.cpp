@@ -55,22 +55,16 @@ constexpr index_t kProbeMrs[] = {1, 5, 8};
 constexpr index_t kProbeNrs[] = {1, 3, 8};
 
 template <typename T>
-bool check_micro_kernels(void (*vec_plain)(index_t, const T*, const T*, T, T*, index_t,
-                                           index_t, index_t),
-                         void (*vec_pair)(index_t, const T*, const T*, const T*, const T*, T,
-                                          T*, index_t, index_t, index_t),
+bool check_micro_kernels(void (*vec)(index_t, const T*, const T*, T, T*, index_t, index_t,
+                                     index_t),
                          T (*draw)(std::uint32_t&)) {
   using packed::kMR;
   using packed::kNR;
-  alignas(64) T ap1[kProbeMaxKc * kMR];
-  alignas(64) T bp1[kProbeMaxKc * kNR];
-  alignas(64) T ap2[kProbeMaxKc * kMR];
-  alignas(64) T bp2[kProbeMaxKc * kNR];
+  alignas(64) T ap[kProbeMaxKc * kMR];
+  alignas(64) T bp[kProbeMaxKc * kNR];
   std::uint32_t seed = 0xc0ffee11u;
-  for (auto& v : ap1) v = draw(seed);
-  for (auto& v : bp1) v = draw(seed);
-  for (auto& v : ap2) v = draw(seed);
-  for (auto& v : bp2) v = draw(seed);
+  for (auto& v : ap) v = draw(seed);
+  for (auto& v : bp) v = draw(seed);
   const T alphas[] = {T{1}, T{-0.75}};
   T cbase[kMR * kNR];
   T cref[kMR * kNR];
@@ -84,14 +78,8 @@ bool check_micro_kernels(void (*vec_plain)(index_t, const T*, const T*, T, T*, i
           // the vector kernel leaves rows/columns past mr/nr untouched.
           std::memcpy(cref, cbase, sizeof cbase);
           std::memcpy(cvec, cbase, sizeof cbase);
-          packed::micro_kernel_scalar(kc, ap1, bp1, alpha, cref, kMR, mr, nr);
-          vec_plain(kc, ap1, bp1, alpha, cvec, kMR, mr, nr);
-          if (std::memcmp(cref, cvec, sizeof cref) != 0) return false;
-
-          std::memcpy(cref, cbase, sizeof cbase);
-          std::memcpy(cvec, cbase, sizeof cbase);
-          packed::micro_kernel_pair_scalar(kc, ap1, bp1, ap2, bp2, alpha, cref, kMR, mr, nr);
-          vec_pair(kc, ap1, bp1, ap2, bp2, alpha, cvec, kMR, mr, nr);
+          packed::micro_kernel_scalar(kc, ap, bp, alpha, cref, kMR, mr, nr);
+          vec(kc, ap, bp, alpha, cvec, kMR, mr, nr);
           if (std::memcmp(cref, cvec, sizeof cref) != 0) return false;
         }
       }
@@ -163,10 +151,8 @@ bool check_convert_kernels() {
 }
 
 bool run_avx2_selfcheck() {
-  return check_micro_kernels<float>(&avx2::micro_kernel_f32, &avx2::micro_kernel_pair_f32,
-                                    &lcg_f32) &&
-         check_micro_kernels<double>(&avx2::micro_kernel_f64, &avx2::micro_kernel_pair_f64,
-                                     &lcg_f64) &&
+  return check_micro_kernels<float>(&avx2::micro_kernel_f32, &lcg_f32) &&
+         check_micro_kernels<double>(&avx2::micro_kernel_f64, &lcg_f64) &&
          check_convert_kernels();
 }
 
@@ -188,9 +174,7 @@ Resolution resolve_now() {
 #ifdef TCEVD_HAVE_AVX2
   if (r.table.level == Level::Avx2) {
     r.table.gemm_f32 = &avx2::micro_kernel_f32;
-    r.table.gemm_pair_f32 = &avx2::micro_kernel_pair_f32;
     r.table.gemm_f64 = &avx2::micro_kernel_f64;
-    r.table.gemm_pair_f64 = &avx2::micro_kernel_pair_f64;
     r.table.round_fp16 = &avx2::round_fp16_buffer;
     r.table.round_tf32 = &avx2::round_tf32_buffer;
     r.table.ec_split_fp16 = &avx2::ec_split_fp16_buffer;

@@ -37,14 +37,8 @@ enum class Level : int { Scalar = 0, Avx2 = 1 };
 
 using MicroKernelF32 = void (*)(index_t kc, const float* ap, const float* bp, float alpha,
                                 float* c0, index_t ldc, index_t mr, index_t nr);
-using MicroKernelPairF32 = void (*)(index_t kc, const float* ap1, const float* bp1,
-                                    const float* ap2, const float* bp2, float alpha,
-                                    float* c0, index_t ldc, index_t mr, index_t nr);
 using MicroKernelF64 = void (*)(index_t kc, const double* ap, const double* bp, double alpha,
                                 double* c0, index_t ldc, index_t mr, index_t nr);
-using MicroKernelPairF64 = void (*)(index_t kc, const double* ap1, const double* bp1,
-                                    const double* ap2, const double* bp2, double alpha,
-                                    double* c0, index_t ldc, index_t mr, index_t nr);
 using RoundBufferFn = void (*)(const float* src, float* dst, index_t n);
 using EcSplitBufferFn = void (*)(const float* src, float* head, float* tail, index_t n,
                                  float scale);
@@ -53,9 +47,7 @@ using EcSplitBufferFn = void (*)(const float* src, float* head, float* tail, ind
 /// scalar reference inline".
 struct KernelTable {
   MicroKernelF32 gemm_f32 = nullptr;
-  MicroKernelPairF32 gemm_pair_f32 = nullptr;
   MicroKernelF64 gemm_f64 = nullptr;
-  MicroKernelPairF64 gemm_pair_f64 = nullptr;
   RoundBufferFn round_fp16 = nullptr;
   RoundBufferFn round_tf32 = nullptr;
   EcSplitBufferFn ec_split_fp16 = nullptr;
@@ -83,8 +75,8 @@ bool cpu_supports_avx2() noexcept;
 bool compiled_with_avx2() noexcept;
 
 /// Process-wide count of packed-GEMM dispatches served by `level` since
-/// start. One dispatch == one gemm_packed / gemm_packed_split_b /
-/// gemm_packed_nt_pair entry call (not one micro-tile).
+/// start. One dispatch == one gemm_packed / gemm_packed_split_b entry call
+/// (not one micro-tile).
 std::uint64_t dispatch_count(Level level) noexcept;
 
 /// RAII guard forcing the scalar reference kernels process-wide while alive

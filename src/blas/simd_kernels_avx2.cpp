@@ -6,7 +6,7 @@
 //   1. One lane per row. Each __m256 (or __m256d pair) holds the MR=8 rows of
 //      one C-tile column's accumulator. Lane ii then executes exactly the
 //      scalar chain acc[jj][ii]: the same multiplies, the same adds, in the
-//      same k order. Column chunking (pair / f64 kernels chunk columns to fit
+//      same k order. Column chunking (the f64 kernel chunks columns to fit
 //      the 16-register budget) re-reads the packed A panel but never touches
 //      a given element's chain, so it is invisible bitwise.
 //   2. Separate mul and add, never FMA. This file is compiled with
@@ -71,43 +71,6 @@ void micro_kernel_f32(index_t kc, const float* ap, const float* bp, float alpha,
   }
 }
 
-void micro_kernel_pair_f32(index_t kc, const float* ap1, const float* bp1, const float* ap2,
-                           const float* bp2, float alpha, float* c0, index_t ldc, index_t mr,
-                           index_t nr) {
-  const __m256 valpha = _mm256_set1_ps(alpha);
-  // Column chunks of 4: 2x4 accumulators + two panel vectors stay in registers.
-  for (index_t j0 = 0; j0 < nr; j0 += 4) {
-    __m256 acc1[4];
-    __m256 acc2[4];
-    for (index_t jj = 0; jj < 4; ++jj) {
-      acc1[jj] = _mm256_setzero_ps();
-      acc2[jj] = _mm256_setzero_ps();
-    }
-    for (index_t k = 0; k < kc; ++k) {
-      const __m256 av1 = _mm256_load_ps(ap1 + k * kMR);
-      const __m256 av2 = _mm256_load_ps(ap2 + k * kMR);
-      const float* b1 = bp1 + k * kNR + j0;
-      const float* b2 = bp2 + k * kNR + j0;
-      for (index_t jj = 0; jj < 4; ++jj) {
-        acc1[jj] = _mm256_add_ps(acc1[jj], _mm256_mul_ps(av1, _mm256_broadcast_ss(b1 + jj)));
-        acc2[jj] = _mm256_add_ps(acc2[jj], _mm256_mul_ps(av2, _mm256_broadcast_ss(b2 + jj)));
-      }
-    }
-    const index_t jend = std::min<index_t>(4, nr - j0);
-    for (index_t jj = 0; jj < jend; ++jj) {
-      const __m256 sum = _mm256_add_ps(acc1[jj], acc2[jj]);
-      float* cc = c0 + (j0 + jj) * ldc;
-      if (mr == kMR) {
-        _mm256_storeu_ps(cc, _mm256_add_ps(_mm256_loadu_ps(cc), _mm256_mul_ps(valpha, sum)));
-      } else {
-        alignas(32) float tmp[kMR];
-        _mm256_store_ps(tmp, sum);
-        for (index_t ii = 0; ii < mr; ++ii) cc[ii] += alpha * tmp[ii];
-      }
-    }
-  }
-}
-
 void micro_kernel_f64(index_t kc, const double* ap, const double* bp, double alpha,
                       double* c0, index_t ldc, index_t mr, index_t nr) {
   const __m256d valpha = _mm256_set1_pd(alpha);
@@ -141,55 +104,6 @@ void micro_kernel_f64(index_t kc, const double* ap, const double* bp, double alp
         alignas(32) double tmp[kMR];
         _mm256_store_pd(tmp, lo[jj]);
         _mm256_store_pd(tmp + 4, hi[jj]);
-        for (index_t ii = 0; ii < mr; ++ii) cc[ii] += alpha * tmp[ii];
-      }
-    }
-  }
-}
-
-void micro_kernel_pair_f64(index_t kc, const double* ap1, const double* bp1,
-                           const double* ap2, const double* bp2, double alpha, double* c0,
-                           index_t ldc, index_t mr, index_t nr) {
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  // Two products x two half-rows: chunk columns by 2 to stay in registers.
-  for (index_t j0 = 0; j0 < nr; j0 += 2) {
-    __m256d lo1[2], hi1[2], lo2[2], hi2[2];
-    for (index_t jj = 0; jj < 2; ++jj) {
-      lo1[jj] = _mm256_setzero_pd();
-      hi1[jj] = _mm256_setzero_pd();
-      lo2[jj] = _mm256_setzero_pd();
-      hi2[jj] = _mm256_setzero_pd();
-    }
-    for (index_t k = 0; k < kc; ++k) {
-      const __m256d a1lo = _mm256_load_pd(ap1 + k * kMR);
-      const __m256d a1hi = _mm256_load_pd(ap1 + k * kMR + 4);
-      const __m256d a2lo = _mm256_load_pd(ap2 + k * kMR);
-      const __m256d a2hi = _mm256_load_pd(ap2 + k * kMR + 4);
-      const double* b1 = bp1 + k * kNR + j0;
-      const double* b2 = bp2 + k * kNR + j0;
-      for (index_t jj = 0; jj < 2; ++jj) {
-        const __m256d bv1 = _mm256_broadcast_sd(b1 + jj);
-        const __m256d bv2 = _mm256_broadcast_sd(b2 + jj);
-        lo1[jj] = _mm256_add_pd(lo1[jj], _mm256_mul_pd(a1lo, bv1));
-        hi1[jj] = _mm256_add_pd(hi1[jj], _mm256_mul_pd(a1hi, bv1));
-        lo2[jj] = _mm256_add_pd(lo2[jj], _mm256_mul_pd(a2lo, bv2));
-        hi2[jj] = _mm256_add_pd(hi2[jj], _mm256_mul_pd(a2hi, bv2));
-      }
-    }
-    const index_t jend = std::min<index_t>(2, nr - j0);
-    for (index_t jj = 0; jj < jend; ++jj) {
-      const __m256d sumlo = _mm256_add_pd(lo1[jj], lo2[jj]);
-      const __m256d sumhi = _mm256_add_pd(hi1[jj], hi2[jj]);
-      double* cc = c0 + (j0 + jj) * ldc;
-      if (mr == kMR) {
-        _mm256_storeu_pd(cc,
-                         _mm256_add_pd(_mm256_loadu_pd(cc), _mm256_mul_pd(valpha, sumlo)));
-        _mm256_storeu_pd(
-            cc + 4, _mm256_add_pd(_mm256_loadu_pd(cc + 4), _mm256_mul_pd(valpha, sumhi)));
-      } else {
-        alignas(32) double tmp[kMR];
-        _mm256_store_pd(tmp, sumlo);
-        _mm256_store_pd(tmp + 4, sumhi);
         for (index_t ii = 0; ii < mr; ++ii) cc[ii] += alpha * tmp[ii];
       }
     }

@@ -4,7 +4,7 @@
 // TCEVD_HAVE_AVX2 define gates every reference).
 //
 // Contract (checked bitwise against the scalar references at dispatch time):
-//   * micro-kernels: ap/ap1/ap2 point into the packed A arena and are
+//   * micro-kernels: ap points into the packed A arena and is
 //     32-byte aligned (the arena is 64-byte aligned and every panel offset is
 //     a multiple of kMR elements); bp is broadcast-read with no alignment
 //     requirement; C is read/written unaligned. Lane ii of each vector
@@ -25,14 +25,8 @@ namespace tcevd::blas::simd::avx2 {
 
 void micro_kernel_f32(index_t kc, const float* ap, const float* bp, float alpha, float* c0,
                       index_t ldc, index_t mr, index_t nr);
-void micro_kernel_pair_f32(index_t kc, const float* ap1, const float* bp1, const float* ap2,
-                           const float* bp2, float alpha, float* c0, index_t ldc,
-                           index_t mr, index_t nr);
 void micro_kernel_f64(index_t kc, const double* ap, const double* bp, double alpha,
                       double* c0, index_t ldc, index_t mr, index_t nr);
-void micro_kernel_pair_f64(index_t kc, const double* ap1, const double* bp1,
-                           const double* ap2, const double* bp2, double alpha, double* c0,
-                           index_t ldc, index_t mr, index_t nr);
 
 /// dst[i] = fp32(fp16(src[i])) with round-to-nearest-even (F16C).
 void round_fp16_buffer(const float* src, float* dst, index_t n);

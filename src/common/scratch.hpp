@@ -1,10 +1,10 @@
 // Sizing policy for long-lived thread_local scratch vectors.
 //
-// Kernels that keep per-thread scratch (ec_tcgemm's accumulators, tc_syr2k's
-// panel buffer) grow it to the largest problem seen so steady-state calls of
-// one shape perform zero heap allocations. Left unchecked, that retention is
-// unbounded: every thread that ever ran one large problem (service
-// runners included) pins the large buffer for its lifetime. reserve_scratch
+// Kernels that keep per-thread scratch (ec_tcgemm's accumulators) grow it to
+// the largest problem seen so steady-state calls of one shape perform zero
+// heap allocations. Left unchecked, that retention is unbounded: every thread
+// that ever ran one large problem (service runners included) pins the large
+// buffer for its lifetime. reserve_scratch
 // adds a shrink valve: when the retained capacity is both large in absolute
 // terms and far above the current need, the buffer is released and
 // re-allocated at the needed size. The hysteresis (16x factor AND a 1 MiB

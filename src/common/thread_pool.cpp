@@ -1,7 +1,6 @@
 #include "src/common/thread_pool.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/common/check.hpp"
@@ -45,39 +44,6 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
   all_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::parallel_for(long count,
-                              const std::function<void(int worker, long index)>& body) {
-  if (count <= 0) return;
-  // One looping task per worker; indices are stolen off `state->next` so
-  // workers that finish early keep pulling work instead of waiting on a
-  // partition. Shared state is refcounted: the last worker to decrement
-  // `remaining` may still be unwinding its loop after the caller returns.
-  struct State {
-    std::atomic<long> next{0};
-    std::atomic<long> remaining;
-    std::mutex mutex;
-    std::condition_variable done;
-    explicit State(long n) : remaining(n) {}
-  };
-  auto state = std::make_shared<State>(count);
-
-  const int tasks = static_cast<int>(std::min<long>(size(), count));
-  for (int w = 0; w < tasks; ++w) {
-    submit([state, count, &body, w] {
-      for (long i = state->next.fetch_add(1, std::memory_order_relaxed); i < count;
-           i = state->next.fetch_add(1, std::memory_order_relaxed)) {
-        body(w, i);
-        if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lock(state->mutex);
-          state->done.notify_all();
-        }
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining.load(std::memory_order_acquire) == 0; });
 }
 
 bool ThreadPool::broadcast_live_locked() const noexcept {

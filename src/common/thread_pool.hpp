@@ -2,10 +2,10 @@
 // gemm_pool() fan-out.
 //
 // The pool owns `size()` long-lived workers draining one FIFO task queue.
-// EvdService submits one long-lived runner task per worker; parallel_for
-// enqueues one looping task per worker that work-steals iteration indices
-// off a shared atomic counter, so a slow index on one worker never strands
-// the rest behind it.
+// EvdService submits one long-lived runner task per worker; gemm_pool()
+// fans packed-GEMM tiles out with try_broadcast, whose participants
+// work-steal indices off a shared atomic counter, so a slow index on one
+// worker never strands the rest behind it.
 //
 // Thread-safety contract: the pool's own state (queue, counters) is fully
 // synchronized; everything a task touches is the task's business. The
@@ -15,8 +15,8 @@
 // stateless-per-call and safely shared (see src/common/context.hpp).
 //
 // Tasks must not throw: an exception escaping a task would unwind a worker
-// thread and terminate the process, so parallel_for bodies that can fail
-// should report through Status values captured per iteration instead.
+// thread and terminate the process, so tasks that can fail should report
+// through Status values they capture instead.
 #pragma once
 
 #include <atomic>
@@ -51,16 +51,9 @@ class ThreadPool {
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();
 
-  /// Run body(worker_id, index) for every index in [0, count), with the
-  /// pool's workers stealing indices off a shared atomic counter.
-  /// worker_id is in [0, size()) and is stable within one body invocation —
-  /// the index a caller uses to pick per-worker state such as a Context.
-  /// Blocks until every index has been processed.
-  void parallel_for(long count, const std::function<void(int worker, long index)>& body);
-
   /// Allocation-free data-parallel fan-out: run fn(ctx, index) for every
   /// index in [0, count), with the pool's workers AND the calling thread
-  /// stealing indices off a shared atomic counter. Unlike parallel_for this
+  /// stealing indices off a shared atomic counter. Unlike submit this
   /// performs zero heap allocations (no std::function, no per-call shared
   /// state) — it is the dispatch the packed GEMM macro-kernel uses, so a
   /// steady-state gemm call stays allocation-free even when pooled.

@@ -593,8 +593,8 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   // Reduction stage: SBR arena peak, or the one-stage n x n scratch.
   std::size_t bytes = std::max(sbr::workspace_query(n, sopt), nn * sizeof(float));
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
-  // the z*S product buffer.
-  bytes += 3 * nn * sizeof(float);
+  // the z*S product buffer; a values-only solve checks out none of them.
+  if (opt.vectors) bytes += 3 * nn * sizeof(float);
   // Wavefront bulge chasing's progress vector + Q support windows (two-stage
   // reductions that accumulate Q with bulge_threads != 1 may take the
   // wavefront path; values-only chases run on compact band storage).

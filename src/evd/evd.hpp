@@ -153,8 +153,9 @@ struct EvdResult {
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
 
 /// Peak workspace-arena bytes one solve of size n needs (LAPACK-lwork
-/// style, conservative — covers the SBR stage, the one-stage scratch, the
-/// solver-fallback restore point, and the bisection/inverse-iteration path).
+/// style, conservative — covers the SBR stage and the one-stage scratch, and
+/// with opt.vectors also the solver-fallback restore point and the
+/// bisection/inverse-iteration buffers, which only vector solves use).
 std::size_t workspace_query(index_t n, const EvdOptions& opt);
 
 /// Double-precision reference eigenvalues (one-stage sytrd + QL), the stand-

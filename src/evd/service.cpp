@@ -96,11 +96,16 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
   req.opt = ropt;
   req.seq = next_seq_++;
   req.submit_tp = Clock::now();
-  req.has_deadline = ropt.deadline_s > 0.0;
+  // A deadline the clock cannot represent from now (including +inf) would
+  // overflow the conversion below, so it counts as no deadline, as NaN and
+  // values <= 0 do. The min() absorbs the last ulp of double rounding.
+  const Clock::duration headroom = Clock::time_point::max() - req.submit_tp;
+  const std::chrono::duration<double> deadline(ropt.deadline_s);
+  req.has_deadline = ropt.deadline_s > 0.0 && deadline < headroom;
   if (req.has_deadline)
     req.deadline_tp =
-        req.submit_tp + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(ropt.deadline_s));
+        req.submit_tp +
+        std::min(std::chrono::duration_cast<Clock::duration>(deadline), headroom);
   req.size_class = size_class;
   req.range = range;
   req.started = false;

@@ -94,7 +94,9 @@ struct RequestOptions {
   /// Higher runs first at every scheduling decision (default 0).
   int priority = 0;
   /// Seconds from submit() after which the request fails with
-  /// DeadlineExceeded instead of starting its next stage; 0 = no deadline.
+  /// DeadlineExceeded instead of starting its next stage. 0, a negative or
+  /// non-finite value (NaN, +inf), or one too far out for the steady clock
+  /// to represent from now (about 292 years) means no deadline.
   /// Checked at stage boundaries only — a stage in execution is never
   /// interrupted. Ties among equal priorities schedule earliest-deadline
   /// first.

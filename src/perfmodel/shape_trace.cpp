@@ -19,8 +19,7 @@ enum class Trailing { Multiplicative, DetachedSyr2k };
 /// Mirrors sbr_wy.cpp::process_wy_block; returns columns reduced.
 index_t trace_wy_block(std::vector<GemmShape>& out, index_t n, index_t s, index_t b,
                        index_t nb, bool cache_oa,
-                       Trailing trailing = Trailing::Multiplicative,
-                       bool use_tc_syr2k = false) {
+                       Trailing trailing = Trailing::Multiplicative) {
   const index_t na = n - s;
   if (na - b < 2) return 0;
   const index_t mt = na - b;
@@ -55,11 +54,8 @@ index_t trace_wy_block(std::vector<GemmShape>& out, index_t n, index_t s, index_
     if (trailing == Trailing::DetachedSyr2k) {
       emit(out, cols_done, cols_done, mt);   // S = W^T P
       emit(out, tw, cols_done, cols_done);   // Z -= 1/2 Y_t S
-      if (!use_tc_syr2k) {
-        emit(out, tw, tw, cols_done);        // GA -= Y_t Z^T
-        emit(out, tw, tw, cols_done);        // GA -= Z Y_t^T
-      }
-      // tc_syr2k runs outside the engine: no shapes recorded, as real runs.
+      emit(out, tw, tw, cols_done);          // GA -= Y_t Z^T
+      emit(out, tw, tw, cols_done);          // GA -= Z Y_t^T
     } else {
       emit(out, mt, tw, cols_done);          // M -= big * Y(C2)^T
       emit(out, cols_done, tw, mt);          // W^T M
@@ -82,8 +78,7 @@ std::vector<GemmShape> trace_sbr_wy(index_t n, index_t b, index_t nb, bool cache
   return out;
 }
 
-std::vector<GemmShape> trace_sbr_dbr(index_t n, index_t b, index_t nb, bool cache_oa,
-                                     bool use_tc_syr2k) {
+std::vector<GemmShape> trace_sbr_dbr(index_t n, index_t b, index_t nb, bool cache_oa) {
   const index_t nb_eff = std::max(nb, b);
   // b == nb runs the multiplicative path verbatim (see sbr_dbr).
   const Trailing trailing =
@@ -91,8 +86,7 @@ std::vector<GemmShape> trace_sbr_dbr(index_t n, index_t b, index_t nb, bool cach
   std::vector<GemmShape> out;
   index_t s = 0;
   for (;;) {
-    const index_t done =
-        trace_wy_block(out, n, s, b, nb_eff, cache_oa, trailing, use_tc_syr2k);
+    const index_t done = trace_wy_block(out, n, s, b, nb_eff, cache_oa, trailing);
     if (done == 0) break;
     s += done;
   }

@@ -29,12 +29,9 @@ std::vector<tc::GemmShape> trace_sbr_zy(index_t n, index_t b);
 /// equals trace_sbr_wy (the DBR driver runs the multiplicative path
 /// verbatim); with b < nb each big block ends in the detached trailing
 /// update: S (nb x nb, k = mt), Z (tw x nb, k = nb), then the two rank-2k
-/// GEMMs (tw x tw, k = nb) — or no engine GEMMs at all for that pair when
-/// `use_tc_syr2k` routes it through tc::tc_syr2k (which bypasses the
-/// engine, exactly as the real run does).
+/// GEMMs (tw x tw, k = nb).
 std::vector<tc::GemmShape> trace_sbr_dbr(index_t n, index_t b, index_t nb,
-                                         bool cache_oa = false,
-                                         bool use_tc_syr2k = false);
+                                         bool cache_oa = false);
 
 /// GEMMs of the recursive FormW merge (paper Algorithm 2) given the blocks
 /// produced by sbr_wy(n, b, nb), plus the final Q = I - W Y^T product.

@@ -69,11 +69,6 @@ struct SbrOptions {
   bool zy_use_syr2k = false;       ///< ZY only: use fp32 syr2k for the rank-2b
                                    ///< update (the non-Tensor-Core MAGMA path)
                                    ///< instead of two engine GEMMs
-  /// ZY only: use the Tensor-Core-native symmetric rank-2k kernel
-  /// (tc::tc_syr2k — the paper's first future-work item) for the trailing
-  /// update when the engine is a TcEngine. Halves the trailing-update work
-  /// vs the two-GEMM form. Ignored for non-TC engines.
-  bool zy_use_tc_syr2k = false;
   /// WY only. false = literal paper Algorithm 1: recompute OA*W with the full
   /// accumulated W in every inner iteration (flops grow ~quadratically in
   /// nb — with that accounting WY can never beat ZY, so the paper's
@@ -82,12 +77,6 @@ struct SbrOptions {
   /// flop count brackets the paper's Table 2 from below while the literal
   /// form brackets it from above. See EXPERIMENTS.md.
   bool wy_cache_oa_product = true;
-  /// DBR only: run the detached trailing update A <- A - Y Z^T - Z Y^T
-  /// through the Tensor-Core-native symmetric rank-2k kernel (tc::tc_syr2k)
-  /// when the engine is a TcEngine — half the tile work of the two-GEMM
-  /// form. Ignored for non-TC engines and when b == nb (where the trailing
-  /// update is the multiplicative sbr_wy form).
-  bool dbr_use_tc_syr2k = false;
 };
 
 /// One accumulated block reflector I - W Y^T whose row support starts at

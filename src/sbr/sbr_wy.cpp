@@ -30,7 +30,6 @@
 #include "src/common/recovery.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/sbr/wy_block.hpp"
-#include "src/tensorcore/tc_syr2k.hpp"
 
 namespace tcevd::sbr {
 
@@ -201,15 +200,8 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s) {
 
       auto a22 = A.sub(s + cols_done, s + cols_done, tw, tw);
       copy_matrix<float>(oa.sub(t0, t0, tw, tw), a22);
-      auto* tc_engine = dynamic_cast<tc::TcEngine*>(&ctx.engine());
-      if (prm.use_tc_syr2k && tc_engine != nullptr) {
-        tc::tc_syr2k(blas::Uplo::Lower, -1.0f, yt, ConstMatrixView<float>(z), 1.0f, a22,
-                     tc_engine->precision());
-        symmetrize_from_lower<float>(a22);
-      } else {
-        ctx.gemm(Trans::No, Trans::Yes, -1.0f, yt, ConstMatrixView<float>(z), 1.0f, a22);
-        ctx.gemm(Trans::No, Trans::Yes, -1.0f, ConstMatrixView<float>(z), yt, 1.0f, a22);
-      }
+      ctx.gemm(Trans::No, Trans::Yes, -1.0f, yt, ConstMatrixView<float>(z), 1.0f, a22);
+      ctx.gemm(Trans::No, Trans::Yes, -1.0f, ConstMatrixView<float>(z), yt, 1.0f, a22);
     } else {
       auto mcol = trail_scope.matrix<float>(mt, tw);
       copy_matrix<float>(oa.sub(0, t0, mt, tw), mcol);
@@ -266,7 +258,6 @@ StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
   prm.blocks = &result.blocks;
   prm.cache_oa = opt.wy_cache_oa_product;
   prm.trailing = trailing;
-  prm.use_tc_syr2k = opt.dbr_use_tc_syr2k;
   prm.trailing_stage = trailing_stage;
 
   for (index_t s = 0;;) {

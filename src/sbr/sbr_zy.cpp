@@ -15,7 +15,6 @@
 #include "src/blas/blas.hpp"
 #include "src/common/context.hpp"
 #include "src/sbr/sbr.hpp"
-#include "src/tensorcore/tc_syr2k.hpp"
 
 namespace tcevd::sbr {
 
@@ -78,12 +77,6 @@ StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
     // A22 <- A22 - Y Z^T - Z Y^T.
     if (opt.zy_use_syr2k) {
       blas::syr2k(blas::Uplo::Lower, Trans::No, -1.0f, y, z, 1.0f, a22);
-      symmetrize_from_lower<float>(a22);
-    } else if (opt.zy_use_tc_syr2k && dynamic_cast<tc::TcEngine*>(&ctx.engine()) != nullptr) {
-      // Tensor-Core-native rank-2k (paper future work): half the tile work
-      // of the two-GEMM form, same fp16-operand/fp32-accumulate numerics.
-      const auto prec = static_cast<tc::TcEngine&>(ctx.engine()).precision();
-      tc::tc_syr2k(blas::Uplo::Lower, -1.0f, y, z, 1.0f, a22, prec);
       symmetrize_from_lower<float>(a22);
     } else {
       ctx.gemm(Trans::No, Trans::Yes, -1.0f, y, z, 1.0f, a22);  // outer

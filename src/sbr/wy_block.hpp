@@ -11,7 +11,7 @@
 //
 //   * DetachedSyr2k (sbr_dbr at b < nb): the detached symmetric rank-2k
 //     form S = W^T (OA W), Z = OA W - (1/2) Y S, GA = OA - Y Z^T - Z Y^T —
-//     two (tw x tw, k = nb) GEMMs (or one tc_syr2k pass on TC engines).
+//     two (tw x tw, k = nb) engine GEMMs.
 //
 // This header is internal: it lives outside sbr.hpp so the public API stays
 // the two driver functions, but the perfmodel shape tracers and tests can
@@ -46,7 +46,6 @@ struct WyBlockParams {
   bool cache_oa = false;  // maintain P = OA*W incrementally instead of
                           // recomputing it with the full W every panel
   TrailingKind trailing = TrailingKind::Multiplicative;
-  bool use_tc_syr2k = false;          // DetachedSyr2k only
   const char* trailing_stage = nullptr;  // StageTimer name for the trailing
                                          // update (nullptr = untimed)
 };

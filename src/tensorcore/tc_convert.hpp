@@ -1,15 +1,13 @@
 // Tensor Core operand conversion: the ONE home for fp16/TF32 operand
 // rounding and the EC head–tail split.
 //
-// Before this header existed, the scalar rounding logic was spelled three
-// times — tc_gemm.cpp's RoundTransform + round_matrix, tc_syr2k.cpp's copy of
-// RoundTransform, and mma_tile.cpp's fragment loop — with the EC split
-// functors a fourth variant in ec_tcgemm.cpp. They all collapse onto
-// round_operand / round_buffer / ec_split_buffer here, which also gives every
-// call site the runtime-dispatched SIMD convert kernels for free: the batch
-// forms route through simd::active_kernels() (bitwise-pinned to the scalar
-// reference in src/common/half.cpp, see simd_dispatch.hpp) and fall back to
-// the scalar loop when no vector kernel is installed.
+// tc_gemm's packing and round_matrix, mma_tile's fragment loop and
+// ec_tcgemm's head–tail split all round through round_operand /
+// round_buffer / ec_split_buffer here, which also gives every call site the
+// runtime-dispatched SIMD convert kernels for free: the batch forms route
+// through simd::active_kernels() (bitwise-pinned to the scalar reference in
+// src/common/half.cpp, see simd_dispatch.hpp) and fall back to the scalar
+// loop when no vector kernel is installed.
 //
 // The PackTransform functors expose both the per-element operator() the
 // packed-GEMM pack loops require and the batch apply() fast path they prefer
@@ -66,8 +64,8 @@ inline void ec_split_buffer(const float* src, float* head, float* tail, index_t 
 }
 
 /// PackTransform rounding each operand element to the TC input precision as
-/// it is packed (fragment-load rounding): the tc_gemm / tc_syr2k / EC-head
-/// operand transform.
+/// it is packed (fragment-load rounding): the tc_gemm / EC-head operand
+/// transform.
 struct RoundTransform {
   TcPrecision prec;
   float operator()(float v) const { return round_operand(v, prec); }

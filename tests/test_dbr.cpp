@@ -292,7 +292,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<index_t, index_t, index_t>(100, 8, 8),  // b == nb
                       std::make_tuple<index_t, index_t, index_t>(120, 8, 64)));
 
-TEST(DbrShapes, TcSyr2kVariantSkipsEngineForTheRank2k) {
+TEST(DbrShapes, TcEngineRunsEveryTrailingUpdateThroughTheEngine) {
+  // On a Tensor-Core engine the rank-2k trailing update is the same two
+  // engine GEMMs as on any other: the recorded stream is the traced one.
   const index_t n = 96, b = 8, nb = 32;
   auto a = test::random_symmetric<float>(n, 13);
   tc::TcEngine eng(tc::TcPrecision::Fp16);
@@ -301,12 +303,10 @@ TEST(DbrShapes, TcSyr2kVariantSkipsEngineForTheRank2k) {
   SbrOptions opt;
   opt.bandwidth = b;
   opt.big_block = nb;
-  opt.dbr_use_tc_syr2k = true;
   auto res = *sbr::sbr_dbr(a.view(), ctx, opt);
   EXPECT_EQ(sbr::band_violation<float>(res.band.view(), b), 0.0);
 
-  const auto traced = perf::trace_sbr_dbr(n, b, nb, /*cache_oa=*/true,
-                                          /*use_tc_syr2k=*/true);
+  const auto traced = perf::trace_sbr_dbr(n, b, nb, /*cache_oa=*/true);
   const auto& recorded = ctx.telemetry().recorded();
   ASSERT_EQ(traced.size(), recorded.size());
   for (std::size_t i = 0; i < traced.size(); ++i) {
@@ -314,23 +314,6 @@ TEST(DbrShapes, TcSyr2kVariantSkipsEngineForTheRank2k) {
     EXPECT_EQ(traced[i].n, recorded[i].n) << "call " << i;
     EXPECT_EQ(traced[i].k, recorded[i].k) << "call " << i;
   }
-}
-
-TEST(DbrShapes, TcSyr2kVariantMatchesTwoGemmNumerics) {
-  const index_t n = 96, b = 8, nb = 32;
-  auto a = test::random_symmetric<float>(n, 17);
-  tc::TcEngine e1(tc::TcPrecision::Fp16), e2(tc::TcPrecision::Fp16);
-  Context c1(e1), c2(e2);
-  SbrOptions two_gemm;
-  two_gemm.bandwidth = b;
-  two_gemm.big_block = nb;
-  SbrOptions syr2k = two_gemm;
-  syr2k.dbr_use_tc_syr2k = true;
-  auto r1 = *sbr::sbr_dbr(a.view(), c1, two_gemm);
-  auto r2 = *sbr::sbr_dbr(a.view(), c2, syr2k);
-  // Same fp16-operand/fp32-accumulate numerics, different tile walk: agree
-  // to TC roundoff.
-  EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-2);
 }
 
 TEST(DbrShapes, PooledGemmMatchesSerialGemmScopeBitwise) {

@@ -1,11 +1,9 @@
 // Options wired in after the core reproduction: the compact second stage of
-// values-only solves, engine-native TC syr2k in ZY-SBR, and block-reflector
-// application.
+// values-only solves and block-reflector application.
 #include <gtest/gtest.h>
 
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
-#include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band_storage.hpp"
@@ -69,46 +67,6 @@ TEST(CompactSecondStage, VectorsSolveChasesFullStorage) {
   EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues, res.vectors.view()), 1e-5);
   EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
   EXPECT_EQ(ctx.telemetry().stage_seconds("bulge.chase.compact"), 0.0);
-}
-
-TEST(ZyTcSyr2k, MatchesTwoGemmTrailingUpdate) {
-  const index_t n = 96, b = 8;
-  auto a = test::random_symmetric<float>(n, 3);
-  sbr::SbrOptions two;
-  two.bandwidth = b;
-  sbr::SbrOptions native = two;
-  native.zy_use_tc_syr2k = true;
-
-  tc::TcEngine e1(tc::TcPrecision::Fp16), e2(tc::TcPrecision::Fp16);
-  Context c1(e1), c2(e2);
-  auto r1 = *sbr::sbr_zy(a.view(), c1, two);
-  auto r2 = *sbr::sbr_zy(a.view(), c2, native);
-  // Same numerics family, but each panel's rounding differences compound
-  // through the reflectors, so the two band forms drift at a multiple of the
-  // TC eps (they remain orthogonally similar — spectrum check below).
-  EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 5e-2);
-  // Spectrum identical to fp64-class tolerance of TC pipeline.
-  Matrix<double> ad(n, n);
-  convert_matrix<float, double>(a.view(), ad.view());
-  auto ref = *evd::reference_eigenvalues(ad.view());
-  Matrix<double> bd(n, n);
-  convert_matrix<float, double>(ConstMatrixView<float>(r2.band.view()), bd.view());
-  auto got = *evd::reference_eigenvalues(bd.view());
-  EXPECT_LT(eigenvalue_error(ref.data(), got.data(), n), 1e-4);
-}
-
-TEST(ZyTcSyr2k, FallsBackSilentlyOnNonTcEngine) {
-  const index_t n = 64, b = 8;
-  auto a = test::random_symmetric<float>(n, 4);
-  sbr::SbrOptions opt;
-  opt.bandwidth = b;
-  opt.zy_use_tc_syr2k = true;  // fp32 engine: option must be a no-op
-  tc::Fp32Engine e1, e2;
-  Context c1(e1), c2(e2);
-  auto r1 = *sbr::sbr_zy(a.view(), c1, opt);
-  opt.zy_use_tc_syr2k = false;
-  auto r2 = *sbr::sbr_zy(a.view(), c2, opt);
-  EXPECT_EQ(frobenius_diff<float>(r1.band.view(), r2.band.view()), 0.0);
 }
 
 TEST(ApplyWyBlocks, MatchesExplicitQMultiplication) {

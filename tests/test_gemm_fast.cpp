@@ -27,14 +27,12 @@
 #include "src/tensorcore/ec_tcgemm.hpp"
 #include "src/tensorcore/tc_convert.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
-#include "src/tensorcore/tc_syr2k.hpp"
 #include "test_util.hpp"
 
 namespace tcevd {
 namespace {
 
 using blas::Trans;
-using blas::Uplo;
 
 /// Naive dense reference: C = alpha op(A) op(B) + beta C.
 template <typename T>
@@ -172,10 +170,11 @@ TEST(GemmPoolPolicy, NestedCallsUnderPoolWorkersStandDown) {
   auto b = random_mat<float>(n, n, 10);
   ThreadPool pool(2);
   const auto before = blas::gemm_pool_dispatches();
-  pool.parallel_for(4, [&](int, long) {
-    Matrix<float> c(n, n);
-    blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
-  });
+  for (int t = 0; t < 4; ++t)
+    pool.submit([&] {
+      Matrix<float> c(n, n);
+      blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
+    });
   pool.wait_idle();
   EXPECT_EQ(blas::gemm_pool_dispatches(), before)
       << "nested gemm fanned out on gemm_pool from a pool worker";
@@ -272,56 +271,6 @@ TEST(FusedRounding, EcTcGemmBitwiseEqualToMaterializedPath) {
                    tc::TcPrecision::Fp16);
       expect_bitwise_equal<float>(c_fused.view(), c_ref.view());
     }
-}
-
-// ---------------------------------------------------------------------------
-// tc_syr2k packed path at panel-crossing sizes.
-// ---------------------------------------------------------------------------
-
-TEST(PackedSyr2k, UpperLowerBitwiseSymmetricAcrossPanels) {
-  // n > 128 crosses the column-panel boundary of the packed triangular path.
-  const index_t n = 150, k = 40;
-  auto a = random_mat<float>(n, k, 19);
-  auto b = random_mat<float>(n, k, 20);
-  Matrix<float> cl(n, n), cu(n, n);
-  cl.fill(7.0f);
-  cu.fill(7.0f);
-  tc::tc_syr2k(Uplo::Lower, 0.8f, a.view(), b.view(), 0.0f, cl.view());
-  tc::tc_syr2k(Uplo::Upper, 0.8f, a.view(), b.view(), 0.0f, cu.view());
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i) {
-      ASSERT_EQ(cl(i, j), cu(j, i)) << "asymmetry at (" << i << ", " << j << ")";
-      if (i > j) {
-        ASSERT_EQ(cl(j, i), 7.0f) << "lower mode touched the upper triangle";
-        ASSERT_EQ(cu(i, j), 7.0f) << "upper mode touched the lower triangle";
-      }
-    }
-}
-
-TEST(PackedSyr2k, MatchesRoundedReferenceAcrossPanels) {
-  const index_t n = 140, k = 33;
-  auto a = random_mat<float>(n, k, 21);
-  auto b = random_mat<float>(n, k, 22);
-  auto c = random_mat<float>(n, n, 23);
-  auto c_ref = c;
-  tc::tc_syr2k(Uplo::Lower, 1.2f, a.view(), b.view(), -0.4f, c.view());
-  // Reference: pre-rounded operands, naive fp32 triangular accumulation.
-  Matrix<float> ar(n, k), br(n, k);
-  for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < n; ++i) {
-      ar(i, j) = tc::round_operand(a(i, j), tc::TcPrecision::Fp16);
-      br(i, j) = tc::round_operand(b(i, j), tc::TcPrecision::Fp16);
-    }
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i) {
-      float s = 0.0f;
-      for (index_t l = 0; l < k; ++l) s += ar(i, l) * br(j, l) + br(i, l) * ar(j, l);
-      c_ref(i, j) = 1.2f * s + -0.4f * c_ref(i, j);
-    }
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i)
-      EXPECT_NEAR(c(i, j), c_ref(i, j), 2e-2f * static_cast<float>(k))
-          << "at (" << i << ", " << j << ")";
 }
 
 // ---------------------------------------------------------------------------
@@ -498,8 +447,8 @@ TEST(SimdVsScalar, AbftPathBitwiseEqualsScalar) {
 }
 
 TEST(SimdVsScalar, TensorCorePathsBitwiseEqualScalar) {
-  // tc_gemm (fused rounding), ec_tcgemm (split-B + tail sweeps), tc_syr2k
-  // (paired nt kernel): each through the dispatched kernels vs forced scalar.
+  // tc_gemm (fused rounding) and ec_tcgemm (split-B + tail sweeps): each
+  // through the dispatched kernels vs forced scalar.
   const index_t m = 70, n = 53, k = 300;
   auto a = random_mat<float>(m, k, 51);
   auto b = random_mat<float>(k, n, 52);
@@ -527,19 +476,6 @@ TEST(SimdVsScalar, TensorCorePathsBitwiseEqualScalar) {
       ASSERT_TRUE(tc::ec_tcgemm(Trans::No, Trans::No, 1.1f, a.view(), b.view(), 0.6f,
                                 c_scalar.view())
                       .ok());
-    }
-    expect_bitwise_equal<float>(c_simd.view(), c_scalar.view());
-  }
-  {
-    const index_t ns = 150, ks = 40;
-    auto as = random_mat<float>(ns, ks, 55);
-    auto bs = random_mat<float>(ns, ks, 56);
-    auto c_simd = random_mat<float>(ns, ns, 57);
-    auto c_scalar = c_simd;
-    tc::tc_syr2k(Uplo::Lower, 0.8f, as.view(), bs.view(), 0.5f, c_simd.view());
-    {
-      simd::ScalarKernelScope scope;
-      tc::tc_syr2k(Uplo::Lower, 0.8f, as.view(), bs.view(), 0.5f, c_scalar.view());
     }
     expect_bitwise_equal<float>(c_simd.view(), c_scalar.view());
   }
@@ -634,12 +570,10 @@ TEST(PackAlignment, ThreadLocalArenasAre64ByteAligned) {
   auto& bf = blas::packed::pack_buffers<float>();
   EXPECT_TRUE(is_kernel_aligned(bf.a.data()));
   EXPECT_TRUE(is_kernel_aligned(bf.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bf.a2.data()));
   EXPECT_TRUE(is_kernel_aligned(bf.b2.data()));
   auto& bd = blas::packed::pack_buffers<double>();
   EXPECT_TRUE(is_kernel_aligned(bd.a.data()));
   EXPECT_TRUE(is_kernel_aligned(bd.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bd.a2.data()));
   EXPECT_TRUE(is_kernel_aligned(bd.b2.data()));
 }
 

@@ -1,16 +1,23 @@
 // Cross-module integration: the full pipeline exercised end to end in
 // configurations the unit tests don't combine — every engine x reduction x
-// solver on spectrum-controlled matrices, the SVD-on-EVD stack, and the
-// refine-after-TC workflow (the library's intended mixed-precision recipe).
+// solver on spectrum-controlled matrices, the SVD-on-EVD stack, the
+// refine-after-TC workflow (the library's intended mixed-precision recipe),
+// and engine substitution by a forwarding wrapper.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
 #include "src/evd/refine.hpp"
+#include "src/evd/service.hpp"
 #include "src/matgen/matgen.hpp"
+#include "src/sbr/sbr.hpp"
 #include "src/svd/svd.hpp"
+#include "src/tensorcore/engine.hpp"
 #include "test_util.hpp"
 
 namespace tcevd {
@@ -176,6 +183,134 @@ TEST(Workflow, LowRankReconstructionAccuracyChain) {
   const double before = recon_err(lam, v0.view());
   const double after = recon_err(refined.eigenvalues, refined.vectors.view());
   EXPECT_LE(after, before);
+}
+
+// ---------------------------------------------------------------------------
+// Engine substitution: a GemmEngine that forwards every call to a
+// TcEngine(Fp16) but is not itself a TcEngine. A harness that times or
+// records GEMMs installs exactly this shape, so the layers must pick their
+// kernels through Context::gemm alone and never by the engine's type:
+// swapping the wrapper in for the engine it wraps must not change a bit.
+// ---------------------------------------------------------------------------
+
+class ForwardingEngine final : public tc::GemmEngine {
+ public:
+  explicit ForwardingEngine(const tc::GemmEngine& inner) : inner_(inner) {}
+  const std::string& name() const noexcept override { return inner_.name(); }
+  tc::EngineKind kind() const noexcept override { return inner_.kind(); }
+
+ protected:
+  void do_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,
+               ConstMatrixView<float> b, float beta, MatrixView<float> c) const override {
+    inner_.gemm(transa, transb, alpha, a, b, beta, c);
+  }
+
+ private:
+  const tc::GemmEngine& inner_;
+};
+
+void expect_same_bits(ConstMatrixView<float> got, ConstMatrixView<float> want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (index_t j = 0; j < want.cols(); ++j) {
+    for (index_t i = 0; i < want.rows(); ++i) {
+      ASSERT_EQ(std::memcmp(&got(i, j), &want(i, j), sizeof(float)), 0)
+          << what << " (" << i << ", " << j << ")";
+    }
+  }
+}
+
+void expect_same_bits(const std::vector<float>& got, const std::vector<float>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (!want.empty()) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0) << what;
+  }
+}
+
+TEST(ForwardingEngine, SbrBandsMatchTheWrappedEngineBitwise) {
+  const index_t n = 96;
+  auto a = test::random_symmetric<float>(n, 41);
+  tc::TcEngine tc_engine(tc::TcPrecision::Fp16);
+  ForwardingEngine forward(tc_engine);
+  const char* names[] = {"sbr_wy", "sbr_zy", "sbr_dbr"};
+  for (const index_t b : {8, 32}) {  // b < nb and b == nb
+    sbr::SbrOptions opt;
+    opt.bandwidth = b;
+    opt.big_block = 32;
+    opt.accumulate_q = true;
+    for (int v = 0; v < 3; ++v) {
+      auto reduce = [&](tc::GemmEngine& engine) {
+        Context ctx(engine);
+        return v == 0   ? sbr::sbr_wy(a.view(), ctx, opt)
+               : v == 1 ? sbr::sbr_zy(a.view(), ctx, opt)
+                        : sbr::sbr_dbr(a.view(), ctx, opt);
+      };
+      auto want = reduce(tc_engine);
+      auto got = reduce(forward);
+      const std::string what = std::string(names[v]) + " b=" + std::to_string(b);
+      ASSERT_TRUE(want.ok() && got.ok()) << what;
+      expect_same_bits(got->band.view(), want->band.view(), what + " band");
+      expect_same_bits(got->q.view(), want->q.view(), what + " Q");
+    }
+  }
+}
+
+TEST(ForwardingEngine, SolvesMatchTheWrappedEngineBitwise) {
+  const index_t n = 96;
+  auto a = test::random_symmetric<float>(n, 42);
+  tc::TcEngine tc_engine(tc::TcPrecision::Fp16);
+  ForwardingEngine forward(tc_engine);
+  const std::pair<evd::Reduction, const char*> reductions[] = {
+      {evd::Reduction::TwoStageWy, "wy"},
+      {evd::Reduction::TwoStageDbr, "dbr"},
+      {evd::Reduction::TwoStageZy, "zy"},
+      {evd::Reduction::OneStage, "one-stage"}};
+  for (const auto& [reduction, name] : reductions)
+    for (const bool vectors : {false, true}) {
+      evd::EvdOptions opt;
+      opt.reduction = reduction;
+      opt.bandwidth = 8;
+      opt.big_block = 32;
+      opt.vectors = vectors;
+      auto solve = [&](tc::GemmEngine& engine) {
+        Context ctx(engine);
+        return evd::solve(a.view(), ctx, opt);
+      };
+      auto want = solve(tc_engine);
+      auto got = solve(forward);
+      const std::string what = std::string(name) + (vectors ? " vectors" : " values");
+      ASSERT_TRUE(want.ok() && got.ok()) << what;
+      expect_same_bits(got->eigenvalues, want->eigenvalues, what + " eigenvalues");
+      expect_same_bits(got->vectors.view(), want->vectors.view(), what + " vectors");
+    }
+}
+
+TEST(ForwardingEngine, ServiceRequestMatchesTheWrappedEngineBitwise) {
+  const index_t n = 80;
+  auto a = test::random_symmetric<float>(n, 43);
+  tc::TcEngine tc_engine(tc::TcPrecision::Fp16);
+  ForwardingEngine forward(tc_engine);
+  evd::RequestOptions ropt;
+  ropt.evd.reduction = evd::Reduction::TwoStageDbr;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+
+  Context ctx(tc_engine);
+  auto want = evd::solve(a.view(), ctx, ropt.evd);
+  ASSERT_TRUE(want.ok());
+
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 2;
+  evd::EvdService service(forward, sopt);
+  auto id = service.submit(a.view(), ropt);
+  ASSERT_TRUE(id.ok());
+  const evd::RequestResult got = service.wait(*id);
+  ASSERT_TRUE(got.status.ok()) << got.status.to_string();
+  expect_same_bits(got.eigenvalues, want->eigenvalues, "service eigenvalues");
+  expect_same_bits(got.vectors.view(), want->vectors.view(), "service vectors");
 }
 
 }  // namespace

@@ -277,6 +277,55 @@ INSTANTIATE_TEST_SUITE_P(Engines, SbrPooledGemmTest,
                                                                                : "Fp32");
                          });
 
+// Every GEMM an SBR driver issues goes through Context::gemm, and the engine
+// only decides how each product is computed: the recorded call stream must
+// not depend on the engine kind.
+enum class SbrDriver { Wy, Zy, Dbr };
+
+class SbrEngineRoutingTest : public ::testing::TestWithParam<SbrDriver> {};
+
+TEST_P(SbrEngineRoutingTest, GemmStreamDoesNotDependOnTheEngine) {
+  const index_t n = 96;
+  auto a = test::random_symmetric<float>(n, 57);
+  SbrOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 32;
+  opt.accumulate_q = true;
+  auto record = [&](tc::GemmEngine& eng) {
+    Context ctx(eng);
+    ctx.telemetry().set_recording(true);
+    auto res = GetParam() == SbrDriver::Wy   ? sbr::sbr_wy(a.view(), ctx, opt)
+               : GetParam() == SbrDriver::Zy ? sbr::sbr_zy(a.view(), ctx, opt)
+                                             : sbr::sbr_dbr(a.view(), ctx, opt);
+    EXPECT_TRUE(res.ok()) << eng.name() << ": " << res.status().to_string();
+    return ctx.telemetry().recorded();
+  };
+  tc::Fp32Engine fp32;
+  const std::vector<tc::GemmShape> want = record(fp32);
+  ASSERT_FALSE(want.empty());
+  tc::TcEngine tc16(tc::TcPrecision::Fp16), tf32(tc::TcPrecision::Tf32);
+  tc::EcTcEngine ectc(tc::TcPrecision::Fp16);
+  for (tc::GemmEngine* eng : {static_cast<tc::GemmEngine*>(&tc16),
+                              static_cast<tc::GemmEngine*>(&tf32),
+                              static_cast<tc::GemmEngine*>(&ectc)}) {
+    const std::vector<tc::GemmShape> got = record(*eng);
+    ASSERT_EQ(got.size(), want.size()) << eng->name();
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].m, want[i].m) << eng->name() << " call " << i;
+      EXPECT_EQ(got[i].n, want[i].n) << eng->name() << " call " << i;
+      EXPECT_EQ(got[i].k, want[i].k) << eng->name() << " call " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, SbrEngineRoutingTest,
+                         ::testing::Values(SbrDriver::Wy, SbrDriver::Zy, SbrDriver::Dbr),
+                         [](const ::testing::TestParamInfo<SbrDriver>& info) {
+                           return std::string(info.param == SbrDriver::Wy   ? "Wy"
+                                              : info.param == SbrDriver::Zy ? "Zy"
+                                                                            : "Dbr");
+                         });
+
 TEST(Sbr, SingleBigBlockYieldsOneWyBlock) {
   // n = 20, b = 8, nb = 16: the first big block's two panels reach every
   // column outside the band (the second one short, m = 4 < b), so the

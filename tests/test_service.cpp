@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -332,6 +333,58 @@ TEST_F(ServiceTest, DeadlineExpiresBehindHigherPriorityWork) {
   EXPECT_EQ(doomed_res.status.code(), ErrorCode::DeadlineExceeded);
   EXPECT_TRUE(service.wait(*blocker_id).status.ok());
   EXPECT_EQ(service.stats().deadline_expired, 1);
+}
+
+// A deadline the steady clock cannot represent from now, or a non-finite
+// one, means no deadline: the request runs to completion and returns the
+// bits of the same request without a deadline.
+TEST_F(ServiceTest, UnrepresentableDeadlineMeansNoDeadline) {
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+
+  auto a = test::random_symmetric<float>(48, 31);
+  evd::RequestOptions plain;
+  plain.evd.vectors = true;
+  auto plain_id = service.submit(a.view(), plain);
+  ASSERT_TRUE(plain_id.ok());
+  const evd::RequestResult want = service.wait(*plain_id);
+  ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+
+  for (const double deadline : {1e10, 1e300, std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    evd::RequestOptions ropt = plain;
+    ropt.deadline_s = deadline;
+    auto id = service.submit(a.view(), ropt);
+    ASSERT_TRUE(id.ok());
+    const evd::RequestResult got = service.wait(*id);
+    ASSERT_TRUE(got.status.ok()) << "deadline_s " << deadline << ": "
+                                 << got.status.to_string();
+    expect_bitwise_equal(got.eigenvalues, want.eigenvalues, "eigenvalues");
+    expect_bitwise_equal(got.vectors, want.vectors, "vectors");
+  }
+  EXPECT_EQ(service.stats().deadline_expired, 0);
+}
+
+// Zero and negative deadlines mean no deadline as well.
+TEST_F(ServiceTest, NonPositiveDeadlineMeansNoDeadline) {
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+
+  auto a = test::random_symmetric<float>(40, 32);
+  for (const double deadline : {0.0, -1.0, -std::numeric_limits<double>::infinity()}) {
+    evd::RequestOptions ropt;
+    ropt.deadline_s = deadline;
+    auto id = service.submit(a.view(), ropt);
+    ASSERT_TRUE(id.ok());
+    const evd::RequestResult got = service.wait(*id);
+    EXPECT_TRUE(got.status.ok()) << "deadline_s " << deadline << ": "
+                                 << got.status.to_string();
+  }
+  EXPECT_EQ(service.stats().deadline_expired, 0);
 }
 
 // With one worker pinned by a long blocker, later-submitted higher-priority

@@ -69,7 +69,7 @@ TEST_P(SharedEngineStress, ConcurrentSolvesOnOneEngineStayCorrect) {
   const long tasks = 48;
   std::atomic<long> failures{0};
   ThreadPool pool(kThreads);
-  pool.parallel_for(tasks, [&](int /*worker*/, long i) {
+  auto solve_one = [&](long i) {
     // Fresh Context per task (not per worker) to also stress construction /
     // teardown interleaving against the shared engine.
     Rng rng(0x5EED0000u + static_cast<std::uint64_t>(i));
@@ -98,7 +98,9 @@ TEST_P(SharedEngineStress, ConcurrentSolvesOnOneEngineStayCorrect) {
     if (std::abs(sum - trace) > 1e-2 * std::max(1.0, std::abs(trace)) + 1e-2 * s.n)
       failures.fetch_add(1);
     if (ctx.telemetry().recorded().empty()) failures.fetch_add(1);
-  });
+  };
+  for (long i = 0; i < tasks; ++i) pool.submit([&solve_one, i] { solve_one(i); });
+  pool.wait_idle();
   EXPECT_EQ(failures.load(), 0);
 }
 
@@ -116,19 +118,20 @@ TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
   std::atomic<long> failures{0};
 
   // One Context per worker, built up front and reused for every task that
-  // worker steals — the exact shape of the batched driver's inner loop.
+  // worker steals off the shared counter — the shape of a service runner's
+  // loop.
   std::deque<Context> contexts;
   for (int w = 0; w < kThreads; ++w) contexts.emplace_back(engine);
 
   const long tasks = 64;
-  pool.parallel_for(tasks, [&](int worker, long i) {
+  std::atomic<long> next{0};
+  auto reduce_one = [&](Context& ctx, long i) {
     Rng rng(0xABCD0000u + static_cast<std::uint64_t>(i));
     const Shape s = random_shape(rng);
     Matrix<float> a(s.n, s.n);
     fill_normal(rng, a.view());
     make_symmetric(a.view());
 
-    Context& ctx = contexts[static_cast<std::size_t>(worker)];
     sbr::SbrOptions opt;
     opt.bandwidth = std::min<index_t>(s.b, s.n - 1);
     opt.big_block = std::max<index_t>(s.nb, opt.bandwidth);
@@ -144,7 +147,12 @@ TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
     const double fa = frobenius_norm<float>(a.view());
     if (std::abs(frobenius_norm<float>(res->band.view()) - fa) > 1e-3 * fa)
       failures.fetch_add(1);
-  });
+  };
+  for (Context& ctx : contexts)
+    pool.submit([&, c = &ctx] {
+      for (long i = next.fetch_add(1); i < tasks; i = next.fetch_add(1)) reduce_one(*c, i);
+    });
+  pool.wait_idle();
   EXPECT_EQ(failures.load(), 0);
 
   // Every worker context closed all its scopes.

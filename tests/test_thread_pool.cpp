@@ -1,5 +1,5 @@
-// ThreadPool unit behaviour (parallel_for coverage, submit/wait_idle, the
-// on_worker_thread guard, try_broadcast exclusivity on gemm_pool()) and the
+// ThreadPool unit behaviour (submit/wait_idle, the on_worker_thread guard,
+// try_broadcast coverage and exclusivity on gemm_pool()) and the
 // Telemetry::merge_from totals EvdService's snapshot relies on. Label
 // `stress`: the sanitizer CI legs, TSan included, run this file.
 #include <gtest/gtest.h>
@@ -19,27 +19,6 @@
 namespace tcevd {
 namespace {
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  const long count = 1000;
-  std::vector<std::atomic<int>> hits(count);
-  pool.parallel_for(count, [&](int worker, long i) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (long i = 0; i < count; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroAndNegativeCountsAreNoOps) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(0, [&](int, long) { ran = true; });
-  pool.parallel_for(-5, [&](int, long) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
 TEST(ThreadPool, SubmitAndWaitIdleDrainsQueue) {
   ThreadPool pool(3);
   std::atomic<int> done{0};
@@ -47,6 +26,42 @@ TEST(ThreadPool, SubmitAndWaitIdleDrainsQueue) {
     pool.submit([&] { done.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 50);
+}
+
+TEST(ThreadPool, SubmittedTasksEachRunOnceOnAWorker) {
+  ThreadPool pool(4);
+  constexpr int kTasks = 1000;
+  std::vector<std::atomic<int>> hits(kTasks);
+  std::atomic<int> off_worker{0};
+  for (int i = 0; i < kTasks; ++i)
+    pool.submit([&, i] {
+      if (!ThreadPool::on_worker_thread()) off_worker.fetch_add(1);
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  pool.wait_idle();
+  for (int i = 0; i < kTasks; ++i)
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
+  EXPECT_EQ(off_worker.load(), 0);
+}
+
+TEST(ThreadPool, WaitIdleWithNothingPendingReturns) {
+  // Before any submit, and again on a drained queue.
+  ThreadPool pool(2);
+  pool.wait_idle();
+  std::atomic<int> done{0};
+  pool.submit([&] { done.fetch_add(1); });
+  pool.wait_idle();
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 1);
+}
+
+TEST(ThreadPool, TryBroadcastOfNoIndicesRunsNothing) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  auto fn = [](void* c, long) { static_cast<std::atomic<int>*>(c)->fetch_add(1); };
+  EXPECT_TRUE(pool.try_broadcast(0, fn, &ran));
+  EXPECT_TRUE(pool.try_broadcast(-5, fn, &ran));
+  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(ThreadPool, ClampsToAtLeastOneWorker) {
@@ -84,10 +99,8 @@ TEST(ThreadPool, OnWorkerThreadHoldsOnlyInsidePoolTasks) {
   EXPECT_FALSE(ThreadPool::on_worker_thread());
   ThreadPool pool(2);
   std::atomic<int> on_worker{0}, off_worker{0};
-  pool.parallel_for(16, [&](int, long) {
-    (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1);
-  });
-  pool.submit([&] { (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1); });
+  for (int t = 0; t < 17; ++t)
+    pool.submit([&] { (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(on_worker.load(), 17);
   EXPECT_EQ(off_worker.load(), 0);

@@ -14,11 +14,13 @@
 #include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
+#include "src/common/fault.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/workspace.hpp"
 #include "src/sbr/band.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/evd/evd.hpp"
+#include "src/evd/partial.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
@@ -474,6 +476,100 @@ TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(ctx.workspace().spill_count(), 0) << "workspace_query undersized the arena";
   EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
+}
+
+// Only vector solves check out the solver's n x n buffers (the fallback
+// restore point, stein's S and the z*S product), so a values-only query
+// leaves all three out.
+TEST(Workspace, ValuesOnlyQueryLeavesOutSolverBuffers) {
+  for (const index_t n : {16, 80, 257}) {
+    evd::EvdOptions values;
+    evd::EvdOptions vectors;
+    vectors.vectors = true;
+    const std::size_t solver_bytes = 3 * static_cast<std::size_t>(n) * n * sizeof(float);
+    EXPECT_GE(evd::workspace_query(n, vectors), evd::workspace_query(n, values) + solver_bytes)
+        << "n = " << n;
+  }
+}
+
+// ...and the smaller query still covers every values-only solve from a fresh
+// Context: through the D&C -> QL -> Bisection fallback chain, under
+// verify = Estimate, and for a selected range.
+TEST(Workspace, ValuesOnlySolvesFitTheirQueryWithoutSpilling) {
+  const index_t n = 80;
+  auto a = test::random_symmetric<float>(n, 78);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 16;
+  tc::TcEngine eng(tc::TcPrecision::Fp16);
+  fault::disarm_all();
+  {
+    // sterf (D&C without vectors) and then steqr (QL) exhaust; bisection
+    // finishes the solve.
+    fault::arm(fault::Site::SteqrExhaust, 2);
+    Context ctx(eng);
+    auto res = evd::solve(a.view(), ctx, opt);
+    fault::disarm_all();
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    int solver_switches = 0;
+    for (const auto& ev : res->recovery) solver_switches += ev.site == "evd.solver";
+    EXPECT_EQ(solver_switches, 2);
+    EXPECT_EQ(ctx.workspace().spill_count(), 0) << "fallback chain spilled";
+  }
+  {
+    evd::EvdOptions verified = opt;
+    verified.verify = verify::Policy::Estimate;
+    Context ctx(eng);
+    auto res = evd::solve(a.view(), ctx, verified);
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    EXPECT_EQ(ctx.workspace().spill_count(), 0) << "verified solve spilled";
+  }
+  {
+    Context ctx(eng);
+    auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29, /*vectors=*/false);
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    EXPECT_EQ(res->eigenvalues.size(), 20u);
+    EXPECT_EQ(ctx.workspace().spill_count(), 0) << "selected solve spilled";
+  }
+}
+
+// The vectors term covers what vector solves do check out: the fallback
+// chain's restore point plus bisection's S and z*S product...
+TEST(Workspace, VectorSolvesThroughTheFallbackChainFitTheirQuery) {
+  const index_t n = 80;
+  auto a = test::random_symmetric<float>(n, 79);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 16;
+  opt.vectors = true;
+  tc::TcEngine eng(tc::TcPrecision::Fp16);
+  fault::disarm_all();
+  fault::arm(fault::Site::SteqrExhaust, 2);
+  Context ctx(eng);
+  auto res = evd::solve(a.view(), ctx, opt);
+  fault::disarm_all();
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  int solver_switches = 0;
+  for (const auto& ev : res->recovery) solver_switches += ev.site == "evd.solver";
+  EXPECT_EQ(solver_switches, 2) << "bisection did not finish the solve";
+  EXPECT_EQ(ctx.workspace().spill_count(), 0) << "fallback chain spilled";
+  EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
+}
+
+// ...and a selected range's inverse-iteration vectors.
+TEST(Workspace, SelectedVectorSolveFitsItsQuery) {
+  const index_t n = 80;
+  auto a = test::random_symmetric<float>(n, 80);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 16;
+  tc::TcEngine eng(tc::TcPrecision::Fp16);
+  Context ctx(eng);
+  auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29, /*vectors=*/true);
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  EXPECT_EQ(res->eigenvalues.size(), 20u);
+  EXPECT_EQ(res->vectors.cols(), 20);
+  EXPECT_EQ(ctx.workspace().spill_count(), 0) << "selected vector solve spilled";
 }
 
 // The SBR drivers reserve sbr::workspace_query on entry, so the estimate must
