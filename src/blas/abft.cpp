@@ -6,34 +6,23 @@
 
 namespace tcevd::blas::abft {
 
-namespace detail {
-std::atomic<int> g_enabled{0};
-}  // namespace detail
-
 namespace {
+thread_local int t_depth = 0;
 std::atomic<std::uint64_t> g_tiles_checked{0};
 std::atomic<std::uint64_t> g_tiles_detected{0};
-std::atomic<std::uint64_t> g_tiles_recomputed{0};
 }  // namespace
 
-AbftScope::AbftScope() noexcept {
-  detail::g_enabled.fetch_add(1, std::memory_order_relaxed);
-}
+AbftScope::AbftScope() noexcept { ++t_depth; }
 
-AbftScope::~AbftScope() { detail::g_enabled.fetch_sub(1, std::memory_order_relaxed); }
+AbftScope::~AbftScope() { --t_depth; }
 
-bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed) > 0;
-}
+bool enabled() noexcept { return t_depth > 0; }
 
 std::uint64_t tiles_checked() noexcept {
   return g_tiles_checked.load(std::memory_order_relaxed);
 }
 std::uint64_t tiles_detected() noexcept {
   return g_tiles_detected.load(std::memory_order_relaxed);
-}
-std::uint64_t tiles_recomputed() noexcept {
-  return g_tiles_recomputed.load(std::memory_order_relaxed);
 }
 
 void finish_call(const CallStats& stats, const char* kernel) {
@@ -42,9 +31,6 @@ void finish_call(const CallStats& stats, const char* kernel) {
   g_tiles_checked.fetch_add(static_cast<std::uint64_t>(checked), std::memory_order_relaxed);
   if (detected == 0) return;
   g_tiles_detected.fetch_add(static_cast<std::uint64_t>(detected), std::memory_order_relaxed);
-  // Every detected tile is recomputed in place before the broadcast joins.
-  g_tiles_recomputed.fetch_add(static_cast<std::uint64_t>(detected),
-                               std::memory_order_relaxed);
   const std::int64_t packed = stats.first_tile.load(std::memory_order_relaxed);
   const index_t gi = static_cast<index_t>(packed >> 31);
   const index_t gj = static_cast<index_t>(packed & ((std::int64_t{1} << 31) - 1));

@@ -24,11 +24,14 @@
 // accumulated into a private buffer holding exactly fl(alpha*acc) — the same
 // value the direct path adds to C — so ABFT on/off is bitwise-identical.
 //
-// Enabling is process-wide and ref-counted (AbftScope), so GEMMs issued from
-// pool workers are covered without threading a flag through every call
-// chain. Detections are aggregated per top-level GEMM call and surfaced on
-// the calling thread's recovery scope at site "blas.abft", plus monotone
-// process counters for tests and telemetry.
+// Enabling is per thread (AbftScope, a nestable thread-local depth): the
+// thread that calls a GEMM decides whether its tiles are checked, and the
+// pool workers that run those tiles follow that choice. A solve with
+// EvdOptions::abft opens a scope around each of its steps, so one request's
+// ABFT never reaches another request's GEMMs on another thread. Detections
+// are aggregated per top-level GEMM call and surfaced on the calling thread's
+// recovery scope at site "blas.abft", plus monotone process counters for
+// tests and telemetry.
 #pragma once
 
 #include <atomic>
@@ -38,9 +41,9 @@
 
 namespace tcevd::blas::abft {
 
-/// RAII guard enabling ABFT tile verification for every packed GEMM in the
-/// process while at least one scope is alive. Ref-counted and nestable;
-/// cheap (one relaxed atomic) to query on the GEMM entry path.
+/// RAII guard enabling ABFT tile verification for every packed GEMM the
+/// calling thread issues while the scope is alive. Nestable; one thread-local
+/// read to query on the GEMM entry path.
 class AbftScope {
  public:
   AbftScope() noexcept;
@@ -49,13 +52,13 @@ class AbftScope {
   AbftScope& operator=(const AbftScope&) = delete;
 };
 
-/// True while any AbftScope is alive anywhere in the process.
+/// True while an AbftScope is alive on the calling thread.
 bool enabled() noexcept;
 
-/// Monotone process-wide counters (test/telemetry hooks).
-std::uint64_t tiles_checked() noexcept;    ///< micro-tiles checksum-verified
-std::uint64_t tiles_detected() noexcept;   ///< corrupted tiles detected
-std::uint64_t tiles_recomputed() noexcept; ///< corrupted tiles recomputed
+/// Monotone process-wide counters (test/telemetry hooks). Every detected
+/// tile is recomputed in place, so detections are also recomputations.
+std::uint64_t tiles_checked() noexcept;   ///< micro-tiles checksum-verified
+std::uint64_t tiles_detected() noexcept;  ///< corrupted tiles detected
 
 /// Per-top-level-GEMM detection aggregate. A single instance lives on the
 /// calling thread's stack for the duration of one gemm_packed(...) call;
@@ -79,10 +82,6 @@ struct CallStats {
     first_tile.compare_exchange_strong(expected, packed, std::memory_order_relaxed);
   }
 };
-
-namespace detail {
-extern std::atomic<int> g_enabled;
-}  // namespace detail
 
 /// Fold a finished call's stats into the process counters and, when a
 /// corruption was detected, note it at recovery site "blas.abft" on the

@@ -6,11 +6,10 @@
 // Everything is templated on the element type and explicitly instantiated
 // for float and double.
 //
-// Level-3 kernels report their flop counts to FlopCounter, which is how the
-// Table 2 reproduction measures "real number of arithmetic operations".
+// The Table 2 reproduction counts arithmetic from the GEMM shapes an SBR run
+// issues (src/perfmodel/shape_trace.hpp), not from these kernels.
 #pragma once
 
-#include "src/common/flop_counter.hpp"
 #include "src/common/matrix.hpp"
 
 namespace tcevd::blas {

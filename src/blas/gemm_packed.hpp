@@ -6,7 +6,8 @@
 // per-element PackTransform functor, which is how the tensor-core emulation
 // fuses operand rounding (fp16 / tf32 / EC head–tail splitting) into the one
 // pass it already makes over the operands — see src/tensorcore/tc_gemm.cpp
-// and ec_tcgemm.cpp.
+// and ec_tcgemm.cpp. EC-TC's first sweep is the same loop nest with two B
+// panels (head and tail, packed from one read of B) instead of one.
 //
 // Threading: the macro-tile loop fans out over disjoint C tiles on gemm_pool()
 // via ThreadPool::try_broadcast (allocation-free), subject to the policy in
@@ -27,15 +28,13 @@
 // bitwise-identical to it, so nothing downstream can observe which family
 // ran except the dispatch_count telemetry.
 //
-// ABFT (see src/blas/abft.hpp): when an AbftScope is active, every C
-// micro-tile is verified against a column-checksum invariant computed from
-// the packed A panel and recomputed in place on mismatch — detect, locate,
-// recompute — before it is applied to C. The ABFT tile path accumulates into
-// a private buffer holding exactly the value the direct path would have
-// added, so clean results are bitwise-identical with ABFT on or off.
-//
-// These entry points do NOT touch the FlopCounter — callers (blas::gemm,
-// tc_gemm, ec_tcgemm) account for their own logical flops.
+// ABFT (see src/blas/abft.hpp): when the calling thread has an AbftScope
+// open, every C micro-tile of its call is verified against a column-checksum
+// invariant computed from the packed A panel and recomputed in place on
+// mismatch — detect, locate, recompute — before it is applied to C. The ABFT
+// tile path accumulates into a private buffer holding exactly the value the
+// direct path would have added, so clean results are bitwise-identical with
+// ABFT on or off.
 #pragma once
 
 #include <algorithm>
@@ -416,20 +415,28 @@ inline bool dispatch_tiles(long ntiles, bool pooled, void (*fn)(void*, long), vo
   return false;
 }
 
-// Tile-loop contexts are transform-free plain structs: packing already ran on
-// the calling thread, workers only read packed panels and write disjoint C
-// tiles. Living on the caller's stack is safe — try_broadcast blocks until
-// every index completes.
-
+// One macro block's tiles, shared by the tile bodies below. It is a plain
+// struct without transforms: packing already ran on the calling thread,
+// workers only read the packed panels and write disjoint C tiles. Living on
+// the caller's stack is safe — try_broadcast blocks until every index
+// completes. A plain GEMM has one B panel; the EC-TC split sweep has two
+// (head and tail), each with its own C, and every tile runs one micro-kernel
+// per panel. Each product keeps the accumulation order of its standalone
+// GEMM. The ABFT fields are null when ABFT is off.
 template <typename T>
 struct TileCtx {
   const T* apack;
-  const T* bpack;
+  const T* bpack[2];
+  T* cbase[2];  // &c_p(i0, j0)
+  index_t ldc[2];
+  int panels;
   T alpha;
-  T* cbase;  // &c(i0, j0)
-  index_t ldc;
   index_t mc, nc, kc;
   index_t mtiles;
+  const double* sa;
+  const double* sa_abs;
+  index_t gi0, gj0;  ///< global C coordinates of this macro block
+  abft::CallStats* stats;
 };
 
 template <typename T>
@@ -440,122 +447,28 @@ void run_tile(void* vctx, long idx) {
   const index_t mr = std::min(kMR, ctx->mc - ir);
   const index_t nr = std::min(kNR, ctx->nc - jr);
   const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
-  micro_kernel(ctx->kc, ap, bp, ctx->alpha, ctx->cbase + ir + jr * ctx->ldc, ctx->ldc, mr,
-               nr);
-  // Post-micro-kernel corruption injection: with ABFT off nothing checks the
-  // tile, and the bad value flows into the result (exactly the silent fault
-  // the end-to-end verification tier exists to catch).
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->cbase + ir + jr * ctx->ldc));
-}
-
-/// Split-B tile: one A panel against head and tail B panels, into two
-/// disjoint accumulator matrices (c0 += A·Bh, c1 += A·Bt). Each accumulator's
-/// order matches its own standalone gemm exactly.
-template <typename T>
-struct SplitTileCtx {
-  const T* apack;
-  const T* bpackh;
-  const T* bpackt;
-  T* c0base;
-  index_t ldc0;
-  T* c1base;
-  index_t ldc1;
-  index_t mc, nc, kc;
-  index_t mtiles;
-};
-
-template <typename T>
-void run_split_tile(void* vctx, long idx) {
-  const auto* ctx = static_cast<const SplitTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
   const index_t poff = (jr / kNR) * ctx->kc * kNR;
-  micro_kernel(ctx->kc, ap, ctx->bpackh + poff, T{1},
-               ctx->c0base + ir + jr * ctx->ldc0, ctx->ldc0, mr, nr);
-  micro_kernel(ctx->kc, ap, ctx->bpackt + poff, T{1},
-               ctx->c1base + ir + jr * ctx->ldc1, ctx->ldc1, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->c0base + ir + jr * ctx->ldc0));
+  for (int p = 0; p < ctx->panels; ++p) {
+    T* cc = ctx->cbase[p] + ir + jr * ctx->ldc[p];
+    micro_kernel(ctx->kc, ap, ctx->bpack[p] + poff, ctx->alpha, cc, ctx->ldc[p], mr, nr);
+    // Post-micro-kernel corruption injection: with ABFT off nothing checks the
+    // tile, and the bad value flows into the result (exactly the silent fault
+    // the end-to-end verification tier exists to catch).
+    if (p == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(*cc);
+  }
 }
 
-// --- ABFT tile runners -----------------------------------------------------
-//
-// Each runner accumulates its tile into a private kMR x kNR buffer holding
-// exactly fl(alpha*acc) — the value the direct runner would have added to C —
-// verifies it against the packed-A checksum vector, recomputes in place on a
-// mismatch (same packed panels, same accumulation order: the recompute is
-// bitwise the uncorrupted tile), and only then applies it to C. The injected
-// gemm.tile_corrupt flip lands on the private tile after the micro-kernel,
-// modeling a corrupted C tile before anything downstream consumed it.
-
-template <typename T>
-struct AbftTileCtx {
-  const T* apack;
-  const T* bpack;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa;
-  const double* sa_abs;
-  index_t gi0, gj0;  ///< global C coordinates of this macro block
-  abft::CallStats* stats;
-};
-
+// The ABFT tile body accumulates each panel's tile into a private kMR x kNR
+// buffer holding exactly fl(alpha*acc) — the value run_tile would have added
+// to C — verifies it against the packed-A checksum vector, recomputes in
+// place on a mismatch (same packed panels, same accumulation order: the
+// recompute is bitwise the uncorrupted tile), and only then applies it to C.
+// The injected gemm.tile_corrupt flip lands on output 0's private tile after
+// its micro-kernel, modeling a corrupted C tile before anything downstream
+// consumed it.
 template <typename T>
 void run_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
-  const double* sa = ctx->sa + (ir / kMR) * ctx->kc;
-  const double* sa_abs = ctx->sa_abs + (ir / kMR) * ctx->kc;
-
-  T tile[kNR * kMR] = {};
-  micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-  if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bp, ctx->alpha, sa, sa_abs)) {
-    std::fill(tile, tile + kNR * kMR, T{});
-    micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-    ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
-  }
-  T* cc0 = ctx->cbase + ir + jr * ctx->ldc;
-  for (index_t jj = 0; jj < nr; ++jj) {
-    T* cc = cc0 + jj * ctx->ldc;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
-  }
-}
-
-template <typename T>
-struct AbftSplitTileCtx {
-  const T* apack;
-  const T* bpackh;
-  const T* bpackt;
-  T* c0base;
-  index_t ldc0;
-  T* c1base;
-  index_t ldc1;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa;
-  const double* sa_abs;
-  index_t gi0, gj0;
-  abft::CallStats* stats;
-};
-
-template <typename T>
-void run_split_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftSplitTileCtx<T>*>(vctx);
+  const auto* ctx = static_cast<const TileCtx<T>*>(vctx);
   const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
   const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
   const index_t mr = std::min(kMR, ctx->mc - ir);
@@ -564,21 +477,19 @@ void run_split_tile_abft(void* vctx, long idx) {
   const index_t poff = (jr / kNR) * ctx->kc * kNR;
   const double* sa = ctx->sa + (ir / kMR) * ctx->kc;
   const double* sa_abs = ctx->sa_abs + (ir / kMR) * ctx->kc;
-
-  const T* bps[2] = {ctx->bpackh + poff, ctx->bpackt + poff};
-  T* cbases[2] = {ctx->c0base + ir + jr * ctx->ldc0, ctx->c1base + ir + jr * ctx->ldc1};
-  const index_t ldcs[2] = {ctx->ldc0, ctx->ldc1};
-  for (int s = 0; s < 2; ++s) {
+  for (int p = 0; p < ctx->panels; ++p) {
+    const T* bp = ctx->bpack[p] + poff;
     T tile[kNR * kMR] = {};
-    micro_kernel(ctx->kc, ap, bps[s], T{1}, tile, kMR, mr, nr);
-    if (s == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-    if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bps[s], T{1}, sa, sa_abs)) {
+    micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
+    if (p == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
+    if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bp, ctx->alpha, sa, sa_abs)) {
       std::fill(tile, tile + kNR * kMR, T{});
-      micro_kernel(ctx->kc, ap, bps[s], T{1}, tile, kMR, mr, nr);
+      micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
       ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
     }
+    T* cc0 = ctx->cbase[p] + ir + jr * ctx->ldc[p];
     for (index_t jj = 0; jj < nr; ++jj) {
-      T* cc = cbases[s] + jj * ldcs[s];
+      T* cc = cc0 + jj * ctx->ldc[p];
       const T* tcol = tile + jj * kMR;
       for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
     }
@@ -600,82 +511,98 @@ void prescale(T beta, MatrixView<T> c) {
   }
 }
 
-template <bool TA, bool TB, typename T, typename FA, typename FB>
-void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c,
-                      index_t m, index_t n, index_t k, const FA& fa, const FB& fb,
+/// The packed loop nest: c[p] += alpha * op(A) * panel_p(op(B)) for each of
+/// the P outputs. With P == 1, fb is a per-element transform and the one
+/// panel is fb(op(B)) — the plain GEMM. With P == 2, fb is a head–tail split
+/// and one read of op(B) packs both panels (EC-TC sweep 1). Every output is
+/// m x n.
+template <bool TA, bool TB, typename T, std::size_t P, typename FA, typename FB>
+void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
+                      const MatrixView<T> (&c)[P], index_t k, const FA& fa, const FB& fb,
                       abft::CallStats* abft_stats) {
+  static_assert(P == 1 || P == 2, "one panel, or a head and a tail panel");
+  const index_t m = c[0].rows();
+  const index_t n = c[0].cols();
   PackBuffers<T>& bufs = pack_buffers<T>();
   const bool pooled = blas::detail::use_gemm_pool(m, n, k);
   AbftBuffers* ab = abft_stats != nullptr ? &abft_buffers() : nullptr;
 
+  TileCtx<T> ctx{};
+  ctx.apack = bufs.a.data();
+  ctx.bpack[0] = bufs.b.data();
+  ctx.bpack[1] = bufs.b2.data();
+  ctx.panels = static_cast<int>(P);
+  ctx.alpha = alpha;
+  if (ab != nullptr) {
+    ctx.sa = ab->sa.data();
+    ctx.sa_abs = ab->sa_abs.data();
+    ctx.stats = abft_stats;
+  }
   for (index_t j0 = 0; j0 < n; j0 += kNC) {
     const index_t nc = std::min(kNC, n - j0);
     for (index_t k0 = 0; k0 < k; k0 += kKC) {
       const index_t kc = std::min(kKC, k - k0);
-      pack_b_block<TB>(b, k0, j0, kc, nc, bufs.b.data(), fb);
+      if constexpr (P == 1)
+        pack_b_block<TB>(b, k0, j0, kc, nc, bufs.b.data(), fb);
+      else
+        pack_b_block_split<TB>(b, k0, j0, kc, nc, bufs.b.data(), bufs.b2.data(), fb);
       for (index_t i0 = 0; i0 < m; i0 += kMC) {
         const index_t mc = std::min(kMC, m - i0);
         pack_a_block<TA>(a, i0, k0, mc, kc, bufs.a.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
+        ctx.mc = mc;
+        ctx.nc = nc;
+        ctx.kc = kc;
+        ctx.mtiles = (mc + kMR - 1) / kMR;
+        for (std::size_t p = 0; p < P; ++p) {
+          ctx.cbase[p] = &c[p](i0, j0);
+          ctx.ldc[p] = c[p].ld();
+        }
+        const long ntiles = static_cast<long>(ctx.mtiles) * ((nc + kNR - 1) / kNR);
         if (abft_stats == nullptr) {
-          TileCtx<T> ctx{bufs.a.data(), bufs.b.data(), alpha, &c(i0, j0), c.ld(),
-                         mc,            nc,            kc,    mtiles};
           dispatch_tiles(ntiles, pooled, &run_tile<T>, &ctx);
         } else {
           compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(), ab->sa_abs.data());
-          AbftTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), alpha,
-                             &c(i0, j0),    c.ld(),        mc,
-                             nc,            kc,            mtiles,
-                             ab->sa.data(), ab->sa_abs.data(),
-                             i0,            j0,            abft_stats};
+          ctx.gi0 = i0;
+          ctx.gj0 = j0;
           dispatch_tiles(ntiles, pooled, &run_tile_abft<T>, &ctx);
-          abft_stats->checked += ntiles;
+          abft_stats->checked += static_cast<long>(P) * ntiles;
         }
       }
     }
   }
 }
 
-template <bool TA, bool TB, typename T, typename FA, typename FSplit>
-void gemm_packed_split_b_impl(ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c0,
-                              MatrixView<T> c1, index_t m, index_t n, index_t k,
-                              const FA& fa, const FSplit& split,
-                              abft::CallStats* abft_stats) {
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  const bool pooled = blas::detail::use_gemm_pool(m, n, k);
-  AbftBuffers* ab = abft_stats != nullptr ? &abft_buffers() : nullptr;
+/// Inner dimension of op(A)·op(B) for an m x n C; aborts on a shape mismatch.
+template <typename T>
+index_t inner_dim(Trans transa, Trans transb, ConstMatrixView<T> a, ConstMatrixView<T> b,
+                  index_t m, index_t n) {
+  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
+  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
+  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
+  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
+  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
+  return ka;
+}
 
-  for (index_t j0 = 0; j0 < n; j0 += kNC) {
-    const index_t nc = std::min(kNC, n - j0);
-    for (index_t k0 = 0; k0 < k; k0 += kKC) {
-      const index_t kc = std::min(kKC, k - k0);
-      pack_b_block_split<TB>(b, k0, j0, kc, nc, bufs.b.data(), bufs.b2.data(), split);
-      for (index_t i0 = 0; i0 < m; i0 += kMC) {
-        const index_t mc = std::min(kMC, m - i0);
-        pack_a_block<TA>(a, i0, k0, mc, kc, bufs.a.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
-        if (abft_stats == nullptr) {
-          SplitTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.b2.data(),
-                              &c0(i0, j0),   c0.ld(),       &c1(i0, j0),
-                              c1.ld(),       mc,            nc,
-                              kc,            mtiles};
-          dispatch_tiles(ntiles, pooled, &run_split_tile<T>, &ctx);
-        } else {
-          compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(), ab->sa_abs.data());
-          AbftSplitTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.b2.data(),
-                                  &c0(i0, j0),   c0.ld(),       &c1(i0, j0),
-                                  c1.ld(),       mc,            nc,
-                                  kc,            mtiles,        ab->sa.data(),
-                                  ab->sa_abs.data(), i0,        j0,
-                                  abft_stats};
-          dispatch_tiles(ntiles, pooled, &run_split_tile_abft<T>, &ctx);
-          abft_stats->checked += 2 * ntiles;  // head and tail product per tile
-        }
-      }
-    }
-  }
+/// One packed GEMM call: resolves op(A)/op(B) to the loop nest's template
+/// flags, runs it under ABFT when the calling thread asked for it, and folds
+/// the ABFT tile counts into the process counters under `kernel`.
+template <typename T, std::size_t P, typename FA, typename FB>
+void run_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
+                ConstMatrixView<T> b, const MatrixView<T> (&c)[P], index_t k, const FA& fa,
+                const FB& fb, const char* kernel) {
+  simd::detail::record_dispatch(simd::active_level());
+  abft::CallStats stats;
+  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
+  if (transa == Trans::No && transb == Trans::No)
+    gemm_packed_impl<false, false>(alpha, a, b, c, k, fa, fb, sp);
+  else if (transa == Trans::Yes && transb == Trans::No)
+    gemm_packed_impl<true, false>(alpha, a, b, c, k, fa, fb, sp);
+  else if (transa == Trans::No && transb == Trans::Yes)
+    gemm_packed_impl<false, true>(alpha, a, b, c, k, fa, fb, sp);
+  else
+    gemm_packed_impl<true, true>(alpha, a, b, c, k, fa, fb, sp);
+  if (sp != nullptr) abft::finish_call(stats, kernel);
 }
 
 }  // namespace packed
@@ -683,70 +610,37 @@ void gemm_packed_split_b_impl(ConstMatrixView<T> a, ConstMatrixView<T> b, Matrix
 /// C = alpha * op(A) * op(B) + beta * C through the packed pipeline, with
 /// fa/fb applied per element of A/B during packing. All four trans
 /// combinations run the same micro-kernel with zero intermediate matrices.
-/// Does not count flops — callers own their FlopCounter accounting.
 template <typename T, typename FA = IdentityTransform, typename FB = IdentityTransform>
 void gemm_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c, const FA& fa = FA{},
                  const FB& fb = FB{}) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
-  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
-  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
-  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
-  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  if (m == 0 || n == 0) return;
+  const index_t k = packed::inner_dim(transa, transb, a, b, c.rows(), c.cols());
+  if (c.rows() == 0 || c.cols() == 0) return;
   packed::prescale(beta, c);
-  if (ka == 0 || alpha == T{}) return;
-  simd::detail::record_dispatch(simd::active_level());
-
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  if (transa == Trans::No && transb == Trans::No)
-    packed::gemm_packed_impl<false, false>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else if (transa == Trans::Yes && transb == Trans::No)
-    packed::gemm_packed_impl<true, false>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else if (transa == Trans::No && transb == Trans::Yes)
-    packed::gemm_packed_impl<false, true>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else
-    packed::gemm_packed_impl<true, true>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  if (sp != nullptr) abft::finish_call(stats, "gemm");
+  if (k == 0 || alpha == T{}) return;
+  const MatrixView<T> out[1] = {c};
+  packed::run_packed(transa, transb, alpha, a, b, out, k, fa, fb, "gemm");
 }
 
 /// EC-TC first sweep: C0 = op(A)·head(op(B)) and C1 = op(A)·tail(op(B)) in
 /// ONE pass over B — split(v, head, tail) runs once per B element while
-/// packing. Both products accumulate exactly as their standalone gemms would,
-/// so results are bitwise-identical to materializing head/tail copies first.
-/// Overwrites C0 and C1. Does not count flops.
+/// packing. This is the two-panel case of the packed loop nest, so both
+/// products accumulate exactly as their standalone gemms would and results
+/// are bitwise-identical to materializing head/tail copies first. Overwrites
+/// C0 and C1.
 template <typename T, typename FA, typename FSplit>
 void gemm_packed_split_b(Trans transa, Trans transb, ConstMatrixView<T> a,
                          ConstMatrixView<T> b, MatrixView<T> c0, MatrixView<T> c1,
                          const FA& fa, const FSplit& split) {
-  const index_t m = c0.rows();
-  const index_t n = c0.cols();
-  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
-  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
-  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
-  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
-  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  TCEVD_CHECK(c1.rows() == m && c1.cols() == n, "split gemm accumulator shape mismatch");
-  if (m == 0 || n == 0) return;
+  const index_t k = packed::inner_dim(transa, transb, a, b, c0.rows(), c0.cols());
+  TCEVD_CHECK(c1.rows() == c0.rows() && c1.cols() == c0.cols(),
+              "split gemm accumulator shape mismatch");
+  if (c0.rows() == 0 || c0.cols() == 0) return;
   packed::prescale(T{}, c0);
   packed::prescale(T{}, c1);
-  if (ka == 0) return;
-  simd::detail::record_dispatch(simd::active_level());
-
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  if (transa == Trans::No && transb == Trans::No)
-    packed::gemm_packed_split_b_impl<false, false>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else if (transa == Trans::Yes && transb == Trans::No)
-    packed::gemm_packed_split_b_impl<true, false>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else if (transa == Trans::No && transb == Trans::Yes)
-    packed::gemm_packed_split_b_impl<false, true>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else
-    packed::gemm_packed_split_b_impl<true, true>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  if (sp != nullptr) abft::finish_call(stats, "gemm.split_b");
+  if (k == 0) return;
+  const MatrixView<T> out[2] = {c0, c1};
+  packed::run_packed(transa, transb, T{1}, a, b, out, k, fa, split, "gemm.split_b");
 }
 
 }  // namespace blas

@@ -75,14 +75,17 @@ bool cpu_supports_avx2() noexcept;
 bool compiled_with_avx2() noexcept;
 
 /// Process-wide count of packed-GEMM dispatches served by `level` since
-/// start. One dispatch == one gemm_packed / gemm_packed_split_b entry call
-/// (not one micro-tile).
+/// start. One dispatch == one packed GEMM call — gemm_packed, or the EC-TC
+/// split sweep gemm_packed_split_b, which runs the same loop nest — not one
+/// micro-tile.
 std::uint64_t dispatch_count(Level level) noexcept;
 
 /// RAII guard forcing the scalar reference kernels process-wide while alive
-/// (the packed pipeline's workers must see the same kernels as the caller,
-/// so the force cannot be thread-local). Nestable; used by the bench
-/// baseline rows and the SIMD-vs-scalar bitwise tests.
+/// (pool workers look the table up per tile, so they must see the caller's
+/// force and it cannot be thread-local — unlike abft::AbftScope, whose
+/// choice the calling thread hands to its workers in the tile context).
+/// Nestable; used by the bench baseline rows and the SIMD-vs-scalar bitwise
+/// tests.
 class ScalarKernelScope {
  public:
   ScalarKernelScope() noexcept;

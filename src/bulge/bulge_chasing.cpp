@@ -8,27 +8,11 @@
 namespace tcevd::bulge {
 
 template <typename T>
-BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q,
-                           QRowProfile q_profile) {
+BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase requires a square matrix");
   TCEVD_CHECK(bw >= 1, "bulge_chase bandwidth must be >= 1");
   if (q) TCEVD_CHECK(q->cols() == n, "bulge_chase Q must have n columns");
-
-  // Optional Q support windows (only when the caller vouched for a band
-  // profile). The serial driver keeps them in short-lived vectors — the
-  // zero-steady-state-allocation path is the Context overloads below, and
-  // those route band-profiled Q through the same windows held in the arena
-  // via the wavefront driver when it is engaged.
-  std::vector<index_t> q_lo, q_hi;
-  detail::QSupport qs;
-  if (q != nullptr && q_profile.band >= 0) {
-    q_lo.resize(static_cast<std::size_t>(n));
-    q_hi.resize(static_cast<std::size_t>(n));
-    qs.lo = q_lo.data();
-    qs.hi = q_hi.data();
-    detail::init_q_support(qs, n, q->rows(), q_profile.band);
-  }
 
   // Peel diagonals d = bw, bw-1, ..., 2 (distance-1 entries remain). Sweep s
   // zeroes column s of the d-th diagonal and chases the resulting bulge off
@@ -39,7 +23,7 @@ BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q,
     for (index_t s = 0; s + d < n; ++s) {
       const index_t len = detail::sweep_length(n, d, s);
       for (index_t k = 0; k < len; ++k) {
-        detail::chase_elim(a, q, n, d, s, k, qs);
+        detail::chase_elim(a, q, n, d, s, k);
       }
     }
   }
@@ -50,20 +34,20 @@ BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q,
 }
 
 template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t,
-                                               MatrixView<float>*, QRowProfile);
+                                               MatrixView<float>*);
 template BulgeResult<double> bulge_chase<double>(MatrixView<double>, index_t,
-                                                 MatrixView<double>*, QRowProfile);
+                                                 MatrixView<double>*);
 
 BulgeResult<float> bulge_chase(Context& ctx, MatrixView<float> a, index_t bw,
-                               MatrixView<float>* q, QRowProfile q_profile) {
+                               MatrixView<float>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
-  return bulge_chase<float>(a, bw, q, q_profile);
+  return bulge_chase<float>(a, bw, q);
 }
 
 BulgeResult<double> bulge_chase(Context& ctx, MatrixView<double> a, index_t bw,
-                                MatrixView<double>* q, QRowProfile q_profile) {
+                                MatrixView<double>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
-  return bulge_chase<double>(a, bw, q, q_profile);
+  return bulge_chase<double>(a, bw, q);
 }
 
 }  // namespace tcevd::bulge

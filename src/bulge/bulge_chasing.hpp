@@ -35,25 +35,22 @@ struct BulgeResult {
 /// Reduce symmetric `a` (full storage, bandwidth `bw`) to tridiagonal form.
 /// If `q` is non-null it must be n x n and is multiplied on the right by
 /// every rotation (pass the SBR's Q to keep the full similarity transform).
-/// `a` is overwritten with the tridiagonal matrix. `q_profile` optionally
-/// narrows the Q update to the rows that can be nonzero (see QRowProfile);
-/// the default is the dense full-row loop.
+/// `a` is overwritten with the tridiagonal matrix.
 template <typename T>
-BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q = nullptr,
-                           QRowProfile q_profile = {});
+BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q = nullptr);
 
 extern template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t,
-                                                      MatrixView<float>*, QRowProfile);
+                                                      MatrixView<float>*);
 extern template BulgeResult<double> bulge_chase<double>(MatrixView<double>, index_t,
-                                                        MatrixView<double>*, QRowProfile);
+                                                        MatrixView<double>*);
 
 /// Context-aware entry points: same rotation-level algorithm (no GEMMs, no
 /// scratch matrices), but the elapsed time lands on the context's telemetry
 /// under stage "bulge.chase". Both instantiations are covered so the double
 /// reference pipelines are stage-attributed too.
 BulgeResult<float> bulge_chase(Context& ctx, MatrixView<float> a, index_t bw,
-                               MatrixView<float>* q = nullptr, QRowProfile q_profile = {});
+                               MatrixView<float>* q = nullptr);
 BulgeResult<double> bulge_chase(Context& ctx, MatrixView<double> a, index_t bw,
-                                MatrixView<double>* q = nullptr, QRowProfile q_profile = {});
+                                MatrixView<double>* q = nullptr);
 
 }  // namespace tcevd::bulge

@@ -17,19 +17,6 @@
 
 namespace tcevd::bulge {
 
-/// Optional hint about the nonzero row profile of the Q being accumulated.
-/// band < 0 means dense (every rotation updates all q.rows() rows — the safe
-/// default, and what evd::solve passes for the SBR-accumulated Q). band >= 0
-/// asserts that on entry q(k, j) == 0 for |k - j| > band (band == 0 is the
-/// identity), which lets the chase maintain per-column support windows and
-/// skip rows where both rotated columns are exactly zero. The window rule is
-/// deterministic and identical in the serial and wavefront drivers, so a
-/// hinted run is bitwise-reproducible across schedules and thread counts.
-/// A hint that overstates the sparsity silently corrupts Q — it is trusted.
-struct QRowProfile {
-  index_t band = -1;
-};
-
 namespace detail {
 
 /// Two-sided Givens rotation A <- G^T A G in the plane (i, i+1), touching
@@ -53,31 +40,18 @@ inline void apply_sym_rotation(MatrixView<T> a, index_t i, T c, T s, index_t lo,
   }
 }
 
-/// Right-multiply q by the same rotation (accumulates the similarity),
-/// touching only rows [row_lo, row_hi). Rows outside the window must hold
-/// exact zeros in both columns — the rotation maps a (0, 0) pair to (0, 0),
-/// so skipping them leaves Q equal (as values) to the full-row loop.
+/// Right-multiply q by the same rotation (accumulates the similarity) in the
+/// plane (i, i+1), over every row.
 template <typename T>
-inline void apply_q_rotation(MatrixView<T> q, index_t i, T c, T s, index_t row_lo,
-                             index_t row_hi) {
+inline void apply_q_rotation(MatrixView<T> q, index_t i, T c, T s) {
   const index_t j = i + 1;
-  for (index_t k = row_lo; k < row_hi; ++k) {
+  for (index_t k = 0; k < q.rows(); ++k) {
     const T t1 = q(k, i);
     const T t2 = q(k, j);
     q(k, i) = c * t1 + s * t2;
     q(k, j) = -s * t1 + c * t2;
   }
 }
-
-/// Per-column nonzero row windows of Q: column j's nonzeros lie in
-/// [lo[j], hi[j]). Null pointers mean dense (no tracking, full-row updates).
-/// A rotation in the plane (i, i+1) unions the two columns' windows — the
-/// union is exact under column mixing, so the maintained windows never
-/// under-cover and the skipped rows are guaranteed zero pairs.
-struct QSupport {
-  index_t* lo = nullptr;
-  index_t* hi = nullptr;
-};
 
 /// Number of chase iterations of sweep `s` at diagonal distance `d`:
 /// the bulge lands at rows s + d, s + 2d, ... while they stay below n.
@@ -90,7 +64,7 @@ inline index_t sweep_length(index_t n, index_t d, index_t s) { return (n - 1 - s
 /// per-sweep cursor state beyond k itself.
 template <typename T>
 inline void chase_elim(MatrixView<T> a, MatrixView<T>* q, index_t n, index_t d,
-                       index_t s, index_t k, QSupport qs) {
+                       index_t s, index_t k) {
   const index_t tcol = (k == 0) ? s : s + k * d - 1;
   const index_t row = s + (k + 1) * d;
   const T f = a(row - 1, tcol);
@@ -106,28 +80,7 @@ inline void chase_elim(MatrixView<T> a, MatrixView<T>* q, index_t n, index_t d,
     apply_sym_rotation(a, row - 1, c, sn, lo, hi);
     a(row, tcol) = T{};  // exact zero by construction
     a(tcol, row) = T{};
-    if (q != nullptr) {
-      const index_t i = row - 1;
-      index_t wlo = 0;
-      index_t whi = q->rows();
-      if (qs.lo != nullptr) {
-        wlo = std::min(qs.lo[i], qs.lo[i + 1]);
-        whi = std::max(qs.hi[i], qs.hi[i + 1]);
-      }
-      apply_q_rotation(*q, i, c, sn, wlo, whi);
-      if (qs.lo != nullptr) {
-        qs.lo[i] = qs.lo[i + 1] = wlo;
-        qs.hi[i] = qs.hi[i + 1] = whi;
-      }
-    }
-  }
-}
-
-/// Initialize QSupport windows for a Q with the given row profile.
-inline void init_q_support(QSupport qs, index_t n, index_t q_rows, index_t band) {
-  for (index_t j = 0; j < n; ++j) {
-    qs.lo[j] = std::max<index_t>(0, j - band);
-    qs.hi[j] = std::min<index_t>(q_rows, j + band + 1);
+    if (q != nullptr) apply_q_rotation(*q, row - 1, c, sn);
   }
 }
 

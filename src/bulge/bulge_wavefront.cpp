@@ -27,7 +27,6 @@ template <typename T>
 struct ChaseShared {
   MatrixView<T> a;
   MatrixView<T>* q = nullptr;
-  detail::QSupport qs;
   index_t n = 0;
   index_t d = 0;
   index_t nsweeps = 0;
@@ -71,7 +70,7 @@ void run_block(ChaseShared<T>& st, index_t b) {
           }
         }
         for (index_t k = done[j]; k < target; ++k) {
-          detail::chase_elim(st.a, st.q, st.n, st.d, s0 + j, k, st.qs);
+          detail::chase_elim(st.a, st.q, st.n, st.d, s0 + j, k);
         }
         done[j] = target;
         // Release: the next block's acquire spin on this sweep must see every
@@ -102,8 +101,7 @@ void lane_trampoline(void* ctx, long /*lane_index*/) {
 
 std::size_t wavefront_workspace_bytes(index_t n) {
   const std::size_t count = static_cast<std::size_t>(n > 0 ? n : 1);
-  return count * sizeof(std::atomic<index_t>) + 2 * count * sizeof(index_t) +
-         3 * Workspace::kAlignment;
+  return count * sizeof(std::atomic<index_t>) + Workspace::kAlignment;
 }
 
 template <typename T>
@@ -120,17 +118,11 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
   static_assert(std::is_trivially_destructible_v<std::atomic<index_t>>,
                 "progress vector is rewound by Scope, never destroyed");
   std::atomic<index_t>* progress = nullptr;
-  detail::QSupport qs;
   if (n > 0) {
     void* raw = ctx.workspace().alloc_bytes(static_cast<std::size_t>(n) *
                                             sizeof(std::atomic<index_t>));
     progress = static_cast<std::atomic<index_t>*>(raw);
     for (index_t i = 0; i < n; ++i) new (progress + i) std::atomic<index_t>(0);
-    if (q != nullptr && opt.q_profile.band >= 0) {
-      qs.lo = ctx.workspace().alloc<index_t>(static_cast<std::size_t>(n));
-      qs.hi = ctx.workspace().alloc<index_t>(static_cast<std::size_t>(n));
-      detail::init_q_support(qs, n, q->rows(), opt.q_profile.band);
-    }
   }
 
   const index_t block = std::clamp<index_t>(opt.sweep_block, 1, kMaxSweepBlock);
@@ -142,7 +134,6 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
     ChaseShared<T> st;
     st.a = a;
     st.q = q;
-    st.qs = qs;
     st.n = n;
     st.d = d;
     st.nsweeps = nsweeps;

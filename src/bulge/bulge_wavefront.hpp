@@ -47,13 +47,11 @@ struct WavefrontOptions {
   index_t tile_rows = 192;
   /// Cap on broadcast lanes; 0 means pool size + 1 (the caller participates).
   int max_lanes = 0;
-  /// Row profile of the accumulated Q (see QRowProfile; default dense).
-  QRowProfile q_profile{};
 };
 
 /// Upper bound on the context-workspace bytes bulge_chase_wavefront checks
-/// out for an n x n problem (progress vector + Q support windows). Add this
-/// to lwork-style reservations alongside evd/sbr workspace_query.
+/// out for an n x n problem (its per-sweep progress vector). Add this to
+/// lwork-style reservations alongside evd/sbr workspace_query.
 std::size_t wavefront_workspace_bytes(index_t n);
 
 /// Hard cap on WavefrontOptions::sweep_block (per-lane stack state is sized
@@ -61,7 +59,7 @@ std::size_t wavefront_workspace_bytes(index_t n);
 inline constexpr index_t kMaxSweepBlock = 32;
 
 /// Reduce symmetric band `a` (full storage, bandwidth `bw`) to tridiagonal,
-/// bitwise-equal to bulge_chase(a, bw, q, opt.q_profile) for every pool /
+/// bitwise-equal to bulge_chase(a, bw, q) for every pool /
 /// lane count / blocking choice. Elapsed time lands on the context telemetry
 /// under "bulge.chase.wavefront" (total) and "bulge.chase.sweep" (summed
 /// per-diagonal fan-out windows). Progress state lives in the context

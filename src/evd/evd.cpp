@@ -145,12 +145,10 @@ SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt
     : a_(a), ctx_(ctx), opt_(opt), range_(range) {
   TCEVD_CHECK(validate_request(a_, opt_, range_, "SolveJob").ok(),
               "SolveJob: invalid request (callers check validate_request first)");
-  if (opt_.abft) abft_.emplace();  // covers every attempt, escalations included
   // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n)),
   // and never verify — matching the old solve() routing for n <= 1. Nor do
   // selected ranges: the estimators need the full spectrum.
   verified_ = opt_.verify != verify::Policy::Off && a_.rows() > 1 && !range_;
-  max_attempts_ = std::max(1, opt_.verify_max_attempts);
 }
 
 SolveJob::~SolveJob() = default;
@@ -167,6 +165,11 @@ const char* SolveJob::stage_name(Stage stage) noexcept {
 }
 
 void SolveJob::step() {
+  // ABFT covers this request's GEMMs, stage by stage, escalations included;
+  // the calling thread passes the choice on to the pool workers running its
+  // tiles, and other requests' GEMMs stay unchecked.
+  std::optional<blas::abft::AbftScope> abft;
+  if (opt_.abft) abft.emplace();
   switch (stage_) {
     case Stage::Reduction: step_reduction(); return;
     case Stage::Bulge: step_bulge(); return;
@@ -187,7 +190,6 @@ void SolveJob::release_attempt_state() {
   sres_.reset();
   engine_scope_.reset();  // restore the context's engine before anyone reuses it
   escalated_.reset();
-  abft_.reset();
 }
 
 void SolveJob::step_reduction() {
@@ -459,12 +461,9 @@ void SolveJob::step_finish() {
   if (const auto* tc_engine = dynamic_cast<const tc::TcEngine*>(&engine))
     prec = tc_engine->precision();
   std::unique_ptr<tc::GemmEngine> next = next_escalation_engine(engine.kind(), prec);
-  if (next == nullptr || attempts_ >= max_attempts_) {
-    const std::string reason =
-        next == nullptr
-            ? "the escalation chain is exhausted (already on '" + std::string(engine.name()) +
-                  "')"
-            : "the attempt budget (" + std::to_string(max_attempts_) + ") is spent";
+  if (next == nullptr) {
+    const std::string reason = "the escalation chain is exhausted (already on '" +
+                               std::string(engine.name()) + "')";
     recovery::note("evd.verify", "verification still failing and " + reason);
     append_log(pending_, scope.take());
     ctx_.telemetry().record_recovery(pending_);
@@ -479,8 +478,7 @@ void SolveJob::step_finish() {
     return;
   }
   recovery::note("evd.verify", "re-solving with higher-accuracy engine '" + next->name() +
-                                   "' (attempt " + std::to_string(attempts_ + 1) + "/" +
-                                   std::to_string(max_attempts_) + ")");
+                                   "' (attempt " + std::to_string(attempts_ + 1) + ")");
   append_log(pending_, scope.take());
   escalate_engine(std::move(next));
 }
@@ -516,8 +514,7 @@ void SolveJob::fail_attempt(const Status& status) {
     stage_ = Stage::Done;
     release_attempt_state();
   };
-  if (opt_.verify != verify::Policy::EstimateEscalate || !is_recoverable(status) ||
-      attempts_ >= max_attempts_) {
+  if (opt_.verify != verify::Policy::EstimateEscalate || !is_recoverable(status)) {
     give_up();
     return;
   }
@@ -595,9 +592,9 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
   // the z*S product buffer; a values-only solve checks out none of them.
   if (opt.vectors) bytes += 3 * nn * sizeof(float);
-  // Wavefront bulge chasing's progress vector + Q support windows (two-stage
-  // reductions that accumulate Q with bulge_threads != 1 may take the
-  // wavefront path; values-only chases run on compact band storage).
+  // Wavefront bulge chasing's progress vector (two-stage reductions that
+  // accumulate Q with bulge_threads != 1 may take the wavefront path;
+  // values-only chases run on compact band storage).
   if (opt.reduction != Reduction::OneStage && opt.vectors && opt.bulge_threads != 1)
     bytes += bulge::wavefront_workspace_bytes(n);
   bytes += 64 * Workspace::kAlignment;  // per-checkout alignment slop

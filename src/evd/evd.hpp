@@ -90,17 +90,14 @@ struct EvdOptions {
   /// verdict in EvdResult::verify and notes a breach at recovery site
   /// "evd.verify" — but still returns the result. EstimateEscalate
   /// additionally re-solves a breached problem on the next higher-accuracy
-  /// engine (Tc -> EcTc -> Fp32) under `verify_max_attempts`; when the chain
-  /// or the budget is exhausted without a passing estimate, the solve
-  /// returns PrecisionLoss instead of a result. Selected-range solves
+  /// engine (Tc -> EcTc -> Fp32), so at most three attempts; when the chain
+  /// is exhausted without a passing estimate, the solve returns
+  /// PrecisionLoss instead of a result. Selected-range solves
   /// (solve_selected) are never verified — the estimators need the full
   /// spectrum — and note a policy other than Off at "evd.verify" instead.
   verify::Policy verify = verify::Policy::Off;
   /// Probe vectors per verification (see verify::Options::probes).
   int verify_probes = 4;
-  /// Total solve attempts (initial + escalated re-solves) EstimateEscalate
-  /// may spend before giving up.
-  int verify_max_attempts = 3;
   /// Multiplies both verification thresholds (tighten < 1, loosen > 1).
   float verify_tol_scale = 1.0f;
   /// Run every packed GEMM issued during this solve under ABFT checksum

@@ -16,15 +16,15 @@
 //
 // Threading: a job is not thread-safe, but it has no thread affinity —
 // successive steps may run on different threads as long as calls are
-// serialized (each step opens and closes its own recovery::Scope, so the
-// thread-local recovery chain never spans a suspension point).
+// serialized (each step opens and closes its own recovery::Scope and, for an
+// ABFT request, its own blas::abft::AbftScope, so neither thread-local state
+// spans a suspension point).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/blas/abft.hpp"
 #include "src/common/context.hpp"
 #include "src/common/matrix.hpp"
 #include "src/common/recovery.hpp"
@@ -102,11 +102,11 @@ class SolveJob {
   Context& ctx_;
   EvdOptions opt_;
   std::optional<IndexRange> range_;
-  std::optional<blas::abft::AbftScope> abft_;  // spans every attempt, like solve()
 
-  // Verification attempt loop (mirrors the old solve_verified locals).
+  // Verification attempt loop (mirrors the old solve_verified locals). It
+  // ends when the escalation chain Tc -> EcTc -> Fp32 does, so a solve makes
+  // at most three attempts.
   bool verified_ = false;
-  int max_attempts_ = 1;
   int attempts_ = 0;
   int escalations_ = 0;
   // `escalated_` is declared before `engine_scope_` so the override scope

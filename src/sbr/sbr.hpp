@@ -90,7 +90,7 @@ struct WyBlock {
 struct SbrResult {
   Matrix<float> band;          ///< n x n symmetric band matrix B
   Matrix<float> q;             ///< n x n orthogonal Q (empty unless requested)
-  std::vector<WyBlock> blocks; ///< WY blocks (sbr_wy only; for FormW / tests)
+  std::vector<WyBlock> blocks; ///< WY blocks (sbr_wy and sbr_dbr; for FormW / tests)
 };
 
 /// Conventional ZY-based SBR (baseline). Panel failures that survive the

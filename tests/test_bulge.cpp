@@ -234,49 +234,6 @@ TEST(BulgeWavefront, NullPoolRunsInline) {
   expect_wavefront_bitwise<double>(64, 8, /*with_q=*/true, wopt, 5);
 }
 
-// A Q entering with a band row profile: the window-tracked update must equal
-// (as values) the dense full-row update, in both drivers, and the drivers
-// must agree bitwise with each other.
-TEST(BulgeWavefront, QRowProfileMatchesDenseUpdate) {
-  const index_t n = 96, bw = 4;
-  auto a = random_band<double>(n, bw, 21);
-
-  // Dense reference: serial chase, full-row Q updates on an identity.
-  auto dense = a;
-  Matrix<double> q_dense(n, n);
-  set_identity(q_dense.view());
-  auto qd = q_dense.view();
-  (void)bulge::bulge_chase<double>(dense.view(), bw, &qd);
-
-  // Serial with the identity's exact profile (band = 0).
-  auto hinted = a;
-  Matrix<double> q_hint(n, n);
-  set_identity(q_hint.view());
-  auto qh = q_hint.view();
-  (void)bulge::bulge_chase<double>(hinted.view(), bw, &qh, bulge::QRowProfile{0});
-
-  // Wavefront with the same profile.
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  auto wave = a;
-  Matrix<double> q_wave(n, n);
-  set_identity(q_wave.view());
-  auto qw = q_wave.view();
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &bulge_test_pool();
-  wopt.q_profile.band = 0;
-  (void)bulge::bulge_chase_wavefront<double>(ctx, wave.view(), bw, &qw, wopt);
-
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) {
-      // Skipped rows hold exact zeros, so the hinted update equals the dense
-      // one as VALUES (EXPECT_EQ; a skipped row cannot flip a zero's sign
-      // because it is never touched).
-      EXPECT_EQ(q_dense(i, j), q_hint(i, j)) << "serial hinted Q(" << i << "," << j << ")";
-      EXPECT_EQ(q_hint(i, j), q_wave(i, j)) << "wavefront Q(" << i << "," << j << ")";
-    }
-}
-
 // The double Context overload must exist and attribute its time to the
 // "bulge.chase" telemetry stage (regression: it used to be float-only, so
 // double reference pipelines lost stage attribution).

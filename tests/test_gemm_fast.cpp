@@ -8,6 +8,7 @@
 // kernels, and the pack-arena alignment contract. Label: gemmfast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
@@ -22,7 +23,9 @@
 #include "src/blas/gemm_threading.hpp"
 #include "src/blas/simd_dispatch.hpp"
 #include "src/common/aligned.hpp"
+#include "src/common/fault.hpp"
 #include "src/common/half.hpp"
+#include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/tensorcore/ec_tcgemm.hpp"
 #include "src/tensorcore/tc_convert.hpp"
@@ -271,6 +274,79 @@ TEST(FusedRounding, EcTcGemmBitwiseEqualToMaterializedPath) {
                    tc::TcPrecision::Fp16);
       expect_bitwise_equal<float>(c_fused.view(), c_ref.view());
     }
+}
+
+// ---------------------------------------------------------------------------
+// ABFT on the EC-TC sweeps: the first runs two B panels (head and tail) per
+// tile, the second one.
+// ---------------------------------------------------------------------------
+
+// Crosses the kMC and kKC block edges and is large enough to fan out.
+constexpr index_t kEcM = 150, kEcN = 70, kEcK = 300;
+
+Matrix<float> ec_operand(Trans trans, index_t rows, index_t cols, std::uint64_t seed) {
+  return trans == Trans::No ? random_mat<float>(rows, cols, seed)
+                            : random_mat<float>(cols, rows, seed);
+}
+
+TEST(EcTcAbft, CheckedSweepsAreBitwiseEqualToUncheckedForEveryOpPair) {
+  // Micro-tiles of one call: every macro block's tile grid, summed.
+  namespace packed = blas::packed;
+  std::uint64_t tiles = 0;
+  for (index_t i0 = 0; i0 < kEcM; i0 += packed::kMC) {
+    const index_t mc = std::min(packed::kMC, kEcM - i0);
+    tiles += static_cast<std::uint64_t>((mc + packed::kMR - 1) / packed::kMR) *
+             ((kEcN + packed::kNR - 1) / packed::kNR);
+  }
+  tiles *= (kEcK + packed::kKC - 1) / packed::kKC;
+
+  for (Trans ta : {Trans::No, Trans::Yes})
+    for (Trans tb : {Trans::No, Trans::Yes}) {
+      auto a = ec_operand(ta, kEcM, kEcK, 61);
+      auto b = ec_operand(tb, kEcK, kEcN, 62);
+      auto c_plain = random_mat<float>(kEcM, kEcN, 63);
+      auto c_checked = c_plain;
+      ASSERT_TRUE(tc::ec_tcgemm(ta, tb, 0.9f, a.view(), b.view(), -0.4f, c_plain.view()).ok());
+      const auto checked0 = blas::abft::tiles_checked();
+      const auto detected0 = blas::abft::tiles_detected();
+      {
+        blas::abft::AbftScope abft;
+        ASSERT_TRUE(
+            tc::ec_tcgemm(ta, tb, 0.9f, a.view(), b.view(), -0.4f, c_checked.view()).ok());
+      }
+      // Three products: the split sweep checks two panels per tile, the
+      // correction sweep one.
+      EXPECT_EQ(blas::abft::tiles_checked() - checked0, 3 * tiles);
+      EXPECT_EQ(blas::abft::tiles_detected(), detected0);
+      expect_bitwise_equal<float>(c_checked.view(), c_plain.view());
+    }
+}
+
+TEST(EcTcAbft, CorruptedTileIsDetectedAndRestored) {
+  fault::disarm_all();
+  auto a = ec_operand(Trans::Yes, kEcM, kEcK, 64);
+  auto b = ec_operand(Trans::No, kEcK, kEcN, 65);
+  auto c_ref = random_mat<float>(kEcM, kEcN, 66);
+  auto c = c_ref;
+  ASSERT_TRUE(
+      tc::ec_tcgemm(Trans::Yes, Trans::No, 1.1f, a.view(), b.view(), 0.5f, c_ref.view()).ok());
+
+  const auto detected0 = blas::abft::tiles_detected();
+  recovery::Scope scope;
+  {
+    blas::abft::AbftScope abft;
+    fault::arm(fault::Site::GemmTileCorrupt, 1);
+    ASSERT_TRUE(
+        tc::ec_tcgemm(Trans::Yes, Trans::No, 1.1f, a.view(), b.view(), 0.5f, c.view()).ok());
+  }
+  const int fired = fault::fired(fault::Site::GemmTileCorrupt);
+  fault::disarm_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(blas::abft::tiles_detected(), detected0 + 1);
+  const RecoveryLog log = scope.take();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].site, "blas.abft");
+  expect_bitwise_equal<float>(c.view(), c_ref.view());
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 
 #include "src/blas/abft.hpp"
 #include "src/blas/blas.hpp"
@@ -22,6 +23,7 @@
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
 #include "src/evd/service.hpp"
+#include "src/evd/solve_job.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "tests/test_util.hpp"
@@ -225,7 +227,6 @@ TEST_F(VerifyTest, AbftDetectsAndBitwiseRestoresCorruptedTile) {
                     ConstMatrixView<float>(b.view()), 0.0f, ref.view());
 
   const auto detected0 = blas::abft::tiles_detected();
-  const auto recomputed0 = blas::abft::tiles_recomputed();
   recovery::Scope scope;
   {
     blas::abft::AbftScope abft;
@@ -235,7 +236,6 @@ TEST_F(VerifyTest, AbftDetectsAndBitwiseRestoresCorruptedTile) {
   }
   EXPECT_EQ(fault::fired(fault::Site::GemmTileCorrupt), 1);
   EXPECT_EQ(blas::abft::tiles_detected(), detected0 + 1);
-  EXPECT_EQ(blas::abft::tiles_recomputed(), recomputed0 + 1);
   // Recompute replays the identical accumulation: bitwise-restored result.
   EXPECT_EQ(std::memcmp(c.data(), ref.data(), sizeof(float) * n * n), 0);
   const RecoveryLog log = scope.take();
@@ -281,6 +281,47 @@ TEST_F(VerifyTest, CorruptionWithoutAbftSilentlyLandsInResult) {
                     ConstMatrixView<float>(b.view()), 0.0f, c.view());
   EXPECT_EQ(fault::fired(fault::Site::GemmTileCorrupt), 1);
   EXPECT_NE(std::memcmp(c.data(), ref.data(), sizeof(float) * n * n), 0);
+}
+
+TEST_F(VerifyTest, AbftCoversOnlyTheRequestThatAskedForIt) {
+  // An abft = true job checks its own GEMMs while a step runs. Parked between
+  // steps it must not check anyone else's: neither a GEMM on the thread that
+  // stepped it nor one on another thread (an EvdService runner serving a
+  // different request).
+  const index_t n = 128;
+  auto a = test::random_symmetric<float>(n, 57);
+  tc::TcEngine engine;
+  Context ctx(engine);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  opt.abft = true;
+  evd::SolveJob job(ConstMatrixView<float>(a.view()), ctx, opt);
+
+  const auto checked0 = blas::abft::tiles_checked();
+  job.step();
+  ASSERT_EQ(job.stage(), evd::SolveJob::Stage::Bulge);
+  EXPECT_GT(blas::abft::tiles_checked(), checked0) << "the reduction's GEMMs went unchecked";
+
+  const index_t m = 64;
+  auto x = test::random_matrix_f(m, m, 58);
+  auto y = test::random_matrix_f(m, m, 59);
+  auto plain_gemm = [&] {
+    Matrix<float> c(m, m);
+    blas::gemm<float>(blas::Trans::No, blas::Trans::No, 1.0f,
+                      ConstMatrixView<float>(x.view()), ConstMatrixView<float>(y.view()),
+                      0.0f, c.view());
+  };
+  const auto parked = blas::abft::tiles_checked();
+  EXPECT_FALSE(blas::abft::enabled());
+  plain_gemm();
+  std::thread other(plain_gemm);
+  other.join();
+  EXPECT_EQ(blas::abft::tiles_checked(), parked) << "another request's GEMM was checked";
+
+  while (!job.done()) job.step();
+  auto res = job.take();
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  EXPECT_GT(blas::abft::tiles_checked(), parked) << "later steps went unchecked";  // D&C's z*V
 }
 
 // --- end-to-end: the acceptance scenario -----------------------------------
@@ -386,7 +427,6 @@ TEST_F(VerifyTest, EscalationWalksTheFullChainToFp32) {
   evd::EvdOptions opt;
   opt.vectors = true;
   opt.verify = verify::Policy::EstimateEscalate;
-  opt.verify_max_attempts = 3;
   fault::arm(fault::Site::VerifyResidual, 2);
   auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
   ASSERT_TRUE(res.ok()) << res.status().to_string();
@@ -400,20 +440,24 @@ TEST_F(VerifyTest, EscalationTerminatesWhenBudgetOrChainExhausts) {
   const index_t n = 48;
   auto a = test::random_symmetric<float>(n, 67);
 
-  // Unlimited forced breaches: the attempt budget must stop the loop.
+  // Unlimited forced breaches from Tc: the loop walks the whole chain
+  // Tc -> EcTc -> Fp32 and stops when it runs out.
   {
     tc::TcEngine engine;
     Context ctx(engine);
     evd::EvdOptions opt;
     opt.vectors = true;
     opt.verify = verify::Policy::EstimateEscalate;
-    opt.verify_max_attempts = 2;
     fault::arm(fault::Site::VerifyResidual, -1);
     auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+    const int fired = fault::fired(fault::Site::VerifyResidual);
     fault::disarm_all();
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status().code(), ErrorCode::PrecisionLoss);
-    EXPECT_EQ(fault::fired(fault::Site::VerifyResidual), 2);  // one per attempt
+    EXPECT_EQ(fired, 3);  // one per attempt
+    EXPECT_NE(res.status().message().find("chain is exhausted (already on 'fp32')"),
+              std::string::npos)
+        << res.status().message();
   }
   // Already on the terminal engine: the chain ends immediately.
   {

@@ -421,8 +421,8 @@ TEST(Workspace, ValuesOnlyStedcAllocatesAConstant) {
 
 // The wavefront bulge chase's steady-state allocation budget must equal the
 // serial chase's exactly (the two unavoidable result-vector allocations of
-// BulgeResult::d/e and nothing else): progress vector and Q support live in
-// the warm workspace arena, lanes fan out through the allocation-free
+// BulgeResult::d/e and nothing else): the progress vector lives in the warm
+// workspace arena, lanes fan out through the allocation-free
 // try_broadcast, and telemetry stage names are interned on the warm-up call.
 TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   const index_t n = 128, bw = 8;
