@@ -25,7 +25,7 @@ std::uint64_t tiles_detected() noexcept {
   return g_tiles_detected.load(std::memory_order_relaxed);
 }
 
-void finish_call(const CallStats& stats, const char* kernel) {
+void finish_call(const CallStats& stats) {
   const long checked = stats.checked;
   const long detected = stats.detected.load(std::memory_order_relaxed);
   g_tiles_checked.fetch_add(static_cast<std::uint64_t>(checked), std::memory_order_relaxed);
@@ -35,7 +35,7 @@ void finish_call(const CallStats& stats, const char* kernel) {
   const index_t gi = static_cast<index_t>(packed >> 31);
   const index_t gj = static_cast<index_t>(packed & ((std::int64_t{1} << 31) - 1));
   recovery::note("blas.abft",
-                 std::string(kernel) + ": checksum mismatch in " + std::to_string(detected) +
+                 "gemm: checksum mismatch in " + std::to_string(detected) +
                      " C tile(s), first at (" + std::to_string(gi) + ", " +
                      std::to_string(gj) + "); recomputed corrupted tile(s) in fp32");
 }

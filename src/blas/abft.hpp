@@ -1,9 +1,8 @@
 // ABFT (algorithm-based fault tolerance) for the packed GEMM pipeline.
 //
-// When ABFT is enabled, every packed GEMM kernel (gemm_packed and
-// gemm_packed_split_b — and therefore blas::gemm, tc_gemm and ec_tcgemm on
-// top of them) verifies each C micro-tile it produces against a
-// column-checksum invariant:
+// When ABFT is enabled, the packed GEMM kernel (gemm_packed — and therefore
+// blas::gemm, tc_gemm and ec_tcgemm on top of it) verifies each C micro-tile
+// it produces against a column-checksum invariant:
 //
 //     sum_i C_tile(i, j)  ==  alpha * sum_k sa(k) * Bpanel(k, j),
 //     where sa(k) = sum_i Apanel(i, k)
@@ -83,10 +82,9 @@ struct CallStats {
   }
 };
 
-/// Fold a finished call's stats into the process counters and, when a
+/// Fold a finished GEMM call's stats into the process counters and, when a
 /// corruption was detected, note it at recovery site "blas.abft" on the
-/// calling thread (kernel names the logical operation, e.g. "gemm",
-/// "gemm.split_b"). Call after the tile broadcast has joined.
-void finish_call(const CallStats& stats, const char* kernel);
+/// calling thread. Call after the tile broadcast has joined.
+void finish_call(const CallStats& stats);
 
 }  // namespace tcevd::blas::abft

@@ -4,10 +4,10 @@
 // packing routines read straight through the transpose, so C = op(A)·op(B)
 // never materializes an intermediate matrix. Packing also applies a
 // per-element PackTransform functor, which is how the tensor-core emulation
-// fuses operand rounding (fp16 / tf32 / EC head–tail splitting) into the one
+// fuses operand rounding (fp16 / tf32 / the EC scaled residual) into the one
 // pass it already makes over the operands — see src/tensorcore/tc_gemm.cpp
-// and ec_tcgemm.cpp. EC-TC's first sweep is the same loop nest with two B
-// panels (head and tail, packed from one read of B) instead of one.
+// and ec_tcgemm.cpp, whose three products are three calls of this one
+// pipeline.
 //
 // Threading: the macro-tile loop fans out over disjoint C tiles on gemm_pool()
 // via ThreadPool::try_broadcast (allocation-free), subject to the policy in
@@ -79,18 +79,16 @@ inline constexpr index_t kNC = 1024;
 inline constexpr std::size_t kApackElems = static_cast<std::size_t>(kMC + kMR) * kKC;
 inline constexpr std::size_t kBpackElems = static_cast<std::size_t>(kKC) * (kNC + kNR);
 
-/// Thread-local pack storage, sized once per thread at first use. b2 backs
-/// the tail panel of the EC head–tail split packing. The arenas are 64-byte
-/// aligned: the AVX2 kernels aligned-load the packed A panels, legal because
-/// every panel/micro-panel offset into the arena is a multiple of kMR
-/// elements.
+/// Thread-local pack storage, sized once per thread at first use. The arenas
+/// are 64-byte aligned: the AVX2 kernels aligned-load the packed A panels,
+/// legal because every panel/micro-panel offset into the arena is a multiple
+/// of kMR elements.
 template <typename T>
 struct PackBuffers {
-  AlignedVector<T> a, b, b2;
-  PackBuffers() : a(kApackElems), b(kBpackElems), b2(kBpackElems) {
+  AlignedVector<T> a, b;
+  PackBuffers() : a(kApackElems), b(kBpackElems) {
     TCEVD_CHECK(reinterpret_cast<std::uintptr_t>(a.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(b.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(b2.data()) % kKernelAlignment == 0,
+                    reinterpret_cast<std::uintptr_t>(b.data()) % kKernelAlignment == 0,
                 "pack arenas must be 64-byte aligned for the SIMD kernels");
   }
 };
@@ -236,9 +234,8 @@ bool tile_checksum_ok(const T* tile, index_t mr, index_t nr, index_t kc, const T
 // --- Pack transforms: batch detection --------------------------------------
 //
 // A PackTransform may expose, next to its per-element operator(), a batch
-// form `f.apply(src, dst, n)` (or `split.apply(src, head, tail, n)`) that
-// maps a contiguous run in one call — the Tensor Core rounding transforms
-// vectorize theirs (src/tensorcore/tc_convert.hpp). Packing feeds it every
+// form `f.apply(src, dst, n)` that maps a contiguous run in one call — the
+// Tensor Core rounding transforms vectorize theirs (src/tensorcore/tc_convert.hpp). Packing feeds it every
 // contiguous source run it walks; strided destinations go through a small
 // aligned stack staging buffer (the source read is still one contiguous
 // sweep, which is where the vector win is).
@@ -250,14 +247,6 @@ struct HasBatchApply<F, T,
                      std::void_t<decltype(std::declval<const F&>().apply(
                          std::declval<const T*>(), std::declval<T*>(), index_t{}))>>
     : std::true_type {};
-
-template <typename F, typename T, typename = void>
-struct HasBatchSplit : std::false_type {};
-template <typename F, typename T>
-struct HasBatchSplit<F, T,
-                     std::void_t<decltype(std::declval<const F&>().apply(
-                         std::declval<const T*>(), std::declval<T*>(), std::declval<T*>(),
-                         index_t{}))>> : std::true_type {};
 
 /// op(A)(i0:i0+mc, k0:k0+kc) -> MR-row panels, k-major, f applied per element.
 /// TA=false reads columns of A contiguously; TA=true walks columns of A as
@@ -333,55 +322,6 @@ void pack_b_block(ConstMatrixView<T> b, index_t k0, index_t j0, index_t kc, inde
   }
 }
 
-/// Dual-output B pack: one pass over op(B) fills a head panel and a tail
-/// panel via split(v, head, tail). This is the EC-TC fusion — the head/tail
-/// decomposition is computed once per source element instead of once per
-/// materialized copy.
-template <bool TB, typename T, typename F>
-void pack_b_block_split(ConstMatrixView<T> b, index_t k0, index_t j0, index_t kc,
-                        index_t nc, T* bufh, T* buft, const F& split) {
-  for (index_t q = 0; q < nc; q += kNR) {
-    const index_t nr = std::min(kNR, nc - q);
-    if constexpr (!TB && HasBatchSplit<F, T>::value) {
-      for (index_t cidx = 0; cidx < nr; ++cidx) {
-        alignas(kKernelAlignment) T tmph[kKC];
-        alignas(kKernelAlignment) T tmpt[kKC];
-        split.apply(&b(k0, j0 + q + cidx), tmph, tmpt, kc);
-        for (index_t k = 0; k < kc; ++k) {
-          bufh[k * kNR + cidx] = tmph[k];
-          buft[k * kNR + cidx] = tmpt[k];
-        }
-      }
-      for (index_t cidx = nr; cidx < kNR; ++cidx)
-        for (index_t k = 0; k < kc; ++k) {
-          bufh[k * kNR + cidx] = T{};
-          buft[k * kNR + cidx] = T{};
-        }
-    } else {
-      for (index_t k = 0; k < kc; ++k) {
-        T* dh = bufh + k * kNR;
-        T* dt = buft + k * kNR;
-        index_t cidx = 0;
-        if constexpr (!TB) {
-          for (; cidx < nr; ++cidx) split(b(k0 + k, j0 + q + cidx), dh[cidx], dt[cidx]);
-        } else if constexpr (HasBatchSplit<F, T>::value) {
-          split.apply(&b(j0 + q, k0 + k), dh, dt, nr);
-          cidx = nr;
-        } else {
-          const T* col = &b(j0 + q, k0 + k);
-          for (; cidx < nr; ++cidx) split(col[cidx], dh[cidx], dt[cidx]);
-        }
-        for (; cidx < kNR; ++cidx) {
-          dh[cidx] = T{};
-          dt[cidx] = T{};
-        }
-      }
-    }
-    bufh += kNR * kc;
-    buft += kNR * kc;
-  }
-}
-
 /// acc(MR x NR) += sum_k apanel(:, k) bpanel(k, :); then C += alpha * acc.
 /// Routes float/double through the runtime-dispatched kernel table (bitwise
 /// twins of the scalar reference); everything else runs the scalar reference
@@ -415,22 +355,18 @@ inline bool dispatch_tiles(long ntiles, bool pooled, void (*fn)(void*, long), vo
   return false;
 }
 
-// One macro block's tiles, shared by the tile bodies below. It is a plain
-// struct without transforms: packing already ran on the calling thread,
+// One macro block's tiles, shared by the two tile bodies below. It is a
+// plain struct without transforms: packing already ran on the calling thread,
 // workers only read the packed panels and write disjoint C tiles. Living on
 // the caller's stack is safe — try_broadcast blocks until every index
-// completes. A plain GEMM has one B panel; the EC-TC split sweep has two
-// (head and tail), each with its own C, and every tile runs one micro-kernel
-// per panel. Each product keeps the accumulation order of its standalone
-// GEMM. The ABFT fields are null when ABFT is off.
+// completes. The ABFT fields are null when ABFT is off.
 template <typename T>
 struct TileCtx {
   const T* apack;
-  const T* bpack[2];
-  T* cbase[2];  // &c_p(i0, j0)
-  index_t ldc[2];
-  int panels;
+  const T* bpack;
   T alpha;
+  T* cbase;  // &c(i0, j0)
+  index_t ldc;
   index_t mc, nc, kc;
   index_t mtiles;
   const double* sa;
@@ -447,25 +383,23 @@ void run_tile(void* vctx, long idx) {
   const index_t mr = std::min(kMR, ctx->mc - ir);
   const index_t nr = std::min(kNR, ctx->nc - jr);
   const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const index_t poff = (jr / kNR) * ctx->kc * kNR;
-  for (int p = 0; p < ctx->panels; ++p) {
-    T* cc = ctx->cbase[p] + ir + jr * ctx->ldc[p];
-    micro_kernel(ctx->kc, ap, ctx->bpack[p] + poff, ctx->alpha, cc, ctx->ldc[p], mr, nr);
-    // Post-micro-kernel corruption injection: with ABFT off nothing checks the
-    // tile, and the bad value flows into the result (exactly the silent fault
-    // the end-to-end verification tier exists to catch).
-    if (p == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(*cc);
-  }
+  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
+  micro_kernel(ctx->kc, ap, bp, ctx->alpha, ctx->cbase + ir + jr * ctx->ldc, ctx->ldc, mr,
+               nr);
+  // Post-micro-kernel corruption injection: with ABFT off nothing checks the
+  // tile, and the bad value flows into the result (exactly the silent fault
+  // the end-to-end verification tier exists to catch).
+  if (fault::should_fire(fault::Site::GemmTileCorrupt))
+    corrupt_value(*(ctx->cbase + ir + jr * ctx->ldc));
 }
 
-// The ABFT tile body accumulates each panel's tile into a private kMR x kNR
-// buffer holding exactly fl(alpha*acc) — the value run_tile would have added
-// to C — verifies it against the packed-A checksum vector, recomputes in
-// place on a mismatch (same packed panels, same accumulation order: the
-// recompute is bitwise the uncorrupted tile), and only then applies it to C.
-// The injected gemm.tile_corrupt flip lands on output 0's private tile after
-// its micro-kernel, modeling a corrupted C tile before anything downstream
-// consumed it.
+// The ABFT tile body accumulates its tile into a private kMR x kNR buffer
+// holding exactly fl(alpha*acc) — the value run_tile would have added to C —
+// verifies it against the packed-A checksum vector, recomputes in place on a
+// mismatch (same packed panels, same accumulation order: the recompute is
+// bitwise the uncorrupted tile), and only then applies it to C. The injected
+// gemm.tile_corrupt flip lands on the private tile after the micro-kernel,
+// modeling a corrupted C tile before anything downstream consumed it.
 template <typename T>
 void run_tile_abft(void* vctx, long idx) {
   const auto* ctx = static_cast<const TileCtx<T>*>(vctx);
@@ -474,25 +408,23 @@ void run_tile_abft(void* vctx, long idx) {
   const index_t mr = std::min(kMR, ctx->mc - ir);
   const index_t nr = std::min(kNR, ctx->nc - jr);
   const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const index_t poff = (jr / kNR) * ctx->kc * kNR;
+  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
   const double* sa = ctx->sa + (ir / kMR) * ctx->kc;
   const double* sa_abs = ctx->sa_abs + (ir / kMR) * ctx->kc;
-  for (int p = 0; p < ctx->panels; ++p) {
-    const T* bp = ctx->bpack[p] + poff;
-    T tile[kNR * kMR] = {};
+
+  T tile[kNR * kMR] = {};
+  micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
+  if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
+  if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bp, ctx->alpha, sa, sa_abs)) {
+    std::fill(tile, tile + kNR * kMR, T{});
     micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-    if (p == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-    if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bp, ctx->alpha, sa, sa_abs)) {
-      std::fill(tile, tile + kNR * kMR, T{});
-      micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-      ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
-    }
-    T* cc0 = ctx->cbase[p] + ir + jr * ctx->ldc[p];
-    for (index_t jj = 0; jj < nr; ++jj) {
-      T* cc = cc0 + jj * ctx->ldc[p];
-      const T* tcol = tile + jj * kMR;
-      for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
-    }
+    ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
+  }
+  T* cc0 = ctx->cbase + ir + jr * ctx->ldc;
+  for (index_t jj = 0; jj < nr; ++jj) {
+    T* cc = cc0 + jj * ctx->ldc;
+    const T* tcol = tile + jj * kMR;
+    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
   }
 }
 
@@ -511,28 +443,22 @@ void prescale(T beta, MatrixView<T> c) {
   }
 }
 
-/// The packed loop nest: c[p] += alpha * op(A) * panel_p(op(B)) for each of
-/// the P outputs. With P == 1, fb is a per-element transform and the one
-/// panel is fb(op(B)) — the plain GEMM. With P == 2, fb is a head–tail split
-/// and one read of op(B) packs both panels (EC-TC sweep 1). Every output is
-/// m x n.
-template <bool TA, bool TB, typename T, std::size_t P, typename FA, typename FB>
-void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
-                      const MatrixView<T> (&c)[P], index_t k, const FA& fa, const FB& fb,
-                      abft::CallStats* abft_stats) {
-  static_assert(P == 1 || P == 2, "one panel, or a head and a tail panel");
-  const index_t m = c[0].rows();
-  const index_t n = c[0].cols();
+/// The packed loop nest: c += alpha * fa(op(A)) * fb(op(B)), with C already
+/// scaled by beta. ABFT-checks every tile when abft_stats is non-null.
+template <bool TA, bool TB, typename T, typename FA, typename FB>
+void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c,
+                      index_t k, const FA& fa, const FB& fb, abft::CallStats* abft_stats) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
   PackBuffers<T>& bufs = pack_buffers<T>();
   const bool pooled = blas::detail::use_gemm_pool(m, n, k);
   AbftBuffers* ab = abft_stats != nullptr ? &abft_buffers() : nullptr;
 
   TileCtx<T> ctx{};
   ctx.apack = bufs.a.data();
-  ctx.bpack[0] = bufs.b.data();
-  ctx.bpack[1] = bufs.b2.data();
-  ctx.panels = static_cast<int>(P);
+  ctx.bpack = bufs.b.data();
   ctx.alpha = alpha;
+  ctx.ldc = c.ld();
   if (ab != nullptr) {
     ctx.sa = ab->sa.data();
     ctx.sa_abs = ab->sa_abs.data();
@@ -542,21 +468,15 @@ void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
     const index_t nc = std::min(kNC, n - j0);
     for (index_t k0 = 0; k0 < k; k0 += kKC) {
       const index_t kc = std::min(kKC, k - k0);
-      if constexpr (P == 1)
-        pack_b_block<TB>(b, k0, j0, kc, nc, bufs.b.data(), fb);
-      else
-        pack_b_block_split<TB>(b, k0, j0, kc, nc, bufs.b.data(), bufs.b2.data(), fb);
+      pack_b_block<TB>(b, k0, j0, kc, nc, bufs.b.data(), fb);
       for (index_t i0 = 0; i0 < m; i0 += kMC) {
         const index_t mc = std::min(kMC, m - i0);
         pack_a_block<TA>(a, i0, k0, mc, kc, bufs.a.data(), fa);
+        ctx.cbase = &c(i0, j0);
         ctx.mc = mc;
         ctx.nc = nc;
         ctx.kc = kc;
         ctx.mtiles = (mc + kMR - 1) / kMR;
-        for (std::size_t p = 0; p < P; ++p) {
-          ctx.cbase[p] = &c[p](i0, j0);
-          ctx.ldc[p] = c[p].ld();
-        }
         const long ntiles = static_cast<long>(ctx.mtiles) * ((nc + kNR - 1) / kNR);
         if (abft_stats == nullptr) {
           dispatch_tiles(ntiles, pooled, &run_tile<T>, &ctx);
@@ -565,44 +485,11 @@ void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
           ctx.gi0 = i0;
           ctx.gj0 = j0;
           dispatch_tiles(ntiles, pooled, &run_tile_abft<T>, &ctx);
-          abft_stats->checked += static_cast<long>(P) * ntiles;
+          abft_stats->checked += ntiles;
         }
       }
     }
   }
-}
-
-/// Inner dimension of op(A)·op(B) for an m x n C; aborts on a shape mismatch.
-template <typename T>
-index_t inner_dim(Trans transa, Trans transb, ConstMatrixView<T> a, ConstMatrixView<T> b,
-                  index_t m, index_t n) {
-  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
-  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
-  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
-  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
-  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  return ka;
-}
-
-/// One packed GEMM call: resolves op(A)/op(B) to the loop nest's template
-/// flags, runs it under ABFT when the calling thread asked for it, and folds
-/// the ABFT tile counts into the process counters under `kernel`.
-template <typename T, std::size_t P, typename FA, typename FB>
-void run_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
-                ConstMatrixView<T> b, const MatrixView<T> (&c)[P], index_t k, const FA& fa,
-                const FB& fb, const char* kernel) {
-  simd::detail::record_dispatch(simd::active_level());
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  if (transa == Trans::No && transb == Trans::No)
-    gemm_packed_impl<false, false>(alpha, a, b, c, k, fa, fb, sp);
-  else if (transa == Trans::Yes && transb == Trans::No)
-    gemm_packed_impl<true, false>(alpha, a, b, c, k, fa, fb, sp);
-  else if (transa == Trans::No && transb == Trans::Yes)
-    gemm_packed_impl<false, true>(alpha, a, b, c, k, fa, fb, sp);
-  else
-    gemm_packed_impl<true, true>(alpha, a, b, c, k, fa, fb, sp);
-  if (sp != nullptr) abft::finish_call(stats, kernel);
 }
 
 }  // namespace packed
@@ -610,37 +497,32 @@ void run_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
 /// C = alpha * op(A) * op(B) + beta * C through the packed pipeline, with
 /// fa/fb applied per element of A/B during packing. All four trans
 /// combinations run the same micro-kernel with zero intermediate matrices.
+/// Runs under ABFT when the calling thread has an AbftScope open.
 template <typename T, typename FA = IdentityTransform, typename FB = IdentityTransform>
 void gemm_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c, const FA& fa = FA{},
                  const FB& fb = FB{}) {
-  const index_t k = packed::inner_dim(transa, transb, a, b, c.rows(), c.cols());
+  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
+  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
+  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
+  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
+  TCEVD_CHECK(ma == c.rows() && nb == c.cols() && ka == kb, "gemm shape mismatch");
   if (c.rows() == 0 || c.cols() == 0) return;
   packed::prescale(beta, c);
-  if (k == 0 || alpha == T{}) return;
-  const MatrixView<T> out[1] = {c};
-  packed::run_packed(transa, transb, alpha, a, b, out, k, fa, fb, "gemm");
-}
+  if (ka == 0 || alpha == T{}) return;
+  simd::detail::record_dispatch(simd::active_level());
 
-/// EC-TC first sweep: C0 = op(A)·head(op(B)) and C1 = op(A)·tail(op(B)) in
-/// ONE pass over B — split(v, head, tail) runs once per B element while
-/// packing. This is the two-panel case of the packed loop nest, so both
-/// products accumulate exactly as their standalone gemms would and results
-/// are bitwise-identical to materializing head/tail copies first. Overwrites
-/// C0 and C1.
-template <typename T, typename FA, typename FSplit>
-void gemm_packed_split_b(Trans transa, Trans transb, ConstMatrixView<T> a,
-                         ConstMatrixView<T> b, MatrixView<T> c0, MatrixView<T> c1,
-                         const FA& fa, const FSplit& split) {
-  const index_t k = packed::inner_dim(transa, transb, a, b, c0.rows(), c0.cols());
-  TCEVD_CHECK(c1.rows() == c0.rows() && c1.cols() == c0.cols(),
-              "split gemm accumulator shape mismatch");
-  if (c0.rows() == 0 || c0.cols() == 0) return;
-  packed::prescale(T{}, c0);
-  packed::prescale(T{}, c1);
-  if (k == 0) return;
-  const MatrixView<T> out[2] = {c0, c1};
-  packed::run_packed(transa, transb, T{1}, a, b, out, k, fa, split, "gemm.split_b");
+  abft::CallStats stats;
+  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
+  if (transa == Trans::No && transb == Trans::No)
+    packed::gemm_packed_impl<false, false>(alpha, a, b, c, ka, fa, fb, sp);
+  else if (transa == Trans::Yes && transb == Trans::No)
+    packed::gemm_packed_impl<true, false>(alpha, a, b, c, ka, fa, fb, sp);
+  else if (transa == Trans::No && transb == Trans::Yes)
+    packed::gemm_packed_impl<false, true>(alpha, a, b, c, ka, fa, fb, sp);
+  else
+    packed::gemm_packed_impl<true, true>(alpha, a, b, c, ka, fa, fb, sp);
+  if (sp != nullptr) abft::finish_call(stats);
 }
 
 }  // namespace blas

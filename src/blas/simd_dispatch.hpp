@@ -75,9 +75,7 @@ bool cpu_supports_avx2() noexcept;
 bool compiled_with_avx2() noexcept;
 
 /// Process-wide count of packed-GEMM dispatches served by `level` since
-/// start. One dispatch == one packed GEMM call — gemm_packed, or the EC-TC
-/// split sweep gemm_packed_split_b, which runs the same loop nest — not one
-/// micro-tile.
+/// start. One dispatch == one gemm_packed call, not one micro-tile.
 std::uint64_t dispatch_count(Level level) noexcept;
 
 /// RAII guard forcing the scalar reference kernels process-wide while alive

@@ -16,7 +16,7 @@ namespace tcevd::tc {
 namespace {
 
 // Operand transforms come from tc_convert.hpp: RoundTransform is the head,
-// EcTailTransform / EcHeadTailSplit carry the kEcScale residual scaling.
+// EcTailTransform the kEcScale-scaled residual.
 
 /// True when rounding a finite fp32 operand to the TC format overflows to
 /// +-inf (fp16 saturation). NaN/Inf already present in the input is passed
@@ -102,17 +102,15 @@ Status ec_tcgemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatri
   MatrixView<float> c0(scratch.c0.data(), m, n, ldc);
   MatrixView<float> c1(scratch.c1.data(), m, n, ldc);
 
-  // Sweep 1 packs B's head AND tail panels in one pass over B (the split
-  // runs once per source element) and computes both products that share the
-  // head of A:  C0 = Ã·B̃  and  C1 = Ã·ΔB.
-  blas::gemm_packed_split_b(transa, transb, a, b, c0, c1, RoundTransform{prec},
-                            EcHeadTailSplit{prec, kEcScale});
-  // Sweep 2 accumulates the remaining correction:  C1 += ΔA·B̃.
-  // Both sweeps keep each product's accumulation order identical to its
-  // standalone GEMM, so results are bitwise-equal to the old path that
-  // materialized ah/da/bh/db copies first.
-  blas::gemm_packed(transa, transb, 1.0f, a, b, 1.0f, c1, EcTailTransform{prec, kEcScale},
-                    RoundTransform{prec});
+  // Three packed GEMMs, each rounding or splitting its operands while it
+  // packs them:  C0 = Ã·B̃,  C1 = Ã·ΔB,  then C1 += ΔA·B̃. Each keeps the
+  // accumulation order of a GEMM on materialized ah/da/bh/db copies, so the
+  // result is bitwise-equal to that path.
+  const RoundTransform head{prec};
+  const EcTailTransform tail{prec, kEcScale};
+  blas::gemm_packed(transa, transb, 1.0f, a, b, 0.0f, c0, head, head);
+  blas::gemm_packed(transa, transb, 1.0f, a, b, 0.0f, c1, head, tail);
+  blas::gemm_packed(transa, transb, 1.0f, a, b, 1.0f, c1, tail, head);
 
   // C = alpha * (C0 + C1/s) + beta * C, fused in fp32 on the SIMT side.
   const float inv_s = 1.0f / kEcScale;

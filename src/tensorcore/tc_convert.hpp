@@ -11,7 +11,7 @@
 //
 // The PackTransform functors expose both the per-element operator() the
 // packed-GEMM pack loops require and the batch apply() fast path they prefer
-// (gemm_packed.hpp's HasBatchApply/HasBatchSplit detection).
+// (gemm_packed.hpp's HasBatchApply detection).
 #pragma once
 
 #include "src/blas/simd_dispatch.hpp"
@@ -91,19 +91,6 @@ struct EcTailTransform {
       const index_t c = n - i < kChunk ? n - i : kChunk;
       ec_split_buffer(src + i, head, dst + i, c, scale, prec);
     }
-  }
-};
-
-/// Dual PackTransform for the split B pack: head and tail from one read of v.
-struct EcHeadTailSplit {
-  TcPrecision prec;
-  float scale;
-  void operator()(float v, float& h, float& t) const {
-    h = round_operand(v, prec);
-    t = round_operand(scale * (v - h), prec);
-  }
-  void apply(const float* src, float* head, float* tail, index_t n) const {
-    ec_split_buffer(src, head, tail, n, scale, prec);
   }
 };
 

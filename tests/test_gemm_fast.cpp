@@ -277,8 +277,7 @@ TEST(FusedRounding, EcTcGemmBitwiseEqualToMaterializedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// ABFT on the EC-TC sweeps: the first runs two B panels (head and tail) per
-// tile, the second one.
+// ABFT on the EC-TC products: three packed GEMMs per ec_tcgemm call.
 // ---------------------------------------------------------------------------
 
 // Crosses the kMC and kKC block edges and is large enough to fan out.
@@ -314,8 +313,7 @@ TEST(EcTcAbft, CheckedSweepsAreBitwiseEqualToUncheckedForEveryOpPair) {
         ASSERT_TRUE(
             tc::ec_tcgemm(ta, tb, 0.9f, a.view(), b.view(), -0.4f, c_checked.view()).ok());
       }
-      // Three products: the split sweep checks two panels per tile, the
-      // correction sweep one.
+      // Three products, each checking every tile.
       EXPECT_EQ(blas::abft::tiles_checked() - checked0, 3 * tiles);
       EXPECT_EQ(blas::abft::tiles_detected(), detected0);
       expect_bitwise_equal<float>(c_checked.view(), c_plain.view());
@@ -523,7 +521,7 @@ TEST(SimdVsScalar, AbftPathBitwiseEqualsScalar) {
 }
 
 TEST(SimdVsScalar, TensorCorePathsBitwiseEqualScalar) {
-  // tc_gemm (fused rounding) and ec_tcgemm (split-B + tail sweeps): each
+  // tc_gemm (fused rounding) and ec_tcgemm (head and tail products): each
   // through the dispatched kernels vs forced scalar.
   const index_t m = 70, n = 53, k = 300;
   auto a = random_mat<float>(m, k, 51);
@@ -646,11 +644,9 @@ TEST(PackAlignment, ThreadLocalArenasAre64ByteAligned) {
   auto& bf = blas::packed::pack_buffers<float>();
   EXPECT_TRUE(is_kernel_aligned(bf.a.data()));
   EXPECT_TRUE(is_kernel_aligned(bf.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bf.b2.data()));
   auto& bd = blas::packed::pack_buffers<double>();
   EXPECT_TRUE(is_kernel_aligned(bd.a.data()));
   EXPECT_TRUE(is_kernel_aligned(bd.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bd.b2.data()));
 }
 
 TEST(PackAlignment, AlignedVectorAlwaysAligned) {

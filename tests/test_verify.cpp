@@ -16,6 +16,8 @@
 
 #include "src/blas/abft.hpp"
 #include "src/blas/blas.hpp"
+#include "src/blas/gemm_microkernel_scalar.hpp"
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/recovery.hpp"
@@ -322,6 +324,33 @@ TEST_F(VerifyTest, AbftCoversOnlyTheRequestThatAskedForIt) {
   auto res = job.take();
   ASSERT_TRUE(res.ok()) << res.status().to_string();
   EXPECT_GT(blas::abft::tiles_checked(), parked) << "later steps went unchecked";  // D&C's z*V
+}
+
+TEST_F(VerifyTest, AbftScopeChecksOnlyItsOwnThreadsGemmsOnEveryWorker) {
+  // While this thread holds a scope, a GEMM another thread calls goes
+  // unchecked, and a pooled GEMM this thread calls is checked on whichever
+  // pool worker runs each tile.
+  const index_t n = 160;  // 2n^3 ~ 8.2 Mflop: above the pooling floor
+  auto a = test::random_matrix_f(n, n, 60);
+  auto b = test::random_matrix_f(n, n, 61);
+  auto gemm = [&] {
+    Matrix<float> c(n, n);
+    blas::gemm<float>(blas::Trans::No, blas::Trans::No, 1.0f,
+                      ConstMatrixView<float>(a.view()), ConstMatrixView<float>(b.view()),
+                      0.0f, c.view());
+  };
+  blas::abft::AbftScope abft;
+  const auto checked0 = blas::abft::tiles_checked();
+  std::thread other(gemm);
+  other.join();
+  EXPECT_EQ(blas::abft::tiles_checked(), checked0) << "another thread's GEMM was checked";
+
+  const auto pooled0 = blas::gemm_pool_dispatches();
+  gemm();
+  EXPECT_GT(blas::gemm_pool_dispatches(), pooled0) << "no GEMM fanned out: the check is vacuous";
+  // n, and the kMC row block, are multiples of the micro-tile: every tile is full.
+  const auto tiles = static_cast<std::uint64_t>((n / blas::packed::kMR) * (n / blas::packed::kNR));
+  EXPECT_EQ(blas::abft::tiles_checked() - checked0, tiles);
 }
 
 // --- end-to-end: the acceptance scenario -----------------------------------
