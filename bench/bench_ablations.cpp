@@ -9,7 +9,7 @@
 #include "bench/bench_common.hpp"
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
-#include "src/bulge/bulge_chasing.hpp"
+#include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/rng.hpp"
 #include "src/evd/evd.hpp"
 #include "src/lapack/tridiag.hpp"
@@ -40,8 +40,10 @@ int main() {
       opt.big_block = 4 * b;
       sbr::SbrResult res;
       const double t1 = bench::time_once_s([&] { res = *sbr::sbr_wy(a.view(), ctx, opt); });
-      const double t2 = bench::time_once_s(
-          [&] { (void)bulge::bulge_chase<float>(res.band.view(), b, nullptr); });
+      const double t2 = bench::time_once_s([&] {
+        (void)bulge::bulge_chase_auto<float>(ctx, res.band.view(), b, nullptr,
+                                             /*bulge_threads=*/1);
+      });
       std::printf("%6lld | %10.1f | %12.1f\n", static_cast<long long>(b), t1 * 1e3,
                   t2 * 1e3);
     }

@@ -1,7 +1,7 @@
-// Wavefront bulge-chasing thread scaling: serial reference vs the
-// wavefront engine at 1/2/4/8 lanes over an (n, bandwidth) grid matching
-// bench_dbr's shapes (plus the n = 2048 paper-direction point the roadmap
-// acceptance tracks).
+// Bulge-chasing lane scaling: the one compact chase, through the solve
+// drivers' entry point bulge_chase_auto, at bulge_threads = 1, 2 and 4 over
+// an (n, bandwidth) grid matching bench_dbr's shapes, eigenvalues only and
+// accumulating Q (plus the n = 2048 paper-direction point).
 //
 // Rows are [measured] wall clock on this machine; each is mirrored into
 // BENCH_bulge.json for the perf-trajectory tooling. The wavefront is
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
+#include "src/common/context.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/sbr/band.hpp"
@@ -24,21 +24,19 @@ namespace {
 
 using namespace tcevd;
 
+constexpr int kLanes[3] = {1, 2, 4};  // bulge_threads settings
+
 struct Row {
   std::string name;
-  double serial_s = 0.0;
-  double wave_s[4] = {0.0, 0.0, 0.0, 0.0};  // 1, 2, 4, 8 lanes
+  double lanes_s[3] = {0.0, 0.0, 0.0};
 };
-
-constexpr int kLaneCounts[4] = {1, 2, 4, 8};
 
 std::vector<Row> g_rows;
 
 void emit(const Row& row) {
-  const double s8 = row.wave_s[3] > 0.0 ? row.serial_s / row.wave_s[3] : 0.0;
-  std::printf("  %-24s %9.2f ms   wave %8.2f %8.2f %8.2f %8.2f   x%.2f\n", row.name.c_str(),
-              row.serial_s * 1e3, row.wave_s[0] * 1e3, row.wave_s[1] * 1e3, row.wave_s[2] * 1e3,
-              row.wave_s[3] * 1e3, s8);
+  const double s4 = row.lanes_s[2] > 0.0 ? row.lanes_s[0] / row.lanes_s[2] : 0.0;
+  std::printf("  %-24s %9.2f %9.2f %9.2f ms   x%.2f\n", row.name.c_str(), row.lanes_s[0] * 1e3,
+              row.lanes_s[1] * 1e3, row.lanes_s[2] * 1e3, s4);
   g_rows.push_back(row);
 }
 
@@ -51,48 +49,27 @@ Matrix<float> random_band(index_t n, index_t bw, std::uint64_t seed) {
   return a;
 }
 
-void sweep(index_t n, const std::vector<index_t>& bandwidths, bool with_q, ThreadPool& pool) {
+void sweep(index_t n, const std::vector<index_t>& bandwidths, bool with_q) {
   bench::section("band -> tridiagonal, n = " + std::to_string(n) +
                  (with_q ? " (accumulating Q)" : " (eigenvalues only)"));
   tc::Fp32Engine eng;
   Context ctx(eng);
+  Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
   for (index_t bw : bandwidths) {
     if (bw >= n) continue;
     auto a = random_band(n, bw, 42 + static_cast<std::uint64_t>(n + bw));
-    Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
-
     Row row;
     row.name = "bulge/n=" + std::to_string(n) + "/bw=" + std::to_string(bw) +
                (with_q ? "/q" : "");
-
-    {
-      auto w = a;  // the chase destroys its input: copy outside the timer
-      Matrix<float> qw = q;
-      if (with_q) set_identity(qw.view());
-      auto qv = qw.view();
-      row.serial_s = bench::time_once_s(
-          [&] { (void)bulge::bulge_chase<float>(w.view(), bw, with_q ? &qv : nullptr); });
-    }
-    for (int li = 0; li < 4; ++li) {
-      bulge::WavefrontOptions wopt;
-      wopt.pool = &pool;
-      wopt.max_lanes = kLaneCounts[li];
-      {
-        auto warm = a;  // warm the arena + pool outside the timed run
-        Matrix<float> qw = q;
-        if (with_q) set_identity(qw.view());
-        auto qv = qw.view();
-        (void)bulge::bulge_chase_wavefront<float>(ctx, warm.view(), bw,
-                                                  with_q ? &qv : nullptr, wopt);
-      }
-      auto w = a;
-      Matrix<float> qw = q;
-      if (with_q) set_identity(qw.view());
-      auto qv = qw.view();
-      row.wave_s[li] = bench::time_once_s([&] {
-        (void)bulge::bulge_chase_wavefront<float>(ctx, w.view(), bw, with_q ? &qv : nullptr,
-                                                  wopt);
-      });
+    for (int li = 0; li < 3; ++li) {
+      auto chase = [&] {
+        if (with_q) set_identity(q.view());
+        MatrixView<float> qv = q.view();
+        (void)bulge::bulge_chase_auto<float>(ctx, a.view(), bw, with_q ? &qv : nullptr,
+                                             kLanes[li]);
+      };
+      chase();  // warm the arena and the pool outside the timed run
+      row.lanes_s[li] = bench::time_once_s(chase);
     }
     emit(row);
   }
@@ -109,10 +86,10 @@ void write_json(const char* path) {
   for (std::size_t i = 0; i < g_rows.size(); ++i) {
     const Row& r = g_rows[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"seconds\": %.9f, \"wave1_s\": %.9f, "
-                 "\"wave2_s\": %.9f, \"wave4_s\": %.9f, \"wave8_s\": %.9f}%s\n",
-                 r.name.c_str(), r.serial_s, r.wave_s[0], r.wave_s[1], r.wave_s[2],
-                 r.wave_s[3], i + 1 < g_rows.size() ? "," : "");
+                 "    {\"name\": \"%s\", \"seconds\": %.9f, \"lanes2_s\": %.9f, "
+                 "\"lanes4_s\": %.9f}%s\n",
+                 r.name.c_str(), r.lanes_s[0], r.lanes_s[1], r.lanes_s[2],
+                 i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -122,28 +99,26 @@ void write_json(const char* path) {
 }  // namespace
 
 int main() {
-  bench::header("wavefront bulge chasing: serial vs 1/2/4/8-lane thread scaling",
-                "DESIGN.md §14; Ringoot et al. 2510.12705, Rodríguez-Sánchez et al. 1709.00302");
-  std::printf("  %-24s %12s   %-38s\n", "case", "serial", "wavefront lanes 1 / 2 / 4 / 8");
+  bench::header("bulge chasing: compact chase at bulge_threads = 1 / 2 / 4",
+                "docs/ALGORITHMS.md §14; Ringoot et al. 2510.12705, "
+                "Rodríguez-Sánchez et al. 1709.00302");
+  std::printf("  %-24s %9s %9s %9s      %s\n", "case", "1 lane", "2 lanes", "4 lanes", "1/4");
 
   const int hw = ThreadPool::hardware_threads();
-  if (hw < 8)
-    std::printf("\n  NOTE: this machine exposes %d hardware thread%s — lane counts above it\n"
-                "  time-slice one core, so wavefront speedups here reflect scheduling\n"
-                "  overhead, not the scaling a multicore CI runner or the paper's host\n"
-                "  shows. The bitwise-equality guarantee is hardware-independent.\n",
+  if (hw < 4)
+    std::printf("\n  NOTE: this machine exposes %d hardware thread%s — gemm_pool() offers\n"
+                "  fewer lanes than requested, so the wider rows repeat narrower ones.\n"
+                "  The bitwise-equality guarantee is hardware-independent.\n",
                 hw, hw == 1 ? "" : "s");
 
-  ThreadPool pool(7);  // 7 workers + broadcasting caller = up to 8 lanes
-
   // bench_dbr's grid shapes.
-  sweep(256, {4, 8, 16, 32}, /*with_q=*/false, pool);
-  sweep(256, {2, 8}, /*with_q=*/true, pool);
-  sweep(512, {2, 4, 8, 16, 32}, /*with_q=*/false, pool);
-  // The roadmap acceptance point: n >= 2048, bw = 8 (eigenvalues only — the
-  // Q accumulation is a dense O(n) row update per rotation and would swamp
-  // the chase itself at this size on one core).
-  sweep(2048, {2, 8}, /*with_q=*/false, pool);
+  sweep(256, {4, 8, 16, 32}, /*with_q=*/false);
+  sweep(512, {2, 4, 8, 16, 32}, /*with_q=*/false);
+  // The n = 2048 values-only paper-direction point.
+  sweep(2048, {2, 8}, /*with_q=*/false);
+  // Vectors solves: every rotation also updates two columns of the n x n Q.
+  sweep(256, {2, 8, 32}, /*with_q=*/true);
+  sweep(1024, {32}, /*with_q=*/true);
 
   write_json(bench::out_path("BENCH_bulge.json").c_str());
   return 0;

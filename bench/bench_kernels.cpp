@@ -12,13 +12,12 @@
 #include "src/blas/blas.hpp"
 #include "src/blas/gemm_threading.hpp"
 #include "src/blas/simd_dispatch.hpp"
-#include "src/bulge/bulge_chasing.hpp"
+#include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/rng.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/lapack/jacobi_evd.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/sbr/band.hpp"
-#include "src/sbr/band_storage.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/tensorcore/ec_tcgemm.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
@@ -138,21 +137,30 @@ void BM_SbrZy(benchmark::State& state) {
 }
 BENCHMARK(BM_SbrZy)->Arg(128)->Arg(256);
 
+// The serial compact chase; with_q = 1 also accumulates the rotations into
+// an n x n Q, as a vectors solve does.
 void BM_BulgeChase(benchmark::State& state) {
   const index_t n = state.range(0);
+  const bool with_q = state.range(1) != 0;
   const index_t bw = 16;
   Rng rng(8);
   Matrix<float> a(n, n);
   fill_normal(rng, a.view());
   make_symmetric(a.view());
   sbr::truncate_to_band<float>(a.view(), bw);
+  const auto band0 = sbr::BandMatrix<float>::from_full(a.view(), bw);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
   for (auto _ : state) {
-    Matrix<float> work = a;
-    auto res = bulge::bulge_chase<float>(work.view(), bw, nullptr);
+    auto band = band0;
+    if (with_q) set_identity(q.view());
+    MatrixView<float> qv = q.view();
+    auto res = bulge::bulge_chase_band<float>(ctx, band, with_q ? &qv : nullptr);
     benchmark::DoNotOptimize(res.d.data());
   }
 }
-BENCHMARK(BM_BulgeChase)->Arg(256)->Arg(512);
+BENCHMARK(BM_BulgeChase)->Args({256, 0})->Args({512, 0})->Args({256, 1})->Args({512, 1});
 
 // vectors = 0 is the values-only leg, which runs the root-free sterf.
 void BM_Stedc(benchmark::State& state) {
@@ -216,24 +224,6 @@ void BM_JacobiEvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobiEvd)->Arg(64)->Arg(128);
-
-void BM_BulgeChaseCompact(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const index_t bw = 16;
-  Rng rng(14);
-  Matrix<float> a(n, n);
-  fill_normal(rng, a.view());
-  make_symmetric(a.view());
-  sbr::truncate_to_band<float>(a.view(), bw);
-  auto band0 = sbr::BandMatrix<float>::from_full(a.view(), bw);
-  for (auto _ : state) {
-    auto band = band0;
-    std::vector<float> d, e;
-    sbr::bulge_chase_band(band, d, e);
-    benchmark::DoNotOptimize(d.data());
-  }
-}
-BENCHMARK(BM_BulgeChaseCompact)->Arg(256)->Arg(512);
 
 void BM_Steqr(benchmark::State& state) {
   const index_t n = state.range(0);

@@ -1,29 +1,32 @@
-// Wavefront-parallel, cache-blocked bulge chasing.
+// Bulge chasing: symmetric band -> tridiagonal, the second stage of the
+// two-stage tridiagonalization (the paper calls MAGMA's implementation; this
+// is the classic Givens-rotation scheme of Schwarz/Rutishauser).
 //
-// The serial chase (bulge_chasing.hpp) runs the sweeps of each diagonal one
-// after another; this driver pipelines them. Consecutive sweeps are grouped
-// into blocked sweep-sets (cache blocking: one lane advances a whole set
-// through a band tile before the tile leaves cache), the band is cut into
-// row tiles, and sweep s+1 enters a tile region as soon as sweep s has
-// cleared it — the classic anti-diagonal wavefront of Rodríguez-Sánchez et
-// al. (arXiv 1709.00302) and Ringoot et al. (arXiv 2510.12705), mapped onto
-// the shared ThreadPool via the allocation-free try_broadcast fan-out.
+// The bandwidth is peeled one diagonal at a time: eliminating an entry on the
+// outermost diagonal with a Givens rotation creates a single bulge one place
+// outside the band, which is chased down and off the matrix in strides of the
+// current bandwidth. Cost is O(n^2 b) flops, which is why the paper keeps the
+// SBR bandwidth b modest. Like MAGMA's second stage, the chase runs on
+// compact O(n b) band storage (sbr::BandMatrix).
 //
-// Dependency tracking is a per-sweep progress vector: progress[s] counts the
-// chase eliminations of sweep s already applied at the current diagonal.
-// Elimination k of sweep s may run once progress[s-1] >= min(len(s-1), k+3)
-// — the gap-2 rule. DESIGN.md §14 proves that every pair of rotation
-// applications this rule leaves unordered touches disjoint matrix entries,
-// so ANY schedule respecting it — any lane count, block size, or tile height
-// — applies the exact serial rotation sequence to every memory location and
-// the output (tridiagonal d/e AND accumulated Q) is bitwise-equal to
-// bulge_chase for every thread count. The test suite pins this.
+// One driver serves every two-stage solve, with or without Q. On one lane it
+// runs the plain sweep loop. On more lanes it pipelines the sweeps of each
+// diagonal as an anti-diagonal wavefront on a ThreadPool (Rodríguez-Sánchez
+// et al., arXiv 1709.00302; Ringoot et al., arXiv 2510.12705): consecutive
+// sweeps form blocks that one lane advances together (cache blocking), and
+// elimination k of sweep s runs once sweep s-1 has applied min(len(s-1), k+3)
+// eliminations — the gap-2 rule, tracked in a per-sweep progress vector.
+// docs/ALGORITHMS.md §14 proves that every pair of rotations the rule leaves
+// unordered touches disjoint band entries and Q columns, so the output — the
+// chased band, (d, e) and Q — is bitwise the plain loop's for every pool and
+// lane count. The test suite pins this.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/common/matrix.hpp"
+#include "src/sbr/band_storage.hpp"
 
 namespace tcevd {
 class Context;
@@ -32,68 +35,56 @@ class ThreadPool;
 
 namespace tcevd::bulge {
 
-struct WavefrontOptions {
-  /// Pool to fan lanes out on (e.g. &gemm_pool()). nullptr, a busy pool
-  /// (try_broadcast declined), or a caller that is itself a pool worker all
-  /// fall back to the caller draining every sweep-block inline — same
-  /// rotations, same output, no deadlock.
-  ThreadPool* pool = nullptr;
-  /// Consecutive sweeps advanced together by one lane (cache blocking).
-  /// Clamped to [1, kMaxSweepBlock]. Output does not depend on it.
-  index_t sweep_block = 8;
-  /// Band rows a sweep advances per wavestep (the tile height); the chunk of
-  /// eliminations published at once is max(1, tile_rows / d). Output does
-  /// not depend on it.
-  index_t tile_rows = 192;
-  /// Cap on broadcast lanes; 0 means pool size + 1 (the caller participates).
-  int max_lanes = 0;
+template <typename T>
+struct BulgeResult {
+  std::vector<T> d;  ///< diagonal of the tridiagonal form
+  std::vector<T> e;  ///< subdiagonal
 };
 
-/// Upper bound on the context-workspace bytes bulge_chase_wavefront checks
-/// out for an n x n problem (its per-sweep progress vector). Add this to
-/// lwork-style reservations alongside evd/sbr workspace_query.
+/// Chase `band` to tridiagonal in place and return its (d, e). If `q` is
+/// non-null it must have n columns; every rotation is applied to it on the
+/// right (pass the SBR's Q to keep the full similarity transform). Lanes fan
+/// out on `pool`, at most `max_lanes` of them (0: pool size + 1, the caller
+/// included). No pool, one lane, a caller that is itself a pool worker, or a
+/// diagonal with a single sweep block runs on the calling thread; a busy pool
+/// (try_broadcast declined) makes the caller drain the schedule itself. The
+/// output never depends on any of this. The progress vector lives in the
+/// context's workspace arena, so steady-state calls allocate only (d, e);
+/// the elapsed time lands on the context telemetry under "bulge.chase".
+template <typename T>
+BulgeResult<T> bulge_chase_band(Context& ctx, sbr::BandMatrix<T>& band,
+                                MatrixView<T>* q = nullptr, ThreadPool* pool = nullptr,
+                                int max_lanes = 0);
+
+extern template BulgeResult<float> bulge_chase_band<float>(Context&, sbr::BandMatrix<float>&,
+                                                           MatrixView<float>*, ThreadPool*, int);
+extern template BulgeResult<double> bulge_chase_band<double>(Context&,
+                                                             sbr::BandMatrix<double>&,
+                                                             MatrixView<double>*, ThreadPool*,
+                                                             int);
+
+/// Upper bound on the context-workspace bytes bulge_chase_band checks out
+/// for an n x n problem on more than one lane (its per-sweep progress
+/// vector). Add this to lwork-style reservations alongside
+/// evd/sbr workspace_query.
 std::size_t wavefront_workspace_bytes(index_t n);
 
-/// Hard cap on WavefrontOptions::sweep_block (per-lane stack state is sized
-/// by it).
-inline constexpr index_t kMaxSweepBlock = 32;
+/// Smallest n for which the auto route (bulge_threads == 0) runs lanes when
+/// Q is accumulated. Measured on a 4-core host (EXPERIMENTS.md, "One
+/// compact chase"): at n = 768 the serial chase still won; at n = 1024 four
+/// lanes did.
+inline constexpr index_t kAutoLanesMinN = 1024;
 
-/// Reduce symmetric band `a` (full storage, bandwidth `bw`) to tridiagonal,
-/// bitwise-equal to bulge_chase(a, bw, q) for every pool /
-/// lane count / blocking choice. Elapsed time lands on the context telemetry
-/// under "bulge.chase.wavefront" (total) and "bulge.chase.sweep" (summed
-/// per-diagonal fan-out windows). Progress state lives in the context
-/// workspace arena — steady-state calls allocate nothing.
-template <typename T>
-BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
-                                     MatrixView<T>* q = nullptr,
-                                     const WavefrontOptions& opt = {});
-
-extern template BulgeResult<float> bulge_chase_wavefront<float>(
-    Context&, MatrixView<float>, index_t, MatrixView<float>*, const WavefrontOptions&);
-extern template BulgeResult<double> bulge_chase_wavefront<double>(
-    Context&, MatrixView<double>, index_t, MatrixView<double>*, const WavefrontOptions&);
-
-/// Smallest n the auto route (bulge_threads == 0) considers worth fanning
-/// out: below this the per-diagonal broadcast join overhead beats the win.
-inline constexpr index_t kAutoWavefrontMinN = 256;
-
-/// Routing shim for the solver drivers: the one place the second stage's
-/// storage and threading are chosen. Without Q (q == nullptr, a values-only
-/// solve) the band is copied into compact O(n*b) storage and chased by
-/// sbr::bulge_chase_band, serially and leaving `a` untouched; the stage is
-/// memory-bound, and the compact chase beat the full-storage wavefront in
-/// whole values-only solves (EXPERIMENTS.md). Its time lands on the context
-/// telemetry under "bulge.chase.compact". With Q, EvdOptions::bulge_threads
-/// decides: 1 forces the serial chase, >= 2 forces the wavefront on
-/// gemm_pool() capped at that many lanes, anything else picks the wavefront
-/// automatically when the problem is big enough (kAutoWavefrontMinN), the
-/// band is chaseable (bw >= 2), and the caller is not itself a pool worker
-/// (EvdService runners are the parallelism — fanning out under them would
-/// only add spin overhead). An explicit bulge_threads >= 2 that cannot
-/// engage notes the downgrade at recovery site "evd.second_stage". Output
-/// never depends on bulge_threads: both full-storage chases apply the same
-/// rotations bit for bit, and every chase without Q is compact.
+/// The solve drivers' entry point: copies the band of `a` (full storage,
+/// bandwidth `bw`) into compact storage and chases it with bulge_chase_band,
+/// applying every rotation to `q` when it is non-null. `a` is left
+/// untouched. Only the lane count depends on EvdOptions::bulge_threads:
+/// 1 runs serially, k >= 2 allows up to k lanes on gemm_pool(), and 0 uses
+/// gemm_pool()'s lanes only when Q is accumulated, n >= kAutoLanesMinN and
+/// the caller is not a pool worker (EvdService runners are the parallelism).
+/// An explicit k >= 2 that cannot engage (pool worker, bandwidth < 2 or
+/// n <= 2) runs serially and notes the downgrade at recovery site
+/// "evd.second_stage". Output never depends on bulge_threads.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

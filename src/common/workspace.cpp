@@ -15,9 +15,11 @@ std::size_t align_up(std::size_t v, std::size_t align) noexcept {
 void Workspace::add_block(std::size_t bytes) {
   Block b;
   // Over-allocate by one alignment quantum so an aligned pointer of the full
-  // requested size always fits regardless of where new[] lands.
+  // requested size always fits regardless of where new[] lands. The bytes
+  // are left uninitialized: every checkout is written before it is read
+  // (matrix() zeroes its own), so untouched reserve stays unpaged.
   b.size = bytes + kAlignment;
-  b.data = std::make_unique<unsigned char[]>(b.size);
+  b.data = std::make_unique_for_overwrite<unsigned char[]>(b.size);
   blocks_.push_back(std::move(b));
 }
 

@@ -59,8 +59,9 @@ class Workspace {
   /// steady-state contract the EvdService context pool leans on.
   void reserve(std::size_t bytes);
 
-  /// Raw aligned checkout. The returned memory is owned by the arena and
-  /// lives until the innermost Scope open at the time of the call closes.
+  /// Raw aligned checkout, uninitialized. The returned memory is owned by
+  /// the arena and lives until the innermost Scope open at the time of the
+  /// call closes.
   void* alloc_bytes(std::size_t bytes, std::size_t align = kAlignment);
 
   template <typename T>

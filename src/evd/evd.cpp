@@ -12,7 +12,6 @@
 
 #include "src/blas/abft.hpp"
 #include "src/blas/blas.hpp"
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
@@ -335,19 +334,15 @@ Status SolveJob::solve_tridiagonal() {
 
   // The solvers destroy d/e (and fold rotations into q), so keep restore
   // points for the fallback chain.
-  std::vector<float> d0, e0;
+  const std::vector<float> d0 = d_, e0 = e_;
   MatrixView<float> q0;
-  if (opt_.allow_fallbacks) {
-    d0 = d_;
-    e0 = e_;
-    if (opt_.vectors) {
-      q0 = attempt_scope_->matrix<float>(q_.rows(), q_.cols());
-      copy_matrix<float>(ConstMatrixView<float>(q_.view()), q0);
-    }
+  if (opt_.vectors) {
+    q0 = attempt_scope_->matrix<float>(q_.rows(), q_.cols());
+    copy_matrix<float>(ConstMatrixView<float>(q_.view()), q0);
   }
 
   Status sst = run_tri_solver(ctx_.workspace(), opt_.solver, d_, e_, zp);
-  if (!sst.ok() && opt_.allow_fallbacks && is_recoverable(sst)) {
+  if (!sst.ok() && is_recoverable(sst)) {
     TriSolver tried = opt_.solver;
     for (TriSolver fb : {TriSolver::DivideConquer, TriSolver::Ql, TriSolver::Bisection}) {
       if (fb == opt_.solver) continue;
@@ -384,7 +379,7 @@ Status SolveJob::solve_range() {
   // Tridiagonal eigenvectors by inverse iteration, then back-transform.
   auto z = attempt_scope_->matrix<float>(n, nev);
   Status st = lapack::stein<float>(d_, e_, result_.eigenvalues, z);
-  if (!st.ok() && opt_.allow_fallbacks && is_recoverable(st)) {
+  if (!st.ok() && is_recoverable(st)) {
     // Inverse iteration stagnated on at least one vector. Solve the full
     // tridiagonal problem with QL instead and keep the selected columns —
     // slower (O(n^3) vs O(n * nev)) but unconditionally convergent in
@@ -592,10 +587,11 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
   // the z*S product buffer; a values-only solve checks out none of them.
   if (opt.vectors) bytes += 3 * nn * sizeof(float);
-  // Wavefront bulge chasing's progress vector (two-stage reductions that
-  // accumulate Q with bulge_threads != 1 may take the wavefront path;
-  // values-only chases run on compact band storage).
-  if (opt.reduction != Reduction::OneStage && opt.vectors && opt.bulge_threads != 1)
+  // The second stage's progress vector, checked out when the chase may run
+  // on more than one lane (bulge_chase_auto: bulge_threads >= 2, or auto
+  // with Q).
+  if (opt.reduction != Reduction::OneStage && opt.bulge_threads != 1 &&
+      (opt.vectors || opt.bulge_threads >= 2))
     bytes += bulge::wavefront_workspace_bytes(n);
   bytes += 64 * Workspace::kAlignment;  // per-checkout alignment slop
   return bytes;

@@ -58,19 +58,18 @@ struct EvdOptions {
   index_t big_block = 128;
   sbr::PanelKind panel = sbr::PanelKind::Tsqr;
   bool vectors = false;                         ///< compute eigenvectors
-  /// Threading of the second stage when it accumulates Q (`vectors`). A
-  /// values-only solve always chases on compact O(n*b) band storage, serially
-  /// (src/bulge/bulge_wavefront.hpp, bulge_chase_auto).
-  /// 0 = auto: the wavefront engine on the shared gemm_pool() when the
-  /// problem is big enough (n >= 256, band >= 2) and the caller is not itself
-  /// a pool worker (EvdService runners keep the serial chase — they ARE the
-  /// parallelism). 1 = always the serial chase. k >= 2 = wavefront with at
-  /// most k lanes. Every setting produces bitwise-identical output — the
-  /// wavefront schedule is pinned to the serial rotation sequence (DESIGN.md
+  /// Lanes of the second stage (src/bulge/bulge_wavefront.hpp,
+  /// bulge_chase_auto), which chases the band in compact O(n*b) storage with
+  /// or without Q. 0 = auto: up to gemm_pool()'s lanes when Q is accumulated,
+  /// n >= 1024 and the caller is not itself a pool worker (EvdService runners
+  /// keep the serial chase — they ARE the parallelism); otherwise serial.
+  /// 1 = always the serial chase. k >= 2 = at most k lanes, with or without
+  /// Q. Every setting produces bitwise-identical output — the wavefront
+  /// schedule is pinned to the serial rotation sequence (docs/ALGORITHMS.md
   /// §14) — so this is a performance knob, never an accuracy one. An explicit
-  /// k >= 2 that cannot engage (values-only, pool worker, bandwidth < 2, or
-  /// n <= 2) runs a serial chase and notes the downgrade in
-  /// EvdResult::recovery at site "evd.second_stage".
+  /// k >= 2 that cannot engage (pool worker, bandwidth < 2, or n <= 2) runs a
+  /// serial chase and notes the downgrade in EvdResult::recovery at site
+  /// "evd.second_stage".
   int bulge_threads = 0;
   /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)
   /// instead of feeding garbage to the pipeline. O(n^2) scan.
@@ -78,10 +77,6 @@ struct EvdOptions {
   /// Relative asymmetry tolerance for the input screen:
   /// |a_ij - a_ji| <= asymmetry_tol * max|a| is accepted.
   float asymmetry_tol = 1e-3f;
-  /// Degrade gracefully on recoverable solver failures by walking the
-  /// DivideConquer -> Ql -> Bisection chain (each fallback recorded in
-  /// EvdResult::recovery). When false, the first failure propagates.
-  bool allow_fallbacks = true;
 
   // --- verified solves (see src/common/verify.hpp and DESIGN.md §12) -------
   /// Post-solve verification policy. Off skips verification entirely.

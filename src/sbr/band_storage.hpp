@@ -1,10 +1,9 @@
 // Compact symmetric band storage (LAPACK 'sb'-style, lower triangle).
 //
-// The full-storage bulge chase in src/bulge touches O(n^2) memory; a
-// production second stage runs on compact band storage, O(n * b), with far
-// better locality. Entry (i, j) with i >= j and i - j <= bw + 1 lives at
-// data[(i - j) + j * (bw + 2)]; the extra (+1) diagonal is the scratch slot
-// the live bulge occupies mid-chase.
+// The second stage (src/bulge) chases the band in this O(n * b) storage
+// instead of the n x n matrix SBR leaves it in. Entry (i, j) with i >= j and
+// i - j <= bw + 1 lives at data[(i - j) + j * (bw + 2)]; the extra (+1)
+// diagonal is the scratch slot the live bulge occupies mid-chase.
 #pragma once
 
 #include <vector>
@@ -86,15 +85,5 @@ class BandMatrix {
   index_t ld_ = 2;
   std::vector<T> data_;
 };
-
-/// Bulge chasing on compact storage: reduce to tridiagonal, returning (d, e).
-/// Same algorithm as bulge::bulge_chase but O(n b) memory traffic.
-template <typename T>
-void bulge_chase_band(BandMatrix<T>& band, std::vector<T>& d, std::vector<T>& e);
-
-extern template void bulge_chase_band<float>(BandMatrix<float>&, std::vector<float>&,
-                                             std::vector<float>&);
-extern template void bulge_chase_band<double>(BandMatrix<double>&, std::vector<double>&,
-                                              std::vector<double>&);
 
 }  // namespace tcevd::sbr

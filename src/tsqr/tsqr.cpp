@@ -71,12 +71,10 @@ Status tsqr_impl(Workspace& ws, ConstMatrixView<T> a, MatrixView<T> q, MatrixVie
   TCEVD_CHECK(a.rows() >= a.cols(), "tsqr requires a tall matrix (m >= n)");
   TCEVD_CHECK(q.rows() == a.rows() && q.cols() == a.cols(), "tsqr Q shape mismatch");
   TCEVD_CHECK(r.rows() == a.cols() && r.cols() == a.cols(), "tsqr R shape mismatch");
-  if (opts.screen_input) {
-    for (index_t j = 0; j < a.cols(); ++j)
-      for (index_t i = 0; i < a.rows(); ++i)
-        if (!std::isfinite(static_cast<double>(a(i, j))))
-          return invalid_input_error("tsqr: non-finite entry in input panel");
-  }
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i)
+      if (!std::isfinite(static_cast<double>(a(i, j))))
+        return invalid_input_error("tsqr: non-finite entry in input panel");
   TsqrOptions o = opts;
   o.leaf_rows = std::max(o.leaf_rows, a.cols());
   tsqr_rec<T>(ws, a, q, r, o);

@@ -24,14 +24,12 @@ struct TsqrOptions {
   /// Row count below which a block is factorized directly. Must be >= the
   /// panel width; the default mimics a GPU block of 256 rows.
   index_t leaf_rows = 256;
-  /// Reject non-finite input with InvalidInput instead of silently
-  /// propagating NaN/Inf through the tree (cheap O(mn) scan).
-  bool screen_input = true;
 };
 
 /// Factor a (m x n, m >= n) into Q (m x n, orthonormal columns) * R (n x n,
 /// upper triangular). `a` is not modified. Shape violations are programmer
-/// errors (TCEVD_CHECK); non-finite input reports InvalidInput. Tree
+/// errors (TCEVD_CHECK); non-finite input reports InvalidInput (a cheap
+/// O(mn) scan, so NaN/Inf never propagates through the tree). Tree
 /// temporaries are checked out of `ws` (no engine involved — TSQR runs in
 /// scalar fp32/fp64).
 Status tsqr_factor(Workspace& ws, ConstMatrixView<float> a, MatrixView<float> q,

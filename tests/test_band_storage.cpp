@@ -1,8 +1,10 @@
 // Compact band storage and the band-native bulge chase.
 #include <gtest/gtest.h>
 
+#include "src/blas/blas.hpp"
+#include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
-#include "src/bulge/bulge_chasing.hpp"
+#include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band.hpp"
@@ -21,6 +23,14 @@ sbr::BandMatrix<T> random_band(index_t n, index_t bw, std::uint64_t seed) {
   make_symmetric(a.view());
   sbr::truncate_to_band<T>(a.view(), bw);
   return sbr::BandMatrix<T>::from_full(a.view(), bw);
+}
+
+/// Serial compact chase of `band`, optionally accumulating into `q`.
+template <typename T>
+bulge::BulgeResult<T> chase(sbr::BandMatrix<T>& band, MatrixView<T>* q = nullptr) {
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  return bulge::bulge_chase_band<T>(ctx, band, q);
 }
 
 TEST(BandStorage, RoundTripFullCompactFull) {
@@ -50,6 +60,9 @@ TEST(BandStorage, FootprintIsLinearInN) {
 
 class BandChaseTest : public ::testing::TestWithParam<std::tuple<index_t, index_t>> {};
 
+// The chase against independent double oracles: the eigenvalues of (d, e)
+// are those of the full-storage band B, and with Q started at I the chase's
+// (Q, T) reproduces B = Q T Q^T with an orthogonal Q.
 TEST_P(BandChaseTest, MatchesFullStorageChase) {
   const auto [n, bw] = GetParam();
   Rng rng(100 + n);
@@ -58,20 +71,31 @@ TEST_P(BandChaseTest, MatchesFullStorageChase) {
   make_symmetric(a.view());
   sbr::truncate_to_band<double>(a.view(), bw);
 
-  // Full-storage reference.
-  Matrix<double> full = a;
-  auto ref = bulge::bulge_chase<double>(full.view(), bw, nullptr);
-
-  // Compact chase.
   auto band = sbr::BandMatrix<double>::from_full(a.view(), bw);
-  std::vector<double> d, e;
-  sbr::bulge_chase_band(band, d, e);
+  Matrix<double> q(n, n);
+  set_identity(q.view());
+  auto qv = q.view();
+  const auto res = chase(band, &qv);
 
-  // Identical rotation sequence -> identical tridiagonal up to roundoff.
+  auto d = res.d, e = res.e;
+  ASSERT_TRUE(lapack::sterf(d, e).ok());
+  const auto ref = *evd::reference_eigenvalues(a.view());
   for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(d[static_cast<std::size_t>(i)], ref.d[static_cast<std::size_t>(i)], 1e-12);
-  for (index_t i = 0; i + 1 < n; ++i)
-    EXPECT_NEAR(e[static_cast<std::size_t>(i)], ref.e[static_cast<std::size_t>(i)], 1e-12);
+    EXPECT_NEAR(d[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-12 * n);
+
+  Matrix<double> t(n, n), qt(n, n), qtq(n, n), qq(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    t(i, i) = res.d[static_cast<std::size_t>(i)];
+    if (i + 1 < n) t(i + 1, i) = t(i, i + 1) = res.e[static_cast<std::size_t>(i)];
+  }
+  blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, q.view(), t.view(), 0.0, qt.view());
+  blas::gemm(blas::Trans::No, blas::Trans::Yes, 1.0, qt.view(), q.view(), 0.0, qtq.view());
+  EXPECT_LT(frobenius_diff<double>(qtq.view(), a.view()) / frobenius_norm<double>(a.view()),
+            1e-13 * n);
+  blas::gemm(blas::Trans::Yes, blas::Trans::No, 1.0, q.view(), q.view(), 0.0, qq.view());
+  Matrix<double> eye(n, n);
+  set_identity(eye.view());
+  EXPECT_LT(frobenius_diff<double>(qq.view(), eye.view()), 1e-13 * n);
 }
 
 TEST_P(BandChaseTest, SpectrumPreserved) {
@@ -83,8 +107,7 @@ TEST_P(BandChaseTest, SpectrumPreserved) {
   sbr::truncate_to_band<double>(a.view(), bw);
 
   auto band = sbr::BandMatrix<double>::from_full(a.view(), bw);
-  std::vector<double> d, e;
-  sbr::bulge_chase_band(band, d, e);
+  auto [d, e] = chase(band);
   ASSERT_TRUE(lapack::sterf(d, e).ok());
 
   auto ref = *evd::reference_eigenvalues(a.view());
@@ -111,8 +134,7 @@ TEST(BandChase, AfterSbrPipeline) {
   auto res = *sbr::sbr_wy(a.view(), ctx, opt);
 
   auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(res.band.view()), bw);
-  std::vector<float> d, e;
-  sbr::bulge_chase_band(band, d, e);
+  auto [d, e] = chase(band);
   ASSERT_TRUE(lapack::sterf(d, e).ok());
 
   Matrix<double> ad(n, n);

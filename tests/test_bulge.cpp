@@ -1,18 +1,20 @@
-// Bulge chasing band -> tridiagonal: the serial reference chase and the
-// wavefront-parallel engine, which is pinned BITWISE-equal to serial (d, e,
-// and accumulated Q) for every shape, thread count, and blocking choice —
-// the parallel schedule only commutes rotation pairs with disjoint
-// footprints (DESIGN.md §14), so any arithmetic divergence is a scheduler
-// bug, not roundoff.
+// Bulge chasing band -> tridiagonal on compact band storage: the plain
+// serial sweep loop, and the wavefront schedule of the same driver, which is
+// pinned BITWISE-equal to the serial loop (band, d, e and accumulated Q) for
+// every shape and lane count — the parallel schedule only commutes rotation
+// pairs with disjoint footprints (docs/ALGORITHMS.md §14), so any arithmetic
+// divergence is a scheduler bug, not roundoff.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/blas/blas.hpp"
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
@@ -40,19 +42,83 @@ Matrix<T> random_band(index_t n, index_t bw, std::uint64_t seed) {
   return a;
 }
 
+template <typename T>
+sbr::BandMatrix<T> compact(const Matrix<T>& a, index_t bw) {
+  return sbr::BandMatrix<T>::from_full(ConstMatrixView<T>(a.view()), bw);
+}
+
+/// Serial chase of `band` (no pool): the plain sweep loop.
+template <typename T>
+bulge::BulgeResult<T> serial_chase(sbr::BandMatrix<T>& band, MatrixView<T>* q = nullptr) {
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  return bulge::bulge_chase_band<T>(ctx, band, q);
+}
+
+template <typename T>
+bool same_bits(T x, T y) {
+  return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+template <typename T>
+void expect_same_tridiagonal(const bulge::BulgeResult<T>& want,
+                             const bulge::BulgeResult<T>& got) {
+  ASSERT_EQ(want.d.size(), got.d.size());
+  ASSERT_EQ(want.e.size(), got.e.size());
+  for (std::size_t i = 0; i < want.d.size(); ++i)
+    EXPECT_TRUE(same_bits(want.d[i], got.d[i])) << "d[" << i << "]";
+  for (std::size_t i = 0; i < want.e.size(); ++i)
+    EXPECT_TRUE(same_bits(want.e[i], got.e[i])) << "e[" << i << "]";
+}
+
+/// The band's stored entries (bulge slot included), bit for bit.
+template <typename T>
+void expect_same_band(const sbr::BandMatrix<T>& want, const sbr::BandMatrix<T>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  ASSERT_EQ(want.bandwidth(), got.bandwidth());
+  const index_t n = want.size();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j; i < std::min(n, j + want.bandwidth() + 2); ++i)
+      ASSERT_TRUE(same_bits(want.get(i, j), got.get(i, j))) << "band(" << i << "," << j << ")";
+}
+
+template <typename T>
+void expect_same_matrix(const Matrix<T>& want, const Matrix<T>& got) {
+  for (index_t j = 0; j < want.cols(); ++j)
+    for (index_t i = 0; i < want.rows(); ++i)
+      ASSERT_TRUE(same_bits(want(i, j), got(i, j))) << "Q(" << i << "," << j << ")";
+}
+
+/// The tridiagonal (d, e) as a full matrix.
+template <typename T>
+Matrix<T> tridiagonal(const bulge::BulgeResult<T>& r) {
+  const index_t n = static_cast<index_t>(r.d.size());
+  Matrix<T> t(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    t(i, i) = r.d[static_cast<std::size_t>(i)];
+    if (i + 1 < n) {
+      t(i + 1, i) = r.e[static_cast<std::size_t>(i)];
+      t(i, i + 1) = r.e[static_cast<std::size_t>(i)];
+    }
+  }
+  return t;
+}
+
 class BulgeTest : public ::testing::TestWithParam<std::tuple<index_t, index_t>> {};
 
 TEST_P(BulgeTest, ReducesToTridiagonalPreservingSpectrum) {
   const auto [n, bw] = GetParam();
   auto a = random_band<double>(n, bw, 100 + n + bw);
-  auto work = a;
-  auto res = bulge::bulge_chase<double>(work.view(), bw, nullptr);
+  auto band = compact(a, bw);
+  auto res = serial_chase(band);
 
-  // Work matrix is now exactly tridiagonal.
-  EXPECT_EQ(sbr::band_violation<double>(work.view(), 1), 0.0);
+  // The band is now exactly tridiagonal, the bulge slot included.
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j + 2; i < std::min(n, j + bw + 2); ++i)
+      EXPECT_EQ(band.get(i, j), 0.0) << "(" << i << ", " << j << ")";
 
-  // Spectrum preserved: compare against direct bisection on the band matrix
-  // via full tridiagonalization in double.
+  // Spectrum preserved: compare against a full double tridiagonalization of
+  // the band matrix.
   auto d = res.d;
   auto e = res.e;
   ASSERT_TRUE(lapack::sterf(d, e).ok());
@@ -76,11 +142,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BulgeTest,
 TEST(Bulge, AccumulatesQ) {
   const index_t n = 60, bw = 6;
   auto a = random_band<double>(n, bw, 7);
-  auto work = a;
+  auto band = compact(a, bw);
   Matrix<double> q(n, n);
   set_identity(q.view());
   auto qv = q.view();
-  (void)bulge::bulge_chase<double>(work.view(), bw, &qv);
+  auto res = serial_chase(band, &qv);
 
   EXPECT_LT(orthogonality_residual<double>(q.view()), 1e-12 * n);
 
@@ -88,23 +154,24 @@ TEST(Bulge, AccumulatesQ) {
   Matrix<double> t1(n, n), t2(n, n);
   blas::gemm(blas::Trans::Yes, blas::Trans::No, 1.0, q.view(), a.view(), 0.0, t1.view());
   blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, t1.view(), q.view(), 0.0, t2.view());
-  EXPECT_LT(test::rel_diff<double>(t2.view(), work.view()), 1e-12);
+  auto t = tridiagonal(res);
+  EXPECT_LT(test::rel_diff<double>(t2.view(), t.view()), 1e-12);
 }
 
 TEST(Bulge, TridiagonalInputUntouched) {
   const index_t n = 25;
   auto a = random_band<double>(n, 1, 9);
-  auto work = a;
-  auto res = bulge::bulge_chase<double>(work.view(), 1, nullptr);
-  EXPECT_LT(test::rel_diff<double>(work.view(), a.view()), 1e-15);
+  auto band = compact(a, 1);
+  auto res = serial_chase(band);
+  EXPECT_EQ(test::rel_diff<double>(band.to_full().view(), a.view()), 0.0);
   for (index_t i = 0; i < n; ++i) EXPECT_EQ(res.d[static_cast<std::size_t>(i)], a(i, i));
 }
 
 TEST(Bulge, FloatPrecisionStable) {
   const index_t n = 120, bw = 12;
   auto a = random_band<float>(n, bw, 11);
-  auto work = a;
-  auto res = bulge::bulge_chase<float>(work.view(), bw, nullptr);
+  auto band = compact(a, bw);
+  auto res = serial_chase(band);
   auto d = res.d;
   auto e = res.e;
   ASSERT_TRUE(lapack::sterf(d, e).ok());
@@ -125,59 +192,50 @@ TEST(Bulge, DiagonalMatrixIsFixedPoint) {
   const index_t n = 20;
   Matrix<double> a(n, n);
   for (index_t i = 0; i < n; ++i) a(i, i) = static_cast<double>(i);
-  auto res = bulge::bulge_chase<double>(a.view(), 5, nullptr);
+  auto band = compact(a, 5);
+  auto res = serial_chase(band);
   for (index_t i = 0; i < n; ++i) EXPECT_EQ(res.d[static_cast<std::size_t>(i)], double(i));
   for (index_t i = 0; i + 1 < n; ++i) EXPECT_EQ(res.e[static_cast<std::size_t>(i)], 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Wavefront engine: bitwise equality with the serial reference.
+// Wavefront schedule: bitwise equality with the plain serial loop.
 // ---------------------------------------------------------------------------
 
-/// Run the serial chase and the wavefront chase on copies of the same band
-/// matrix and require element-exact agreement of the tridiagonal (d, e), the
-/// chased matrix, and (when requested) the accumulated Q.
-template <typename T>
-void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q,
-                              const bulge::WavefrontOptions& wopt, std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw << " with_q=" << with_q
-                                    << " lanes=" << wopt.max_lanes
-                                    << " block=" << wopt.sweep_block
-                                    << " tile_rows=" << wopt.tile_rows);
-  auto a = random_band<T>(n, bw, seed);
+/// One shared pool for the whole binary: 7 workers + the broadcasting caller
+/// = up to 8 lanes, capped per case through bulge_chase_band's max_lanes.
+ThreadPool& bulge_test_pool() {
+  static ThreadPool pool(7);
+  return pool;
+}
 
-  auto serial = a;
+/// Chase copies of the same band serially and on `lanes` lanes of `pool`;
+/// require bit-exact agreement of (d, e), the chased band and, when
+/// requested, the accumulated Q.
+template <typename T>
+void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q, ThreadPool* pool, int lanes,
+                              std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw << " with_q=" << with_q
+                                    << " lanes=" << lanes);
+  const auto a = random_band<T>(n, bw, seed);
+
+  auto serial = compact(a, bw);
   Matrix<T> q_serial(n, n), q_wave(n, n);
   set_identity(q_serial.view());
   set_identity(q_wave.view());
   auto qs = q_serial.view();
-  auto ref = bulge::bulge_chase<T>(serial.view(), bw, with_q ? &qs : nullptr);
+  const auto ref = serial_chase<T>(serial, with_q ? &qs : nullptr);
 
   tc::Fp32Engine eng;
   Context ctx(eng);
-  auto wave = a;
+  auto wave = compact(a, bw);
   auto qw = q_wave.view();
-  auto got = bulge::bulge_chase_wavefront<T>(ctx, wave.view(), bw,
-                                             with_q ? &qw : nullptr, wopt);
+  const auto got = bulge::bulge_chase_band<T>(ctx, wave, with_q ? &qw : nullptr, pool, lanes);
 
-  ASSERT_EQ(ref.d.size(), got.d.size());
-  ASSERT_EQ(ref.e.size(), got.e.size());
-  for (std::size_t i = 0; i < ref.d.size(); ++i) EXPECT_EQ(ref.d[i], got.d[i]) << "d[" << i << "]";
-  for (std::size_t i = 0; i < ref.e.size(); ++i) EXPECT_EQ(ref.e[i], got.e[i]) << "e[" << i << "]";
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) {
-      EXPECT_EQ(serial(i, j), wave(i, j)) << "A(" << i << "," << j << ")";
-      if (with_q) {
-        EXPECT_EQ(q_serial(i, j), q_wave(i, j)) << "Q(" << i << "," << j << ")";
-      }
-    }
-}
-
-/// One shared pool for the whole binary: 7 workers + the broadcasting caller
-/// = up to 8 lanes, capped per-case via WavefrontOptions::max_lanes.
-ThreadPool& bulge_test_pool() {
-  static ThreadPool pool(7);
-  return pool;
+  expect_same_tridiagonal(ref, got);
+  expect_same_band(serial, wave);
+  if (with_q) expect_same_matrix(q_serial, q_wave);
+  EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
 }
 
 class BulgeWavefrontBitwise : public ::testing::TestWithParam<index_t> {};
@@ -191,12 +249,10 @@ TEST_P(BulgeWavefrontBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
   std::uint64_t seed = 1000 + static_cast<std::uint64_t>(n);
   for (index_t bw : bws) {
     if (bw < 1 || bw > std::max<index_t>(n - 1, 1)) continue;
+    const index_t b = std::min(bw, std::max<index_t>(n - 1, 0));  // n = 1 has no band
     for (int lanes : {1, 2, 8}) {
-      bulge::WavefrontOptions wopt;
-      wopt.pool = &bulge_test_pool();
-      wopt.max_lanes = lanes;
-      expect_wavefront_bitwise<double>(n, bw, /*with_q=*/false, wopt, seed);
-      expect_wavefront_bitwise<double>(n, bw, /*with_q=*/true, wopt, ++seed);
+      expect_wavefront_bitwise<double>(n, b, /*with_q=*/false, &bulge_test_pool(), lanes, seed);
+      expect_wavefront_bitwise<double>(n, b, /*with_q=*/true, &bulge_test_pool(), lanes, ++seed);
     }
   }
 }
@@ -205,157 +261,165 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BulgeWavefrontBitwise,
                          ::testing::Values<index_t>(1, 2, 3, 7, 64, 129, 257));
 
 TEST(BulgeWavefront, FloatMatchesSerialBitwise) {
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &bulge_test_pool();
-  expect_wavefront_bitwise<float>(129, 8, /*with_q=*/true, wopt, 42);
-  expect_wavefront_bitwise<float>(257, 2, /*with_q=*/true, wopt, 43);
+  expect_wavefront_bitwise<float>(129, 8, /*with_q=*/true, &bulge_test_pool(), 0, 42);
+  expect_wavefront_bitwise<float>(257, 2, /*with_q=*/true, &bulge_test_pool(), 0, 43);
+  expect_wavefront_bitwise<float>(300, 32, /*with_q=*/false, &bulge_test_pool(), 4, 44);
 }
 
-// Output must be invariant under every cache-blocking choice: the sweep-set
-// size and tile height only reshape the schedule, never the rotation values
-// or any conflicting pair's order.
-TEST(BulgeWavefront, BlockingChoicesDoNotChangeOutput) {
-  for (index_t sweep_block : {index_t{1}, index_t{2}, index_t{5}, index_t{32}}) {
-    for (index_t tile_rows : {index_t{1}, index_t{64}, index_t{192}}) {
-      bulge::WavefrontOptions wopt;
-      wopt.pool = &bulge_test_pool();
-      wopt.sweep_block = sweep_block;
-      wopt.tile_rows = tile_rows;
-      expect_wavefront_bitwise<double>(129, 3, /*with_q=*/true, wopt, 77);
-      expect_wavefront_bitwise<double>(97, 8, /*with_q=*/false, wopt, 78);
-    }
-  }
-}
-
-// No pool at all: the caller drains every sweep-block inline — still the
-// exact serial rotation sequence.
+// No pool at all, whatever the lane cap: the plain loop on the calling
+// thread, which checks nothing out of the arena — unlike the wavefront,
+// whose progress vector lives there.
 TEST(BulgeWavefront, NullPoolRunsInline) {
-  bulge::WavefrontOptions wopt;  // pool == nullptr
-  expect_wavefront_bitwise<double>(64, 8, /*with_q=*/true, wopt, 5);
+  const auto a = random_band<double>(64, 8, 5);
+  tc::Fp32Engine eng;
+  Context inline_ctx(eng), pooled_ctx(eng);
+  auto inline_band = compact(a, 8), pooled_band = compact(a, 8);
+  const auto inline_res = bulge::bulge_chase_band<double>(inline_ctx, inline_band, nullptr,
+                                                          nullptr, 8);
+  const auto pooled_res = bulge::bulge_chase_band<double>(pooled_ctx, pooled_band, nullptr,
+                                                          &bulge_test_pool(), 8);
+  EXPECT_EQ(inline_ctx.workspace().high_water_mark(), 0u);
+  EXPECT_GT(pooled_ctx.workspace().high_water_mark(), 0u);
+  expect_same_tridiagonal(inline_res, pooled_res);
 }
 
-// The double Context overload must exist and attribute its time to the
-// "bulge.chase" telemetry stage (regression: it used to be float-only, so
-// double reference pipelines lost stage attribution).
+// A pool busy with another broadcast declines the fan-out; the caller then
+// drains the whole wavefront schedule itself, still the serial sequence.
+TEST(BulgeWavefront, BusyPoolDrainsTheScheduleInline) {
+  struct Hold {
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+  } hold;
+  ThreadPool pool(2);
+  std::thread holder([&] {
+    (void)pool.try_broadcast(
+        1,
+        [](void* ctx, long) {
+          auto* h = static_cast<Hold*>(ctx);
+          h->started.store(true);
+          while (!h->release.load()) std::this_thread::yield();
+        },
+        &hold);
+  });
+  while (!hold.started.load()) std::this_thread::yield();
+  expect_wavefront_bitwise<double>(97, 8, /*with_q=*/true, &pool, 3, 78);
+  hold.release.store(true);
+  holder.join();
+}
+
+// Both instantiations attribute their time to the one "bulge.chase" stage.
 TEST(BulgeWavefront, ContextOverloadsRecordStageForBothPrecisions) {
   tc::Fp32Engine eng;
   Context ctx(eng);
   {
-    auto a = random_band<double>(40, 4, 3);
-    (void)bulge::bulge_chase(ctx, a.view(), 4, nullptr);
+    auto band = compact(random_band<double>(40, 4, 3), 4);
+    (void)bulge::bulge_chase_band<double>(ctx, band);
   }
   {
-    auto a = random_band<float>(40, 4, 3);
-    (void)bulge::bulge_chase(ctx, a.view(), 4, nullptr);
+    auto band = compact(random_band<float>(40, 4, 3), 4);
+    (void)bulge::bulge_chase_band<float>(ctx, band, nullptr, &bulge_test_pool());
   }
-  const auto& stages = ctx.telemetry().stages();
   long calls = 0;
-  for (const auto& s : stages)
+  for (const auto& s : ctx.telemetry().stages())
     if (s.name == "bulge.chase") calls += s.calls;
   EXPECT_EQ(calls, 2);
 }
 
+// A chase on lanes records one "bulge.chase" span per call, nothing per
+// diagonal.
 TEST(BulgeWavefront, RecordsWavefrontStages) {
   tc::Fp32Engine eng;
   Context ctx(eng);
-  auto a = random_band<double>(64, 8, 13);
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &bulge_test_pool();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), 8, nullptr, wopt);
-  EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase.wavefront"), 0.0);
-  // One fan-out window per peeled diagonal: d = 8 .. 2.
-  for (const auto& s : ctx.telemetry().stages()) {
-    if (s.name == "bulge.chase.sweep") {
-      EXPECT_EQ(s.calls, 7);
-    }
-  }
+  auto band = compact(random_band<double>(64, 8, 13), 8);
+  (void)bulge::bulge_chase_band<double>(ctx, band, nullptr, &bulge_test_pool());
+  EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
+  ASSERT_EQ(ctx.telemetry().stages().size(), 1u);
+  EXPECT_EQ(ctx.telemetry().stages()[0].calls, 1);
 }
 
-// The bulge_threads routing shim with Q: 1 = serial, >= 2 = forced
-// wavefront on the shared gemm pool — all bitwise-identical, Q included.
-// Without Q every setting takes the compact band chase, so the output equals
-// sbr::bulge_chase_band on the same band whatever bulge_threads says.
+// The bulge_threads routing shim: 1 = serial, >= 2 = up to that many lanes
+// on the shared gemm pool, 0 = auto — all bitwise-identical to the serial
+// loop, Q included, with or without Q.
 TEST(BulgeWavefront, AutoRouteIsBitwiseInvariant) {
-  const index_t n = 80, bw = 8;  // n < kAutoWavefrontMinN: auto stays serial
+  const index_t n = 80, bw = 8;
   auto a = random_band<float>(n, bw, 31);
   tc::Fp32Engine eng;
 
-  auto expect_same = [&](const bulge::BulgeResult<float>& want,
-                         const bulge::BulgeResult<float>& got, int threads) {
-    ASSERT_EQ(want.d.size(), got.d.size());
-    ASSERT_EQ(want.e.size(), got.e.size());
-    for (std::size_t i = 0; i < want.d.size(); ++i)
-      EXPECT_EQ(want.d[i], got.d[i]) << "bulge_threads = " << threads << ", d[" << i << "]";
-    for (std::size_t i = 0; i < want.e.size(); ++i)
-      EXPECT_EQ(want.e[i], got.e[i]) << "bulge_threads = " << threads << ", e[" << i << "]";
-  };
-
   Matrix<float> q_ref(n, n);
   set_identity(q_ref.view());
-  auto ref_work = a;
   auto qr = q_ref.view();
-  const auto with_q_ref = bulge::bulge_chase<float>(ref_work.view(), bw, &qr);
-
-  bulge::BulgeResult<float> values_ref;
-  auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(a.view()), bw);
-  sbr::bulge_chase_band(band, values_ref.d, values_ref.e);
+  auto with_q_band = compact(a, bw);
+  const auto with_q_ref = serial_chase<float>(with_q_band, &qr);
+  auto values_band = compact(a, bw);
+  const auto values_ref = serial_chase<float>(values_band);
 
   for (int threads : {0, 1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "bulge_threads = " << threads);
     Context ctx(eng);
-    auto work = a;
     Matrix<float> q(n, n);
     set_identity(q.view());
     auto qv = q.view();
-    expect_same(with_q_ref,
-                bulge::bulge_chase_auto<float>(ctx, work.view(), bw, &qv, threads), threads);
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < n; ++i)
-        ASSERT_EQ(q(i, j), q_ref(i, j)) << "bulge_threads = " << threads;
-
-    auto values_work = a;
-    expect_same(values_ref,
-                bulge::bulge_chase_auto<float>(ctx, values_work.view(), bw, nullptr, threads),
-                threads);
+    expect_same_tridiagonal(with_q_ref,
+                            bulge::bulge_chase_auto<float>(ctx, a.view(), bw, &qv, threads));
+    expect_same_matrix(q_ref, q);
+    expect_same_tridiagonal(values_ref,
+                            bulge::bulge_chase_auto<float>(ctx, a.view(), bw, nullptr, threads));
   }
 }
 
-// Without Q the route copies the band into compact storage: the full-storage
-// input is left as it was, and the time lands under "bulge.chase.compact",
-// never under the full-storage stages.
+// Accumulating Q never changes the chase: a vectors solve reduces its band
+// to bitwise the tridiagonal of a values-only solve, on any lane count.
+TEST(BulgeWavefront, WithQMatchesValuesOnlyTridiagonalBitwise) {
+  const index_t n = 200, bw = 16;
+  auto a = random_band<float>(n, bw, 51);
+  tc::Fp32Engine eng;
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "bulge_threads = " << threads);
+    Context ctx(eng);
+    Matrix<float> q(n, n);
+    set_identity(q.view());
+    auto qv = q.view();
+    const auto values = bulge::bulge_chase_auto<float>(ctx, a.view(), bw, nullptr, threads);
+    const auto vectors = bulge::bulge_chase_auto<float>(ctx, a.view(), bw, &qv, threads);
+    expect_same_tridiagonal(values, vectors);
+  }
+}
+
+// The route copies the band into compact storage with and without Q: the
+// full-storage input is left as it was, every call records one
+// "bulge.chase", and the spectrum is the band's.
 TEST(BulgeWavefront, CompactRouteLeavesInputAndRecordsItsStage) {
-  const index_t n = 300, bw = 8;  // large enough for the auto wavefront with Q
-  auto a = random_band<double>(n, bw, 41);
+  const index_t n = 300, bw = 8;
+  const auto a = random_band<double>(n, bw, 41);
   tc::Fp32Engine eng;
   Context ctx(eng);
   auto work = a;
+  Matrix<double> q(n, n);
+  set_identity(q.view());
+  auto qv = q.view();
   auto got = bulge::bulge_chase_auto<double>(ctx, work.view(), bw, nullptr, 0);
-  ASSERT_EQ(got.d.size(), static_cast<std::size_t>(n));
+  (void)bulge::bulge_chase_auto<double>(ctx, work.view(), bw, &qv, 4);
   EXPECT_EQ(frobenius_diff<double>(work.view(), a.view()), 0.0)
-      << "the compact route wrote to the full-storage band";
-  long compact_calls = 0;
+      << "the chase wrote to the full-storage band";
+  long calls = 0;
   for (const auto& s : ctx.telemetry().stages()) {
-    if (s.name == "bulge.chase.compact") compact_calls += s.calls;
-    EXPECT_NE(s.name, "bulge.chase.wavefront");
-    EXPECT_NE(s.name, "bulge.chase");
+    if (s.name == "bulge.chase") calls += s.calls;
   }
-  EXPECT_EQ(compact_calls, 1);
+  EXPECT_EQ(calls, 2);
 
-  // Same spectrum as the full-storage chase, to roundoff.
-  auto serial_work = a;
-  auto serial = bulge::bulge_chase<double>(serial_work.view(), bw);
-  auto d1 = got.d, e1 = got.e, d2 = serial.d, e2 = serial.e;
-  ASSERT_TRUE(lapack::steqr<double>(d1, e1, nullptr).ok());
-  ASSERT_TRUE(lapack::steqr<double>(d2, e2, nullptr).ok());
+  auto d = got.d, e = got.e;
+  ASSERT_TRUE(lapack::steqr<double>(d, e, nullptr).ok());
+  const auto ref = *evd::reference_eigenvalues(a.view());
   for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(d1[static_cast<std::size_t>(i)], d2[static_cast<std::size_t>(i)], 1e-10 * n)
+    EXPECT_NEAR(d[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-10 * n)
         << i;
 }
 
 // Regression for the silent-serialization bug: an explicit bulge_threads >= 2
-// that cannot engage the wavefront (no Q, narrow band, tiny matrix, or a
-// caller that is already a pool worker) used to fall back to a serial chase
-// with no trace. It must now note the downgrade at site "evd.second_stage" —
-// and still produce bitwise-identical output.
+// that cannot engage the wavefront (narrow band, tiny matrix, or a caller
+// that is already a pool worker) used to fall back to a serial chase with no
+// trace. It must note the downgrade at site "evd.second_stage" — and still
+// produce bitwise-identical output.
 TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   const index_t n = 16, bw = 1;  // bandwidth < 2: the wavefront can never engage
   auto a = random_band<float>(n, bw, 77);
@@ -383,8 +447,8 @@ TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   ASSERT_EQ(serial.d.size(), forced.d.size());
   for (std::size_t i = 0; i < serial.d.size(); ++i) EXPECT_EQ(serial.d[i], forced.d[i]);
 
-  // An engageable forced request (Q accumulated, bw >= 2, main thread) must
-  // NOT note.
+  // An engageable forced request (bw >= 2, main thread), with or without Q,
+  // must NOT note.
   const index_t n2 = 64, bw2 = 8;
   auto b = random_band<float>(n2, bw2, 78);
   Matrix<float> q(n2, n2);
@@ -393,9 +457,10 @@ TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   Context ctx2(eng);
   recovery::Scope scope2;
   (void)bulge::bulge_chase_auto<float>(ctx2, b.view(), bw2, &qv, /*bulge_threads=*/4);
+  (void)bulge::bulge_chase_auto<float>(ctx2, b.view(), bw2, nullptr, /*bulge_threads=*/4);
   for (const RecoveryEvent& ev : scope2.take())
     EXPECT_NE(ev.site, "evd.second_stage") << ev.action;
-  EXPECT_GT(ctx2.telemetry().stage_seconds("bulge.chase.wavefront"), 0.0);
+  EXPECT_GT(ctx2.telemetry().stage_seconds("bulge.chase"), 0.0);
 }
 
 // The downgrade is also visible end-to-end: an EvdService runner IS a pool

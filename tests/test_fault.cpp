@@ -501,20 +501,6 @@ TEST_F(FaultTest, SolverChainFallsBackFromDc) {
   }
 }
 
-TEST_F(FaultTest, FallbacksCanBeDisabled) {
-  const index_t n = 64;
-  auto a = test::random_symmetric<float>(n, 22);
-  fault::arm(fault::Site::SteqrExhaust, 1);
-  tc::Fp32Engine engine;
-  Context ctx(engine);
-  evd::EvdOptions opt;
-  opt.solver = evd::TriSolver::Ql;
-  opt.allow_fallbacks = false;
-  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), ErrorCode::FaultInjected);
-}
-
 TEST_F(FaultTest, BisectionSolverComputesVectors) {
   const index_t n = 64;
   auto a = test::random_symmetric<float>(n, 23);

@@ -861,21 +861,26 @@ TEST_F(ServiceTest, NanInputFailsAloneWithInvalidInput) {
 TEST_F(ServiceTest, PoisonedRequestFailsAloneUnderInjection) {
   const index_t n = 48;
   auto mats = make_set(n, 8, 6000);
-  // One QL exhaustion, fallbacks off: exactly one request (whichever draws
-  // the injected failure) reports the fault; every other request —
-  // including later ones on the same runner — succeeds.
-  fault::arm(fault::Site::SteqrExhaust, 1);
+  // Enough injected failures to exhaust one request's whole solver chain:
+  // its QL attempt and the divide-and-conquer fallback's QL leaf exhaust,
+  // then bisection's inverse iteration stagnates. On a one-runner service
+  // exactly the first request to reach its solver stage draws all three and
+  // reports the fault; every other request — including later ones on the
+  // same runner — succeeds.
+  fault::arm(fault::Site::SteqrExhaust, 2);
+  fault::arm(fault::Site::SteinStagnate, 1);
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
-  sopt.num_threads = 4;
+  sopt.num_threads = 1;
   evd::EvdService service(eng, sopt);
   evd::RequestOptions ropt;
   ropt.evd.bandwidth = 8;
   ropt.evd.solver = evd::TriSolver::Ql;
-  ropt.evd.allow_fallbacks = false;
+  ropt.evd.vectors = true;
   auto res = test::solve_all(service, mats, ropt);
 
-  EXPECT_EQ(fault::fired(fault::Site::SteqrExhaust), 1);
+  EXPECT_EQ(fault::fired(fault::Site::SteqrExhaust), 2);
+  EXPECT_EQ(fault::fired(fault::Site::SteinStagnate), 1);
   EXPECT_EQ(test::num_ok(res), mats.size() - 1);
   std::size_t failed = 0;
   for (const evd::RequestResult& r : res) {
@@ -899,7 +904,6 @@ TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {
   evd::RequestOptions ropt;
   ropt.evd.bandwidth = 8;
   ropt.evd.solver = evd::TriSolver::Ql;
-  ropt.evd.allow_fallbacks = true;  // injected failure walks the solver chain
   auto res = test::solve_all(service, mats, ropt);
   ASSERT_EQ(test::num_ok(res), mats.size());
   // The degradation is visible per request and in the service snapshot.

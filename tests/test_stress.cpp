@@ -18,7 +18,6 @@
 
 #include "src/blas/blas.hpp"
 #include "src/blas/gemm_threading.hpp"
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
@@ -272,7 +271,7 @@ TEST(BroadcastStress, BackToBackBroadcastsRunEachIndexExactlyOnce) {
 // shared pool while EvdService traffic churns on ANOTHER pool's workers. The
 // chase's progress-vector spins, per-chunk release publishes, and the block
 // ticket all run with lanes preempted mid-chunk (oversubscribed machine), and
-// every chase must still be bitwise-equal to the serial reference. Run under
+// every chase must still be bitwise-equal to the serial loop. Run under
 // TSan in CI — the acquire/release protocol on the progress vector is the
 // happens-before spine the whole scheduler leans on.
 // ---------------------------------------------------------------------------
@@ -301,7 +300,8 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
   });
 
   // The chase hammer: one broadcast pool, many back-to-back chases with
-  // varying shapes and blocking, each checked bitwise against serial.
+  // varying shapes and lane caps, each checked bitwise against the serial
+  // loop.
   ThreadPool chase_pool(kThreads);
   Context ctx(engine);
   long mismatches = 0;
@@ -310,25 +310,22 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
     const index_t n = 48 + static_cast<index_t>(rng.bounded(80));
     const index_t bws[] = {2, 3, 8};
     const index_t bw = bws[static_cast<std::size_t>(rng.bounded(3))];
+    const int lanes = 2 + static_cast<int>(rng.bounded(kThreads));
     Matrix<double> a(n, n);
     fill_normal(rng, a.view());
     make_symmetric(a.view());
     sbr::truncate_to_band<double>(a.view(), bw);
 
-    auto serial = a;
+    auto serial = sbr::BandMatrix<double>::from_full(a.view(), bw);
     Matrix<double> q_serial(n, n), q_wave(n, n);
     set_identity(q_serial.view());
     set_identity(q_wave.view());
     auto qs = q_serial.view();
-    auto ref = bulge::bulge_chase<double>(serial.view(), bw, &qs);
+    auto ref = bulge::bulge_chase_band<double>(ctx, serial, &qs);
 
-    auto wave = a;
+    auto wave = sbr::BandMatrix<double>::from_full(a.view(), bw);
     auto qw = q_wave.view();
-    bulge::WavefrontOptions wopt;
-    wopt.pool = &chase_pool;
-    wopt.sweep_block = 1 + static_cast<index_t>(rng.bounded(8));
-    wopt.tile_rows = 1 + static_cast<index_t>(rng.bounded(192));
-    auto got = bulge::bulge_chase_wavefront<double>(ctx, wave.view(), bw, &qw, wopt);
+    auto got = bulge::bulge_chase_band<double>(ctx, wave, &qw, &chase_pool, lanes);
 
     for (std::size_t i = 0; i < ref.d.size(); ++i)
       if (ref.d[i] != got.d[i]) ++mismatches;

@@ -5,13 +5,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
 #include <vector>
 
+#ifdef __linux__
+#include <unistd.h>
+#endif
+
 #include "src/blas/blas.hpp"
-#include "src/bulge/bulge_chasing.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
@@ -123,6 +127,33 @@ TEST(Workspace, MatrixCheckoutIsZeroInitialized) {
   for (index_t j = 0; j < 16; ++j)
     for (index_t i = 0; i < 16; ++i) EXPECT_EQ(m2(i, j), 0.0f);
 }
+
+#ifdef __linux__
+/// Resident set size of this process in bytes (/proc/self/statm, field 2).
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// Reserving is not touching: arena blocks are left uninitialized (checkouts
+// write before they read, and matrix() zeroes its own), so reserved bytes no
+// checkout uses never become resident.
+TEST(Workspace, ReserveDoesNotTouchTheBlock) {
+  constexpr std::size_t kReserve = std::size_t{256} << 20;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+  Workspace ws;
+  ws.reserve(kReserve);
+  const std::size_t after = resident_bytes();
+  EXPECT_GE(ws.capacity(), kReserve);
+  EXPECT_LT(after > before ? after - before : 0, kReserve / 4)
+      << "reserve() made " << (after - before) << " bytes resident";
+}
+#endif
 
 TEST(Workspace, ScopeReleaseRewindsBump) {
   Workspace ws;
@@ -431,24 +462,23 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   fill_normal(rng, a.view());
   make_symmetric(a.view());
   sbr::truncate_to_band<double>(a.view(), bw);
+  const auto band = sbr::BandMatrix<double>::from_full(a.view(), bw);
 
   tc::Fp32Engine eng;
   Context ctx(eng);
   ThreadPool pool(3);
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &pool;
 
-  // Warm-up: sizes the arena, interns the stage names, spins up the pool.
-  Matrix<double> warm = a;
-  (void)bulge::bulge_chase_wavefront<double>(ctx, warm.view(), bw, nullptr, wopt);
+  // Warm-up: sizes the arena, interns the stage name, spins up the pool.
+  auto warm = band;
+  (void)bulge::bulge_chase_band<double>(ctx, warm, nullptr, &pool);
   const std::size_t blocks = ctx.workspace().block_count();
   const long spills = ctx.workspace().spill_count();
 
-  Matrix<double> w1 = a, w2 = a;  // copies made BEFORE the measured window
+  auto b1 = band, b2 = band;  // copies made BEFORE the measured window
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, w1.view(), bw, nullptr, wopt);
+  auto r_wave = bulge::bulge_chase_band<double>(ctx, b1, nullptr, &pool);
   const std::uint64_t mid = g_heap_allocs.load(std::memory_order_relaxed);
-  auto r_serial = bulge::bulge_chase<double>(w2.view(), bw, nullptr);
+  auto r_serial = bulge::bulge_chase_band<double>(ctx, b2);
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
 
   EXPECT_EQ(mid - before, after - mid)
