@@ -15,14 +15,6 @@ namespace tcevd::bulge {
 
 namespace {
 
-/// Consecutive sweeps one lane advances together (cache blocking). Output
-/// does not depend on it; per-lane stack state is sized by it.
-constexpr index_t kSweepBlock = 8;
-/// Band rows a sweep advances per wavestep (the tile height): a lane applies
-/// and publishes max(1, kTileRows / d) eliminations at a time. Output does
-/// not depend on it.
-constexpr index_t kTileRows = 192;
-
 /// Two-sided Givens rotation in the (i, i+1) plane on compact band storage.
 /// `dmax` is the largest live distance (current bandwidth + the bulge slot);
 /// entries beyond it are structural zeros and are neither read nor written.

@@ -63,6 +63,14 @@ extern template BulgeResult<double> bulge_chase_band<double>(Context&,
                                                              MatrixView<double>*, ThreadPool*,
                                                              int);
 
+/// The wavefront's schedule constants; the output depends on neither.
+/// kSweepBlock consecutive sweeps form a block that one lane advances
+/// together (cache blocking); each sweep advances kTileRows band rows per
+/// wavestep, so at diagonal distance d it applies and publishes
+/// max(1, kTileRows / d) eliminations at a time.
+inline constexpr index_t kSweepBlock = 8;
+inline constexpr index_t kTileRows = 192;
+
 /// Upper bound on the context-workspace bytes bulge_chase_band checks out
 /// for an n x n problem on more than one lane (its per-sweep progress
 /// vector). Add this to lwork-style reservations alongside
@@ -70,9 +78,10 @@ extern template BulgeResult<double> bulge_chase_band<double>(Context&,
 std::size_t wavefront_workspace_bytes(index_t n);
 
 /// Smallest n for which the auto route (bulge_threads == 0) runs lanes when
-/// Q is accumulated. Measured on a 4-core host (EXPERIMENTS.md, "One
-/// compact chase"): at n = 768 the serial chase still won; at n = 1024 four
-/// lanes did.
+/// Q is accumulated: the chase-stage crossover on a 4-core host
+/// (EXPERIMENTS.md, "One compact chase": at n = 768 the serial chase still
+/// won; at n = 1024 four lanes did). End to end at n = 1024 lanes led in 7
+/// of 10 pairs by less than the spread, so it is unverified there.
 inline constexpr index_t kAutoLanesMinN = 1024;
 
 /// The solve drivers' entry point: copies the band of `a` (full storage,

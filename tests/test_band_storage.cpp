@@ -63,7 +63,7 @@ class BandChaseTest : public ::testing::TestWithParam<std::tuple<index_t, index_
 // The chase against independent double oracles: the eigenvalues of (d, e)
 // are those of the full-storage band B, and with Q started at I the chase's
 // (Q, T) reproduces B = Q T Q^T with an orthogonal Q.
-TEST_P(BandChaseTest, MatchesFullStorageChase) {
+TEST_P(BandChaseTest, MatchesDoubleOracles) {
   const auto [n, bw] = GetParam();
   Rng rng(100 + n);
   Matrix<double> a(n, n);

@@ -260,6 +260,62 @@ TEST_P(BulgeWavefrontBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BulgeWavefrontBitwise,
                          ::testing::Values<index_t>(1, 2, 3, 7, 64, 129, 257));
 
+/// Whether the gap-2 rule lets sweep block 1 start while block 0 is still
+/// running at diagonal distance d (the longest sweeps, so the likeliest
+/// pair). Block 1's first wavestep needs min(len, chunk + 2) eliminations of
+/// sweep kSweepBlock - 1, which trails block 0's wavesteps by
+/// 2 (kSweepBlock - 1) eliminations.
+bool blocks_overlap(index_t n, index_t d) {
+  const index_t last = bulge::kSweepBlock - 1;  // block 0's last sweep
+  if (last + 1 + d >= n) return false;          // a single block
+  const index_t chunk = std::max<index_t>(1, bulge::kTileRows / d);
+  const index_t stagger = 2 * last;
+  const index_t len = (n - 1 - last) / d;
+  const index_t need = std::min((n - 2 - last) / d, chunk) + 2;
+  if (need >= len) return false;  // block 1 waits for the whole sweep
+  // The wavestep that publishes `need` must not be the one that ends it.
+  const index_t h = (need + stagger + chunk - 1) / chunk * chunk;
+  return h - stagger < len;
+}
+
+// Sweep blocks that run at the same time. Most diagonals of the grid above
+// are too short for blocks_overlap and run their blocks one after another;
+// on these shapes every diagonal overlaps, so the gap-2 rule over compact
+// windows (the k = 0 column s - 1 included) carries the output. Q is 16 rows
+// of random entries: its rows are independent, so a short Q checks the
+// column order as an n x n one would, without the n^3 cost.
+TEST(BulgeWavefront, OverlappingSweepBlocksMatchSerialBitwise) {
+  std::uint64_t seed = 600;
+  for (const auto& [n, bw] : {std::pair<index_t, index_t>{521, 2}, {521, 8}, {1031, 16},
+                              {1031, 32}}) {
+    for (index_t d = bw; d >= 2; --d) ASSERT_TRUE(blocks_overlap(n, d)) << "n=" << n << " d=" << d;
+    const auto a = random_band<double>(n, bw, ++seed);
+    Matrix<double> q0(16, n);
+    Rng rng(seed);
+    fill_normal(rng, q0.view());
+    for (bool with_q : {false, true}) {
+      auto serial = compact(a, bw);
+      Matrix<double> q_serial = q0;
+      auto qs = q_serial.view();
+      const auto ref = serial_chase<double>(serial, with_q ? &qs : nullptr);
+      for (int lanes : {2, 8}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw << " with_q=" << with_q
+                                          << " lanes=" << lanes);
+        tc::Fp32Engine eng;
+        Context ctx(eng);
+        auto wave = compact(a, bw);
+        Matrix<double> q_wave = q0;
+        auto qw = q_wave.view();
+        const auto got = bulge::bulge_chase_band<double>(ctx, wave, with_q ? &qw : nullptr,
+                                                         &bulge_test_pool(), lanes);
+        expect_same_tridiagonal(ref, got);
+        expect_same_band(serial, wave);
+        if (with_q) expect_same_matrix(q_serial, q_wave);
+      }
+    }
+  }
+}
+
 TEST(BulgeWavefront, FloatMatchesSerialBitwise) {
   expect_wavefront_bitwise<float>(129, 8, /*with_q=*/true, &bulge_test_pool(), 0, 42);
   expect_wavefront_bitwise<float>(257, 2, /*with_q=*/true, &bulge_test_pool(), 0, 43);
@@ -364,6 +420,37 @@ TEST(BulgeWavefront, AutoRouteIsBitwiseInvariant) {
     expect_same_matrix(q_ref, q);
     expect_same_tridiagonal(values_ref,
                             bulge::bulge_chase_auto<float>(ctx, a.view(), bw, nullptr, threads));
+  }
+}
+
+// The auto route (bulge_threads = 0) takes gemm_pool()'s lanes only for a
+// vectors chase from kAutoLanesMinN up, and never from a pool worker. A lane
+// chase checks its progress vector out of the arena; the plain loop checks
+// out nothing. Q is one row (the route asks whether Q is accumulated, not
+// how tall it is) and the band is narrow, so the test stays cheap.
+TEST(BulgeWavefront, AutoRouteTakesLanesOnlyForVectorsFromTheCrossover) {
+  const index_t bw = 2;
+  const bool pool_has_workers = gemm_pool().size() > 0;
+  tc::Fp32Engine eng;
+  for (index_t n : {bulge::kAutoLanesMinN - 1, bulge::kAutoLanesMinN}) {
+    auto a = random_band<float>(n, bw, 91);  // bulge_chase_auto takes a mutable view
+    Matrix<float> q(1, n);
+    auto qv = q.view();
+    for (bool with_q : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " with_q=" << with_q);
+      Context ctx(eng);
+      (void)bulge::bulge_chase_auto<float>(ctx, a.view(), bw, with_q ? &qv : nullptr, 0);
+      const bool lanes = with_q && n >= bulge::kAutoLanesMinN && pool_has_workers;
+      EXPECT_EQ(ctx.workspace().high_water_mark() > 0, lanes);
+    }
+    if (n < bulge::kAutoLanesMinN) continue;
+    Context worker_ctx(eng);
+    ThreadPool outer(1);
+    outer.submit([&] {
+      (void)bulge::bulge_chase_auto<float>(worker_ctx, a.view(), bw, &qv, 0);
+    });
+    outer.wait_idle();
+    EXPECT_EQ(worker_ctx.workspace().high_water_mark(), 0u) << "a pool worker fanned out";
   }
 }
 

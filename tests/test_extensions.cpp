@@ -21,7 +21,7 @@ using blas::Trans;
 // bulge_threads says: its eigenvalues are bit for bit those of sbr_wy ->
 // BandMatrix::from_full -> bulge_chase_band -> stedc, and agree to roundoff
 // with the vectors solve of the same matrix, whose stedc also forms vectors.
-TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
+TEST(CompactSecondStage, SameEigenvaluesAsVectorsSolve) {
   const index_t n = 96;
   auto a = test::random_symmetric<float>(n, 1);
   tc::Fp32Engine eng;
@@ -30,8 +30,8 @@ TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
   opt.bandwidth = 8;
   opt.big_block = 32;
   opt.vectors = true;
-  auto full = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(full.converged);
+  auto vectors = *evd::solve(a.view(), ctx, opt);
+  ASSERT_TRUE(vectors.converged);
 
   sbr::SbrOptions sopt;
   sopt.bandwidth = 8;
@@ -44,12 +44,12 @@ TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
   opt.vectors = false;
   for (int threads : {0, 1, 8}) {
     opt.bulge_threads = threads;
-    auto compact = *evd::solve(a.view(), ctx, opt);
-    ASSERT_TRUE(compact.converged);
+    auto values = *evd::solve(a.view(), ctx, opt);
+    ASSERT_TRUE(values.converged);
     for (index_t i = 0; i < n; ++i) {
       const auto k = static_cast<std::size_t>(i);
-      EXPECT_EQ(compact.eigenvalues[k], d[k]) << "bulge_threads = " << threads << ", " << i;
-      EXPECT_NEAR(full.eigenvalues[k], compact.eigenvalues[k], 2e-5f) << i;
+      EXPECT_EQ(values.eigenvalues[k], d[k]) << "bulge_threads = " << threads << ", " << i;
+      EXPECT_NEAR(vectors.eigenvalues[k], values.eigenvalues[k], 2e-5f) << i;
     }
   }
 }

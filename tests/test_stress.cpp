@@ -301,15 +301,22 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
 
   // The chase hammer: one broadcast pool, many back-to-back chases with
   // varying shapes and lane caps, each checked bitwise against the serial
-  // loop.
+  // loop. Every fourth round is long enough (n >= 400) for consecutive sweep
+  // blocks to run at the same time, and wide enough that a block publishes
+  // few eliminations per wavestep, which keeps its lanes close together; its
+  // Q is 16 rows of random entries, whose rows check the column order as an
+  // n x n Q would at a fraction of the cost.
   ThreadPool chase_pool(kThreads);
   Context ctx(engine);
   long mismatches = 0;
   for (int round = 0; round < 40; ++round) {
     Rng rng(0xBC0DE000u + static_cast<std::uint64_t>(round));
-    const index_t n = 48 + static_cast<index_t>(rng.bounded(80));
-    const index_t bws[] = {2, 3, 8};
-    const index_t bw = bws[static_cast<std::size_t>(rng.bounded(3))];
+    const bool long_round = round % 4 == 3;
+    const index_t n = long_round ? 400 + static_cast<index_t>(rng.bounded(301))
+                                 : 48 + static_cast<index_t>(rng.bounded(80));
+    const index_t short_bws[] = {2, 3, 8};
+    const index_t long_bws[] = {8, 16, 32};
+    const index_t bw = (long_round ? long_bws : short_bws)[rng.bounded(3)];
     const int lanes = 2 + static_cast<int>(rng.bounded(kThreads));
     Matrix<double> a(n, n);
     fill_normal(rng, a.view());
@@ -317,9 +324,12 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
     sbr::truncate_to_band<double>(a.view(), bw);
 
     auto serial = sbr::BandMatrix<double>::from_full(a.view(), bw);
-    Matrix<double> q_serial(n, n), q_wave(n, n);
-    set_identity(q_serial.view());
-    set_identity(q_wave.view());
+    Matrix<double> q_serial(long_round ? 16 : n, n);
+    if (long_round)
+      fill_normal(rng, q_serial.view());
+    else
+      set_identity(q_serial.view());
+    Matrix<double> q_wave = q_serial;
     auto qs = q_serial.view();
     auto ref = bulge::bulge_chase_band<double>(ctx, serial, &qs);
 
@@ -332,7 +342,7 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
     for (std::size_t i = 0; i < ref.e.size(); ++i)
       if (ref.e[i] != got.e[i]) ++mismatches;
     for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < n; ++i)
+      for (index_t i = 0; i < q_serial.rows(); ++i)
         if (q_serial(i, j) != q_wave(i, j)) ++mismatches;
   }
   stop_traffic.store(true);
