@@ -57,7 +57,7 @@ void sweep(index_t n, const std::vector<index_t>& bandwidths, bool with_q) {
   Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
   for (index_t bw : bandwidths) {
     if (bw >= n) continue;
-    auto a = random_band(n, bw, 42 + static_cast<std::uint64_t>(n + bw));
+    const auto a = random_band(n, bw, 42 + static_cast<std::uint64_t>(n + bw));
     Row row;
     row.name = "bulge/n=" + std::to_string(n) + "/bw=" + std::to_string(bw) +
                (with_q ? "/q" : "");

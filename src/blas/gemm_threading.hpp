@@ -11,7 +11,9 @@
 //   2. SerialGemmScope: an RAII guard that forces the serial tile loop on
 //      this thread until the scope exits (nestable) — the serial reference
 //      the pooled-vs-serial bitwise tests and kernel benchmarks compare
-//      against.
+//      against. The second-stage chase (bulge::bulge_chase_auto) stays on
+//      the calling thread under it too, so a solve inside the scope leaves
+//      gemm_pool() idle.
 //   3. A size floor: tiny GEMMs (2mnk below ~4 Mflop) are not worth a
 //      broadcast round-trip and stay serial regardless.
 //
@@ -28,8 +30,9 @@ namespace tcevd {
 namespace blas {
 
 /// RAII guard forcing the serial tile loop for every gemm issued on this
-/// thread while the scope is alive. Nestable: the serial force lifts when the
-/// outermost scope exits.
+/// thread while the scope is alive, and the serial chase in
+/// bulge::bulge_chase_auto at every bulge_threads setting. Nestable: the
+/// serial force lifts when the outermost scope exits.
 class SerialGemmScope {
  public:
   SerialGemmScope() noexcept;

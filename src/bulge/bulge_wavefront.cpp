@@ -7,6 +7,7 @@
 #include <string>
 #include <type_traits>
 
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
@@ -247,19 +248,21 @@ template BulgeResult<double> bulge_chase_band<double>(Context&, sbr::BandMatrix<
                                                       MatrixView<double>*, ThreadPool*, int);
 
 template <typename T>
-BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw, MatrixView<T>* q,
-                                int bulge_threads) {
+BulgeResult<T> bulge_chase_auto(Context& ctx, ConstMatrixView<T> a, index_t bw,
+                                MatrixView<T>* q, int bulge_threads) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase_auto requires a square matrix");
   TCEVD_CHECK(bw >= 1, "bulge_chase_auto bandwidth must be >= 1");
   const bool forced = bulge_threads >= 2;
-  const bool eligible =
-      bulge_threads != 1 && bw >= 2 && n > 2 && !ThreadPool::on_worker_thread();
+  const bool eligible = bulge_threads != 1 && bw >= 2 && n > 2 &&
+                        !ThreadPool::on_worker_thread() && !blas::gemm_serial_forced();
   if (forced && !eligible) {
     // Say why the requested lanes never lit up, so perf-knob users can see it.
     const char* why = ThreadPool::on_worker_thread()
                           ? "the caller is already a thread-pool worker (nested "
                             "parallelism stays serial)"
+                      : blas::gemm_serial_forced()
+                          ? "a SerialGemmScope is open on the calling thread"
                       : bw < 2 ? "the band is too narrow (bandwidth < 2)"
                                : "the matrix is too small (n <= 2)";
     recovery::note("evd.second_stage",
@@ -268,15 +271,14 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw, Matri
                        "; running a serial chase (bulge_threads never changes the output)");
   }
   const bool lanes = eligible && (forced || (q != nullptr && n >= kAutoLanesMinN));
-  auto band = sbr::BandMatrix<T>::from_full(ConstMatrixView<T>(a),
-                                            std::min(bw, std::max<index_t>(n - 1, 0)));
+  auto band = sbr::BandMatrix<T>::from_full(a, std::min(bw, std::max<index_t>(n - 1, 0)));
   return bulge_chase_band<T>(ctx, band, q, lanes ? &gemm_pool() : nullptr,
                              forced ? bulge_threads : 0);
 }
 
-template BulgeResult<float> bulge_chase_auto<float>(Context&, MatrixView<float>, index_t,
+template BulgeResult<float> bulge_chase_auto<float>(Context&, ConstMatrixView<float>, index_t,
                                                     MatrixView<float>*, int);
-template BulgeResult<double> bulge_chase_auto<double>(Context&, MatrixView<double>, index_t,
-                                                      MatrixView<double>*, int);
+template BulgeResult<double> bulge_chase_auto<double>(Context&, ConstMatrixView<double>,
+                                                      index_t, MatrixView<double>*, int);
 
 }  // namespace tcevd::bulge

@@ -86,22 +86,23 @@ inline constexpr index_t kAutoLanesMinN = 1024;
 
 /// The solve drivers' entry point: copies the band of `a` (full storage,
 /// bandwidth `bw`) into compact storage and chases it with bulge_chase_band,
-/// applying every rotation to `q` when it is non-null. `a` is left
-/// untouched. Only the lane count depends on EvdOptions::bulge_threads:
-/// 1 runs serially, k >= 2 allows up to k lanes on gemm_pool(), and 0 uses
-/// gemm_pool()'s lanes only when Q is accumulated, n >= kAutoLanesMinN and
-/// the caller is not a pool worker (EvdService runners are the parallelism).
-/// An explicit k >= 2 that cannot engage (pool worker, bandwidth < 2 or
-/// n <= 2) runs serially and notes the downgrade at recovery site
+/// applying every rotation to `q` when it is non-null. Only the lane count
+/// depends on EvdOptions::bulge_threads: 1 runs serially, k >= 2 allows up
+/// to k lanes on gemm_pool(), and 0 uses gemm_pool()'s lanes only when Q is
+/// accumulated, n >= kAutoLanesMinN and the caller is not a pool worker
+/// (EvdService runners are the parallelism). Inside a blas::SerialGemmScope
+/// the chase stays on the calling thread at every setting. An explicit
+/// k >= 2 that cannot engage (pool worker, SerialGemmScope, bandwidth < 2
+/// or n <= 2) runs serially and notes the downgrade at recovery site
 /// "evd.second_stage". Output never depends on bulge_threads.
 template <typename T>
-BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
+BulgeResult<T> bulge_chase_auto(Context& ctx, ConstMatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);
 
-extern template BulgeResult<float> bulge_chase_auto<float>(Context&, MatrixView<float>,
+extern template BulgeResult<float> bulge_chase_auto<float>(Context&, ConstMatrixView<float>,
                                                            index_t, MatrixView<float>*, int);
-extern template BulgeResult<double> bulge_chase_auto<double>(Context&, MatrixView<double>,
-                                                             index_t, MatrixView<double>*,
-                                                             int);
+extern template BulgeResult<double> bulge_chase_auto<double>(Context&,
+                                                             ConstMatrixView<double>, index_t,
+                                                             MatrixView<double>*, int);
 
 }  // namespace tcevd::bulge

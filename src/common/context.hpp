@@ -85,14 +85,13 @@ class Telemetry {
   /// `name`: the upper edge of the bucket holding the q-th sample, clamped to
   /// the observed max. Returns 0.0 when nothing was recorded under `name`.
   double latency_quantile(std::string_view name, double q) const noexcept;
-  void clear_latencies() noexcept { latencies_.clear(); }
 
   // --- recovery aggregation -----------------------------------------------
-  /// Degradation events accumulated across every call on this context (each
-  /// driver call still returns its own per-call log, e.g. EvdResult::recovery).
+  /// Degradation events accumulated across every call on this context. A
+  /// solve records its whole log here once, when it ends, whether it
+  /// succeeded (the log is also EvdResult::recovery) or failed.
   void record_recovery(const RecoveryLog& log);
   const RecoveryLog& recovery() const noexcept { return recovery_; }
-  void clear_recovery() noexcept { recovery_.clear(); }
 
   // --- cross-context aggregation --------------------------------------------
   /// Fold another telemetry sink into this one: recorded GEMM shapes are

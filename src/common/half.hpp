@@ -10,28 +10,20 @@
 //   * TF32:     1 sign, 8 exponent (same as fp32), 10 mantissa bits; modeled
 //     as round-to-nearest-even of the fp32 mantissa to 10 bits.
 //
-// `half_t` is a storage-only type (no arithmetic); all Tensor Core math in
-// src/tensorcore converts to fp32, multiplies, and accumulates in fp32 —
-// exactly the HMMA data path.
+// Operands are only ever rounded, never stored as binary16: all Tensor Core
+// math in src/tensorcore rounds an fp32 value, multiplies in fp32 and
+// accumulates in fp32 — exactly the HMMA data path.
 #pragma once
 
 #include <cstdint>
 
 namespace tcevd {
 
-/// Storage-only IEEE binary16 value.
-struct half_t {
-  std::uint16_t bits = 0;
-};
-
 /// fp32 -> binary16 bits with round-to-nearest-even.
 std::uint16_t float_to_half_bits(float f) noexcept;
 
 /// binary16 bits -> fp32 (exact).
 float half_bits_to_float(std::uint16_t h) noexcept;
-
-inline half_t to_half(float f) noexcept { return half_t{float_to_half_bits(f)}; }
-inline float to_float(half_t h) noexcept { return half_bits_to_float(h.bits); }
 
 /// fp32 -> fp16 -> fp32 round trip: the operand truncation a Tensor Core
 /// performs on an fp32 input.

@@ -88,9 +88,6 @@ class MatrixView {
     return MatrixView(data_ + i0 + j0 * ld_, nrows, ncols, ld_);
   }
   MatrixView col(index_t j) const noexcept { return sub(0, j, rows_, 1); }
-  MatrixView cols_range(index_t j0, index_t ncols) const noexcept {
-    return sub(0, j0, rows_, ncols);
-  }
 
   operator ConstMatrixView<T>() const noexcept;
 
@@ -128,9 +125,6 @@ class ConstMatrixView {
     return ConstMatrixView(data_ + i0 + j0 * ld_, nrows, ncols, ld_);
   }
   ConstMatrixView col(index_t j) const noexcept { return sub(0, j, rows_, 1); }
-  ConstMatrixView cols_range(index_t j0, index_t ncols) const noexcept {
-    return sub(0, j0, rows_, ncols);
-  }
 
  private:
   const T* data_ = nullptr;

@@ -27,6 +27,4 @@ void note(std::string site, std::string action) {
   if (g_top) g_top->events_.push_back(RecoveryEvent{std::move(site), std::move(action)});
 }
 
-bool scope_active() noexcept { return g_top != nullptr; }
-
 }  // namespace tcevd::recovery

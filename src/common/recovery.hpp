@@ -46,7 +46,5 @@ class Scope {
 /// Record a degradation (no-op when no Scope is active on this thread).
 void note(std::string site, std::string action);
 
-bool scope_active() noexcept;
-
 }  // namespace recovery
 }  // namespace tcevd

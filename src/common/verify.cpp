@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/common/fault.hpp"
@@ -15,6 +16,9 @@ namespace {
 // Unit roundoffs of the accumulation formats the engines feed the pipeline.
 constexpr double kEps32 = 1.1920929e-7;    // fp32
 constexpr double kEps16 = 4.8828125e-4;    // fp16 (and TF32's 10-bit mantissa)
+
+// Probe RNG seed: fixed, so verification is deterministic.
+constexpr std::uint64_t kProbeSeed = 0x76657269667921ull;
 
 /// Shared skeleton: thresholds + the forced-breach fault hook.
 Report init_report(tc::EngineKind kind, index_t n, double tol_scale) {
@@ -78,7 +82,7 @@ Report estimate(ConstMatrixView<float> a, const std::vector<float>& lambda,
   if (rep.fault_forced || n == 0) return rep;
 
   const double anorm = std::max(frobenius_norm<float>(a), 1e-300);
-  Rng rng(opt.seed);
+  Rng rng(kProbeSeed);
   const int probes = std::max(1, opt.probes);
 
   const std::size_t nz = static_cast<std::size_t>(n);

@@ -27,12 +27,11 @@
 // evd::solve consumes these estimates through its VerifyPolicy (see
 // src/evd/evd.hpp): `Estimate` annotates a breach on the result, while
 // `EstimateEscalate` re-solves on a higher-accuracy engine
-// (Tc -> EcTc -> Fp32) until the estimate passes or the attempt budget is
-// spent. The fault site "verify.residual" (TCEVD_FAULTS) forces a breach to
-// exercise that escalation machinery end to end.
+// (Tc -> EcTc -> Fp32) until the estimate passes or the chain is
+// exhausted. The fault site "verify.residual" (TCEVD_FAULTS) forces a breach
+// to exercise that escalation machinery end to end.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,8 +56,6 @@ struct Options {
   /// Frobenius estimate well under the safety margin baked into the
   /// thresholds; the cost is probes * 5 matvecs.
   int probes = 4;
-  /// Probe RNG seed — fixed by default so verification is deterministic.
-  std::uint64_t seed = 0x76657269667921ull;
   /// Multiplies both thresholds (tighten < 1, loosen > 1).
   double tol_scale = 1.0;
 };

@@ -26,32 +26,34 @@ namespace {
 
 using blas::Trans;
 
+/// Runs `solver` on (d, e): eigenvalues into d, and with `z` the
+/// tridiagonal eigenvectors S folded into it, z := z * S. Every solver
+/// updates z only once it has succeeded (stedc multiplies by its V after the
+/// merges; QL rotates an identity from the arena instead of z), so a failed
+/// solver leaves z as it was for the next one in the fallback chain.
 Status run_tri_solver(Workspace& ws, TriSolver solver, std::vector<float>& d,
                       std::vector<float>& e, MatrixView<float>* z) {
-  switch (solver) {
-    case TriSolver::Ql:
-      return lapack::steqr<float>(d, e, z);
-    case TriSolver::DivideConquer:
-      return lapack::stedc<float>(d, e, z);
-    case TriSolver::Bisection: {
-      const index_t n = static_cast<index_t>(d.size());
-      auto eigs = lapack::stebz<float>(d, e, 0, n - 1);
-      if (z != nullptr) {
-        // Vectors via inverse iteration on the bisection values, then fold
-        // into the accumulated orthogonal factor: z := z * S.
-        auto scope = ws.scope();
-        auto s = scope.matrix<float>(n, n);
-        TCEVD_RETURN_IF_ERROR(lapack::stein<float>(d, e, eigs, s));
-        auto tmp = scope.matrix<float>(z->rows(), n);
-        blas::gemm<float>(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(*z),
-                          ConstMatrixView<float>(s), 0.0f, tmp);
-        copy_matrix<float>(ConstMatrixView<float>(tmp), *z);
-      }
-      std::copy(eigs.begin(), eigs.end(), d.begin());
-      return ok_status();
-    }
+  if (solver == TriSolver::DivideConquer) return lapack::stedc<float>(d, e, z);
+  const index_t n = static_cast<index_t>(d.size());
+  auto scope = ws.scope();
+  MatrixView<float> s;
+  if (z != nullptr) s = scope.matrix<float>(n, n);
+  if (solver == TriSolver::Ql) {
+    if (z != nullptr) set_identity(s);
+    TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(d, e, z != nullptr ? &s : nullptr));
+  } else {
+    // Bisection, and for vectors inverse iteration on its values.
+    const std::vector<float> eigs = lapack::stebz<float>(d, e, 0, n - 1);
+    if (z != nullptr) TCEVD_RETURN_IF_ERROR(lapack::stein<float>(d, e, eigs, s));
+    std::copy(eigs.begin(), eigs.end(), d.begin());
   }
-  return Status(ErrorCode::Internal, "unknown tridiagonal solver");
+  if (z != nullptr) {
+    auto zs = scope.matrix<float>(z->rows(), n);
+    blas::gemm<float>(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(*z),
+                      ConstMatrixView<float>(s), 0.0f, zs);
+    copy_matrix<float>(ConstMatrixView<float>(zs), *z);
+  }
+  return ok_status();
 }
 
 Status screen_input(ConstMatrixView<float> a, float asym_tol) {
@@ -72,24 +74,17 @@ Status screen_input(ConstMatrixView<float> a, float asym_tol) {
   return ok_status();
 }
 
-/// Splice `tail` onto the end of `log`.
-void append_log(RecoveryLog& log, RecoveryLog&& tail) {
-  if (log.empty()) {
-    log = std::move(tail);
-    return;
-  }
-  log.insert(log.end(), std::make_move_iterator(tail.begin()),
-             std::make_move_iterator(tail.end()));
-}
-
 /// Next engine in the accuracy-ascending escalation chain
-/// Tc -> EcTc -> Fp32, or nullptr when `kind` is already the most accurate.
-/// `prec` carries the Tc operand precision across the Tc -> EcTc step so an
-/// escalated tc-tf32 solve corrects tf32 numerics, not fp16.
-std::unique_ptr<tc::GemmEngine> next_escalation_engine(tc::EngineKind kind,
-                                                       tc::TcPrecision prec) {
-  switch (kind) {
-    case tc::EngineKind::Tc: return std::make_unique<tc::EcTcEngine>(prec);
+/// Tc -> EcTc -> Fp32, or nullptr when `engine` is already the most
+/// accurate. A Tc engine's operand precision carries across the Tc -> EcTc
+/// step, so an escalated tc-tf32 solve corrects tf32 numerics, not fp16.
+std::unique_ptr<tc::GemmEngine> next_escalation_engine(const tc::GemmEngine& engine) {
+  switch (engine.kind()) {
+    case tc::EngineKind::Tc: {
+      const auto* tc_engine = dynamic_cast<const tc::TcEngine*>(&engine);
+      return std::make_unique<tc::EcTcEngine>(tc_engine != nullptr ? tc_engine->precision()
+                                                                   : tc::TcPrecision::Fp16);
+    }
     case tc::EngineKind::EcTc: return std::make_unique<tc::Fp32Engine>();
     case tc::EngineKind::Fp32: return nullptr;  // already the terminal engine
   }
@@ -100,25 +95,22 @@ std::unique_ptr<tc::GemmEngine> next_escalation_engine(tc::EngineKind kind,
 StatusOr<EvdResult> run_to_completion(SolveJob& job) {
   while (!job.done()) job.step();
   StatusOr<EvdResult> out = job.take();
-  if (!out.ok()) {
-    // On the synchronous path a failed attempt's unclaimed recovery events
-    // historically propagated to the caller's enclosing recovery::Scope when
-    // the per-solve scope unwound; the job parks them instead, so re-note.
+  // A failed solve returns no EvdResult to carry its log, so the log goes
+  // to the caller's enclosing recovery::Scope instead.
+  if (!out.ok())
     for (const RecoveryEvent& ev : job.dropped_events()) recovery::note(ev.site, ev.action);
-  }
   return out;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SolveJob: the solve pipeline as a resumable stage machine. Every stage body
-// is a verbatim port of the old monolithic solve_once / solve_verified code;
-// the only change is that control returns to the caller between stages, with
-// the in-flight state parked in members instead of stack locals. Each step
-// opens its own recovery::Scope and drains it into attempt_log_ before
-// returning, so the thread-local scope chain never spans a suspension point
-// (steps of one job may run on different scheduler threads).
+// SolveJob: the solve pipeline as a resumable stage machine. Control returns
+// to the caller between stages, with the in-flight state parked in members.
+// Each step opens its own recovery::Scope and drains it into the job's one
+// log before returning, so the thread-local scope chain never spans a
+// suspension point (steps of one job may run on different scheduler
+// threads).
 // ---------------------------------------------------------------------------
 
 Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
@@ -152,29 +144,33 @@ SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt
 
 SolveJob::~SolveJob() = default;
 
-const char* SolveJob::stage_name(Stage stage) noexcept {
-  switch (stage) {
-    case Stage::Reduction: return "reduction";
-    case Stage::Bulge: return "bulge";
-    case Stage::Solver: return "solver";
-    case Stage::Finish: return "finish";
-    case Stage::Done: return "done";
-  }
-  return "?";
-}
-
 void SolveJob::step() {
+  if (done()) return;
   // ABFT covers this request's GEMMs, stage by stage, escalations included;
   // the calling thread passes the choice on to the pool workers running its
   // tiles, and other requests' GEMMs stay unchecked.
   std::optional<blas::abft::AbftScope> abft;
   if (opt_.abft) abft.emplace();
+  // Every note of this step, the job's own failure and escalation notes
+  // included, joins the log in the order it was made.
+  recovery::Scope scope;
   switch (stage_) {
-    case Stage::Reduction: step_reduction(); return;
-    case Stage::Bulge: step_bulge(); return;
-    case Stage::Solver: step_solver(); return;
-    case Stage::Finish: step_finish(); return;
-    case Stage::Done: return;
+    case Stage::Reduction: step_reduction(); break;
+    case Stage::Bulge: step_bulge(); break;
+    case Stage::Solver: step_solver(); break;
+    case Stage::Finish: step_finish(); break;
+    case Stage::Done: break;
+  }
+  RecoveryLog events = scope.take();
+  log_.insert(log_.end(), std::make_move_iterator(events.begin()),
+              std::make_move_iterator(events.end()));
+  if (!done()) return;
+  // The job hands its log on once: to the context's telemetry, and to the
+  // result on success (dropped_events() keeps it on failure).
+  ctx_.telemetry().record_recovery(log_);
+  if (final_) {
+    final_->recovery = std::move(log_);
+    log_.clear();
   }
 }
 
@@ -193,40 +189,32 @@ void SolveJob::release_attempt_state() {
 
 void SolveJob::step_reduction() {
   ++attempts_;
-  attempt_log_.clear();
   const index_t n = a_.rows();
-  recovery::Scope scope;
 
   if (opt_.screen_input) {
     Status st = screen_input(a_, opt_.asymmetry_tol);
     if (!st.ok()) {
-      append_log(attempt_log_, scope.take());
-      fail_attempt(st);
+      escalate_or_fail(std::move(st), /*breached=*/false);
       return;
     }
   }
 
+  result_ = EvdResult{};
   if (n <= 1) {
-    EvdResult trivial;
     if (n == 1) {
-      trivial.eigenvalues.assign(1, a_(0, 0));
+      result_.eigenvalues.assign(1, a_(0, 0));
       if (opt_.vectors) {
-        trivial.vectors = Matrix<float>(1, 1);
-        trivial.vectors(0, 0) = 1.0f;
+        result_.vectors = Matrix<float>(1, 1);
+        result_.vectors(0, 0) = 1.0f;
       }
-    } else if (opt_.vectors) {
-      trivial.vectors = Matrix<float>(0, 0);
     }
-    trivial.converged = true;
-    final_ = std::move(trivial);
-    stage_ = Stage::Done;
-    release_attempt_state();
+    result_.converged = true;
+    complete_success();
     return;
   }
 
   ctx_.workspace().reserve(workspace_query(n, opt_));
   attempt_scope_.emplace(ctx_.workspace());
-  result_ = EvdResult{};
   d_.clear();
   e_.clear();
   q_ = Matrix<float>(0, 0);
@@ -247,7 +235,6 @@ void SolveJob::step_reduction() {
     }
     result_.timings.reduction_s = t.seconds();
     ctx_.telemetry().record_stage("evd.reduction", result_.timings.reduction_s);
-    append_log(attempt_log_, scope.take());
     stage_ = Stage::Solver;  // one-stage reduction has no bulge chase
     return;
   }
@@ -272,21 +259,18 @@ void SolveJob::step_reduction() {
       : (opt_.reduction == Reduction::TwoStageDbr) ? sbr::sbr_dbr(a_, ctx_, sopt)
                                                    : sbr::sbr_zy(a_, ctx_, sopt);
   if (!sres_or.ok()) {
-    append_log(attempt_log_, scope.take());
-    fail_attempt(sres_or.status());
+    escalate_or_fail(sres_or.status(), /*breached=*/false);
     return;
   }
   sres_.emplace(std::move(*sres_or));
   result_.timings.reduction_s = t.seconds();
   ctx_.telemetry().record_stage("evd.reduction", result_.timings.reduction_s);
-  append_log(attempt_log_, scope.take());
   stage_ = Stage::Bulge;
 }
 
 void SolveJob::step_bulge() {
   const index_t n = a_.rows();
   const index_t bw = std::min(opt_.bandwidth, n - 1);
-  recovery::Scope scope;
   sbr::SbrResult& sres = *sres_;
 
   Timer t;
@@ -299,26 +283,20 @@ void SolveJob::step_bulge() {
   ctx_.telemetry().record_stage("evd.bulge", result_.timings.bulge_s);
   if (opt_.vectors) q_ = std::move(sres.q);
   sres_.reset();
-  append_log(attempt_log_, scope.take());
   stage_ = Stage::Solver;
 }
 
 void SolveJob::step_solver() {
-  recovery::Scope scope;
   Timer ts;
   Status sst = range_ ? solve_range() : solve_tridiagonal();
   result_.timings.solver_s = ts.seconds();
   ctx_.telemetry().record_stage("evd.solver", result_.timings.solver_s);
-  append_log(attempt_log_, scope.take());
   if (!sst.ok()) {
-    fail_attempt(sst);
+    escalate_or_fail(std::move(sst), /*breached=*/false);
     return;
   }
   result_.converged = true;
   result_.timings.total_s = attempt_timer_.seconds();
-  result_.recovery = std::move(attempt_log_);
-  attempt_log_.clear();
-  ctx_.telemetry().record_recovery(result_.recovery);
   attempt_scope_.reset();  // the estimate (and any re-solve) re-opens its own
 
   if (!verified_) {
@@ -332,14 +310,9 @@ Status SolveJob::solve_tridiagonal() {
   MatrixView<float> zv = q_.view();
   MatrixView<float>* zp = opt_.vectors ? &zv : nullptr;
 
-  // The solvers destroy d/e (and fold rotations into q), so keep restore
-  // points for the fallback chain.
+  // The solvers destroy d/e, so keep a restore point for the fallback
+  // chain. Q needs none: a failed solver leaves it as it was.
   const std::vector<float> d0 = d_, e0 = e_;
-  MatrixView<float> q0;
-  if (opt_.vectors) {
-    q0 = attempt_scope_->matrix<float>(q_.rows(), q_.cols());
-    copy_matrix<float>(ConstMatrixView<float>(q_.view()), q0);
-  }
 
   Status sst = run_tri_solver(ctx_.workspace(), opt_.solver, d_, e_, zp);
   if (!sst.ok() && is_recoverable(sst)) {
@@ -348,7 +321,6 @@ Status SolveJob::solve_tridiagonal() {
       if (fb == opt_.solver) continue;
       d_ = d0;
       e_ = e0;
-      if (opt_.vectors) copy_matrix<float>(ConstMatrixView<float>(q0), q_.view());
       recovery::note("evd.solver", std::string(tri_solver_name(tried)) + " failed (" +
                                        sst.to_string() + "); retrying with " +
                                        tri_solver_name(fb));
@@ -408,9 +380,6 @@ Status SolveJob::solve_range() {
 }
 
 void SolveJob::step_finish() {
-  recovery::Scope scope;  // breach/give-up notes of this verification round
-  accumulated_.insert(accumulated_.end(), result_.recovery.begin(), result_.recovery.end());
-
   verify::Options vopt;
   vopt.probes = opt_.verify_probes;
   vopt.tol_scale = static_cast<double>(opt_.verify_tol_scale);
@@ -442,104 +411,52 @@ void SolveJob::step_finish() {
   }
   if (accept) {
     result_.verify = std::move(report);
-    append_log(pending_, scope.take());
-    ctx_.telemetry().record_recovery(pending_);
-    accumulated_.insert(accumulated_.end(), pending_.begin(), pending_.end());
-    pending_.clear();
-    result_.recovery = std::move(accumulated_);
     complete_success();
     return;
   }
-
-  // Escalate: next engine in the chain, same warm context.
-  tc::TcPrecision prec = tc::TcPrecision::Fp16;
-  if (const auto* tc_engine = dynamic_cast<const tc::TcEngine*>(&engine))
-    prec = tc_engine->precision();
-  std::unique_ptr<tc::GemmEngine> next = next_escalation_engine(engine.kind(), prec);
-  if (next == nullptr) {
-    const std::string reason = "the escalation chain is exhausted (already on '" +
-                               std::string(engine.name()) + "')";
-    recovery::note("evd.verify", "verification still failing and " + reason);
-    append_log(pending_, scope.take());
-    ctx_.telemetry().record_recovery(pending_);
-    pending_.clear();  // claimed into telemetry, exactly as vscope.take() did
-    error_ = precision_loss_error(
-        "evd::solve: verification failed after " + std::to_string(attempts_) +
-        " attempt(s) (residual estimate " + std::to_string(report.residual) + ", tol " +
-        std::to_string(report.residual_tol) + ", engine '" + engine.name() + "'); " +
-        reason);
-    stage_ = Stage::Done;
-    release_attempt_state();
-    return;
-  }
-  recovery::note("evd.verify", "re-solving with higher-accuracy engine '" + next->name() +
-                                   "' (attempt " + std::to_string(attempts_ + 1) + ")");
-  append_log(pending_, scope.take());
-  escalate_engine(std::move(next));
+  escalate_or_fail(precision_loss_error("evd::solve: verification failed after " +
+                                        std::to_string(attempts_) +
+                                        " attempt(s) (residual estimate " +
+                                        std::to_string(report.residual) + ", tol " +
+                                        std::to_string(report.residual_tol) + ", engine '" +
+                                        engine.name() + "')"),
+                   /*breached=*/true);
 }
 
-void SolveJob::fail_attempt(const Status& status) {
+void SolveJob::escalate_or_fail(Status failure, bool breached) {
   attempt_scope_.reset();
   sres_.reset();
-
-  if (!verified_) {
-    // The synchronous path propagated the attempt's unclaimed events to the
-    // caller's enclosing recovery::Scope when the per-solve scope unwound;
-    // park them for the wrapper to re-note (schedulers drop them).
-    dropped_events_ = std::move(attempt_log_);
-    attempt_log_.clear();
-    error_ = status;
-    stage_ = Stage::Done;
-    release_attempt_state();
+  // A breached estimate under EstimateEscalate re-solves on the next engine
+  // up, and so does a recoverable pipeline failure of a verified solve
+  // (corruption that poisons the pipeline outright and corruption that
+  // merely skews the result get the same answer). Non-recoverable failures
+  // and unverified solves end the job.
+  std::unique_ptr<tc::GemmEngine> next;
+  if (verified_ && opt_.verify == verify::Policy::EstimateEscalate && is_recoverable(failure))
+    next = next_escalation_engine(ctx_.engine());
+  if (next != nullptr) {
+    recovery::note("evd.verify",
+                   (breached ? std::string()
+                             : "solve attempt " + std::to_string(attempts_) + " failed (" +
+                                   failure.to_string() + "); ") +
+                       "re-solving with higher-accuracy engine '" + next->name() +
+                       "' (attempt " + std::to_string(attempts_ + 1) + ")");
+    ++escalations_;
+    ctx_.telemetry().record_stage("evd.verify.escalation", 0.0);
+    engine_scope_.emplace(ctx_, *next);  // destroys any previous override first
+    escalated_ = std::move(next);
+    stage_ = Stage::Reduction;
     return;
   }
-
-  // A recoverable pipeline failure (e.g. corruption drove the solver to
-  // NoConvergence after its own fallbacks) is escalated like a breached
-  // estimate: corruption that poisons the pipeline outright and corruption
-  // that merely skews the result get the same answer, a re-solve on a better
-  // engine. Non-recoverable failures and the estimate-only policy keep their
-  // pre-verification semantics.
-  auto give_up = [&] {
-    dropped_events_ = std::move(pending_);
-    pending_.clear();
-    append_log(dropped_events_, std::move(attempt_log_));
-    attempt_log_.clear();
-    error_ = status;
-    stage_ = Stage::Done;
-    release_attempt_state();
-  };
-  if (opt_.verify != verify::Policy::EstimateEscalate || !is_recoverable(status)) {
-    give_up();
-    return;
+  if (breached) {
+    const std::string reason = "the escalation chain is exhausted (already on '" +
+                               std::string(ctx_.engine().name()) + "')";
+    recovery::note("evd.verify", "verification still failing and " + reason);
+    failure = precision_loss_error(failure.message() + "; " + reason);
   }
-  tc::TcPrecision prec = tc::TcPrecision::Fp16;
-  if (const auto* tc_engine = dynamic_cast<const tc::TcEngine*>(&ctx_.engine()))
-    prec = tc_engine->precision();
-  std::unique_ptr<tc::GemmEngine> next =
-      next_escalation_engine(ctx_.engine().kind(), prec);
-  if (next == nullptr) {
-    give_up();
-    return;
-  }
-  // The failed attempt's events reached the old vscope before the escalation
-  // note was made; keep that order.
-  append_log(pending_, std::move(attempt_log_));
-  attempt_log_.clear();
-  pending_.push_back(
-      RecoveryEvent{"evd.verify", "solve attempt " + std::to_string(attempts_) +
-                                      " failed (" + status.to_string() +
-                                      "); re-solving with higher-accuracy engine '" +
-                                      next->name() + "'"});
-  escalate_engine(std::move(next));
-}
-
-void SolveJob::escalate_engine(std::unique_ptr<tc::GemmEngine> next) {
-  ++escalations_;
-  ctx_.telemetry().record_stage("evd.verify.escalation", 0.0);
-  engine_scope_.emplace(ctx_, *next);  // destroys any previous override first
-  escalated_ = std::move(next);
-  stage_ = Stage::Reduction;
+  error_ = std::move(failure);
+  stage_ = Stage::Done;
+  release_attempt_state();
 }
 
 void SolveJob::complete_success() {
@@ -584,9 +501,10 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   // Reduction stage: SBR arena peak, or the one-stage n x n scratch.
   std::size_t bytes = std::max(sbr::workspace_query(n, sopt), nn * sizeof(float));
-  // Solver-fallback restore point (q0) + bisection inverse-iteration S and
-  // the z*S product buffer; a values-only solve checks out none of them.
-  if (opt.vectors) bytes += 3 * nn * sizeof(float);
+  // The solver's tridiagonal eigenvectors S (QL's rotated identity or
+  // bisection's inverse iteration) and the z*S product buffer; a values-only
+  // solve checks out neither.
+  if (opt.vectors) bytes += 2 * nn * sizeof(float);
   // The second stage's progress vector, checked out when the chase may run
   // on more than one lane (bulge_chase_auto: bulge_threads >= 2, or auto
   // with Q).

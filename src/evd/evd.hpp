@@ -64,12 +64,13 @@ struct EvdOptions {
   /// n >= 1024 and the caller is not itself a pool worker (EvdService runners
   /// keep the serial chase — they ARE the parallelism); otherwise serial.
   /// 1 = always the serial chase. k >= 2 = at most k lanes, with or without
-  /// Q. Every setting produces bitwise-identical output — the wavefront
+  /// Q. Inside a blas::SerialGemmScope every setting runs the serial chase.
+  /// Every setting produces bitwise-identical output — the wavefront
   /// schedule is pinned to the serial rotation sequence (docs/ALGORITHMS.md
   /// §14) — so this is a performance knob, never an accuracy one. An explicit
-  /// k >= 2 that cannot engage (pool worker, bandwidth < 2, or n <= 2) runs a
-  /// serial chase and notes the downgrade in EvdResult::recovery at site
-  /// "evd.second_stage".
+  /// k >= 2 that cannot engage (pool worker, SerialGemmScope, bandwidth < 2,
+  /// or n <= 2) runs a serial chase and notes the downgrade in
+  /// EvdResult::recovery at site "evd.second_stage".
   int bulge_threads = 0;
   /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)
   /// instead of feeding garbage to the pipeline. O(n^2) scan.
@@ -119,7 +120,11 @@ struct EvdResult {
   bool converged = false;
   /// Every graceful-degradation event taken while solving (panel QR
   /// fallbacks, fp32 GEMM retries, tridiagonal solver fallbacks, ABFT tile
-  /// recomputations, verification escalations). Empty on a clean run.
+  /// recomputations, verification breaches and escalations), in the order
+  /// they happened across every attempt of an escalated solve. The same
+  /// events land once on the context's telemetry. Empty on a clean run. A
+  /// failed solve returns no result; its log goes to the caller's
+  /// recovery::Scope instead.
   RecoveryLog recovery;
   /// Verification verdict (EvdOptions::verify != Off only; default-initial
   /// otherwise, with checked == false). Under EstimateEscalate a returned
@@ -146,8 +151,8 @@ StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptio
 
 /// Peak workspace-arena bytes one solve of size n needs (LAPACK-lwork
 /// style, conservative — covers the SBR stage and the one-stage scratch, and
-/// with opt.vectors also the solver-fallback restore point and the
-/// bisection/inverse-iteration buffers, which only vector solves use).
+/// with opt.vectors also the QL and bisection eigenvector buffers and their
+/// back-transform, which only vector solves use).
 std::size_t workspace_query(index_t n, const EvdOptions& opt);
 
 /// Double-precision reference eigenvalues (one-stage sytrd + QL), the stand-

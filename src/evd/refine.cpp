@@ -12,6 +12,8 @@ namespace tcevd::evd {
 
 namespace {
 
+constexpr int kMaxIters = 6;
+
 /// ||A v - lambda v||_2 for a unit vector v.
 double residual_norm(ConstMatrixView<double> a, const double* v, double lambda,
                      std::vector<double>& work) {
@@ -26,10 +28,8 @@ double residual_norm(ConstMatrixView<double> a, const double* v, double lambda,
   return std::sqrt(s);
 }
 
-}  // namespace
-
-RefineResult refine_eigenpairs(ConstMatrixView<double> a, const std::vector<double>& lambda0,
-                               ConstMatrixView<double> v0, const RefineOptions& opt) {
+RefineResult refine_double(ConstMatrixView<double> a, const std::vector<double>& lambda0,
+                           ConstMatrixView<double> v0) {
   const index_t n = a.rows();
   const index_t nev = static_cast<index_t>(lambda0.size());
   TCEVD_CHECK(a.cols() == n, "refine_eigenpairs requires square A");
@@ -41,10 +41,8 @@ RefineResult refine_eigenpairs(ConstMatrixView<double> a, const std::vector<doub
   copy_matrix(v0, out.vectors.view());
   out.residuals.assign(static_cast<std::size_t>(nev), 0.0);
 
-  const double anorm = frobenius_norm(a);
-  const double tol = (opt.tol > 0.0)
-                         ? opt.tol
-                         : 10.0 * std::numeric_limits<double>::epsilon() * std::max(anorm, 1.0);
+  const double tol =
+      10.0 * std::numeric_limits<double>::epsilon() * std::max(frobenius_norm(a), 1.0);
 
   std::vector<double> work;
   Matrix<double> shifted(n, n);
@@ -60,7 +58,7 @@ RefineResult refine_eigenpairs(ConstMatrixView<double> a, const std::vector<doub
     double mu = out.eigenvalues[static_cast<std::size_t>(j)];
     double res = residual_norm(a, v, mu, work);
 
-    for (int it = 0; it < opt.max_iters && res > tol; ++it) {
+    for (int it = 0; it < kMaxIters && res > tol; ++it) {
       ++out.total_iterations;
       // Rayleigh quotient of the current vector.
       work.assign(static_cast<std::size_t>(n), 0.0);
@@ -98,8 +96,11 @@ RefineResult refine_eigenpairs(ConstMatrixView<double> a, const std::vector<doub
   return out;
 }
 
-RefineResult refine_eigenpairs(ConstMatrixView<float> a, const std::vector<float>& lambda0,
-                               ConstMatrixView<float> v0, const RefineOptions& opt) {
+}  // namespace
+
+RefineResult refine_eigenpairs(Context& ctx, ConstMatrixView<float> a,
+                               const std::vector<float>& lambda0, ConstMatrixView<float> v0) {
+  StageTimer stage(ctx.telemetry(), "evd.refine");
   const index_t n = a.rows();
   const index_t nev = static_cast<index_t>(lambda0.size());
   Matrix<double> ad(n, n);
@@ -107,21 +108,7 @@ RefineResult refine_eigenpairs(ConstMatrixView<float> a, const std::vector<float
   Matrix<double> vd(n, nev);
   convert_matrix<float, double>(v0, vd.view());
   std::vector<double> ld(lambda0.begin(), lambda0.end());
-  return refine_eigenpairs(ad.view(), ld, vd.view(), opt);
-}
-
-RefineResult refine_eigenpairs(Context& ctx, ConstMatrixView<double> a,
-                               const std::vector<double>& lambda0, ConstMatrixView<double> v0,
-                               const RefineOptions& opt) {
-  StageTimer stage(ctx.telemetry(), "evd.refine");
-  return refine_eigenpairs(a, lambda0, v0, opt);
-}
-
-RefineResult refine_eigenpairs(Context& ctx, ConstMatrixView<float> a,
-                               const std::vector<float>& lambda0, ConstMatrixView<float> v0,
-                               const RefineOptions& opt) {
-  StageTimer stage(ctx.telemetry(), "evd.refine");
-  return refine_eigenpairs(a, lambda0, v0, opt);
+  return refine_double(ad.view(), ld, vd.view());
 }
 
 }  // namespace tcevd::evd

@@ -24,11 +24,6 @@ class Context;
 
 namespace tcevd::evd {
 
-struct RefineOptions {
-  int max_iters = 6;
-  double tol = 0.0;  ///< residual target; <= 0 picks ~10 eps ||A||
-};
-
 struct RefineResult {
   std::vector<double> eigenvalues;  ///< refined values (same order as input)
   Matrix<double> vectors;           ///< refined vectors, n x nev
@@ -37,24 +32,13 @@ struct RefineResult {
 };
 
 /// Refine selected approximate eigenpairs of symmetric `a`. `lambda0` and
-/// the columns of `v0` are the starting pairs (any precision — they come
-/// from the fp32/TC pipeline); computation is in double throughout.
-RefineResult refine_eigenpairs(ConstMatrixView<double> a, const std::vector<double>& lambda0,
-                               ConstMatrixView<double> v0, const RefineOptions& opt = {});
-
-/// Convenience overload taking the float pipeline's output directly.
-RefineResult refine_eigenpairs(ConstMatrixView<float> a, const std::vector<float>& lambda0,
-                               ConstMatrixView<float> v0, const RefineOptions& opt = {});
-
-/// Context-aware entry points: identical double-precision refinement (the
-/// auxiliary LU/GEMV work stays on the heap — it is fp64 and off the TC hot
-/// path), but elapsed time lands on the context's telemetry under stage
+/// the columns of `v0` are the starting pairs from the fp32/TC pipeline;
+/// computation is in double throughout, at most 6 iterations per pair, each
+/// stopping once its residual is below 10 eps max(||A||_F, 1). The
+/// auxiliary LU/GEMV work stays on the heap (it is fp64 and off the TC hot
+/// path); elapsed time lands on the context's telemetry under stage
 /// "evd.refine".
-RefineResult refine_eigenpairs(Context& ctx, ConstMatrixView<double> a,
-                               const std::vector<double>& lambda0, ConstMatrixView<double> v0,
-                               const RefineOptions& opt = {});
 RefineResult refine_eigenpairs(Context& ctx, ConstMatrixView<float> a,
-                               const std::vector<float>& lambda0, ConstMatrixView<float> v0,
-                               const RefineOptions& opt = {});
+                               const std::vector<float>& lambda0, ConstMatrixView<float> v0);
 
 }  // namespace tcevd::evd

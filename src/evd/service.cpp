@@ -204,9 +204,6 @@ void EvdService::runner_loop(int runner) {
       key = stage_key(req.job->stage());
       req.job->step();
       if (req.job->done()) {
-        // A failed job's dropped_events() are intentionally discarded: the
-        // synchronous path re-notes them into the caller's recovery scope,
-        // but a service request has no caller scope.
         StatusOr<EvdResult> r = req.job->take();
         if (r.ok()) {
           req.result.status = ok_status();
@@ -216,6 +213,7 @@ void EvdService::runner_loop(int runner) {
           req.result.verify = std::move(r->verify);
         } else {
           req.result.status = r.status();
+          req.result.recovery = req.job->dropped_events();
         }
         done = true;
       }

@@ -111,7 +111,9 @@ struct RequestResult {
   Status status;                   ///< Ok => the value fields below are valid
   std::vector<float> eigenvalues;  ///< ascending (iu-il+1 values when selected)
   Matrix<float> vectors;           ///< empty unless evd.vectors
-  RecoveryLog recovery;            ///< per-request degradation events
+  /// The request's degradation events in the order they happened, as
+  /// EvdResult::recovery; a failed request carries its log here too.
+  RecoveryLog recovery;
   verify::Report verify;           ///< full solves with evd.verify != Off only
   int worker = -1;                 ///< runner that completed the final stage
   double seconds = 0.0;            ///< first stage start -> completion

@@ -2,11 +2,12 @@
 // boundaries so a scheduler can interleave many solves.
 //
 // A SolveJob owns one problem's in-flight state (workspace scope, partial
-// factorizations, verification attempt bookkeeping) and advances one pipeline
-// stage per step() call: reduction (SBR / sytrd) -> bulge chasing ->
-// tridiagonal solver -> verification. A job with a selected index range
-// shares the reduction and bulge stages; its solver stage runs bisection and
-// inverse iteration for that range only and ends the job (no verification).
+// factorizations, verification attempt bookkeeping, the recovery log) and
+// advances one pipeline stage per step() call: reduction (SBR / sytrd) ->
+// bulge chasing -> tridiagonal solver -> verification. A job with a selected
+// index range shares the reduction and bulge stages; its solver stage runs
+// bisection and inverse iteration for that range only and ends the job (no
+// verification).
 // The synchronous evd::solve and evd::solve_selected are loops of step()
 // calls on the caller's thread; the streaming EvdService runs the same steps
 // on pool workers, picking which job advances next at every boundary.
@@ -69,9 +70,6 @@ class SolveJob {
 
   Stage stage() const noexcept { return stage_; }
   bool done() const noexcept { return stage_ == Stage::Done; }
-  /// Stable stage label ("reduction", "bulge", "solver", "finish") for
-  /// telemetry keys and progress displays.
-  static const char* stage_name(Stage stage) noexcept;
 
   /// Advance exactly one pipeline stage. No-op once done(). May throw only
   /// what the underlying kernels throw (std::bad_alloc); schedulers catch.
@@ -80,11 +78,13 @@ class SolveJob {
   /// Valid once done(): move the final result (or failure Status) out.
   StatusOr<EvdResult> take();
 
-  /// Recovery events a failed solve would have propagated to the caller's
-  /// enclosing recovery::Scope on the synchronous path (where the scope chain
-  /// spans the whole solve). Empty on success. The sync wrapper re-notes
-  /// them; the service drops them, since a request has no caller scope.
-  const RecoveryLog& dropped_events() const noexcept { return dropped_events_; }
+  /// A failed solve's recovery log: every event of every attempt, in the
+  /// order it happened, the escalation notes included. Empty on success,
+  /// where the log is EvdResult::recovery. evd::solve re-notes it into the
+  /// caller's recovery::Scope; EvdService returns it in
+  /// RequestResult::recovery. Either way it has already reached the
+  /// context's telemetry, once.
+  const RecoveryLog& dropped_events() const noexcept { return log_; }
 
  private:
   void step_reduction();
@@ -93,8 +93,11 @@ class SolveJob {
   Status solve_tridiagonal();
   Status solve_range();
   void step_finish();
-  void fail_attempt(const Status& status);
-  void escalate_engine(std::unique_ptr<tc::GemmEngine> next);
+  /// The one way an attempt ends without an accepted result: a stage failed
+  /// with `failure`, or (`breached`) verification breached and `failure` is
+  /// the PrecisionLoss to return. Re-solves on the next engine of the chain
+  /// when the policy allows, else ends the job with `failure`.
+  void escalate_or_fail(Status failure, bool breached);
   void complete_success();
   void release_attempt_state();
 
@@ -103,9 +106,8 @@ class SolveJob {
   EvdOptions opt_;
   std::optional<IndexRange> range_;
 
-  // Verification attempt loop (mirrors the old solve_verified locals). It
-  // ends when the escalation chain Tc -> EcTc -> Fp32 does, so a solve makes
-  // at most three attempts.
+  // Verification attempt loop. It ends when the escalation chain
+  // Tc -> EcTc -> Fp32 does, so a solve makes at most three attempts.
   bool verified_ = false;
   int attempts_ = 0;
   int escalations_ = 0;
@@ -113,9 +115,9 @@ class SolveJob {
   // (which borrows the engine) is destroyed first.
   std::unique_ptr<tc::GemmEngine> escalated_;
   std::optional<EngineOverrideScope> engine_scope_;
-  RecoveryLog accumulated_;  ///< successful attempts' recovery, attempt order
-  RecoveryLog pending_;      ///< breach/escalation notes not yet claimed
-  RecoveryLog attempt_log_;  ///< the in-flight attempt's events so far
+  /// Every recovery event of the solve so far, in the order it happened,
+  /// across attempts.
+  RecoveryLog log_;
 
   // Per-attempt pipeline state.
   std::optional<Workspace::Scope> attempt_scope_;
@@ -128,7 +130,6 @@ class SolveJob {
   Stage stage_ = Stage::Reduction;
   std::optional<Status> error_;
   std::optional<EvdResult> final_;
-  RecoveryLog dropped_events_;
 };
 
 }  // namespace tcevd::evd

@@ -1,8 +1,6 @@
 // Band-matrix helpers for the SBR pipeline.
 #pragma once
 
-#include <vector>
-
 #include "src/common/matrix.hpp"
 
 namespace tcevd::sbr {
@@ -19,15 +17,10 @@ void truncate_to_band(MatrixView<T> a, index_t bw);
 template <typename T>
 double symmetry_violation(ConstMatrixView<T> a);
 
-/// Extract the (d, e) arrays from a tridiagonal (bandwidth-1) matrix.
-template <typename T>
-void extract_tridiag(ConstMatrixView<T> a, std::vector<T>& d, std::vector<T>& e);
-
 #define TCEVD_BAND_EXTERN(T)                                             \
   extern template double band_violation<T>(ConstMatrixView<T>, index_t); \
   extern template void truncate_to_band<T>(MatrixView<T>, index_t);      \
-  extern template double symmetry_violation<T>(ConstMatrixView<T>);      \
-  extern template void extract_tridiag<T>(ConstMatrixView<T>, std::vector<T>&, std::vector<T>&);
+  extern template double symmetry_violation<T>(ConstMatrixView<T>);
 
 TCEVD_BAND_EXTERN(float)
 TCEVD_BAND_EXTERN(double)

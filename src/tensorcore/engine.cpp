@@ -4,15 +4,6 @@
 
 namespace tcevd::tc {
 
-const char* engine_kind_name(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::Fp32: return "fp32";
-    case EngineKind::Tc: return "tc";
-    case EngineKind::EcTc: return "ectc";
-  }
-  return "?";
-}
-
 void Fp32Engine::do_gemm(blas::Trans transa, blas::Trans transb, float alpha,
                          ConstMatrixView<float> a, ConstMatrixView<float> b, float beta,
                          MatrixView<float> c) const {

@@ -39,8 +39,6 @@ constexpr double engine_cost_factor(EngineKind kind) noexcept {
   return kind == EngineKind::EcTc ? 3.0 : 1.0;
 }
 
-const char* engine_kind_name(EngineKind kind) noexcept;
-
 /// One recorded GEMM: C(m x n) += op(A) * op(B) with inner dimension k.
 struct GemmShape {
   index_t m = 0;

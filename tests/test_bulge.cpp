@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/blas/gemm_threading.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
@@ -433,7 +434,7 @@ TEST(BulgeWavefront, AutoRouteTakesLanesOnlyForVectorsFromTheCrossover) {
   const bool pool_has_workers = gemm_pool().size() > 0;
   tc::Fp32Engine eng;
   for (index_t n : {bulge::kAutoLanesMinN - 1, bulge::kAutoLanesMinN}) {
-    auto a = random_band<float>(n, bw, 91);  // bulge_chase_auto takes a mutable view
+    const auto a = random_band<float>(n, bw, 91);
     Matrix<float> q(1, n);
     auto qv = q.view();
     for (bool with_q : {false, true}) {
@@ -451,6 +452,28 @@ TEST(BulgeWavefront, AutoRouteTakesLanesOnlyForVectorsFromTheCrossover) {
     });
     outer.wait_idle();
     EXPECT_EQ(worker_ctx.workspace().high_water_mark(), 0u) << "a pool worker fanned out";
+  }
+}
+
+// A SerialGemmScope keeps the chase on the calling thread even where the
+// auto route would take lanes, and a forced lane count says why it could not.
+TEST(BulgeWavefront, SerialGemmScopeKeepsTheChaseOnTheCallingThread) {
+  const index_t n = bulge::kAutoLanesMinN, bw = 2;
+  auto a = random_band<float>(n, bw, 91);
+  Matrix<float> q(1, n);
+  auto qv = q.view();
+  tc::Fp32Engine eng;
+  blas::SerialGemmScope serial;
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(::testing::Message() << "bulge_threads = " << threads);
+    Context ctx(eng);
+    recovery::Scope notes;
+    (void)bulge::bulge_chase_auto<float>(ctx, a.view(), bw, &qv, threads);
+    EXPECT_EQ(ctx.workspace().high_water_mark(), 0u) << "the chase took lanes";
+    const RecoveryLog log = notes.take();
+    const bool downgrade_noted = log.size() == 1 && log[0].site == "evd.second_stage" &&
+                                 log[0].action.find("SerialGemmScope") != std::string::npos;
+    EXPECT_EQ(downgrade_noted, threads >= 2);
   }
 }
 

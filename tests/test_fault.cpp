@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
@@ -498,6 +499,32 @@ TEST_F(FaultTest, SolverChainFallsBackFromDc) {
     for (const auto& ev : res->recovery)
       if (ev.site == "evd.solver") solver_fallback_logged = true;
     EXPECT_TRUE(solver_fallback_logged) << "vectors " << vectors;
+  }
+}
+
+TEST_F(FaultTest, ExhaustedSolverChainLogsToCallerAndTelemetry) {
+  // D&C and QL exhaust, bisection's inverse iteration stagnates: the solve
+  // fails, and its two solver-fallback notes reach both the caller's
+  // recovery scope and the context's telemetry.
+  const index_t n = 64;
+  auto a = test::random_symmetric<float>(n, 22);
+  fault::arm(fault::Site::SteqrExhaust, -1);
+  fault::arm(fault::Site::SteinStagnate, -1);
+  tc::Fp32Engine engine;
+  Context ctx(engine);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  recovery::Scope caller;
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+  const RecoveryLog log = caller.take();
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::FaultInjected) << res.status().to_string();
+  for (const RecoveryLog* seen : {&log, &ctx.telemetry().recovery()}) {
+    ASSERT_EQ(seen->size(), 2u);
+    EXPECT_EQ((*seen)[0].site, "evd.solver");
+    EXPECT_NE((*seen)[0].action.find("retrying with ql"), std::string::npos);
+    EXPECT_EQ((*seen)[1].site, "evd.solver");
+    EXPECT_NE((*seen)[1].action.find("retrying with bisection"), std::string::npos);
   }
 }
 

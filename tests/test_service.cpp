@@ -9,14 +9,11 @@
 // leave nothing to grow).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -30,70 +27,8 @@
 #include "src/evd/service.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
+#include "tests/alloc_counter.hpp"
 #include "tests/test_util.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter backing the steady-state allocation-parity
-// regression below (same methodology as test_workspace.cpp: replacing the
-// global operator new/delete pair is the only way to observe library-internal
-// heap allocations from a test).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, sz ? sz : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t sz, std::align_val_t al) { return ::operator new(sz, al); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(sz ? sz : 1);
-}
-void* operator new[](std::size_t sz, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, tag);
-}
-void* operator new(std::size_t sz, std::align_val_t al, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  return posix_memalign(&p, align, sz ? sz : 1) == 0 ? p : nullptr;
-}
-void* operator new[](std::size_t sz, std::align_val_t al, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, al, tag);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace tcevd {
 namespace {
@@ -597,7 +532,7 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
   std::vector<evd::RequestId> ids(static_cast<std::size_t>(per_round), 0);
 
   auto run_round = [&]() -> std::uint64_t {
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = test::heap_allocs();
     for (int i = 0; i < per_round; ++i)
       ids[static_cast<std::size_t>(i)] =
           *service.submit(mats[static_cast<std::size_t>(i)].view(), ropt);
@@ -605,7 +540,7 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
       evd::RequestResult r = service.wait(ids[static_cast<std::size_t>(i)]);
       if (!r.status.ok()) ADD_FAILURE() << r.status.to_string();
     }
-    return g_heap_allocs.load(std::memory_order_relaxed) - before;
+    return test::heap_allocs() - before;
   };
 
   run_round();  // warm-up: slots, contexts, telemetry tables, vector capacities
@@ -892,6 +827,31 @@ TEST_F(ServiceTest, PoisonedRequestFailsAloneUnderInjection) {
     }
   }
   EXPECT_EQ(failed, 1u);
+}
+
+TEST_F(ServiceTest, FailedRequestReturnsItsRecoveryLog) {
+  // Every solver of the one request fails. The request carries its two
+  // solver-fallback notes, and the service snapshot holds them once.
+  fault::arm(fault::Site::SteqrExhaust, -1);
+  fault::arm(fault::Site::SteinStagnate, -1);
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.vectors = true;
+  const auto mats = make_set(64, 1, 22);
+  const auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].status.code(), ErrorCode::FaultInjected) << res[0].status.to_string();
+  const Telemetry snapshot = service.telemetry_snapshot();
+  for (const RecoveryLog* seen : {&res[0].recovery, &snapshot.recovery()}) {
+    ASSERT_EQ(seen->size(), 2u);
+    EXPECT_EQ((*seen)[0].site, "evd.solver");
+    EXPECT_NE((*seen)[0].action.find("retrying with ql"), std::string::npos);
+    EXPECT_EQ((*seen)[1].site, "evd.solver");
+    EXPECT_NE((*seen)[1].action.find("retrying with bisection"), std::string::npos);
+  }
 }
 
 TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {

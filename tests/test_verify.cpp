@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "src/blas/abft.hpp"
@@ -501,6 +503,80 @@ TEST_F(VerifyTest, EscalationTerminatesWhenBudgetOrChainExhausts) {
     EXPECT_EQ(res.status().code(), ErrorCode::PrecisionLoss);
     EXPECT_NE(res.status().message().find("chain is exhausted"), std::string::npos);
   }
+}
+
+/// Index of the first event at `site` whose action contains `text`, or
+/// log.size() when there is none.
+std::size_t first_event(const RecoveryLog& log, const char* site, const char* text) {
+  for (std::size_t i = 0; i < log.size(); ++i)
+    if (log[i].site == site && log[i].action.find(text) != std::string::npos) return i;
+  return log.size();
+}
+
+/// How many events of `log` have `ev`'s site and action.
+long occurrences(const RecoveryLog& log, const RecoveryEvent& ev) {
+  long count = 0;
+  for (const RecoveryEvent& e : log)
+    if (e.site == ev.site && e.action == ev.action) ++count;
+  return count;
+}
+
+TEST_F(VerifyTest, ExhaustedChainHandsItsWholeLogToCallerAndTelemetry) {
+  // A failed solve returns no EvdResult: its whole log (three breaches, two
+  // re-solve notes and the give-up) goes to the caller's recovery scope in
+  // the order it happened, and to the context's telemetry exactly once.
+  const index_t n = 48;
+  auto a = test::random_symmetric<float>(n, 67);
+  tc::TcEngine engine;
+  Context ctx(engine);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  opt.verify = verify::Policy::EstimateEscalate;
+  fault::arm(fault::Site::VerifyResidual, -1);
+  recovery::Scope caller;
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+  const RecoveryLog log = caller.take();
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::PrecisionLoss);
+
+  const char* expected[] = {"breached", "re-solving", "breached",
+                            "re-solving", "breached", "chain is exhausted"};
+  ASSERT_EQ(log.size(), std::size(expected));
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].site, "evd.verify") << i;
+    EXPECT_NE(log[i].action.find(expected[i]), std::string::npos) << i << ": " << log[i].action;
+    EXPECT_EQ(occurrences(ctx.telemetry().recovery(), log[i]), 1) << log[i].action;
+  }
+  EXPECT_EQ(ctx.telemetry().recovery().size(), log.size());
+}
+
+TEST_F(VerifyTest, EscalatedSolveLogsAttemptsInTheOrderTheyRan) {
+  // Attempt 1 (Tc) breaches; attempt 2 (EC-TC) replays a saturated GEMM in
+  // fp32 and passes. The breach and the re-solve note come first.
+  const index_t n = 96;
+  auto a = test::random_symmetric<float>(n, 72);
+  tc::TcEngine engine;
+  Context ctx(engine);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  opt.verify = verify::Policy::EstimateEscalate;
+  fault::arm(fault::Site::VerifyResidual, 1);
+  fault::arm(fault::Site::EcTcSaturate, 1);
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  EXPECT_EQ(res->verify.attempts, 2);
+  EXPECT_EQ(fault::fired(fault::Site::EcTcSaturate), 1);
+
+  const RecoveryLog& log = res->recovery;
+  const std::size_t breach = first_event(log, "evd.verify", "breached");
+  const std::size_t resolve = first_event(log, "evd.verify", "re-solving");
+  const std::size_t replay = first_event(log, "ec_tcgemm", "");
+  ASSERT_LT(replay, log.size());
+  EXPECT_LT(breach, resolve);
+  EXPECT_LT(resolve, replay);
+  ASSERT_EQ(ctx.telemetry().recovery().size(), log.size());
+  for (const RecoveryEvent& ev : log)
+    EXPECT_EQ(occurrences(ctx.telemetry().recovery(), ev), 1) << ev.action;
 }
 
 TEST_F(VerifyTest, EstimatePolicyAnnotatesWithoutResolving) {

@@ -3,11 +3,8 @@
 // guarantees the Context refactor exists to provide.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -28,72 +25,8 @@
 #include "src/lapack/tridiag.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
+#include "alloc_counter.hpp"
 #include "test_util.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter backing the steady-state zero-allocation
-// regression below: replacing the global operator new/delete pair is the only
-// way to observe a library-internal heap allocation from a test.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-// Over-aligned and nothrow paths: without these the compiler falls back to
-// the default implementations and library allocations taken through them
-// would slip past g_heap_allocs, silently under-counting the regression.
-void* operator new(std::size_t sz, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, sz ? sz : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t sz, std::align_val_t al) { return ::operator new(sz, al); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(sz ? sz : 1);
-}
-void* operator new[](std::size_t sz, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, tag);
-}
-void* operator new(std::size_t sz, std::align_val_t al, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  return posix_memalign(&p, align, sz ? sz : 1) == 0 ? p : nullptr;
-}
-void* operator new[](std::size_t sz, std::align_val_t al, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, al, tag);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace tcevd {
 namespace {
@@ -417,14 +350,14 @@ TEST(Workspace, SteadyStateGemmAndTcGemmAreAllocationFree) {
   blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
   tc::tc_gemm(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::heap_allocs();
   blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::Yes, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::No, Trans::Yes, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::Yes, Trans::Yes, 1.0f, a.view(), b.view(), 0.5f, c.view());
   tc::tc_gemm(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   tc::tc_gemm(Trans::Yes, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::heap_allocs();
   EXPECT_EQ(after, before) << (after - before)
                            << " heap allocations in steady-state gemm/tc_gemm calls";
 }
@@ -439,9 +372,9 @@ TEST(Workspace, ValuesOnlyStedcAllocatesAConstant) {
     std::vector<float> e(static_cast<std::size_t>(n - 1));
     for (auto& v : d) v = static_cast<float>(rng.normal());
     for (auto& v : e) v = static_cast<float>(rng.normal());
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = test::heap_allocs();
     const Status st = lapack::stedc<float>(d, e, nullptr);
-    const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t after = test::heap_allocs();
     EXPECT_TRUE(st.ok()) << st.to_string();
     return after - before;
   };
@@ -475,11 +408,11 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   const long spills = ctx.workspace().spill_count();
 
   auto b1 = band, b2 = band;  // copies made BEFORE the measured window
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::heap_allocs();
   auto r_wave = bulge::bulge_chase_band<double>(ctx, b1, nullptr, &pool);
-  const std::uint64_t mid = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t mid = test::heap_allocs();
   auto r_serial = bulge::bulge_chase_band<double>(ctx, b2);
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::heap_allocs();
 
   EXPECT_EQ(mid - before, after - mid)
       << "wavefront chase allocated " << (mid - before) << " vs serial " << (after - mid);
@@ -508,15 +441,15 @@ TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
   EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
 }
 
-// Only vector solves check out the solver's n x n buffers (the fallback
-// restore point, stein's S and the z*S product), so a values-only query
-// leaves all three out.
+// Only vector solves check out the solver's n x n buffers (QL's rotated
+// identity or stein's S, and the z*S product), so a values-only query
+// leaves both out.
 TEST(Workspace, ValuesOnlyQueryLeavesOutSolverBuffers) {
   for (const index_t n : {16, 80, 257}) {
     evd::EvdOptions values;
     evd::EvdOptions vectors;
     vectors.vectors = true;
-    const std::size_t solver_bytes = 3 * static_cast<std::size_t>(n) * n * sizeof(float);
+    const std::size_t solver_bytes = 2 * static_cast<std::size_t>(n) * n * sizeof(float);
     EXPECT_GE(evd::workspace_query(n, vectors), evd::workspace_query(n, values) + solver_bytes)
         << "n = " << n;
   }
