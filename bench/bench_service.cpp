@@ -2,11 +2,11 @@
 // full/selected spectra, with and without vectors) pushed through a
 // fixed-worker EvdService with windowed admission, measuring end-to-end
 // request throughput plus the service's own stage telemetry — queue wait and
-// per-stage step latencies (p50/p95/p99 from the log2 histograms).
+// per-stage latencies (p50/p95/p99 from the log2 histograms).
 //
 // Rows are [measured] on this machine's CPU build; the reproduction claim is
-// that stage pipelining keeps every worker busy across a heterogeneous
-// stream, not any absolute req/s. Results mirror into BENCH_service.json
+// that runners each taking the next waiting request keep every worker busy
+// across a heterogeneous stream, not any absolute req/s. Results mirror into BENCH_service.json
 // (redirected by TCEVD_BENCH_OUT) for the perf-trajectory tooling.
 //
 // TCEVD_BENCH_SERVICE_REQUESTS overrides the request count (default 100000);
@@ -84,7 +84,7 @@ int main() {
   const long window = 512;  // outstanding requests before draining the oldest
 
   bench::header("streaming EvdService: mixed-request throughput",
-                "DESIGN.md §15 (stage-pipelined streaming driver)");
+                "DESIGN.md §15 (streaming driver)");
   std::printf("  %ld mixed requests, %d workers, window %ld\n\n", count, workers,
               window);
 
@@ -173,7 +173,7 @@ int main() {
     std::printf("\n");
     for (const char* key :
          {"service.queue", "service.stage.reduction", "service.stage.bulge",
-          "service.stage.solver", "service.stage.finish"}) {
+          "service.stage.solver", "service.stage.verify"}) {
       bool seen = false;
       for (const Telemetry::LatencyStat& l : telemetry.latencies())
         if (l.name == key && l.count > 0) seen = true;

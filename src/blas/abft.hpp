@@ -26,11 +26,11 @@
 // Enabling is per thread (AbftScope, a nestable thread-local depth): the
 // thread that calls a GEMM decides whether its tiles are checked, and the
 // pool workers that run those tiles follow that choice. A solve with
-// EvdOptions::abft opens a scope around each of its steps, so one request's
-// ABFT never reaches another request's GEMMs on another thread. Detections
-// are aggregated per top-level GEMM call and surfaced on the calling thread's
-// recovery scope at site "blas.abft", plus monotone process counters for
-// tests and telemetry.
+// EvdOptions::abft holds one scope on its own thread from start to finish,
+// so one request's ABFT never reaches another request's GEMMs on another
+// thread. Detections are aggregated per top-level GEMM call and surfaced on
+// the calling thread's recovery scope at site "blas.abft", plus monotone
+// process counters for tests and telemetry.
 #pragma once
 
 #include <atomic>

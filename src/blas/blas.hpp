@@ -35,12 +35,6 @@ void axpy(index_t n, T alpha, const T* x, index_t incx, T* y, index_t incy);
 template <typename T>
 void scal(index_t n, T alpha, T* x, index_t incx);
 
-template <typename T>
-void copy(index_t n, const T* x, index_t incx, T* y, index_t incy);
-
-template <typename T>
-void swap(index_t n, T* x, index_t incx, T* y, index_t incy);
-
 /// Index of the max-|.| element (0-based); -1 for empty input.
 template <typename T>
 index_t iamax(index_t n, const T* x, index_t incx);
@@ -53,10 +47,6 @@ index_t iamax(index_t n, const T* x, index_t incx);
 template <typename T>
 void gemv(Trans trans, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
           index_t incy);
-
-/// A += alpha * x * y^T.
-template <typename T>
-void ger(T alpha, const T* x, index_t incx, const T* y, index_t incy, MatrixView<T> a);
 
 /// y = alpha * A * x + beta * y for symmetric A stored in the `uplo` triangle.
 template <typename T>
@@ -71,10 +61,6 @@ void syr2(Uplo uplo, T alpha, const T* x, index_t incx, const T* y, index_t incy
 /// x = op(A) * x for triangular A.
 template <typename T>
 void trmv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t incx);
-
-/// Solve op(A) * x = b in place (x enters as b) for triangular A.
-template <typename T>
-void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t incx);
 
 // ---------------------------------------------------------------------------
 // Level 3
@@ -134,10 +120,6 @@ void symv(Uplo uplo, T alpha, MatrixView<T> a, const T* x, index_t incx, T beta,
 template <typename T>
 void trmv(Uplo uplo, Trans trans, Diag diag, MatrixView<T> a, T* x, index_t incx) {
   trmv(uplo, trans, diag, ConstMatrixView<T>(a), x, incx);
-}
-template <typename T>
-void trsv(Uplo uplo, Trans trans, Diag diag, MatrixView<T> a, T* x, index_t incx) {
-  trsv(uplo, trans, diag, ConstMatrixView<T>(a), x, incx);
 }
 template <typename T>
 void gemm(Trans ta, Trans tb, T alpha, MatrixView<T> a, ConstMatrixView<T> b, T beta,
@@ -204,17 +186,13 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<T> a
   extern template T nrm2<T>(index_t, const T*, index_t);                                       \
   extern template void axpy<T>(index_t, T, const T*, index_t, T*, index_t);                    \
   extern template void scal<T>(index_t, T, T*, index_t);                                       \
-  extern template void copy<T>(index_t, const T*, index_t, T*, index_t);                       \
-  extern template void swap<T>(index_t, T*, index_t, T*, index_t);                             \
   extern template index_t iamax<T>(index_t, const T*, index_t);                                \
   extern template void gemv<T>(Trans, T, ConstMatrixView<T>, const T*, index_t, T, T*,         \
                                index_t);                                                       \
-  extern template void ger<T>(T, const T*, index_t, const T*, index_t, MatrixView<T>);         \
   extern template void symv<T>(Uplo, T, ConstMatrixView<T>, const T*, index_t, T, T*,          \
                                index_t);                                                       \
   extern template void syr2<T>(Uplo, T, const T*, index_t, const T*, index_t, MatrixView<T>);  \
   extern template void trmv<T>(Uplo, Trans, Diag, ConstMatrixView<T>, T*, index_t);            \
-  extern template void trsv<T>(Uplo, Trans, Diag, ConstMatrixView<T>, T*, index_t);            \
   extern template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>, ConstMatrixView<T>, T,     \
                                MatrixView<T>);                                                 \
   extern template void symm<T>(Side, Uplo, T, ConstMatrixView<T>, ConstMatrixView<T>, T,       \

@@ -58,16 +58,6 @@ void scal(index_t n, T alpha, T* x, index_t incx) {
 }
 
 template <typename T>
-void copy(index_t n, const T* x, index_t incx, T* y, index_t incy) {
-  for (index_t i = 0; i < n; ++i) y[i * incy] = x[i * incx];
-}
-
-template <typename T>
-void swap(index_t n, T* x, index_t incx, T* y, index_t incy) {
-  for (index_t i = 0; i < n; ++i) std::swap(x[i * incx], y[i * incy]);
-}
-
-template <typename T>
 index_t iamax(index_t n, const T* x, index_t incx) {
   if (n <= 0) return -1;
   index_t best = 0;
@@ -87,8 +77,6 @@ index_t iamax(index_t n, const T* x, index_t incx) {
   template T nrm2<T>(index_t, const T*, index_t);                        \
   template void axpy<T>(index_t, T, const T*, index_t, T*, index_t);     \
   template void scal<T>(index_t, T, T*, index_t);                        \
-  template void copy<T>(index_t, const T*, index_t, T*, index_t);        \
-  template void swap<T>(index_t, T*, index_t, T*, index_t);              \
   template index_t iamax<T>(index_t, const T*, index_t);
 
 TCEVD_L1_INST(float)

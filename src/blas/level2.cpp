@@ -36,22 +36,6 @@ void gemv(Trans trans, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, 
 }
 
 template <typename T>
-void ger(T alpha, const T* x, index_t incx, const T* y, index_t incy, MatrixView<T> a) {
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  for (index_t j = 0; j < n; ++j) {
-    const T t = alpha * y[j * incy];
-    if (t == T{}) continue;
-    if (incx == 1) {
-      T* aj = &a(0, j);
-      for (index_t i = 0; i < m; ++i) aj[i] += t * x[i];
-    } else {
-      for (index_t i = 0; i < m; ++i) a(i, j) += t * x[i * incx];
-    }
-  }
-}
-
-template <typename T>
 void symv(Uplo uplo, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
           index_t incy) {
   const index_t n = a.rows();
@@ -141,49 +125,11 @@ void trmv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t
   }
 }
 
-template <typename T>
-void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t incx) {
-  const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "trsv requires square A");
-  const bool unit = diag == Diag::Unit;
-  if (trans == Trans::No) {
-    if (uplo == Uplo::Lower) {
-      for (index_t i = 0; i < n; ++i) {
-        T s = x[i * incx];
-        for (index_t j = 0; j < i; ++j) s -= a(i, j) * x[j * incx];
-        x[i * incx] = unit ? s : s / a(i, i);
-      }
-    } else {
-      for (index_t i = n - 1; i >= 0; --i) {
-        T s = x[i * incx];
-        for (index_t j = i + 1; j < n; ++j) s -= a(i, j) * x[j * incx];
-        x[i * incx] = unit ? s : s / a(i, i);
-      }
-    }
-  } else {
-    if (uplo == Uplo::Lower) {
-      for (index_t i = n - 1; i >= 0; --i) {
-        T s = x[i * incx];
-        for (index_t j = i + 1; j < n; ++j) s -= a(j, i) * x[j * incx];
-        x[i * incx] = unit ? s : s / a(i, i);
-      }
-    } else {
-      for (index_t i = 0; i < n; ++i) {
-        T s = x[i * incx];
-        for (index_t j = 0; j < i; ++j) s -= a(j, i) * x[j * incx];
-        x[i * incx] = unit ? s : s / a(i, i);
-      }
-    }
-  }
-}
-
 #define TCEVD_L2_INST(T)                                                                 \
   template void gemv<T>(Trans, T, ConstMatrixView<T>, const T*, index_t, T, T*, index_t); \
-  template void ger<T>(T, const T*, index_t, const T*, index_t, MatrixView<T>);           \
   template void symv<T>(Uplo, T, ConstMatrixView<T>, const T*, index_t, T, T*, index_t);  \
   template void syr2<T>(Uplo, T, const T*, index_t, const T*, index_t, MatrixView<T>);    \
-  template void trmv<T>(Uplo, Trans, Diag, ConstMatrixView<T>, T*, index_t);              \
-  template void trsv<T>(Uplo, Trans, Diag, ConstMatrixView<T>, T*, index_t);
+  template void trmv<T>(Uplo, Trans, Diag, ConstMatrixView<T>, T*, index_t);
 
 TCEVD_L2_INST(float)
 TCEVD_L2_INST(double)

@@ -65,7 +65,7 @@ class Telemetry {
 
   // --- latency histograms ---------------------------------------------------
   // Per-event-class latency distributions for the streaming service tier
-  // (service.queue admission wait, service.stage.* per-stage step times).
+  // (service.queue admission wait, service.stage.* per-stage times).
   // Buckets are log2-spaced in microseconds: bucket 0 covers [0, 2) us and
   // bucket i >= 1 covers [2^i, 2^(i+1)) us, so forty buckets span sub-
   // microsecond noise up to multi-day outliers without per-sample storage.
@@ -184,11 +184,12 @@ class Context {
 /// RAII engine swap on an existing Context: while the scope is alive every
 /// GEMM issued through `ctx` runs on `engine`; the destructor restores the
 /// original. This is how verified solves escalate precision without
-/// rebuilding the context — the warm workspace arena and accumulated
-/// telemetry carry over, only the numerics change. The override engine is
-/// borrowed and must outlive the scope; scopes nest (each restores what it
-/// saw). Same thread-ownership rule as the Context itself: do not override
-/// an engine another thread is solving on.
+/// rebuilding the context: an escalated evd::run_solve holds one as a local
+/// until it returns, and the warm workspace arena and accumulated telemetry
+/// carry over, only the numerics change. The override engine is borrowed and
+/// must outlive the scope; scopes nest (each restores what it saw). Same
+/// thread-ownership rule as the Context itself: do not override an engine
+/// another thread is solving on.
 class EngineOverrideScope {
  public:
   EngineOverrideScope(Context& ctx, tc::GemmEngine& engine) noexcept

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "src/evd/partial.hpp"
-#include "src/evd/solve_job.hpp"
+#include "src/evd/pipeline.hpp"
 
 #include "src/blas/abft.hpp"
 #include "src/blas/blas.hpp"
@@ -91,27 +91,268 @@ std::unique_ptr<tc::GemmEngine> next_escalation_engine(const tc::GemmEngine& eng
   return nullptr;
 }
 
-/// Synchronous driver: step `job` to completion on the calling thread.
-StatusOr<EvdResult> run_to_completion(SolveJob& job) {
-  while (!job.done()) job.step();
-  StatusOr<EvdResult> out = job.take();
-  // A failed solve returns no EvdResult to carry its log, so the log goes
-  // to the caller's enclosing recovery::Scope instead.
-  if (!out.ok())
-    for (const RecoveryEvent& ev : job.dropped_events()) recovery::note(ev.site, ev.action);
-  return out;
+/// The full-spectrum solver stage: opt.solver on (d, e), then the rest of
+/// the chain D&C -> QL -> bisection while failures are recoverable. The
+/// solvers destroy d/e, so each retry starts from a restore point; Q needs
+/// none, since a failed solver leaves it as it was. Eigenvalues, and with
+/// opt.vectors the vectors Q * S, go into `result`.
+Status solve_tridiagonal(Workspace& ws, const EvdOptions& opt, std::vector<float>& d,
+                         std::vector<float>& e, Matrix<float>& q, EvdResult& result) {
+  MatrixView<float> zv = q.view();
+  MatrixView<float>* zp = opt.vectors ? &zv : nullptr;
+  const std::vector<float> d0 = d, e0 = e;
+
+  Status sst = run_tri_solver(ws, opt.solver, d, e, zp);
+  if (!sst.ok() && is_recoverable(sst)) {
+    TriSolver tried = opt.solver;
+    for (TriSolver fb : {TriSolver::DivideConquer, TriSolver::Ql, TriSolver::Bisection}) {
+      if (fb == opt.solver) continue;
+      d = d0;
+      e = e0;
+      recovery::note("evd.solver", std::string(tri_solver_name(tried)) + " failed (" +
+                                       sst.to_string() + "); retrying with " +
+                                       tri_solver_name(fb));
+      sst = run_tri_solver(ws, fb, d, e, zp);
+      if (sst.ok() || !is_recoverable(sst)) break;
+      tried = fb;
+    }
+  }
+  if (!sst.ok()) return sst;
+  result.eigenvalues = std::move(d);
+  if (opt.vectors) result.vectors = std::move(q);
+  return ok_status();
+}
+
+/// The selected-range solver stage: Sturm bisection for eigenvalues
+/// range.il..range.iu and, with opt.vectors, inverse iteration
+/// back-transformed through Q. stebz and stein read d/e by const, so no
+/// restore points are needed.
+Status solve_range(Workspace& ws, const EvdOptions& opt, IndexRange range,
+                   const std::vector<float>& d, const std::vector<float>& e,
+                   ConstMatrixView<float> q, EvdResult& result) {
+  const index_t n = static_cast<index_t>(d.size());
+  const index_t il = range.il;
+  const index_t nev = range.iu - il + 1;
+  if (opt.verify != verify::Policy::Off)
+    recovery::note("evd.verify",
+                   "verification skipped: a selected range has no full spectrum to "
+                   "estimate against; returning the result unverified");
+
+  result.eigenvalues = lapack::stebz<float>(d, e, il, range.iu);
+  if (!opt.vectors) return ok_status();
+
+  // Tridiagonal eigenvectors by inverse iteration, then back-transform.
+  auto scope = ws.scope();
+  auto z = scope.matrix<float>(n, nev);
+  Status st = lapack::stein<float>(d, e, result.eigenvalues, z);
+  if (!st.ok() && is_recoverable(st)) {
+    // Inverse iteration stagnated on at least one vector. Solve the full
+    // tridiagonal problem with QL instead and keep the selected columns —
+    // slower (O(n^3) vs O(n * nev)) but unconditionally convergent in
+    // practice on the matrices QL handles.
+    recovery::note("evd.partial", "stein failed (" + st.to_string() +
+                                      "); recomputed selected vectors with full QL solve");
+    std::vector<float> dq = d, eq = e;
+    auto ql_scope = ws.scope();
+    auto zfull = ql_scope.matrix<float>(n, n);
+    set_identity(zfull);
+    MatrixView<float> zfv = zfull;
+    TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(dq, eq, &zfv));
+    // steqr returns ascending eigenvalues, so columns il..iu line up with
+    // the bisection selection.
+    for (index_t j = 0; j < nev; ++j) {
+      result.eigenvalues[static_cast<std::size_t>(j)] = dq[static_cast<std::size_t>(il + j)];
+      for (index_t i = 0; i < n; ++i) z(i, j) = zfull(i, il + j);
+    }
+  } else if (!st.ok()) {
+    return st;
+  }
+  result.vectors = Matrix<float>(n, nev);
+  blas::gemm(Trans::No, Trans::No, 1.0f, q, ConstMatrixView<float>(z), 0.0f,
+             result.vectors.view());
+  return ok_status();
+}
+
+/// One pass down the pipeline on the context's current engine, through the
+/// solver stage, with `enter` run before each stage. Returns the unverified
+/// result, or the first failure.
+StatusOr<EvdResult> solve_once(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+                               std::optional<IndexRange> range, const StageGate& enter) {
+  const index_t n = a.rows();
+  TCEVD_RETURN_IF_ERROR(enter(Stage::Reduction));
+  if (opt.screen_input) TCEVD_RETURN_IF_ERROR(screen_input(a, opt.asymmetry_tol));
+
+  EvdResult result;
+  if (n <= 1) {
+    if (n == 1) {
+      result.eigenvalues.assign(1, a(0, 0));
+      if (opt.vectors) {
+        result.vectors = Matrix<float>(1, 1);
+        result.vectors(0, 0) = 1.0f;
+      }
+    }
+    result.converged = true;
+    return result;
+  }
+
+  ctx.workspace().reserve(workspace_query(n, opt));
+  auto scope = ctx.workspace().scope();
+  Timer total;
+  std::vector<float> d, e;
+  Matrix<float> q(0, 0);
+
+  if (opt.reduction == Reduction::OneStage) {
+    // One-stage reduction has no bulge chase.
+    Timer t;
+    {
+      auto inner = ctx.workspace().scope();
+      auto work = inner.matrix<float>(n, n);
+      copy_matrix(a, work);
+      std::vector<float> tau;
+      lapack::sytrd_blocked(work, d, e, tau, std::min<index_t>(opt.bandwidth, n));
+      if (opt.vectors) {
+        q = Matrix<float>(n, n);
+        lapack::orgtr<float>(work, tau, q.view());
+      }
+    }
+    result.timings.reduction_s = t.seconds();
+    ctx.telemetry().record_stage("evd.reduction", result.timings.reduction_s);
+  } else {
+    sbr::SbrOptions sopt;
+    sopt.bandwidth = std::min(opt.bandwidth, n - 1);
+    if (opt.big_block < sopt.bandwidth)
+      // The SBR layer rejects nb < b outright; here the caller's big_block is
+      // a default that a large bandwidth can legitimately outgrow, so raise
+      // it — but say so instead of mutating the options invisibly.
+      recovery::note("evd.options",
+                     "big_block " + std::to_string(opt.big_block) +
+                         " is below the bandwidth " + std::to_string(sopt.bandwidth) +
+                         "; raising it to the bandwidth");
+    sopt.big_block = std::max(opt.big_block, sopt.bandwidth);
+    sopt.panel = opt.panel;
+    sopt.accumulate_q = opt.vectors;
+
+    Timer t;
+    StatusOr<sbr::SbrResult> sres =
+        (opt.reduction == Reduction::TwoStageWy)    ? sbr::sbr_wy(a, ctx, sopt)
+        : (opt.reduction == Reduction::TwoStageDbr) ? sbr::sbr_dbr(a, ctx, sopt)
+                                                    : sbr::sbr_zy(a, ctx, sopt);
+    TCEVD_RETURN_IF_ERROR(sres.status());
+    result.timings.reduction_s = t.seconds();
+    ctx.telemetry().record_stage("evd.reduction", result.timings.reduction_s);
+
+    TCEVD_RETURN_IF_ERROR(enter(Stage::Bulge));
+    Timer tb;
+    MatrixView<float> qv = sres->q.view();
+    auto tri = bulge::bulge_chase_auto<float>(ctx, sres->band.view(), sopt.bandwidth,
+                                              opt.vectors ? &qv : nullptr, opt.bulge_threads);
+    d = std::move(tri.d);
+    e = std::move(tri.e);
+    result.timings.bulge_s = tb.seconds();
+    ctx.telemetry().record_stage("evd.bulge", result.timings.bulge_s);
+    if (opt.vectors) q = std::move(sres->q);
+  }
+
+  TCEVD_RETURN_IF_ERROR(enter(Stage::Solver));
+  Timer ts;
+  const Status st = range ? solve_range(ctx.workspace(), opt, *range, d, e, q.view(), result)
+                          : solve_tridiagonal(ctx.workspace(), opt, d, e, q, result);
+  result.timings.solver_s = ts.seconds();
+  ctx.telemetry().record_stage("evd.solver", result.timings.solver_s);
+  TCEVD_RETURN_IF_ERROR(st);
+  result.converged = true;
+  result.timings.total_s = total.seconds();
+  return result;
+}
+
+/// run_solve's attempt loop: one pass down the pipeline, then verification
+/// when the policy asks for it. A breached estimate under EstimateEscalate
+/// runs the stages again on the next engine up, and so does a recoverable
+/// failure of a verified solve (corruption that poisons the pipeline outright
+/// and corruption that merely skews the result get the same answer).
+/// Non-recoverable failures, the gate's included, and unverified solves end
+/// the solve.
+StatusOr<EvdResult> solve_with_escalation(ConstMatrixView<float> a, Context& ctx,
+                                          const EvdOptions& opt,
+                                          std::optional<IndexRange> range,
+                                          const StageGate& gate) {
+  // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n))
+  // and never verify, nor do selected ranges: the estimators need the full
+  // spectrum.
+  const bool verified = opt.verify != verify::Policy::Off && a.rows() > 1 && !range;
+  const StageGate enter = [&gate](Stage stage) { return gate ? gate(stage) : ok_status(); };
+  // `escalated` is declared before `engine_override` so the override scope
+  // (which borrows the engine) is destroyed first.
+  std::unique_ptr<tc::GemmEngine> escalated;
+  std::optional<EngineOverrideScope> engine_override;
+
+  for (int attempt = 1;; ++attempt) {
+    StatusOr<EvdResult> res = solve_once(a, ctx, opt, range, enter);
+    if (res.ok() && !verified) return res;
+    const bool breached = res.ok();
+    Status failure = res.status();
+    if (breached) {
+      TCEVD_RETURN_IF_ERROR(enter(Stage::Verify));
+      verify::Options vopt;
+      vopt.probes = opt.verify_probes;
+      vopt.tol_scale = static_cast<double>(opt.verify_tol_scale);
+      const tc::GemmEngine& engine = ctx.engine();
+      Timer tv;
+      verify::Report report =
+          opt.vectors ? verify::estimate(a, res->eigenvalues,
+                                         ConstMatrixView<float>(res->vectors.view()),
+                                         engine.kind(), vopt)
+                      : verify::estimate_values(a, res->eigenvalues, engine.kind(), vopt);
+      res->timings.verify_s = tv.seconds();
+      ctx.telemetry().record_stage("evd.verify", res->timings.verify_s);
+      report.attempts = attempt;
+      report.escalations = attempt - 1;
+      report.engine = engine.name();
+
+      const bool accept = report.passed || opt.verify == verify::Policy::Estimate;
+      if (!report.passed) {
+        recovery::note(
+            "evd.verify",
+            "residual estimate " + std::to_string(report.residual) + " (tol " +
+                std::to_string(report.residual_tol) + "), orthogonality estimate " +
+                std::to_string(report.orthogonality) + " (tol " +
+                std::to_string(report.orthogonality_tol) + ") breached on engine '" +
+                engine.name() + "'" +
+                (accept ? "; policy is estimate-only, returning the result annotated" : ""));
+      }
+      if (accept) {
+        res->verify = std::move(report);
+        return res;
+      }
+      failure = precision_loss_error(
+          "evd::solve: verification failed after " + std::to_string(attempt) +
+          " attempt(s) (residual estimate " + std::to_string(report.residual) + ", tol " +
+          std::to_string(report.residual_tol) + ", engine '" + engine.name() + "')");
+    }
+
+    std::unique_ptr<tc::GemmEngine> next;
+    if (verified && opt.verify == verify::Policy::EstimateEscalate && is_recoverable(failure))
+      next = next_escalation_engine(ctx.engine());
+    if (next == nullptr) {
+      if (!breached) return failure;
+      const std::string reason = "the escalation chain is exhausted (already on '" +
+                                 std::string(ctx.engine().name()) + "')";
+      recovery::note("evd.verify", "verification still failing and " + reason);
+      return precision_loss_error(failure.message() + "; " + reason);
+    }
+    recovery::note("evd.verify",
+                   (breached ? std::string()
+                             : "solve attempt " + std::to_string(attempt) + " failed (" +
+                                   failure.to_string() + "); ") +
+                       "re-solving with higher-accuracy engine '" + next->name() +
+                       "' (attempt " + std::to_string(attempt + 1) + ")");
+    ctx.telemetry().record_stage("evd.verify.escalation", 0.0);
+    engine_override.emplace(ctx, *next);  // destroys any previous override first
+    escalated = std::move(next);
+  }
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// SolveJob: the solve pipeline as a resumable stage machine. Control returns
-// to the caller between stages, with the in-flight state parked in members.
-// Each step opens its own recovery::Scope and drains it into the job's one
-// log before returning, so the thread-local scope chain never spans a
-// suspension point (steps of one job may run on different scheduler
-// threads).
-// ---------------------------------------------------------------------------
 
 Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
                         std::optional<IndexRange> range, const char* who) {
@@ -131,338 +372,25 @@ Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
   return ok_status();
 }
 
-SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
-                   std::optional<IndexRange> range)
-    : a_(a), ctx_(ctx), opt_(opt), range_(range) {
-  TCEVD_CHECK(validate_request(a_, opt_, range_, "SolveJob").ok(),
-              "SolveJob: invalid request (callers check validate_request first)");
-  // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n)),
-  // and never verify — matching the old solve() routing for n <= 1. Nor do
-  // selected ranges: the estimators need the full spectrum.
-  verified_ = opt_.verify != verify::Policy::Off && a_.rows() > 1 && !range_;
-}
-
-SolveJob::~SolveJob() = default;
-
-void SolveJob::step() {
-  if (done()) return;
-  // ABFT covers this request's GEMMs, stage by stage, escalations included;
-  // the calling thread passes the choice on to the pool workers running its
-  // tiles, and other requests' GEMMs stay unchecked.
+StatusOr<EvdResult> run_solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+                              std::optional<IndexRange> range, const StageGate& gate) {
+  TCEVD_CHECK(validate_request(a, opt, range, "run_solve").ok(),
+              "run_solve: invalid request (callers check validate_request first)");
+  // ABFT covers every GEMM of this solve, escalations included; the calling
+  // thread passes the choice on to the pool workers running its tiles, and
+  // other threads' GEMMs stay unchecked.
   std::optional<blas::abft::AbftScope> abft;
-  if (opt_.abft) abft.emplace();
-  // Every note of this step, the job's own failure and escalation notes
-  // included, joins the log in the order it was made.
-  recovery::Scope scope;
-  switch (stage_) {
-    case Stage::Reduction: step_reduction(); break;
-    case Stage::Bulge: step_bulge(); break;
-    case Stage::Solver: step_solver(); break;
-    case Stage::Finish: step_finish(); break;
-    case Stage::Done: break;
-  }
-  RecoveryLog events = scope.take();
-  log_.insert(log_.end(), std::make_move_iterator(events.begin()),
-              std::make_move_iterator(events.end()));
-  if (!done()) return;
-  // The job hands its log on once: to the context's telemetry, and to the
-  // result on success (dropped_events() keeps it on failure).
-  ctx_.telemetry().record_recovery(log_);
-  if (final_) {
-    final_->recovery = std::move(log_);
-    log_.clear();
-  }
-}
-
-StatusOr<EvdResult> SolveJob::take() {
-  TCEVD_CHECK(done(), "SolveJob::take() called before the job is done");
-  if (error_) return *error_;
-  return std::move(*final_);
-}
-
-void SolveJob::release_attempt_state() {
-  attempt_scope_.reset();
-  sres_.reset();
-  engine_scope_.reset();  // restore the context's engine before anyone reuses it
-  escalated_.reset();
-}
-
-void SolveJob::step_reduction() {
-  ++attempts_;
-  const index_t n = a_.rows();
-
-  if (opt_.screen_input) {
-    Status st = screen_input(a_, opt_.asymmetry_tol);
-    if (!st.ok()) {
-      escalate_or_fail(std::move(st), /*breached=*/false);
-      return;
-    }
-  }
-
-  result_ = EvdResult{};
-  if (n <= 1) {
-    if (n == 1) {
-      result_.eigenvalues.assign(1, a_(0, 0));
-      if (opt_.vectors) {
-        result_.vectors = Matrix<float>(1, 1);
-        result_.vectors(0, 0) = 1.0f;
-      }
-    }
-    result_.converged = true;
-    complete_success();
-    return;
-  }
-
-  ctx_.workspace().reserve(workspace_query(n, opt_));
-  attempt_scope_.emplace(ctx_.workspace());
-  d_.clear();
-  e_.clear();
-  q_ = Matrix<float>(0, 0);
-  attempt_timer_.reset();
-
-  if (opt_.reduction == Reduction::OneStage) {
-    Timer t;
-    {
-      auto inner = ctx_.workspace().scope();
-      auto work = inner.matrix<float>(n, n);
-      copy_matrix(a_, work);
-      std::vector<float> tau;
-      lapack::sytrd_blocked(work, d_, e_, tau, std::min<index_t>(opt_.bandwidth, n));
-      if (opt_.vectors) {
-        q_ = Matrix<float>(n, n);
-        lapack::orgtr<float>(work, tau, q_.view());
-      }
-    }
-    result_.timings.reduction_s = t.seconds();
-    ctx_.telemetry().record_stage("evd.reduction", result_.timings.reduction_s);
-    stage_ = Stage::Solver;  // one-stage reduction has no bulge chase
-    return;
-  }
-
-  sbr::SbrOptions sopt;
-  sopt.bandwidth = std::min(opt_.bandwidth, n - 1);
-  if (opt_.big_block < sopt.bandwidth)
-    // The SBR layer rejects nb < b outright; here the caller's big_block is
-    // a default that a large bandwidth can legitimately outgrow, so raise
-    // it — but say so instead of mutating the options invisibly.
-    recovery::note("evd.options",
-                   "big_block " + std::to_string(opt_.big_block) +
-                       " is below the bandwidth " + std::to_string(sopt.bandwidth) +
-                       "; raising it to the bandwidth");
-  sopt.big_block = std::max(opt_.big_block, sopt.bandwidth);
-  sopt.panel = opt_.panel;
-  sopt.accumulate_q = opt_.vectors;
-
-  Timer t;
-  StatusOr<sbr::SbrResult> sres_or =
-      (opt_.reduction == Reduction::TwoStageWy)    ? sbr::sbr_wy(a_, ctx_, sopt)
-      : (opt_.reduction == Reduction::TwoStageDbr) ? sbr::sbr_dbr(a_, ctx_, sopt)
-                                                   : sbr::sbr_zy(a_, ctx_, sopt);
-  if (!sres_or.ok()) {
-    escalate_or_fail(sres_or.status(), /*breached=*/false);
-    return;
-  }
-  sres_.emplace(std::move(*sres_or));
-  result_.timings.reduction_s = t.seconds();
-  ctx_.telemetry().record_stage("evd.reduction", result_.timings.reduction_s);
-  stage_ = Stage::Bulge;
-}
-
-void SolveJob::step_bulge() {
-  const index_t n = a_.rows();
-  const index_t bw = std::min(opt_.bandwidth, n - 1);
-  sbr::SbrResult& sres = *sres_;
-
-  Timer t;
-  MatrixView<float> qv = sres.q.view();
-  auto tri = bulge::bulge_chase_auto<float>(ctx_, sres.band.view(), bw,
-                                            opt_.vectors ? &qv : nullptr, opt_.bulge_threads);
-  d_ = std::move(tri.d);
-  e_ = std::move(tri.e);
-  result_.timings.bulge_s = t.seconds();
-  ctx_.telemetry().record_stage("evd.bulge", result_.timings.bulge_s);
-  if (opt_.vectors) q_ = std::move(sres.q);
-  sres_.reset();
-  stage_ = Stage::Solver;
-}
-
-void SolveJob::step_solver() {
-  Timer ts;
-  Status sst = range_ ? solve_range() : solve_tridiagonal();
-  result_.timings.solver_s = ts.seconds();
-  ctx_.telemetry().record_stage("evd.solver", result_.timings.solver_s);
-  if (!sst.ok()) {
-    escalate_or_fail(std::move(sst), /*breached=*/false);
-    return;
-  }
-  result_.converged = true;
-  result_.timings.total_s = attempt_timer_.seconds();
-  attempt_scope_.reset();  // the estimate (and any re-solve) re-opens its own
-
-  if (!verified_) {
-    complete_success();
-    return;
-  }
-  stage_ = Stage::Finish;
-}
-
-Status SolveJob::solve_tridiagonal() {
-  MatrixView<float> zv = q_.view();
-  MatrixView<float>* zp = opt_.vectors ? &zv : nullptr;
-
-  // The solvers destroy d/e, so keep a restore point for the fallback
-  // chain. Q needs none: a failed solver leaves it as it was.
-  const std::vector<float> d0 = d_, e0 = e_;
-
-  Status sst = run_tri_solver(ctx_.workspace(), opt_.solver, d_, e_, zp);
-  if (!sst.ok() && is_recoverable(sst)) {
-    TriSolver tried = opt_.solver;
-    for (TriSolver fb : {TriSolver::DivideConquer, TriSolver::Ql, TriSolver::Bisection}) {
-      if (fb == opt_.solver) continue;
-      d_ = d0;
-      e_ = e0;
-      recovery::note("evd.solver", std::string(tri_solver_name(tried)) + " failed (" +
-                                       sst.to_string() + "); retrying with " +
-                                       tri_solver_name(fb));
-      sst = run_tri_solver(ctx_.workspace(), fb, d_, e_, zp);
-      if (sst.ok() || !is_recoverable(sst)) break;
-      tried = fb;
-    }
-  }
-  if (!sst.ok()) return sst;
-  result_.eigenvalues = std::move(d_);
-  if (opt_.vectors) result_.vectors = std::move(q_);
-  return ok_status();
-}
-
-Status SolveJob::solve_range() {
-  const index_t n = a_.rows();
-  const index_t il = range_->il;
-  const index_t nev = range_->iu - il + 1;
-  if (opt_.verify != verify::Policy::Off)
-    recovery::note("evd.verify",
-                   "verification skipped: a selected range has no full spectrum to "
-                   "estimate against; returning the result unverified");
-
-  // stebz and stein read d/e by const, so no restore points are needed.
-  result_.eigenvalues = lapack::stebz<float>(d_, e_, il, range_->iu);
-  if (!opt_.vectors) return ok_status();
-
-  // Tridiagonal eigenvectors by inverse iteration, then back-transform.
-  auto z = attempt_scope_->matrix<float>(n, nev);
-  Status st = lapack::stein<float>(d_, e_, result_.eigenvalues, z);
-  if (!st.ok() && is_recoverable(st)) {
-    // Inverse iteration stagnated on at least one vector. Solve the full
-    // tridiagonal problem with QL instead and keep the selected columns —
-    // slower (O(n^3) vs O(n * nev)) but unconditionally convergent in
-    // practice on the matrices QL handles.
-    recovery::note("evd.partial", "stein failed (" + st.to_string() +
-                                      "); recomputed selected vectors with full QL solve");
-    std::vector<float> dq = d_, eq = e_;
-    auto ql_scope = ctx_.workspace().scope();
-    auto zfull = ql_scope.matrix<float>(n, n);
-    set_identity(zfull);
-    MatrixView<float> zfv = zfull;
-    TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(dq, eq, &zfv));
-    // steqr returns ascending eigenvalues, so columns il..iu line up with
-    // the bisection selection.
-    for (index_t j = 0; j < nev; ++j) {
-      result_.eigenvalues[static_cast<std::size_t>(j)] = dq[static_cast<std::size_t>(il + j)];
-      for (index_t i = 0; i < n; ++i) z(i, j) = zfull(i, il + j);
-    }
-  } else if (!st.ok()) {
-    return st;
-  }
-  result_.vectors = Matrix<float>(n, nev);
-  blas::gemm(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(q_.view()),
-             ConstMatrixView<float>(z), 0.0f, result_.vectors.view());
-  return ok_status();
-}
-
-void SolveJob::step_finish() {
-  verify::Options vopt;
-  vopt.probes = opt_.verify_probes;
-  vopt.tol_scale = static_cast<double>(opt_.verify_tol_scale);
-
-  const tc::GemmEngine& engine = ctx_.engine();
-  Timer tv;
-  verify::Report report =
-      opt_.vectors
-          ? verify::estimate(a_, result_.eigenvalues,
-                             ConstMatrixView<float>(result_.vectors.view()), engine.kind(),
-                             vopt)
-          : verify::estimate_values(a_, result_.eigenvalues, engine.kind(), vopt);
-  result_.timings.verify_s = tv.seconds();
-  ctx_.telemetry().record_stage("evd.verify", result_.timings.verify_s);
-  report.attempts = attempts_;
-  report.escalations = escalations_;
-  report.engine = engine.name();
-
-  const bool accept = report.passed || opt_.verify == verify::Policy::Estimate;
-  if (!report.passed) {
-    recovery::note(
-        "evd.verify",
-        "residual estimate " + std::to_string(report.residual) + " (tol " +
-            std::to_string(report.residual_tol) + "), orthogonality estimate " +
-            std::to_string(report.orthogonality) + " (tol " +
-            std::to_string(report.orthogonality_tol) + ") breached on engine '" +
-            engine.name() + "'" +
-            (accept ? "; policy is estimate-only, returning the result annotated" : ""));
-  }
-  if (accept) {
-    result_.verify = std::move(report);
-    complete_success();
-    return;
-  }
-  escalate_or_fail(precision_loss_error("evd::solve: verification failed after " +
-                                        std::to_string(attempts_) +
-                                        " attempt(s) (residual estimate " +
-                                        std::to_string(report.residual) + ", tol " +
-                                        std::to_string(report.residual_tol) + ", engine '" +
-                                        engine.name() + "')"),
-                   /*breached=*/true);
-}
-
-void SolveJob::escalate_or_fail(Status failure, bool breached) {
-  attempt_scope_.reset();
-  sres_.reset();
-  // A breached estimate under EstimateEscalate re-solves on the next engine
-  // up, and so does a recoverable pipeline failure of a verified solve
-  // (corruption that poisons the pipeline outright and corruption that
-  // merely skews the result get the same answer). Non-recoverable failures
-  // and unverified solves end the job.
-  std::unique_ptr<tc::GemmEngine> next;
-  if (verified_ && opt_.verify == verify::Policy::EstimateEscalate && is_recoverable(failure))
-    next = next_escalation_engine(ctx_.engine());
-  if (next != nullptr) {
-    recovery::note("evd.verify",
-                   (breached ? std::string()
-                             : "solve attempt " + std::to_string(attempts_) + " failed (" +
-                                   failure.to_string() + "); ") +
-                       "re-solving with higher-accuracy engine '" + next->name() +
-                       "' (attempt " + std::to_string(attempts_ + 1) + ")");
-    ++escalations_;
-    ctx_.telemetry().record_stage("evd.verify.escalation", 0.0);
-    engine_scope_.emplace(ctx_, *next);  // destroys any previous override first
-    escalated_ = std::move(next);
-    stage_ = Stage::Reduction;
-    return;
-  }
-  if (breached) {
-    const std::string reason = "the escalation chain is exhausted (already on '" +
-                               std::string(ctx_.engine().name()) + "')";
-    recovery::note("evd.verify", "verification still failing and " + reason);
-    failure = precision_loss_error(failure.message() + "; " + reason);
-  }
-  error_ = std::move(failure);
-  stage_ = Stage::Done;
-  release_attempt_state();
-}
-
-void SolveJob::complete_success() {
-  final_ = std::move(result_);
-  stage_ = Stage::Done;
-  release_attempt_state();
+  if (opt.abft) abft.emplace();
+  // Every recovery event of the solve in the order it happened, across
+  // attempts, the escalation notes included.
+  recovery::Scope log;
+  StatusOr<EvdResult> out = solve_with_escalation(a, ctx, opt, range, gate);
+  // The log goes to the context's telemetry once, and to the result on
+  // success. A failed solve has no result to carry it, so `log` hands it to
+  // the caller's recovery::Scope as it closes.
+  ctx.telemetry().record_recovery(log.events());
+  if (out.ok()) out->recovery = log.take();
+  return out;
 }
 
 const char* tri_solver_name(TriSolver solver) noexcept {
@@ -476,8 +404,7 @@ const char* tri_solver_name(TriSolver solver) noexcept {
 
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt) {
   TCEVD_RETURN_IF_ERROR(validate_request(a, opt, std::nullopt, "evd::solve"));
-  SolveJob job(a, ctx, opt);
-  return run_to_completion(job);
+  return run_solve(a, ctx, opt);
 }
 
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
@@ -486,8 +413,7 @@ StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
   TCEVD_RETURN_IF_ERROR(validate_request(a, opt, IndexRange{il, iu}, "solve_selected"));
   EvdOptions sel = opt;
   sel.vectors = vectors;
-  SolveJob job(a, ctx, sel, IndexRange{il, iu});
-  return run_to_completion(job);
+  return run_solve(a, ctx, sel, IndexRange{il, iu});
 }
 
 std::size_t workspace_query(index_t n, const EvdOptions& opt) {

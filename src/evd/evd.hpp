@@ -5,7 +5,9 @@
 // divide & conquer), with an optional eigenvector back-transformation
 // through the accumulated orthogonal factors. The one-stage pipeline
 // (classic Householder tridiagonalization) is kept as the conventional
-// baseline the two-stage method is measured against.
+// baseline the two-stage method is measured against. Every solve runs its
+// stages start to finish on the calling thread in one evd::run_solve call
+// (src/evd/pipeline.hpp), which EvdService runs for each request too.
 #pragma once
 
 #include <cstddef>
@@ -138,7 +140,7 @@ struct EvdResult {
 /// GEMM and its workspace arena supplying every scratch matrix. On entry the
 /// arena is pre-sized with workspace_query, so the *second* solve of the
 /// same shape on a given Context performs zero arena growth (see the
-/// steady-state test); per-stage wall time and the aggregated recovery log
+/// steady-state test); per-stage wall time and the solve's recovery log
 /// additionally land on the context's telemetry.
 ///
 /// Failure semantics: a non-square matrix or a bandwidth below 1 is

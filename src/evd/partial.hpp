@@ -3,10 +3,10 @@
 // eigenvectors requested" workload the paper discusses around the SICE
 // algorithm and the bisection method of its related work.
 //
-// Pipeline: the SolveJob reduction and bulge stages of evd::solve, then Sturm
+// Pipeline: the reduction and bulge stages of evd::solve, then Sturm
 // bisection for the selected eigenvalues -> inverse iteration (stein) for
 // the tridiagonal eigenvectors -> back-transformation through the
-// accumulated Q (see src/evd/solve_job.hpp).
+// accumulated Q, all in one evd::run_solve call (src/evd/pipeline.hpp).
 #pragma once
 
 #include "src/common/matrix.hpp"

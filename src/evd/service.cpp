@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "src/common/recovery.hpp"
 #include "src/common/timer.hpp"
 
 namespace tcevd::evd {
@@ -20,19 +21,18 @@ std::size_t workspace_size_class(std::size_t bytes) noexcept {
   return std::bit_ceil(std::max(bytes, Workspace::kMinBlockBytes));
 }
 
-/// Static telemetry keys: one stage step records under these every few
-/// microseconds in a hot stream, so the lookups must not allocate.
+/// Static telemetry keys: a hot stream records a stage under these every few
+/// microseconds, so the lookups must not allocate.
 constexpr const char* kQueueKey = "service.queue";
 
-const char* stage_key(SolveJob::Stage stage) noexcept {
+const char* stage_key(Stage stage) noexcept {
   switch (stage) {
-    case SolveJob::Stage::Reduction: return "service.stage.reduction";
-    case SolveJob::Stage::Bulge: return "service.stage.bulge";
-    case SolveJob::Stage::Solver: return "service.stage.solver";
-    case SolveJob::Stage::Finish: return "service.stage.finish";
-    case SolveJob::Stage::Done: break;
+    case Stage::Reduction: return "service.stage.reduction";
+    case Stage::Bulge: return "service.stage.bulge";
+    case Stage::Solver: return "service.stage.solver";
+    case Stage::Verify: return "service.stage.verify";
   }
-  return "service.stage.done";  // unreachable: done jobs are never stepped
+  return "service.stage.unknown";
 }
 
 double elapsed_s(std::chrono::steady_clock::time_point from,
@@ -108,7 +108,6 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
         std::min(std::chrono::duration_cast<Clock::duration>(deadline), headroom);
   req.size_class = size_class;
   req.range = range;
-  req.started = false;
   req.completed = false;
   req.result = RequestResult{};
   ++in_flight_;
@@ -124,11 +123,6 @@ int EvdService::pick_ready_locked(Clock::time_point now) const noexcept {
   for (int i = 0; i < static_cast<int>(ready_.size()); ++i) {
     const Request& r = slots_[ready_[i]];
     const bool expired = r.has_deadline && now >= r.deadline_tp;
-    // The start cap (2 x runners: enough spare started work to cover
-    // stage-length imbalance) gates fresh requests only; started ones must
-    // keep moving (they hold arenas) and expired ones only need a cheap
-    // finalize.
-    if (!r.started && !expired && started_ >= 2 * threads_) continue;
     if (best < 0) {
       best = i;
       best_expired = expired;
@@ -163,102 +157,103 @@ void EvdService::runner_loop(int runner) {
       ri = pick_ready_locked(Clock::now());
       return ri >= 0;
     });
-    if (ri < 0) {
-      if (stopping_) return;  // drained: the destructor waits for in_flight == 0
-      continue;
-    }
+    if (ri < 0) return;  // stopping, drained: the destructor waited for in_flight_ == 0
     const std::uint32_t slot = ready_[static_cast<std::size_t>(ri)];
     ready_[static_cast<std::size_t>(ri)] = ready_.back();
     ready_.pop_back();
     Request& req = slots_[slot];
 
-    const Clock::time_point now = Clock::now();
-    if (req.has_deadline && now >= req.deadline_tp) {
+    const Clock::time_point start = Clock::now();
+    if (req.has_deadline && start >= req.deadline_tp) {
       req.result.status = deadline_exceeded_error(
           "EvdService: request deadline (" + std::to_string(req.opt.deadline_s) +
-          " s) expired " +
-          (req.started ? "between pipeline stages" : "before the solve started"));
+          " s) expired before the solve started");
       ++expired_;
-      finalize_locked(req, runner);
+      finalize_locked(req);
       continue;
     }
-    if (!req.started) {
-      req.started = true;
-      ++started_;
-      req.start_tp = now;
-      const double wait_s = elapsed_s(req.submit_tp, now);
-      telemetry_.record_stage(kQueueKey, wait_s);
-      telemetry_.record_latency(kQueueKey, wait_s);
-      req.ctx = acquire_context_locked(req.size_class);
-    }
+    record_locked(kQueueKey, elapsed_s(req.submit_tp, start));
+    std::unique_ptr<Context> ctx = acquire_context_locked(req.size_class);
 
-    // Run exactly one stage with the lock dropped; the slot is out of ready_,
-    // so this runner owns the request until it is requeued or finalized.
+    // The slot is out of ready_, so this runner owns the request until it
+    // finalizes it.
     lock.unlock();
-    const char* key = stage_key(SolveJob::Stage::Reduction);
-    Timer step_timer;
-    bool done = false;
-    try {
-      if (req.job == nullptr)
-        req.job = std::make_unique<SolveJob>(*req.a, *req.ctx, req.opt.evd, req.range);
-      key = stage_key(req.job->stage());
-      req.job->step();
-      if (req.job->done()) {
-        StatusOr<EvdResult> r = req.job->take();
-        if (r.ok()) {
-          req.result.status = ok_status();
-          req.result.eigenvalues = std::move(r->eigenvalues);
-          req.result.vectors = std::move(r->vectors);
-          req.result.recovery = std::move(r->recovery);
-          req.result.verify = std::move(r->verify);
-        } else {
-          req.result.status = r.status();
-          req.result.recovery = req.job->dropped_events();
-        }
-        done = true;
-      }
-    } catch (const std::exception& e) {
-      // A throw out of a pool task would take the process down; isolate it to
-      // this request like any other failure. The job's destructor unwinds any
-      // live workspace scopes on the context.
-      req.result.status = Status(ErrorCode::Internal,
-                                 std::string("EvdService: uncaught exception: ") + e.what());
-      req.job.reset();
-      done = true;
-    } catch (...) {
-      req.result.status =
-          Status(ErrorCode::Internal, "EvdService: uncaught non-std exception");
-      req.job.reset();
-      done = true;
-    }
-    const double step_s = step_timer.seconds();
+    solve_request(req, *ctx);
+    req.result.worker = runner;
+    req.result.seconds = elapsed_s(start, Clock::now());
     lock.lock();
-    telemetry_.record_stage(key, step_s);
-    telemetry_.record_latency(key, step_s);
-    if (done) {
-      finalize_locked(req, runner);
-    } else {
-      ready_.push_back(slot);
-      sched_cv_.notify_one();  // another runner may want this stage
-    }
+    if (req.result.status.code() == ErrorCode::DeadlineExceeded) ++expired_;
+    release_context_locked(req.size_class, std::move(ctx));
+    finalize_locked(req);
   }
 }
 
-void EvdService::finalize_locked(Request& req, int runner) {
-  if (req.started) {
-    --started_;
-    req.result.worker = runner;
-    req.result.seconds = elapsed_s(req.start_tp, Clock::now());
+void EvdService::solve_request(Request& req, Context& ctx) {
+  const char* key = nullptr;  // the stage the solve is in, timed by stage_timer
+  Timer stage_timer;
+  const StageGate gate = [&](Stage next) -> Status {
+    if (key != nullptr) {
+      const double stage_s = stage_timer.seconds();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        record_locked(std::exchange(key, nullptr), stage_s);
+      }
+      if (req.has_deadline && Clock::now() >= req.deadline_tp)
+        return deadline_exceeded_error("EvdService: request deadline (" +
+                                       std::to_string(req.opt.deadline_s) +
+                                       " s) expired between pipeline stages");
+    }
+    key = stage_key(next);
+    stage_timer.reset();
+    return ok_status();
+  };
+
+  // A failed solve hands its recovery log to this scope; a throwing one
+  // leaves it here as it unwinds.
+  recovery::Scope dropped;
+  Status thrown = ok_status();
+  try {
+    StatusOr<EvdResult> r = run_solve(*req.a, ctx, req.opt.evd, req.range, gate);
+    req.result.status = r.status();
+    if (r.ok()) {
+      req.result.eigenvalues = std::move(r->eigenvalues);
+      req.result.vectors = std::move(r->vectors);
+      req.result.recovery = std::move(r->recovery);
+      req.result.verify = std::move(r->verify);
+    }
+  } catch (const std::exception& e) {
+    thrown = Status(ErrorCode::Internal, std::string("EvdService: uncaught exception: ") + e.what());
+  } catch (...) {
+    thrown = Status(ErrorCode::Internal, "EvdService: uncaught non-std exception");
   }
-  req.job.reset();  // release the workspace scope before the context is pooled
-  if (req.ctx != nullptr) release_context_locked(req.size_class, std::move(req.ctx));
+  if (!thrown.ok()) {
+    // A throw out of a pool task would take the process down, so it fails
+    // this request alone. The solve never recorded its log, so record it
+    // here.
+    req.result.status = std::move(thrown);
+    ctx.telemetry().record_recovery(dropped.events());
+  }
+  if (!req.result.status.ok()) req.result.recovery = dropped.take();
+
+  const double stage_s = stage_timer.seconds();
+  if (key != nullptr) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_locked(key, stage_s);
+  }
+}
+
+void EvdService::record_locked(const char* key, double seconds) {
+  telemetry_.record_stage(key, seconds);
+  telemetry_.record_latency(key, seconds);
+}
+
+void EvdService::finalize_locked(Request& req) {
   req.completed = true;
   ++completed_;
   req.result.completion_seq = static_cast<std::uint64_t>(completed_);
   --in_flight_;
   done_cv_.notify_all();
   admit_cv_.notify_one();
-  sched_cv_.notify_all();  // a start-cap slot freed; fresh requests may begin
 }
 
 std::unique_ptr<Context> EvdService::acquire_context_locked(std::size_t size_class) {
@@ -276,7 +271,7 @@ std::unique_ptr<Context> EvdService::acquire_context_locked(std::size_t size_cla
 void EvdService::release_context_locked(std::size_t size_class,
                                         std::unique_ptr<Context> ctx) {
   // No retention cap is needed: a class only grows when a request starts
-  // with none of its contexts idle, so it never exceeds the start cap.
+  // with none of its contexts idle, so it never exceeds the runner count.
   idle_contexts_[size_class].push_back(std::move(ctx));
 }
 

@@ -1,42 +1,37 @@
-// Streaming EVD service: a long-lived, stage-pipelined driver for mixed
-// workloads, and the library's one multi-request API.
+// Streaming EVD service: a long-lived driver for mixed workloads, and the
+// library's one multi-request API.
 //
 // EvdService accepts an open-ended stream of requests — mixed sizes, mixed
-// options, full or selected spectra — and keeps a fixed worker pool
-// saturated by interleaving the pipeline stages of many solves:
-// every request, selected ranges included, is a SolveJob
-// (src/evd/solve_job.hpp) that advances one stage (reduction -> bulge ->
-// solver -> verify) per scheduling turn, so a worker never idles behind one
-// problem's long stage while other requests have runnable work. Because a
-// job executes the identical step sequence as sequential evd::solve (or
-// evd::solve_selected) on a private Context, per-request results are
+// options, full or selected spectra — and runs them on a fixed set of
+// runners. A runner takes a waiting request, checks a Context out for it and
+// runs the whole solve with evd::run_solve (src/evd/pipeline.hpp), the
+// function evd::solve and evd::solve_selected run, so per-request results are
 // bitwise-identical to those calls — the service changes scheduling, never
 // numerics.
 //
 // Admission control: at most ServiceOptions::max_in_flight requests may be
 // submitted-but-not-completed; past that, submit() blocks (Block) or returns
-// ResourceExhausted (Reject). Per-request deadlines and priorities are
-// honored at stage boundaries — the scheduler always picks the runnable
-// request with the highest priority (ties: earliest deadline, then FIFO),
-// and a request whose deadline expires before its next stage begins fails
-// with DeadlineExceeded instead of occupying a worker. At most 2 x
-// num_threads requests are mid-pipeline at once: enough spare started work
-// to cover stage-length imbalance, and a bound on the live workspace
-// footprint that does not grow with the queue depth.
+// ResourceExhausted (Reject). Priorities and deadlines decide which waiting
+// request starts next: the highest priority (ties: earliest deadline, then
+// FIFO). A started request runs to the end on its runner; higher-priority
+// work never overtakes it. A request whose deadline expires before it starts
+// fails with DeadlineExceeded without taking a context, and one whose
+// deadline expires mid-pipeline fails before its next stage. At most
+// num_threads requests are mid-pipeline at once.
 //
 // Contexts are pooled by workspace size-class (workspace_query rounded up to
 // a power of two): a request checks a warm Context out of its class, runs
 // every stage on it, and returns it, so the steady state of a homogeneous
 // stream performs zero arena growth per request. A context is created only
 // when a request starts and its class has none idle, so a class never holds
-// more contexts than requests were started at once, and every context stays
-// pooled for the service's lifetime.
+// more contexts than there are runners, and every context stays pooled for
+// the service's lifetime.
 //
 // Telemetry: per-problem evd.* stages land on the solving Context exactly as
 // in a sequential solve; the service additionally records, under its own
-// aggregate sink, "service.queue" (admission-to-first-stage wait) and
-// "service.stage.<reduction|bulge|solver|finish>" (per-step wall
-// time), each both as a StageStat (throughput) and a LatencyStat (histogram
+// aggregate sink, "service.queue" (admission-to-start wait) and
+// "service.stage.<reduction|bulge|solver|verify>" (per-stage wall time),
+// each both as a StageStat (throughput) and a LatencyStat (histogram
 // quantiles). telemetry_snapshot() merges the service sink with every idle
 // pooled Context; call it quiescent (after wait_all) for complete numbers.
 //
@@ -62,7 +57,7 @@
 #include "src/common/status.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/solve_job.hpp"
+#include "src/evd/pipeline.hpp"
 
 namespace tcevd::evd {
 
@@ -91,15 +86,15 @@ struct RequestOptions {
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
-  /// Higher runs first at every scheduling decision (default 0).
+  /// Among waiting requests, higher starts first (default 0).
   int priority = 0;
   /// Seconds from submit() after which the request fails with
-  /// DeadlineExceeded instead of starting its next stage. 0, a negative or
-  /// non-finite value (NaN, +inf), or one too far out for the steady clock
-  /// to represent from now (about 292 years) means no deadline.
-  /// Checked at stage boundaries only — a stage in execution is never
-  /// interrupted. Ties among equal priorities schedule earliest-deadline
-  /// first.
+  /// DeadlineExceeded instead of starting, or instead of starting its next
+  /// stage. 0, a negative or non-finite value (NaN, +inf), or one too far
+  /// out for the steady clock to represent from now (about 292 years) means
+  /// no deadline. Checked before the request starts and between its stages
+  /// only — a stage in execution is never interrupted. Ties among equal
+  /// priorities start earliest-deadline first.
   double deadline_s = 0.0;
 };
 
@@ -115,8 +110,8 @@ struct RequestResult {
   /// EvdResult::recovery; a failed request carries its log here too.
   RecoveryLog recovery;
   verify::Report verify;           ///< full solves with evd.verify != Off only
-  int worker = -1;                 ///< runner that completed the final stage
-  double seconds = 0.0;            ///< first stage start -> completion
+  int worker = -1;                 ///< runner that ran the request
+  double seconds = 0.0;            ///< start -> completion
   /// 1-based service-wide completion ordinal: request k was the
   /// completion_seq-th to finish. This is the observable the scheduling
   /// tests pin priority/deadline ordering against.
@@ -183,40 +178,39 @@ class EvdService {
     bool has_deadline = false;
     std::size_t size_class = 0;
     std::optional<IndexRange> range;  ///< set for selected requests
-    // Execution state (owned by the runner that popped the slot off ready_).
-    std::unique_ptr<SolveJob> job;
-    std::unique_ptr<Context> ctx;
-    bool started = false;
-    Clock::time_point start_tp;
     // Completion.
     bool completed = false;
     RequestResult result;
   };
 
   void runner_loop(int runner);
-  /// Index into ready_ of the best runnable request (highest priority,
-  /// earliest deadline, lowest seq; expired requests first — their finalize
-  /// is cheap and frees a slot), or -1. Fresh requests are runnable only
-  /// under the start cap; expired ones always are.
+  /// Index into ready_ of the request to start next (expired requests first
+  /// — their finalize is cheap and frees a slot — then highest priority,
+  /// earliest deadline, lowest seq), or -1 when none waits.
   int pick_ready_locked(Clock::time_point now) const noexcept;
+  /// Run `req` start to finish on `ctx` on the calling runner, without the
+  /// lock, and fill in its result. Between stages its gate times the stage
+  /// that ended and fails the request once its deadline has passed.
+  void solve_request(Request& req, Context& ctx);
+  /// One service.queue / service.stage.* sample, as stage and latency.
+  void record_locked(const char* key, double seconds);
   std::unique_ptr<Context> acquire_context_locked(std::size_t size_class);
   void release_context_locked(std::size_t size_class, std::unique_ptr<Context> ctx);
-  /// Mark `req` complete: stop its clock, recycle its context, wake waiters.
-  void finalize_locked(Request& req, int runner);
+  /// Mark `req` complete and wake its waiters.
+  void finalize_locked(Request& req);
 
   tc::GemmEngine* engine_;
   ServiceOptions opt_;
   int threads_ = 0;
 
   mutable std::mutex mutex_;
-  std::condition_variable sched_cv_;  ///< ready_/started_/stopping_ changed
+  std::condition_variable sched_cv_;  ///< ready_/stopping_ changed
   std::condition_variable admit_cv_;  ///< in_flight_ dropped below the bound
   std::condition_variable done_cv_;   ///< a request completed
   std::deque<Request> slots_;         ///< stable addresses; recycled via free_slots_
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> ready_;  ///< slots awaiting their next stage
+  std::vector<std::uint32_t> ready_;  ///< submitted slots not yet started
   long in_flight_ = 0;
-  int started_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::map<std::size_t, std::vector<std::unique_ptr<Context>>> idle_contexts_;

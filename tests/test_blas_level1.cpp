@@ -77,19 +77,10 @@ TEST(BlasL1, AxpyAlphaZeroIsNoop) {
   EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
 
-TEST(BlasL1, ScalAndCopyAndSwap) {
+TEST(BlasL1, ScalScalesInPlace) {
   std::vector<double> x{1, 2, 3};
   blas::scal(3, -2.0, x.data(), 1);
   EXPECT_DOUBLE_EQ(x[1], -4.0);
-
-  std::vector<double> y(3, 0.0);
-  blas::copy(3, x.data(), 1, y.data(), 1);
-  EXPECT_DOUBLE_EQ(y[2], -6.0);
-
-  std::vector<double> z{7, 8, 9};
-  blas::swap(3, y.data(), 1, z.data(), 1);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(z[0], -2.0);
 }
 
 TEST(BlasL1, IamaxFindsAbsMax) {

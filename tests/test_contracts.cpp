@@ -12,7 +12,7 @@
 #include "src/blas/blas.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
-#include "src/evd/solve_job.hpp"
+#include "src/evd/pipeline.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/svd/svd.hpp"
 #include "src/tsqr/tsqr.hpp"
@@ -112,17 +112,19 @@ TEST(Contracts, PartialBadRangeIsInvalidArgument) {
 }
 
 // The public solve entry points refuse a bad request with a Status
-// (test_fault.cpp); SolveJob itself, which they construct only after
-// validate_request, keeps the check as an internal contract.
-TEST_F(ContractsDeath, SolveJobInvalidRequestAborts) {
+// (test_fault.cpp); run_solve, which they call only after validate_request,
+// keeps the check as an internal contract.
+TEST_F(ContractsDeath, RunSolveInvalidRequestAborts) {
   auto a = test::random_symmetric<float>(16, 4);
   tc::Fp32Engine eng;
   Context ctx(eng);
   evd::EvdOptions opt;
   opt.bandwidth = 0;
-  EXPECT_DEATH(evd::SolveJob(a.view(), ctx, opt), "invalid request");
+  EXPECT_DEATH((void)evd::run_solve(a.view(), ctx, opt), "invalid request");
   Matrix<float> rect(16, 8);
-  EXPECT_DEATH(evd::SolveJob(rect.view(), ctx, {}), "invalid request");
+  EXPECT_DEATH((void)evd::run_solve(rect.view(), ctx, {}), "invalid request");
+  EXPECT_DEATH((void)evd::run_solve(a.view(), ctx, {}, evd::IndexRange{3, 16}),
+               "invalid request");
 }
 
 TEST_F(ContractsDeath, SvdWideInputAborts) {

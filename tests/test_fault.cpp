@@ -239,7 +239,7 @@ TEST_F(FaultTest, SolveRejectsAsymmetricInput) {
 // Invalid options and shapes are request data: every entry point refuses
 // them with InvalidArgument before doing any work. A bandwidth of 0 used to
 // divide by zero while sizing the workspace (SIGFPE), and a non-square
-// matrix aborted evd::solve in the SolveJob constructor.
+// matrix aborted evd::solve in its internal request check.
 TEST_F(FaultTest, SolveRejectsBadOptionsAndShapes) {
   tc::Fp32Engine engine;
   Context ctx(engine);

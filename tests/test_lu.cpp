@@ -70,7 +70,7 @@ TEST(LuNopiv, ReportsLatePivotBreakdown) {
   EXPECT_EQ(lapack::lu_nopiv(a.view()), 1);
 }
 
-TEST(LuNopiv, SolveViaTrsvMatches) {
+TEST(LuNopiv, SolveViaTrsmMatches) {
   const index_t n = 16;
   auto a = diagonally_dominant(n, 3);
   Rng rng(4);
@@ -82,8 +82,11 @@ TEST(LuNopiv, SolveViaTrsvMatches) {
   auto f = a;
   ASSERT_EQ(lapack::lu_nopiv(f.view()), -1);
   // Solve L y = b then U x = y.
-  blas::trsv(blas::Uplo::Lower, Trans::No, blas::Diag::Unit, f.view(), b.data(), 1);
-  blas::trsv(blas::Uplo::Upper, Trans::No, blas::Diag::NonUnit, f.view(), b.data(), 1);
+  MatrixView<double> bv(b.data(), n, 1, n);
+  blas::trsm(blas::Side::Left, blas::Uplo::Lower, Trans::No, blas::Diag::Unit, 1.0, f.view(),
+             bv);
+  blas::trsm(blas::Side::Left, blas::Uplo::Upper, Trans::No, blas::Diag::NonUnit, 1.0,
+             f.view(), bv);
   for (index_t i = 0; i < n; ++i)
     EXPECT_NEAR(b[static_cast<std::size_t>(i)], x_true[static_cast<std::size_t>(i)], 1e-10);
 }

@@ -10,7 +10,7 @@
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
-#include "src/evd/solve_job.hpp"
+#include "src/evd/pipeline.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/matgen/matgen.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
@@ -133,21 +133,11 @@ TEST(Partial, DbrReductionPath) {
   EXPECT_LT(evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view()), 1e-4);
 }
 
-/// Step `job` to completion, returning the stage it was in before each step.
-std::vector<evd::SolveJob::Stage> step_all(evd::SolveJob& job) {
-  std::vector<evd::SolveJob::Stage> seen;
-  while (!job.done()) {
-    seen.push_back(job.stage());
-    job.step();
-  }
-  return seen;
-}
-
-TEST(Partial, SolveJobWithRangeEndsAfterSolverStage) {
+TEST(Partial, RangeSolveEndsAfterSolverStage) {
   // A range shares the reduction and bulge stages with a full solve, and its
-  // solver stage ends the job: a verify policy never opens the finish stage.
-  // solve_selected is this step loop, so its result is the same bits.
-  using Stage = evd::SolveJob::Stage;
+  // solver stage ends the solve: a verify policy never opens the verify
+  // stage. solve_selected is this call, so its result is the same bits.
+  using evd::Stage;
   const index_t n = 64;
   auto a = test::random_symmetric<float>(n, 9);
   tc::Fp32Engine eng;
@@ -160,14 +150,17 @@ TEST(Partial, SolveJobWithRangeEndsAfterSolverStage) {
   for (evd::Reduction red : {evd::Reduction::TwoStageWy, evd::Reduction::OneStage}) {
     opt.reduction = red;
     Context ctx(eng);
-    evd::SolveJob job(a.view(), ctx, opt, evd::IndexRange{5, 12});
-    const auto seen = step_all(job);
+    std::vector<Stage> seen;
+    const evd::StageGate gate = [&seen](Stage stage) {
+      seen.push_back(stage);
+      return ok_status();
+    };
+    auto res = evd::run_solve(a.view(), ctx, opt, evd::IndexRange{5, 12}, gate);
     const std::vector<Stage> want =
         red == evd::Reduction::OneStage
             ? std::vector<Stage>{Stage::Reduction, Stage::Solver}
             : std::vector<Stage>{Stage::Reduction, Stage::Bulge, Stage::Solver};
     EXPECT_EQ(seen, want);
-    auto res = job.take();
     ASSERT_TRUE(res.ok()) << res.status().to_string();
     EXPECT_FALSE(res->verify.checked);
     EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);

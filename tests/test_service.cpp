@@ -1,20 +1,26 @@
-// EvdService: the stage-pipelined streaming driver (DESIGN.md §15).
+// EvdService: the streaming driver (DESIGN.md §15).
 //
 // The acceptance bar this file enforces: per-request results are
 // bitwise-identical to sequential evd::solve at any worker count and request
-// mix; admission control honors the overflow policy; deadlines and
-// priorities are honored at stage boundaries; faults and verification stay
-// isolated per request; and a homogeneous steady-state stream performs the
-// same number of heap allocations every round (context pool + slot recycling
-// leave nothing to grow).
+// mix; admission control honors the overflow policy; priorities pick which
+// waiting request starts next and deadlines are honored before the start and
+// between stages; faults, throws and verification stay isolated per request,
+// each keeping its recovery log; and a homogeneous steady-state stream
+// performs the same number of heap allocations every round (context pool +
+// slot recycling leave nothing to grow).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/context.hpp"
@@ -242,8 +248,8 @@ TEST_F(ServiceTest, BlockPolicyCompletesEveryRequest) {
 }
 
 // A request whose deadline expires while a higher-priority solve occupies the
-// only worker fails with DeadlineExceeded at the next stage boundary instead
-// of running late.
+// only worker fails with DeadlineExceeded before it starts instead of running
+// late.
 TEST_F(ServiceTest, DeadlineExpiresBehindHigherPriorityWork) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
@@ -323,8 +329,8 @@ TEST_F(ServiceTest, NonPositiveDeadlineMeansNoDeadline) {
 }
 
 // With one worker pinned by a long blocker, later-submitted higher-priority
-// work must complete before earlier lower-priority work.
-TEST_F(ServiceTest, PriorityOrdersExecutionAtStageBoundaries) {
+// work must start, and so complete, before earlier lower-priority work.
+TEST_F(ServiceTest, PriorityPicksWhichWaitingRequestStartsNext) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 1;
@@ -854,6 +860,89 @@ TEST_F(ServiceTest, FailedRequestReturnsItsRecoveryLog) {
   }
 }
 
+// A GEMM engine with Fp32Engine's numerics that misbehaves on its first
+// call only: it throws, or it stalls for 50 ms first.
+class FirstGemmEngine final : public tc::GemmEngine {
+ public:
+  enum class Mode { Throw, Stall };
+  explicit FirstGemmEngine(Mode mode) : mode_(mode) {}
+  const std::string& name() const noexcept override { return inner_.name(); }
+  tc::EngineKind kind() const noexcept override { return inner_.kind(); }
+
+ protected:
+  void do_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,
+               ConstMatrixView<float> b, float beta, MatrixView<float> c) const override {
+    if (!first_done_.exchange(true)) {
+      if (mode_ == Mode::Throw) throw std::runtime_error("first GEMM failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    inner_.gemm(transa, transb, alpha, a, b, beta, c);
+  }
+
+ private:
+  Mode mode_;
+  tc::Fp32Engine inner_;
+  mutable std::atomic<bool> first_done_{false};
+};
+
+/// A request whose solve notes "evd.options" (big_block below the
+/// bandwidth) before its first GEMM.
+evd::RequestOptions request_noting_options() {
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 16;
+  ropt.evd.big_block = 8;
+  return ropt;
+}
+
+long count_site(const RecoveryLog& log, const std::string& site) {
+  return std::count_if(log.begin(), log.end(),
+                       [&](const RecoveryEvent& ev) { return ev.site == site; });
+}
+
+TEST_F(ServiceTest, ThrowingSolveFailsAloneAndKeepsItsRecoveryLog) {
+  // The throw fails the request with Internal; the note made before it
+  // reaches the result and, once, the context's telemetry.
+  FirstGemmEngine eng(FirstGemmEngine::Mode::Throw);
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  const auto a = test::random_symmetric<float>(48, 41);
+  auto id = service.submit(a.view(), request_noting_options());
+  ASSERT_TRUE(id.ok());
+  const evd::RequestResult res = service.wait(*id);
+  EXPECT_EQ(res.status.code(), ErrorCode::Internal) << res.status.to_string();
+  EXPECT_EQ(count_site(res.recovery, "evd.options"), 1);
+  EXPECT_EQ(count_site(service.telemetry_snapshot().recovery(), "evd.options"), 1);
+
+  // The unwound solve left its pooled context fit for the next request.
+  auto again = service.submit(a.view(), request_noting_options());
+  ASSERT_TRUE(again.ok());
+  const evd::RequestResult next = service.wait(*again);
+  EXPECT_TRUE(next.status.ok()) << next.status.to_string();
+  EXPECT_EQ(service.stats().pooled_contexts, 1u);
+}
+
+TEST_F(ServiceTest, DeadlineExpiresBetweenStagesAndKeepsTheRecoveryLog) {
+  // The request starts at once on the idle runner; its first GEMM outlasts
+  // the deadline, so it fails before its next stage, note included.
+  FirstGemmEngine eng(FirstGemmEngine::Mode::Stall);
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  const auto a = test::random_symmetric<float>(48, 42);
+  evd::RequestOptions ropt = request_noting_options();
+  ropt.deadline_s = 0.010;
+  auto id = service.submit(a.view(), ropt);
+  ASSERT_TRUE(id.ok());
+  const evd::RequestResult res = service.wait(*id);
+  EXPECT_EQ(res.status.code(), ErrorCode::DeadlineExceeded) << res.status.to_string();
+  EXPECT_NE(res.status.message().find("between pipeline stages"), std::string::npos)
+      << res.status.to_string();
+  EXPECT_EQ(count_site(res.recovery, "evd.options"), 1);
+  EXPECT_EQ(count_site(service.telemetry_snapshot().recovery(), "evd.options"), 1);
+  EXPECT_EQ(service.stats().deadline_expired, 1);
+}
+
 TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {
   auto mats = make_set(48, 6, 7000);
   fault::arm(fault::Site::SteqrExhaust, 1);
@@ -896,17 +985,18 @@ TEST_F(ServiceTest, StageCallCountsCoverEveryRequest) {
   }
 }
 
-// The context pool is bounded by the derived start cap (2 x runners): a
-// context is founded only when a request starts with none of its class
-// idle, so no class ever pools more contexts than requests ran at once.
+// The context pool is bounded by the runner count: a context is founded only
+// when a request starts with none of its class idle, and at most one request
+// per runner is mid-pipeline, so no class ever pools more contexts than
+// there are runners.
 TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
   tc::Fp32Engine eng;
   for (int threads : {1, 2}) {
     evd::ServiceOptions sopt;
     sopt.num_threads = threads;
     evd::EvdService service(eng, sopt);
-    // Many more same-class requests than the cap, all queued at once, with
-    // stage-boundary interleaving forced by a spread of priorities.
+    // Many more same-class requests than runners, all queued at once, with
+    // a spread of priorities.
     std::vector<Matrix<float>> mats = make_set(48, 24, 9300);
     std::vector<evd::RequestId> ids;
     for (std::size_t i = 0; i < mats.size(); ++i) {
@@ -921,7 +1011,7 @@ TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
     for (evd::RequestId id : ids) EXPECT_TRUE(service.wait(id).status.ok());
     const std::size_t pooled = service.stats().pooled_contexts;
     EXPECT_GE(pooled, 1u);
-    EXPECT_LE(pooled, static_cast<std::size_t>(2 * threads)) << threads << " runners";
+    EXPECT_LE(pooled, static_cast<std::size_t>(threads)) << threads << " runners";
   }
 }
 

@@ -26,8 +26,8 @@
 #include "src/common/verify.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
+#include "src/evd/pipeline.hpp"
 #include "src/evd/service.hpp"
-#include "src/evd/solve_job.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "tests/test_util.hpp"
@@ -288,10 +288,10 @@ TEST_F(VerifyTest, CorruptionWithoutAbftSilentlyLandsInResult) {
 }
 
 TEST_F(VerifyTest, AbftCoversOnlyTheRequestThatAskedForIt) {
-  // An abft = true job checks its own GEMMs while a step runs. Parked between
-  // steps it must not check anyone else's: neither a GEMM on the thread that
-  // stepped it nor one on another thread (an EvdService runner serving a
-  // different request).
+  // An abft = true solve checks its own GEMMs, every stage's. It must not
+  // check anyone else's: neither a GEMM another thread runs meanwhile (an
+  // EvdService runner serving a different request) nor one on either thread
+  // after the solve.
   const index_t n = 128;
   auto a = test::random_symmetric<float>(n, 57);
   tc::TcEngine engine;
@@ -299,12 +299,6 @@ TEST_F(VerifyTest, AbftCoversOnlyTheRequestThatAskedForIt) {
   evd::EvdOptions opt;
   opt.vectors = true;
   opt.abft = true;
-  evd::SolveJob job(ConstMatrixView<float>(a.view()), ctx, opt);
-
-  const auto checked0 = blas::abft::tiles_checked();
-  job.step();
-  ASSERT_EQ(job.stage(), evd::SolveJob::Stage::Bulge);
-  EXPECT_GT(blas::abft::tiles_checked(), checked0) << "the reduction's GEMMs went unchecked";
 
   const index_t m = 64;
   auto x = test::random_matrix_f(m, m, 58);
@@ -315,17 +309,30 @@ TEST_F(VerifyTest, AbftCoversOnlyTheRequestThatAskedForIt) {
                       ConstMatrixView<float>(x.view()), ConstMatrixView<float>(y.view()),
                       0.0f, c.view());
   };
-  const auto parked = blas::abft::tiles_checked();
+
+  const auto checked0 = blas::abft::tiles_checked();
+  auto before_solver = checked0;
+  const evd::StageGate gate = [&](evd::Stage stage) {
+    if (stage == evd::Stage::Solver) {
+      EXPECT_GT(blas::abft::tiles_checked(), checked0) << "the reduction's GEMMs went unchecked";
+      const auto mid = blas::abft::tiles_checked();
+      std::thread other(plain_gemm);
+      other.join();
+      EXPECT_EQ(blas::abft::tiles_checked(), mid) << "another thread's GEMM was checked";
+      before_solver = mid;
+    }
+    return ok_status();
+  };
+  auto res = evd::run_solve(ConstMatrixView<float>(a.view()), ctx, opt, std::nullopt, gate);
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  const auto after = blas::abft::tiles_checked();
+  EXPECT_GT(after, before_solver) << "the solver stage went unchecked";  // D&C's z*V
+
   EXPECT_FALSE(blas::abft::enabled());
   plain_gemm();
   std::thread other(plain_gemm);
   other.join();
-  EXPECT_EQ(blas::abft::tiles_checked(), parked) << "another request's GEMM was checked";
-
-  while (!job.done()) job.step();
-  auto res = job.take();
-  ASSERT_TRUE(res.ok()) << res.status().to_string();
-  EXPECT_GT(blas::abft::tiles_checked(), parked) << "later steps went unchecked";  // D&C's z*V
+  EXPECT_EQ(blas::abft::tiles_checked(), after) << "a GEMM after the solve was checked";
 }
 
 TEST_F(VerifyTest, AbftScopeChecksOnlyItsOwnThreadsGemmsOnEveryWorker) {
