@@ -98,9 +98,30 @@ struct TriCase {
   blas::Diag diag;
 };
 
-class TrmvTest : public ::testing::TestWithParam<TriCase> {};
+class TrmvTrsmTest : public ::testing::TestWithParam<TriCase> {};
 
-TEST_P(TrmvTest, TrmvMatchesDenseMultiply) {
+TEST_P(TrmvTrsmTest, TrsmInvertsTrmv) {
+  // trsm with one right-hand side is the library's triangular solve; every
+  // left-side variant must undo trmv (TrmmTrsmTest covers half of them).
+  const auto p = GetParam();
+  const index_t n = 15;
+  Rng rng(21);
+  Matrix<double> a(n, n);
+  // Well-conditioned triangular factor.
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) a(i, j) = 0.1 * rng.normal();
+    a(j, j) = 2.0 + rng.uniform();
+  }
+  auto x = random_vec(n, 22);
+  auto x0 = x;
+  blas::trmv(p.uplo, p.trans, p.diag, a.view(), x.data(), 1);
+  blas::trsm(blas::Side::Left, p.uplo, p.trans, p.diag, 1.0, a.view(),
+             MatrixView<double>(x.data(), n, 1, n));
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(x[static_cast<std::size_t>(i)], x0[static_cast<std::size_t>(i)], 1e-10);
+}
+
+TEST_P(TrmvTrsmTest, TrmvMatchesDenseMultiply) {
   const auto p = GetParam();
   const index_t n = 10;
   Rng rng(31);
@@ -129,7 +150,7 @@ TEST_P(TrmvTest, TrmvMatchesDenseMultiply) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllVariants, TrmvTest,
+    AllVariants, TrmvTrsmTest,
     ::testing::Values(TriCase{Uplo::Lower, Trans::No, Diag::NonUnit},
                       TriCase{Uplo::Lower, Trans::No, Diag::Unit},
                       TriCase{Uplo::Lower, Trans::Yes, Diag::NonUnit},

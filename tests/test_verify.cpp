@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/blas/abft.hpp"
 #include "src/blas/blas.hpp"
@@ -584,6 +586,66 @@ TEST_F(VerifyTest, EscalatedSolveLogsAttemptsInTheOrderTheyRan) {
   ASSERT_EQ(ctx.telemetry().recovery().size(), log.size());
   for (const RecoveryEvent& ev : log)
     EXPECT_EQ(occurrences(ctx.telemetry().recovery(), ev), 1) << ev.action;
+}
+
+TEST_F(VerifyTest, EscalatedSolveRunsEveryStageAgainFromReduction) {
+  // The gate sees one whole pass per attempt: a breach on Tc runs the
+  // pipeline again on EC-TC from the reduction, verification included.
+  using evd::Stage;
+  const index_t n = 64;
+  auto a = test::random_symmetric<float>(n, 66);
+  tc::TcEngine engine;
+  Context ctx(engine);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  opt.verify = verify::Policy::EstimateEscalate;
+  fault::arm(fault::Site::VerifyResidual, 1);
+  std::vector<Stage> seen;
+  const evd::StageGate gate = [&seen](Stage stage) {
+    seen.push_back(stage);
+    return ok_status();
+  };
+  auto res = evd::run_solve(ConstMatrixView<float>(a.view()), ctx, opt, std::nullopt, gate);
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  EXPECT_EQ(res->verify.attempts, 2);
+  EXPECT_EQ(res->verify.escalations, 1);
+  const std::vector<Stage> want = {Stage::Reduction, Stage::Bulge, Stage::Solver, Stage::Verify,
+                                   Stage::Reduction, Stage::Bulge, Stage::Solver, Stage::Verify};
+  EXPECT_EQ(seen, want);
+}
+
+TEST_F(VerifyTest, GateFailureEndsAVerifiedSolveWithoutEscalating) {
+  // A gate's Status ends the solve before the stage it was asked about,
+  // whichever stage that is: no later stage runs, the verified solve does
+  // not escalate on it, and the solve's workspace is released.
+  using evd::Stage;
+  const index_t n = 64;
+  auto a = test::random_symmetric<float>(n, 73);
+  tc::TcEngine engine;
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  opt.verify = verify::Policy::EstimateEscalate;
+  const std::vector<Stage> pass = {Stage::Reduction, Stage::Bulge, Stage::Solver, Stage::Verify};
+  for (std::size_t stop = 0; stop < pass.size(); ++stop) {
+    Context ctx(engine);
+    std::vector<Stage> seen;
+    const evd::StageGate gate = [&](Stage stage) {
+      seen.push_back(stage);
+      return stage == pass[stop] ? deadline_exceeded_error("gate closed") : ok_status();
+    };
+    auto res = evd::run_solve(ConstMatrixView<float>(a.view()), ctx, opt, std::nullopt, gate);
+    ASSERT_FALSE(res.ok()) << stop;
+    EXPECT_EQ(res.status().code(), ErrorCode::DeadlineExceeded) << stop;
+    EXPECT_EQ(res.status().message(), "gate closed") << stop;
+    const std::vector<Stage> want(pass.begin(),
+                                  pass.begin() + static_cast<std::ptrdiff_t>(stop) + 1);
+    EXPECT_EQ(seen, want) << stop;
+    EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u) << stop;
+    EXPECT_EQ(first_event(ctx.telemetry().recovery(), "evd.verify", ""),
+              ctx.telemetry().recovery().size())
+        << stop;
+    EXPECT_EQ(&ctx.engine(), &engine) << stop;
+  }
 }
 
 TEST_F(VerifyTest, EstimatePolicyAnnotatesWithoutResolving) {
