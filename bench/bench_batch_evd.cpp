@@ -5,7 +5,7 @@
 //   build/bench/bench_batch_evd [n] [batch]
 //
 // The scaling claim (MAGMA-batched / syevjBatched style): many same-shape
-// problems on N runners with pooled pre-reserved Contexts approach N x the
+// problems on N runners, each reusing its own Context, approach N x the
 // single-thread rate, because the only shared state — the GEMM engine — is
 // stateless per call. Absolute numbers are CPU-bound; the curve shape
 // (speedup vs. threads) is the deliverable. Each row builds its own service,
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12.3f %12.2f %10s\n", "seq", seq_s, seq_rate, "1.00x");
 
   // Oversubscribed rows (threads > cores) are still run: they demonstrate
-  // the pool degrades gracefully rather than deadlocking, and on multi-core
+  // the service degrades gracefully rather than deadlocking, and on multi-core
   // hosts the table is the scaling curve batched solving exists for.
   for (int threads : {1, 2, 4, 8}) {
     evd::ServiceOptions sopt;

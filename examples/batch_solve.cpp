@@ -71,7 +71,7 @@ int main() {
     ok = ok && resid < 1e-2;
   }
 
-  // 4. The service snapshot sums every pooled Context's per-problem stages
+  // 4. The service snapshot sums every runner Context's per-problem stages
   //    and adds the service's own queue/stage tiers.
   const Telemetry telemetry = service.telemetry_snapshot();
   std::printf("merged stage telemetry:\n");

@@ -10,6 +10,8 @@
 // issues (src/perfmodel/shape_trace.hpp), not from these kernels.
 #pragma once
 
+#include <type_traits>
+
 #include "src/common/matrix.hpp"
 
 namespace tcevd::blas {
@@ -18,6 +20,11 @@ enum class Trans { No, Yes };
 enum class Uplo { Lower, Upper };
 enum class Side { Left, Right };
 enum class Diag { NonUnit, Unit };
+
+/// A read-only matrix operand. T is deduced from the other arguments, never
+/// from this one, so a mutable MatrixView<T> converts to it implicitly.
+template <typename T>
+using View = std::type_identity_t<ConstMatrixView<T>>;
 
 // ---------------------------------------------------------------------------
 // Level 1
@@ -45,13 +52,11 @@ index_t iamax(index_t n, const T* x, index_t incx);
 
 /// y = alpha * op(A) * x + beta * y.
 template <typename T>
-void gemv(Trans trans, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy);
+void gemv(Trans trans, T alpha, View<T> a, const T* x, index_t incx, T beta, T* y, index_t incy);
 
 /// y = alpha * A * x + beta * y for symmetric A stored in the `uplo` triangle.
 template <typename T>
-void symv(Uplo uplo, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy);
+void symv(Uplo uplo, T alpha, View<T> a, const T* x, index_t incx, T beta, T* y, index_t incy);
 
 /// A += alpha*x*y^T + alpha*y*x^T on the `uplo` triangle of symmetric A.
 template <typename T>
@@ -60,7 +65,7 @@ void syr2(Uplo uplo, T alpha, const T* x, index_t incx, const T* y, index_t incy
 
 /// x = op(A) * x for triangular A.
 template <typename T>
-void trmv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t incx);
+void trmv(Uplo uplo, Trans trans, Diag diag, View<T> a, T* x, index_t incx);
 
 // ---------------------------------------------------------------------------
 // Level 3
@@ -68,118 +73,34 @@ void trmv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t
 
 /// C = alpha * op(A) * op(B) + beta * C.
 template <typename T>
-void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
-          T beta, MatrixView<T> c);
+void gemm(Trans transa, Trans transb, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c);
 
 /// C = alpha * A * B + beta * C (side==Left) or alpha * B * A + beta * C
 /// (side==Right) with A symmetric, stored in the `uplo` triangle. This is
 /// how a CPU/MAGMA SBR forms A22 * W at half the memory traffic of a
 /// general GEMM (the paper notes Tensor Cores cannot exploit this).
 template <typename T>
-void symm(Side side, Uplo uplo, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c);
+void symm(Side side, Uplo uplo, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c);
 
 /// C = alpha * A A^T + beta * C (trans==No) or alpha * A^T A + beta * C,
 /// touching only the `uplo` triangle of C.
 template <typename T>
-void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c);
+void syrk(Uplo uplo, Trans trans, T alpha, View<T> a, T beta, MatrixView<T> c);
 
 /// C = alpha*(A B^T + B A^T) + beta*C (trans==No), `uplo` triangle only.
 /// This is the rank-2k update at the heart of ZY-based SBR; the paper notes
 /// Tensor Cores have no native syr2k, which is half the motivation for WY.
 template <typename T>
-void syr2k(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-           MatrixView<T> c);
+void syr2k(Uplo uplo, Trans trans, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c);
 
 /// B = alpha * op(A) * B (side==Left) or alpha * B * op(A) (side==Right),
 /// A triangular.
 template <typename T>
-void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b);
+void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, View<T> a, MatrixView<T> b);
 
 /// Solve op(A) X = alpha B (Left) or X op(A) = alpha B (Right) in place.
 template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b);
-
-// ---------------------------------------------------------------------------
-// Forwarding overloads: template deduction cannot see through the implicit
-// MatrixView -> ConstMatrixView conversion, so accept mutable views directly.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-void gemv(Trans trans, T alpha, MatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy) {
-  gemv(trans, alpha, ConstMatrixView<T>(a), x, incx, beta, y, incy);
-}
-template <typename T>
-void symv(Uplo uplo, T alpha, MatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy) {
-  symv(uplo, alpha, ConstMatrixView<T>(a), x, incx, beta, y, incy);
-}
-template <typename T>
-void trmv(Uplo uplo, Trans trans, Diag diag, MatrixView<T> a, T* x, index_t incx) {
-  trmv(uplo, trans, diag, ConstMatrixView<T>(a), x, incx);
-}
-template <typename T>
-void gemm(Trans ta, Trans tb, T alpha, MatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  gemm(ta, tb, alpha, ConstMatrixView<T>(a), b, beta, c);
-}
-template <typename T>
-void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a, MatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  gemm(ta, tb, alpha, a, ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void gemm(Trans ta, Trans tb, T alpha, MatrixView<T> a, MatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  gemm(ta, tb, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void syrk(Uplo uplo, Trans trans, T alpha, MatrixView<T> a, T beta, MatrixView<T> c) {
-  syrk(uplo, trans, alpha, ConstMatrixView<T>(a), beta, c);
-}
-template <typename T>
-void symm(Side side, Uplo uplo, T alpha, MatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  symm(side, uplo, alpha, ConstMatrixView<T>(a), b, beta, c);
-}
-template <typename T>
-void symm(Side side, Uplo uplo, T alpha, ConstMatrixView<T> a, MatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  symm(side, uplo, alpha, a, ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void symm(Side side, Uplo uplo, T alpha, MatrixView<T> a, MatrixView<T> b, T beta,
-          MatrixView<T> c) {
-  symm(side, uplo, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void syr2k(Uplo uplo, Trans trans, T alpha, MatrixView<T> a, ConstMatrixView<T> b, T beta,
-           MatrixView<T> c) {
-  syr2k(uplo, trans, alpha, ConstMatrixView<T>(a), b, beta, c);
-}
-template <typename T>
-void syr2k(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, MatrixView<T> b, T beta,
-           MatrixView<T> c) {
-  syr2k(uplo, trans, alpha, a, ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void syr2k(Uplo uplo, Trans trans, T alpha, MatrixView<T> a, MatrixView<T> b, T beta,
-           MatrixView<T> c) {
-  syr2k(uplo, trans, alpha, ConstMatrixView<T>(a), ConstMatrixView<T>(b), beta, c);
-}
-template <typename T>
-void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<T> a,
-          MatrixView<T> b) {
-  trmm(side, uplo, trans, diag, alpha, ConstMatrixView<T>(a), b);
-}
-template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<T> a,
-          MatrixView<T> b) {
-  trsm(side, uplo, trans, diag, alpha, ConstMatrixView<T>(a), b);
-}
+void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, View<T> a, MatrixView<T> b);
 
 #define TCEVD_BLAS_EXTERN(T)                                                                   \
   extern template T dot<T>(index_t, const T*, index_t, const T*, index_t);                     \

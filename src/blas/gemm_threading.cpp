@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "src/common/thread_pool.hpp"
-
 namespace tcevd {
 namespace blas {
 
@@ -30,7 +28,7 @@ std::uint64_t gemm_pool_dispatches() noexcept {
 namespace detail {
 
 bool use_gemm_pool(index_t m, index_t n, index_t k) noexcept {
-  if (ThreadPool::on_worker_thread() || gemm_serial_forced()) return false;
+  if (gemm_serial_forced()) return false;
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                        static_cast<double>(k);
   return flops >= kPoolFlopFloor;

@@ -4,16 +4,17 @@
 // process-wide gemm_pool() — but only when doing so cannot oversubscribe the
 // machine. The composition contract has three layers:
 //
-//   1. ThreadPool::on_worker_thread(): a GEMM issued from inside ANY pool
-//      worker (EvdService runners) takes the serial tile loop.
-//      The service pool owns the parallelism budget at its level; GEMM-level
-//      threads stand down underneath it.
-//   2. SerialGemmScope: an RAII guard that forces the serial tile loop on
-//      this thread until the scope exits (nestable) — the serial reference
-//      the pooled-vs-serial bitwise tests and kernel benchmarks compare
-//      against. The second-stage chase (bulge::bulge_chase_auto) stays on
-//      the calling thread under it too, so a solve inside the scope leaves
-//      gemm_pool() idle.
+//   1. SerialGemmScope: an RAII guard that forces the serial tile loop on
+//      this thread until the scope exits (nestable). Every EvdService runner
+//      holds one for its whole life: the runners own the parallelism budget
+//      at their level, and GEMM-level threads stand down underneath them.
+//      It is also the serial reference the pooled-vs-serial bitwise tests
+//      and kernel benchmarks compare against. The second-stage chase
+//      (bulge::bulge_chase_auto) stays on the calling thread under it too,
+//      so a solve inside the scope leaves gemm_pool() idle.
+//   2. One broadcast at a time: a GEMM issued while gemm_pool() is busy —
+//      from another thread, or from inside one of its own broadcast
+//      indices — finds try_broadcast declined and runs its tiles inline.
 //   3. A size floor: tiny GEMMs (2mnk below ~4 Mflop) are not worth a
 //      broadcast round-trip and stay serial regardless.
 //
@@ -46,15 +47,14 @@ bool gemm_serial_forced() noexcept;
 
 /// Process-wide count of macro-tile fan-outs dispatched onto gemm_pool()
 /// (a large gemm contributes one per macro block that actually broadcast).
-/// Test hook: stress tests assert this stays flat while nested (EvdService
-/// runner) GEMMs run, proving the stand-down contract holds.
+/// Test hook: stress tests assert this stays flat while EvdService runners
+/// solve, proving the stand-down contract holds.
 std::uint64_t gemm_pool_dispatches() noexcept;
 
 namespace detail {
 
-/// Decide whether this gemm call may fan out on gemm_pool(): not nested under
-/// a pool worker, not inside a SerialGemmScope, and big enough to amortize
-/// the broadcast round-trip.
+/// Decide whether this gemm call may fan out on gemm_pool(): not inside a
+/// SerialGemmScope, and big enough to amortize the broadcast round-trip.
 bool use_gemm_pool(index_t m, index_t n, index_t k) noexcept;
 
 /// Bump the gemm_pool_dispatches() counter. Called once per macro-tile

@@ -3,8 +3,7 @@
 namespace tcevd::blas {
 
 template <typename T>
-void gemv(Trans trans, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy) {
+void gemv(Trans trans, T alpha, View<T> a, const T* x, index_t incx, T beta, T* y, index_t incy) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   if (trans == Trans::No) {
@@ -36,8 +35,7 @@ void gemv(Trans trans, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, 
 }
 
 template <typename T>
-void symv(Uplo uplo, T alpha, ConstMatrixView<T> a, const T* x, index_t incx, T beta, T* y,
-          index_t incy) {
+void symv(Uplo uplo, T alpha, View<T> a, const T* x, index_t incx, T beta, T* y, index_t incy) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "symv requires square A");
   if (beta != T{1}) scal(n, beta, y, incy);
@@ -88,7 +86,7 @@ void syr2(Uplo uplo, T alpha, const T* x, index_t incx, const T* y, index_t incy
 }
 
 template <typename T>
-void trmv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a, T* x, index_t incx) {
+void trmv(Uplo uplo, Trans trans, Diag diag, View<T> a, T* x, index_t incx) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "trmv requires square A");
   const bool unit = diag == Diag::Unit;

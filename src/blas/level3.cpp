@@ -21,8 +21,7 @@ inline bool op_is_lower(Uplo uplo, Trans trans) {
 }  // namespace
 
 template <typename T>
-void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
-          T beta, MatrixView<T> c) {
+void gemm(Trans transa, Trans transb, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c) {
   // All four trans combinations run the transpose-aware packed pipeline —
   // zero intermediate matrices, pooled over disjoint C tiles when profitable
   // (bitwise-identical to serial; see src/blas/gemm_packed.hpp).
@@ -30,8 +29,7 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a, ConstMatrix
 }
 
 template <typename T>
-void symm(Side side, Uplo uplo, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-          MatrixView<T> c) {
+void symm(Side side, Uplo uplo, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c) {
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t na = (side == Side::Left) ? m : n;
@@ -66,7 +64,7 @@ void symm(Side side, Uplo uplo, T alpha, ConstMatrixView<T> a, ConstMatrixView<T
 }
 
 template <typename T>
-void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c) {
+void syrk(Uplo uplo, Trans trans, T alpha, View<T> a, T beta, MatrixView<T> c) {
   const index_t n = c.rows();
   const index_t k = (trans == Trans::No) ? a.cols() : a.rows();
   TCEVD_CHECK(c.cols() == n, "syrk requires square C");
@@ -95,8 +93,7 @@ void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixV
 }
 
 template <typename T>
-void syr2k(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-           MatrixView<T> c) {
+void syr2k(Uplo uplo, Trans trans, T alpha, View<T> a, View<T> b, T beta, MatrixView<T> c) {
   const index_t n = c.rows();
   const index_t k = (trans == Trans::No) ? a.cols() : a.rows();
   TCEVD_CHECK(c.cols() == n, "syr2k requires square C");
@@ -127,8 +124,7 @@ void syr2k(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, ConstMatrixVie
 }
 
 template <typename T>
-void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b) {
+void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, View<T> a, MatrixView<T> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
   const index_t na = (side == Side::Left) ? m : n;
@@ -178,8 +174,7 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView
 }
 
 template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView<T> a,
-          MatrixView<T> b) {
+void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, View<T> a, MatrixView<T> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
   const index_t na = (side == Side::Left) ? m : n;

@@ -220,7 +220,7 @@ BulgeResult<T> bulge_chase_band(Context& ctx, sbr::BandMatrix<T>& band, MatrixVi
   StageTimer stage(ctx.telemetry(), "bulge.chase");
 
   long lanes = 1;
-  if (pool != nullptr && !ThreadPool::on_worker_thread()) {
+  if (pool != nullptr) {
     lanes = static_cast<long>(pool->size()) + 1;  // the caller steals blocks too
     if (max_lanes > 0) lanes = std::min<long>(lanes, max_lanes);
   }
@@ -254,14 +254,10 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, ConstMatrixView<T> a, index_t bw,
   TCEVD_CHECK(a.cols() == n, "bulge_chase_auto requires a square matrix");
   TCEVD_CHECK(bw >= 1, "bulge_chase_auto bandwidth must be >= 1");
   const bool forced = bulge_threads >= 2;
-  const bool eligible = bulge_threads != 1 && bw >= 2 && n > 2 &&
-                        !ThreadPool::on_worker_thread() && !blas::gemm_serial_forced();
+  const bool eligible = bulge_threads != 1 && bw >= 2 && n > 2 && !blas::gemm_serial_forced();
   if (forced && !eligible) {
     // Say why the requested lanes never lit up, so perf-knob users can see it.
-    const char* why = ThreadPool::on_worker_thread()
-                          ? "the caller is already a thread-pool worker (nested "
-                            "parallelism stays serial)"
-                      : blas::gemm_serial_forced()
+    const char* why = blas::gemm_serial_forced()
                           ? "a SerialGemmScope is open on the calling thread"
                       : bw < 2 ? "the band is too narrow (bandwidth < 2)"
                                : "the matrix is too small (n <= 2)";

@@ -45,12 +45,12 @@ struct BulgeResult {
 /// non-null it must have n columns; every rotation is applied to it on the
 /// right (pass the SBR's Q to keep the full similarity transform). Lanes fan
 /// out on `pool`, at most `max_lanes` of them (0: pool size + 1, the caller
-/// included). No pool, one lane, a caller that is itself a pool worker, or a
-/// diagonal with a single sweep block runs on the calling thread; a busy pool
-/// (try_broadcast declined) makes the caller drain the schedule itself. The
-/// output never depends on any of this. The progress vector lives in the
-/// context's workspace arena, so steady-state calls allocate only (d, e);
-/// the elapsed time lands on the context telemetry under "bulge.chase".
+/// included). No pool, one lane, or a diagonal with a single sweep block runs
+/// on the calling thread; a busy pool (try_broadcast declined) makes the
+/// caller drain the schedule itself. The output never depends on any of
+/// this. The progress vector lives in the context's workspace arena, so
+/// steady-state calls allocate only (d, e); the elapsed time lands on the
+/// context telemetry under "bulge.chase".
 template <typename T>
 BulgeResult<T> bulge_chase_band(Context& ctx, sbr::BandMatrix<T>& band,
                                 MatrixView<T>* q = nullptr, ThreadPool* pool = nullptr,
@@ -89,12 +89,12 @@ inline constexpr index_t kAutoLanesMinN = 1024;
 /// applying every rotation to `q` when it is non-null. Only the lane count
 /// depends on EvdOptions::bulge_threads: 1 runs serially, k >= 2 allows up
 /// to k lanes on gemm_pool(), and 0 uses gemm_pool()'s lanes only when Q is
-/// accumulated, n >= kAutoLanesMinN and the caller is not a pool worker
-/// (EvdService runners are the parallelism). Inside a blas::SerialGemmScope
+/// accumulated and n >= kAutoLanesMinN. Inside a blas::SerialGemmScope —
+/// every EvdService runner holds one, since the runners are the parallelism —
 /// the chase stays on the calling thread at every setting. An explicit
-/// k >= 2 that cannot engage (pool worker, SerialGemmScope, bandwidth < 2
-/// or n <= 2) runs serially and notes the downgrade at recovery site
-/// "evd.second_stage". Output never depends on bulge_threads.
+/// k >= 2 that cannot engage (SerialGemmScope, bandwidth < 2 or n <= 2) runs
+/// serially and notes the downgrade at recovery site "evd.second_stage".
+/// Output never depends on bulge_threads.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, ConstMatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

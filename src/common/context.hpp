@@ -3,8 +3,8 @@
 // A Context bundles the three pieces of per-solve state that used to hide in
 // engine members and thread-locals:
 //
-//   * the GemmEngine executing every level-3 update (borrowed and shareable
-//     across contexts, or owned by this context),
+//   * the GemmEngine executing every level-3 update (borrowed, and shareable
+//     across contexts),
 //   * a bump-pointer workspace arena the hot paths check their temporaries
 //     out of (see src/common/workspace.hpp) — size it up front with the
 //     workspace_query APIs for allocation-free steady state,
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -147,12 +146,6 @@ class Context {
   /// many contexts — one per thread — may borrow the same engine.
   explicit Context(tc::GemmEngine& engine) : engine_(&engine) {}
 
-  /// Take ownership of `engine`.
-  explicit Context(std::unique_ptr<tc::GemmEngine> engine)
-      : engine_(engine.get()), owned_(std::move(engine)) {
-    TCEVD_CHECK(engine_ != nullptr, "Context requires a non-null engine");
-  }
-
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -176,7 +169,6 @@ class Context {
  private:
   friend class EngineOverrideScope;
   tc::GemmEngine* engine_;
-  std::unique_ptr<tc::GemmEngine> owned_;
   Workspace workspace_;
   Telemetry telemetry_;
 };

@@ -1,25 +1,16 @@
 #include "src/common/thread_pool.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/common/check.hpp"
 
 namespace tcevd {
 
-namespace {
-// Set for the lifetime of every pool worker thread (any pool). File-static so
-// the flag is shared across all ThreadPool instances in the process.
-thread_local bool t_on_pool_worker = false;
-}  // namespace
-
-bool ThreadPool::on_worker_thread() noexcept { return t_on_pool_worker; }
-
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
   workers_.reserve(static_cast<std::size_t>(num_threads));
   for (int w = 0; w < num_threads; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -29,21 +20,6 @@ ThreadPool::~ThreadPool() {
   }
   work_ready_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  TCEVD_CHECK(task != nullptr, "ThreadPool::submit requires a non-null task");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TCEVD_CHECK(!stop_, "ThreadPool::submit on a stopping pool");
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 bool ThreadPool::broadcast_live_locked() const noexcept {
@@ -160,30 +136,14 @@ int ThreadPool::hardware_threads() noexcept {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::worker_loop(int /*worker_id*/) {
-  t_on_pool_worker = true;
+void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock,
-                       [this] { return stop_ || !queue_.empty() || broadcast_live_locked(); });
-      if (broadcast_live_locked()) {
-        lock.unlock();
-        broadcast_participate();
-        continue;
-      }
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
+      work_ready_.wait(lock, [this] { return stop_ || broadcast_live_locked(); });
+      if (!broadcast_live_locked()) return;  // stop_ set and no broadcast to join
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) all_idle_.notify_all();
-    }
+    broadcast_participate();
   }
 }
 

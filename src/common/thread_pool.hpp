@@ -1,30 +1,28 @@
-// Fixed-size worker thread pool: the EvdService runners and the shared
-// gemm_pool() fan-out.
+// Fixed-size broadcast pool behind gemm_pool(): the packed GEMM's tile
+// fan-out and the bulge wavefront's chase lanes.
 //
-// The pool owns `size()` long-lived workers draining one FIFO task queue.
-// EvdService submits one long-lived runner task per worker; gemm_pool()
-// fans packed-GEMM tiles out with try_broadcast, whose participants
-// work-steal indices off a shared atomic counter, so a slow index on one
-// worker never strands the rest behind it.
+// The pool owns `size()` long-lived workers whose only job is to join
+// broadcasts: try_broadcast publishes one data-parallel call, and its
+// participants (the workers and the calling thread) work-steal indices off a
+// shared atomic counter, so a slow index on one worker never strands the rest
+// behind it. There is no task queue: EvdService runs its requests on threads
+// of its own (src/evd/service.hpp).
 //
-// Thread-safety contract: the pool's own state (queue, counters) is fully
-// synchronized; everything a task touches is the task's business. The
-// intended shape for the solver pipelines is N workers x N Contexts x one
-// shared GemmEngine — per-worker mutable state (workspace arena, telemetry)
-// lives on a Context owned by exactly one worker, while the engines are
-// stateless-per-call and safely shared (see src/common/context.hpp).
+// Thread-safety contract: the pool's own state is fully synchronized;
+// everything an index touches is the broadcast's business. The intended shape
+// for the solver pipelines is N threads x N Contexts x one shared GemmEngine —
+// per-thread mutable state (workspace arena, telemetry) lives on a Context
+// owned by exactly one thread, while the engines are stateless-per-call and
+// safely shared (see src/common/context.hpp).
 //
-// Tasks must not throw: an exception escaping a task would unwind a worker
-// thread and terminate the process, so tasks that can fail should report
-// through Status values they capture instead.
+// Broadcast functions must not throw: an exception escaping one would unwind
+// a worker thread and terminate the process.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,59 +31,44 @@ namespace tcevd {
 
 class ThreadPool {
  public:
-  /// Spin up `num_threads` workers; values < 1 clamp to 1. The pool never
-  /// runs tasks on the calling thread (size() == 1 still means one worker),
-  /// so a task may block on the caller without deadlocking the queue.
+  /// Spin up `num_threads` workers; values < 1 clamp to 1.
   explicit ThreadPool(int num_threads);
-  /// Drains nothing: outstanding tasks finish, queued-but-unstarted tasks
-  /// still run, then the workers join.
+  /// Joins the workers.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const noexcept { return static_cast<int>(workers_.size()); }
 
-  /// Enqueue one task. Tasks run in FIFO order across the worker set.
-  void submit(std::function<void()> task);
-
-  /// Block until the queue is empty and every worker is idle.
-  void wait_idle();
-
   /// Allocation-free data-parallel fan-out: run fn(ctx, index) for every
   /// index in [0, count), with the pool's workers AND the calling thread
-  /// stealing indices off a shared atomic counter. Unlike submit this
-  /// performs zero heap allocations (no std::function, no per-call shared
+  /// stealing indices off a shared atomic counter. It performs zero heap
+  /// allocations (a plain function pointer and context, no per-call shared
   /// state) — it is the dispatch the packed GEMM macro-kernel uses, so a
   /// steady-state gemm call stays allocation-free even when pooled.
   ///
   /// One broadcast at a time per pool: returns false without running
   /// anything when another broadcast is already in flight (or the pool is
-  /// stopping) — the caller must then run the indices itself. Returns true
-  /// after every index has completed. The indices must be independent; the
-  /// result must not depend on which thread runs which index (the packed
-  /// GEMM satisfies this by giving each index a disjoint C tile).
+  /// stopping) — the caller must then run the indices itself. That includes
+  /// a call from inside one of the pool's own participants, so a GEMM or a
+  /// chase issued from a broadcast index runs inline instead of deadlocking.
+  /// Returns true after every index has completed. The indices must be
+  /// independent; the result must not depend on which thread runs which
+  /// index (the packed GEMM satisfies this by giving each index a disjoint C
+  /// tile).
   bool try_broadcast(long count, void (*fn)(void* ctx, long index), void* ctx);
-
-  /// True when the calling thread is a worker of ANY ThreadPool. This is the
-  /// nested-parallelism guard: the packed GEMM macro-kernel consults it and
-  /// routes to the serial tile loop instead of fanning out again, so GEMMs
-  /// under EvdService runners never oversubscribe.
-  static bool on_worker_thread() noexcept;
 
   /// std::thread::hardware_concurrency with a sane floor of 1.
   static int hardware_threads() noexcept;
 
  private:
-  void worker_loop(int worker_id);
+  void worker_loop();
   void broadcast_participate();
   bool broadcast_live_locked() const noexcept;
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
-  std::condition_variable work_ready_;   // queue_ gained a task, stop_, or broadcast
-  std::condition_variable all_idle_;     // queue empty && in_flight_ == 0
-  int in_flight_ = 0;                    // tasks popped but not yet finished
+  std::condition_variable work_ready_;  // a broadcast started, or stop_
   bool stop_ = false;
 
   // try_broadcast state. fn/ctx/count/epoch/active are guarded by mutex_:
@@ -123,13 +106,12 @@ class ThreadPool {
 void spin_wait_hint(int& backoff) noexcept;
 
 /// Process-wide pool backing the packed GEMM macro-kernel's tile fan-out
-/// (blas/gemm_packed.hpp). Lazily constructed on first use with
-/// hardware_threads() - 1 workers (the broadcasting caller steals tiles too,
-/// so the total equals the hardware width). Thread-ownership contract: this
-/// pool is only ever driven via try_broadcast from threads that are NOT pool
-/// workers — nested GEMMs under EvdService runners, or any
-/// other pool task, take the serial tile loop instead (see
-/// ThreadPool::on_worker_thread and blas::SerialGemmScope).
+/// (blas/gemm_packed.hpp) and the bulge wavefront's lanes. Lazily
+/// constructed on first use with hardware_threads() - 1 workers (the
+/// broadcasting caller steals tiles too, so the total equals the hardware
+/// width). Threads that own the parallelism at a higher level — EvdService
+/// runners — stand down with blas::SerialGemmScope; a GEMM or chase issued
+/// from inside a broadcast finds the pool busy and runs on its own thread.
 ThreadPool& gemm_pool();
 
 }  // namespace tcevd

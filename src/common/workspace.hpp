@@ -56,7 +56,7 @@ class Workspace {
   /// replaced by one block of max(bytes, high_water_mark()), so a driver
   /// that re-reserves between iterations rewinds to one contiguous block
   /// covering its observed peak instead of re-spilling forever — the
-  /// steady-state contract the EvdService context pool leans on.
+  /// steady-state contract EvdService's per-runner contexts lean on.
   void reserve(std::size_t bytes);
 
   /// Raw aligned checkout, uninitialized. The returned memory is owned by

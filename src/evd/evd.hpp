@@ -62,16 +62,16 @@ struct EvdOptions {
   bool vectors = false;                         ///< compute eigenvectors
   /// Lanes of the second stage (src/bulge/bulge_wavefront.hpp,
   /// bulge_chase_auto), which chases the band in compact O(n*b) storage with
-  /// or without Q. 0 = auto: up to gemm_pool()'s lanes when Q is accumulated,
-  /// n >= 1024 and the caller is not itself a pool worker (EvdService runners
-  /// keep the serial chase — they ARE the parallelism); otherwise serial.
-  /// 1 = always the serial chase. k >= 2 = at most k lanes, with or without
-  /// Q. Inside a blas::SerialGemmScope every setting runs the serial chase.
-  /// Every setting produces bitwise-identical output — the wavefront
-  /// schedule is pinned to the serial rotation sequence (docs/ALGORITHMS.md
-  /// §14) — so this is a performance knob, never an accuracy one. An explicit
-  /// k >= 2 that cannot engage (pool worker, SerialGemmScope, bandwidth < 2,
-  /// or n <= 2) runs a serial chase and notes the downgrade in
+  /// or without Q. 0 = auto: up to gemm_pool()'s lanes when Q is accumulated
+  /// and n >= 1024; otherwise serial. 1 = always the serial chase. k >= 2 =
+  /// at most k lanes, with or without Q. Inside a blas::SerialGemmScope every
+  /// setting runs the serial chase; every EvdService runner holds one, so
+  /// service requests keep the serial chase — the runners ARE the
+  /// parallelism. Every setting produces bitwise-identical output — the
+  /// wavefront schedule is pinned to the serial rotation sequence
+  /// (docs/ALGORITHMS.md §14) — so this is a performance knob, never an
+  /// accuracy one. An explicit k >= 2 that cannot engage (SerialGemmScope,
+  /// bandwidth < 2, or n <= 2) runs a serial chase and notes the downgrade in
   /// EvdResult::recovery at site "evd.second_stage".
   int bulge_threads = 0;
   /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)

@@ -1,25 +1,18 @@
 #include "src/evd/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <string>
 #include <utility>
 
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/recovery.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 
 namespace tcevd::evd {
 
 namespace {
-
-/// Contexts are interchangeable within a size-class, so round the per-request
-/// workspace bound up to a power of two (floor: the arena's own minimum block)
-/// — a 1000 x 1000 and a 1024 x 1024 request share warm arenas instead of
-/// each founding a class of their own.
-std::size_t workspace_size_class(std::size_t bytes) noexcept {
-  return std::bit_ceil(std::max(bytes, Workspace::kMinBlockBytes));
-}
 
 /// Static telemetry keys: a hot stream records a stage under these every few
 /// microseconds, so the lookups must not allocate.
@@ -44,12 +37,10 @@ double elapsed_s(std::chrono::steady_clock::time_point from,
 
 EvdService::EvdService(tc::GemmEngine& engine, const ServiceOptions& opt)
     : engine_(&engine), opt_(opt) {
-  threads_ = opt_.num_threads > 0 ? opt_.num_threads : ThreadPool::hardware_threads();
+  const int threads = opt_.num_threads > 0 ? opt_.num_threads : ThreadPool::hardware_threads();
   opt_.max_in_flight = std::max(opt_.max_in_flight, 1);
-  pool_ = std::make_unique<ThreadPool>(threads_);
-  // One runner task per worker; they occupy the pool for the service's whole
-  // life, idling on sched_cv_ between requests.
-  for (int r = 0; r < threads_; ++r) pool_->submit([this, r] { runner_loop(r); });
+  runners_.resize(static_cast<std::size_t>(threads));
+  for (int r = 0; r < threads; ++r) threads_.emplace_back([this, r] { runner_loop(r); });
 }
 
 EvdService::~EvdService() {
@@ -60,7 +51,7 @@ EvdService::~EvdService() {
   }
   sched_cv_.notify_all();
   admit_cv_.notify_all();
-  pool_.reset();  // joins the runners
+  for (std::thread& t : threads_) t.join();
 }
 
 StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
@@ -68,7 +59,6 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
   const std::optional<IndexRange> range =
       ropt.selected ? std::optional(IndexRange{ropt.il, ropt.iu}) : std::nullopt;
   TCEVD_RETURN_IF_ERROR(validate_request(a, ropt.evd, range, "EvdService::submit"));
-  const std::size_t size_class = workspace_size_class(workspace_query(a.rows(), ropt.evd));
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (in_flight_ >= opt_.max_in_flight) {
@@ -106,7 +96,6 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
     req.deadline_tp =
         req.submit_tp +
         std::min(std::chrono::duration_cast<Clock::duration>(deadline), headroom);
-  req.size_class = size_class;
   req.range = range;
   req.completed = false;
   req.result = RequestResult{};
@@ -149,6 +138,10 @@ int EvdService::pick_ready_locked(Clock::time_point now) const noexcept {
 }
 
 void EvdService::runner_loop(int runner) {
+  // The runners are the parallelism: the GEMMs and chases of their requests
+  // stay on the runner's thread.
+  blas::SerialGemmScope serial;
+  Runner& self = runners_[static_cast<std::size_t>(runner)];
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     int ri = -1;
@@ -173,17 +166,18 @@ void EvdService::runner_loop(int runner) {
       continue;
     }
     record_locked(kQueueKey, elapsed_s(req.submit_tp, start));
-    std::unique_ptr<Context> ctx = acquire_context_locked(req.size_class);
+    if (!self.ctx) self.ctx = std::make_unique<Context>(*engine_);
+    self.solving = true;
 
     // The slot is out of ready_, so this runner owns the request until it
     // finalizes it.
     lock.unlock();
-    solve_request(req, *ctx);
+    solve_request(req, *self.ctx);
     req.result.worker = runner;
     req.result.seconds = elapsed_s(start, Clock::now());
     lock.lock();
+    self.solving = false;
     if (req.result.status.code() == ErrorCode::DeadlineExceeded) ++expired_;
-    release_context_locked(req.size_class, std::move(ctx));
     finalize_locked(req);
   }
 }
@@ -227,7 +221,7 @@ void EvdService::solve_request(Request& req, Context& ctx) {
     thrown = Status(ErrorCode::Internal, "EvdService: uncaught non-std exception");
   }
   if (!thrown.ok()) {
-    // A throw out of a pool task would take the process down, so it fails
+    // A throw out of a runner thread would take the process down, so it fails
     // this request alone. The solve never recorded its log, so record it
     // here.
     req.result.status = std::move(thrown);
@@ -254,25 +248,6 @@ void EvdService::finalize_locked(Request& req) {
   --in_flight_;
   done_cv_.notify_all();
   admit_cv_.notify_one();
-}
-
-std::unique_ptr<Context> EvdService::acquire_context_locked(std::size_t size_class) {
-  auto it = idle_contexts_.find(size_class);
-  if (it != idle_contexts_.end() && !it->second.empty()) {
-    std::unique_ptr<Context> ctx = std::move(it->second.back());
-    it->second.pop_back();
-    return ctx;
-  }
-  auto ctx = std::make_unique<Context>(*engine_);
-  ctx->workspace().reserve(size_class);
-  return ctx;
-}
-
-void EvdService::release_context_locked(std::size_t size_class,
-                                        std::unique_ptr<Context> ctx) {
-  // No retention cap is needed: a class only grows when a request starts
-  // with none of its contexts idle, so it never exceeds the runner count.
-  idle_contexts_[size_class].push_back(std::move(ctx));
 }
 
 RequestResult EvdService::wait(RequestId id) {
@@ -306,10 +281,8 @@ Telemetry EvdService::telemetry_snapshot() {
   std::lock_guard<std::mutex> lock(mutex_);
   Telemetry out;
   out.merge_from(telemetry_);
-  for (auto& [size_class, idle] : idle_contexts_) {
-    (void)size_class;
-    for (const std::unique_ptr<Context>& ctx : idle) out.merge_from(ctx->telemetry());
-  }
+  for (const Runner& r : runners_)
+    if (r.ctx && !r.solving) out.merge_from(r.ctx->telemetry());
   return out;
 }
 
@@ -320,11 +293,9 @@ ServiceStats EvdService::stats() const {
   s.completed = completed_;
   s.rejected = rejected_;
   s.deadline_expired = expired_;
-  s.num_threads = threads_;
-  for (const auto& [size_class, idle] : idle_contexts_) {
-    (void)size_class;
-    s.pooled_contexts += idle.size();
-  }
+  s.num_threads = num_threads();
+  for (const Runner& r : runners_)
+    if (r.ctx) ++s.pooled_contexts;
   return s;
 }
 

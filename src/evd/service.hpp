@@ -3,9 +3,9 @@
 //
 // EvdService accepts an open-ended stream of requests — mixed sizes, mixed
 // options, full or selected spectra — and runs them on a fixed set of
-// runners. A runner takes a waiting request, checks a Context out for it and
-// runs the whole solve with evd::run_solve (src/evd/pipeline.hpp), the
-// function evd::solve and evd::solve_selected run, so per-request results are
+// runners. A runner takes a waiting request and runs the whole solve on its
+// own Context with evd::run_solve (src/evd/pipeline.hpp), the function
+// evd::solve and evd::solve_selected run, so per-request results are
 // bitwise-identical to those calls — the service changes scheduling, never
 // numerics.
 //
@@ -19,21 +19,22 @@
 // deadline expires mid-pipeline fails before its next stage. At most
 // num_threads requests are mid-pipeline at once.
 //
-// Contexts are pooled by workspace size-class (workspace_query rounded up to
-// a power of two): a request checks a warm Context out of its class, runs
-// every stage on it, and returns it, so the steady state of a homogeneous
-// stream performs zero arena growth per request. A context is created only
-// when a request starts and its class has none idle, so a class never holds
-// more contexts than there are runners, and every context stays pooled for
-// the service's lifetime.
+// Runners: num_threads std::threads, joined by the destructor. Each holds one
+// blas::SerialGemmScope for its whole life — the runners are the parallelism,
+// so a request's GEMMs and chase stay on its runner — and one Context, created
+// on its first request and reused for every later one. run_solve reserves
+// workspace_query bytes on it and an idle arena coalesces into one block at
+// its peak, so once a runner has run its largest request, a stream of any size
+// mix performs zero arena growth per request.
 //
 // Telemetry: per-problem evd.* stages land on the solving Context exactly as
 // in a sequential solve; the service additionally records, under its own
 // aggregate sink, "service.queue" (admission-to-start wait) and
 // "service.stage.<reduction|bulge|solver|verify>" (per-stage wall time),
 // each both as a StageStat (throughput) and a LatencyStat (histogram
-// quantiles). telemetry_snapshot() merges the service sink with every idle
-// pooled Context; call it quiescent (after wait_all) for complete numbers.
+// quantiles). telemetry_snapshot() merges the service sink with every runner
+// Context that is not mid-request; call it quiescent (after wait_all) for
+// complete numbers.
 //
 // Thread-safety: submit/wait/wait_all/stats/telemetry_snapshot may be called
 // from any thread, concurrently. The submitted matrix view is borrowed and
@@ -45,17 +46,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "src/common/context.hpp"
 #include "src/common/matrix.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/status.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/pipeline.hpp"
 
@@ -68,7 +68,7 @@ enum class OverflowPolicy {
 };
 
 struct ServiceOptions {
-  /// Worker count; 0 picks ThreadPool::hardware_threads().
+  /// Runner count; 0 picks ThreadPool::hardware_threads().
   int num_threads = 0;
   /// Admission bound: submitted-but-not-completed requests (results awaiting
   /// wait() have already released their slot). Values < 1 clamp to 1.
@@ -124,21 +124,21 @@ struct ServiceStats {
   long rejected = 0;           ///< Reject-policy admission refusals
   long deadline_expired = 0;   ///< completed with DeadlineExceeded
   int num_threads = 0;
-  std::size_t pooled_contexts = 0;  ///< idle Contexts across all size-classes
+  std::size_t pooled_contexts = 0;  ///< runner Contexts created (<= num_threads)
 };
 
 class EvdService {
  public:
-  /// `engine` is borrowed, shared by every pooled Context, and must outlive
+  /// `engine` is borrowed, shared by every runner's Context, and must outlive
   /// the service.
   explicit EvdService(tc::GemmEngine& engine, const ServiceOptions& opt = {});
   /// Drains: blocks until every in-flight request completes (unclaimed
-  /// results are discarded), then joins the workers.
+  /// results are discarded), then joins the runners.
   ~EvdService();
   EvdService(const EvdService&) = delete;
   EvdService& operator=(const EvdService&) = delete;
 
-  int num_threads() const noexcept { return threads_; }
+  int num_threads() const noexcept { return static_cast<int>(runners_.size()); }
 
   /// Enqueue one request. Fails with InvalidArgument (non-square input,
   /// bandwidth < 1, bad selected range) or ResourceExhausted (Reject policy,
@@ -156,9 +156,9 @@ class EvdService {
   void wait_all();
 
   /// Service aggregate (queue/stage throughput + latency histograms) merged
-  /// with every idle pooled Context's per-problem telemetry. Contexts bound
-  /// to requests still in flight are not included — quiesce first for
-  /// complete numbers.
+  /// with the per-problem telemetry of every runner Context that is not
+  /// mid-request. A Context whose runner is solving is skipped, not waited
+  /// for — quiesce first for complete numbers.
   Telemetry telemetry_snapshot();
 
   ServiceStats stats() const;
@@ -176,11 +176,18 @@ class EvdService {
     Clock::time_point submit_tp;
     Clock::time_point deadline_tp;
     bool has_deadline = false;
-    std::size_t size_class = 0;
     std::optional<IndexRange> range;  ///< set for selected requests
     // Completion.
     bool completed = false;
     RequestResult result;
+  };
+
+  /// One per runner thread. The Context is created on the runner's first
+  /// request and reused for every later one; while `solving`, only the
+  /// runner touches it.
+  struct Runner {
+    std::unique_ptr<Context> ctx;  ///< guarded by mutex_
+    bool solving = false;          ///< guarded by mutex_
   };
 
   void runner_loop(int runner);
@@ -194,14 +201,11 @@ class EvdService {
   void solve_request(Request& req, Context& ctx);
   /// One service.queue / service.stage.* sample, as stage and latency.
   void record_locked(const char* key, double seconds);
-  std::unique_ptr<Context> acquire_context_locked(std::size_t size_class);
-  void release_context_locked(std::size_t size_class, std::unique_ptr<Context> ctx);
   /// Mark `req` complete and wake its waiters.
   void finalize_locked(Request& req);
 
   tc::GemmEngine* engine_;
   ServiceOptions opt_;
-  int threads_ = 0;
 
   mutable std::mutex mutex_;
   std::condition_variable sched_cv_;  ///< ready_/stopping_ changed
@@ -213,14 +217,14 @@ class EvdService {
   long in_flight_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
-  std::map<std::size_t, std::vector<std::unique_ptr<Context>>> idle_contexts_;
-  Telemetry telemetry_;  ///< service.queue / service.stage.*
+  std::vector<Runner> runners_;  ///< sized before the threads start, never resized
+  Telemetry telemetry_;          ///< service.queue / service.stage.*
   long submitted_ = 0;
   long completed_ = 0;
   long rejected_ = 0;
   long expired_ = 0;
 
-  std::unique_ptr<ThreadPool> pool_;  ///< last member: runners touch the above
+  std::vector<std::thread> threads_;  ///< last member: runners touch the above
 };
 
 }  // namespace tcevd::evd

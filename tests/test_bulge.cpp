@@ -425,10 +425,10 @@ TEST(BulgeWavefront, AutoRouteIsBitwiseInvariant) {
 }
 
 // The auto route (bulge_threads = 0) takes gemm_pool()'s lanes only for a
-// vectors chase from kAutoLanesMinN up, and never from a pool worker. A lane
-// chase checks its progress vector out of the arena; the plain loop checks
-// out nothing. Q is one row (the route asks whether Q is accumulated, not
-// how tall it is) and the band is narrow, so the test stays cheap.
+// vectors chase from kAutoLanesMinN up. A lane chase checks its progress
+// vector out of the arena; the plain loop checks out nothing. Q is one row
+// (the route asks whether Q is accumulated, not how tall it is) and the band
+// is narrow, so the test stays cheap.
 TEST(BulgeWavefront, AutoRouteTakesLanesOnlyForVectorsFromTheCrossover) {
   const index_t bw = 2;
   const bool pool_has_workers = gemm_pool().size() > 0;
@@ -444,14 +444,6 @@ TEST(BulgeWavefront, AutoRouteTakesLanesOnlyForVectorsFromTheCrossover) {
       const bool lanes = with_q && n >= bulge::kAutoLanesMinN && pool_has_workers;
       EXPECT_EQ(ctx.workspace().high_water_mark() > 0, lanes);
     }
-    if (n < bulge::kAutoLanesMinN) continue;
-    Context worker_ctx(eng);
-    ThreadPool outer(1);
-    outer.submit([&] {
-      (void)bulge::bulge_chase_auto<float>(worker_ctx, a.view(), bw, &qv, 0);
-    });
-    outer.wait_idle();
-    EXPECT_EQ(worker_ctx.workspace().high_water_mark(), 0u) << "a pool worker fanned out";
   }
 }
 
@@ -527,7 +519,7 @@ TEST(BulgeWavefront, CompactRouteLeavesInputAndRecordsItsStage) {
 
 // Regression for the silent-serialization bug: an explicit bulge_threads >= 2
 // that cannot engage the wavefront (narrow band, tiny matrix, or a caller
-// that is already a pool worker) used to fall back to a serial chase with no
+// under a SerialGemmScope) used to fall back to a serial chase with no
 // trace. It must note the downgrade at site "evd.second_stage" — and still
 // produce bitwise-identical output.
 TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
@@ -573,9 +565,9 @@ TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   EXPECT_GT(ctx2.telemetry().stage_seconds("bulge.chase"), 0.0);
 }
 
-// The downgrade is also visible end-to-end: an EvdService runner IS a pool
-// thread, so an explicit lane request on a vectors solve serializes there —
-// with the note surfaced in the request's recovery log.
+// The downgrade is also visible end-to-end: an EvdService runner holds a
+// SerialGemmScope, so an explicit lane request on a vectors solve serializes
+// there — with the note surfaced in the request's recovery log.
 TEST(BulgeWavefront, ForcedThreadsUnderServiceRunnerNoteTheDowngrade) {
   std::vector<Matrix<float>> mats;
   mats.push_back(test::random_symmetric<float>(64, 79));
@@ -593,9 +585,9 @@ TEST(BulgeWavefront, ForcedThreadsUnderServiceRunnerNoteTheDowngrade) {
   bool noted = false;
   for (const RecoveryEvent& ev : res[0].recovery)
     if (ev.site == "evd.second_stage" &&
-        ev.action.find("thread-pool worker") != std::string::npos)
+        ev.action.find("SerialGemmScope") != std::string::npos)
       noted = true;
-  EXPECT_TRUE(noted) << "lane request serialized on a pool worker without a note";
+  EXPECT_TRUE(noted) << "lane request serialized on a service runner without a note";
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "src/common/fault.hpp"
 #include "src/common/half.hpp"
 #include "src/common/recovery.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/tensorcore/ec_tcgemm.hpp"
 #include "src/tensorcore/tc_convert.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
@@ -163,24 +162,6 @@ TEST(GemmPoolPolicy, SerialScopeStandsDown) {
   EXPECT_EQ(blas::gemm_pool_dispatches(), before);
   blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
   EXPECT_GT(blas::gemm_pool_dispatches(), before);
-}
-
-TEST(GemmPoolPolicy, NestedCallsUnderPoolWorkersStandDown) {
-  // GEMMs issued from inside ANY ThreadPool worker must take the serial tile
-  // loop — the batch/overlap pools own the parallelism at their level.
-  const index_t n = 160;
-  auto a = random_mat<float>(n, n, 9);
-  auto b = random_mat<float>(n, n, 10);
-  ThreadPool pool(2);
-  const auto before = blas::gemm_pool_dispatches();
-  for (int t = 0; t < 4; ++t)
-    pool.submit([&] {
-      Matrix<float> c(n, n);
-      blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
-    });
-  pool.wait_idle();
-  EXPECT_EQ(blas::gemm_pool_dispatches(), before)
-      << "nested gemm fanned out on gemm_pool from a pool worker";
 }
 
 TEST(GemmPoolPolicy, TinyGemmsStaySerial) {

@@ -5,24 +5,28 @@
 // mix; admission control honors the overflow policy; priorities pick which
 // waiting request starts next and deadlines are honored before the start and
 // between stages; faults, throws and verification stay isolated per request,
-// each keeping its recovery log; and a homogeneous steady-state stream
-// performs the same number of heap allocations every round (context pool +
-// slot recycling leave nothing to grow).
+// each keeping its recovery log; a steady-state stream performs the same
+// number of heap allocations every round (runner contexts + slot recycling
+// leave nothing to grow); and each runner solves on one Context under a
+// SerialGemmScope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/norms.hpp"
@@ -366,7 +370,7 @@ TEST_F(ServiceTest, PriorityPicksWhichWaitingRequestStartsNext) {
 
 // The service's aggregate telemetry carries the new tiers: service.queue and
 // service.stage.* as both throughput stages and latency histograms, plus the
-// per-problem evd.* stages from the pooled contexts.
+// per-problem evd.* stages from the runner contexts.
 TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
@@ -400,7 +404,7 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   EXPECT_EQ(stage_calls("service.stage.bulge"), count);
   EXPECT_EQ(stage_calls("service.stage.solver"), count);
   EXPECT_EQ(stage_calls("service.stage.partial"), 0);
-  // Per-problem pipeline stages arrive via the pooled contexts.
+  // Per-problem pipeline stages arrive via the runner contexts.
   EXPECT_EQ(stage_calls("evd.reduction"), count);
   EXPECT_EQ(stage_calls("evd.solver"), count);
 
@@ -516,6 +520,21 @@ TEST_F(ServiceTest, VerifyEscalationStaysIsolatedPerRequest) {
   EXPECT_EQ(escalated, 1) << "exactly one request absorbs the injected breach";
 }
 
+/// Submit every matrix of `mats`, then claim each result, and return the heap
+/// allocations made meanwhile. `ids` holds one entry per matrix, sized by the
+/// caller so that it allocates nothing here.
+std::uint64_t round_allocations(evd::EvdService& service, const std::vector<Matrix<float>>& mats,
+                                const evd::RequestOptions& ropt,
+                                std::vector<evd::RequestId>& ids) {
+  const std::uint64_t before = test::heap_allocs();
+  for (std::size_t i = 0; i < mats.size(); ++i) ids[i] = *service.submit(mats[i].view(), ropt);
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    const evd::RequestResult r = service.wait(ids[i]);
+    if (!r.status.ok()) ADD_FAILURE() << r.status.to_string();
+  }
+  return test::heap_allocs() - before;
+}
+
 // Steady-state allocation parity: once slots, contexts, and telemetry tables
 // are warm, every round of a homogeneous stream performs exactly the same
 // number of heap allocations — nothing (queues, pools, histograms) grows per
@@ -535,19 +554,8 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
   std::vector<Matrix<float>> mats;
   for (int i = 0; i < per_round; ++i)
     mats.push_back(test::random_symmetric<float>(64, 500 + i));
-  std::vector<evd::RequestId> ids(static_cast<std::size_t>(per_round), 0);
-
-  auto run_round = [&]() -> std::uint64_t {
-    const std::uint64_t before = test::heap_allocs();
-    for (int i = 0; i < per_round; ++i)
-      ids[static_cast<std::size_t>(i)] =
-          *service.submit(mats[static_cast<std::size_t>(i)].view(), ropt);
-    for (int i = 0; i < per_round; ++i) {
-      evd::RequestResult r = service.wait(ids[static_cast<std::size_t>(i)]);
-      if (!r.status.ok()) ADD_FAILURE() << r.status.to_string();
-    }
-    return test::heap_allocs() - before;
-  };
+  std::vector<evd::RequestId> ids(mats.size(), 0);
+  auto run_round = [&] { return round_allocations(service, mats, ropt, ids); };
 
   run_round();  // warm-up: slots, contexts, telemetry tables, vector capacities
   run_round();  // second warm-up: late context creation, histogram entries
@@ -914,7 +922,7 @@ TEST_F(ServiceTest, ThrowingSolveFailsAloneAndKeepsItsRecoveryLog) {
   EXPECT_EQ(count_site(res.recovery, "evd.options"), 1);
   EXPECT_EQ(count_site(service.telemetry_snapshot().recovery(), "evd.options"), 1);
 
-  // The unwound solve left its pooled context fit for the next request.
+  // The unwound solve left its runner's context fit for the next request.
   auto again = service.submit(a.view(), request_noting_options());
   ASSERT_TRUE(again.ok());
   const evd::RequestResult next = service.wait(*again);
@@ -963,7 +971,7 @@ TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {
 }
 
 TEST_F(ServiceTest, StageCallCountsCoverEveryRequest) {
-  // Two size classes: every context the requests ran on stays pooled, so
+  // Two sizes: every runner keeps its context for the service's life, so
   // the snapshot accounts for each request's reduction/bulge/solver stage.
   std::vector<Matrix<float>> mats = make_set(32, 6, 9000);
   for (Matrix<float>& a : make_set(96, 3, 9100)) mats.push_back(std::move(a));
@@ -985,18 +993,16 @@ TEST_F(ServiceTest, StageCallCountsCoverEveryRequest) {
   }
 }
 
-// The context pool is bounded by the runner count: a context is founded only
-// when a request starts with none of its class idle, and at most one request
-// per runner is mid-pipeline, so no class ever pools more contexts than
-// there are runners.
+// The contexts are bounded by the runner count: each runner creates one, on
+// its first request, and reuses it for every later one.
 TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
   tc::Fp32Engine eng;
   for (int threads : {1, 2}) {
     evd::ServiceOptions sopt;
     sopt.num_threads = threads;
     evd::EvdService service(eng, sopt);
-    // Many more same-class requests than runners, all queued at once, with
-    // a spread of priorities.
+    // Many more requests than runners, all queued at once, with a spread of
+    // priorities.
     std::vector<Matrix<float>> mats = make_set(48, 24, 9300);
     std::vector<evd::RequestId> ids;
     for (std::size_t i = 0; i < mats.size(); ++i) {
@@ -1013,6 +1019,177 @@ TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
     EXPECT_GE(pooled, 1u);
     EXPECT_LE(pooled, static_cast<std::size_t>(threads)) << threads << " runners";
   }
+}
+
+// One runner keeps one Context for every request it runs, whatever its size:
+// n = 48 and n = 256 with vectors need arenas in different power-of-two size
+// classes (1 and 2 MiB), and they alternate.
+TEST_F(ServiceTest, OneContextPerRunnerAcrossSizeClasses) {
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+  std::vector<Matrix<float>> mats;
+  for (int i = 0; i < 4; ++i)
+    mats.push_back(test::random_symmetric<float>(i % 2 == 0 ? 48 : 256, 9500 + i));
+  const auto res = test::solve_all(service, mats, ropt);
+  ASSERT_EQ(test::num_ok(res), mats.size());
+  EXPECT_EQ(service.stats().pooled_contexts, 1u);
+}
+
+// A GEMM engine with Fp32Engine's numerics that counts its calls, and those
+// made outside a blas::SerialGemmScope.
+class ScopeRecordingEngine final : public tc::GemmEngine {
+ public:
+  const std::string& name() const noexcept override { return inner_.name(); }
+  tc::EngineKind kind() const noexcept override { return inner_.kind(); }
+  long calls() const noexcept { return calls_.load(); }
+  long unscoped_calls() const noexcept { return unscoped_.load(); }
+
+ protected:
+  void do_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,
+               ConstMatrixView<float> b, float beta, MatrixView<float> c) const override {
+    calls_.fetch_add(1);
+    if (!blas::gemm_serial_forced()) unscoped_.fetch_add(1);
+    inner_.gemm(transa, transb, alpha, a, b, beta, c);
+  }
+
+ private:
+  tc::Fp32Engine inner_;
+  mutable std::atomic<long> calls_{0};
+  mutable std::atomic<long> unscoped_{0};
+};
+
+// Every runner holds a SerialGemmScope, so every GEMM of every request runs
+// its tile loop on the runner's thread.
+TEST_F(ServiceTest, RunnersSolveUnderSerialGemmScope) {
+  ScopeRecordingEngine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 3;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+  const auto res = test::solve_all(service, make_set(64, 6, 9600), ropt);
+  ASSERT_EQ(test::num_ok(res), res.size());
+  EXPECT_GT(eng.calls(), 0);
+  EXPECT_EQ(eng.unscoped_calls(), 0) << "a runner issued a GEMM outside a SerialGemmScope";
+}
+
+// Allocation parity holds for a mixed-size stream too: a runner's arena grows
+// to its largest request during warm-up and is reused at that size.
+TEST_F(ServiceTest, MixedSizeStreamHasAllocationParityAcrossRounds) {
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;  // one runner: every round runs in the same order
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  ropt.evd.vectors = true;
+  const index_t sizes[] = {32, 96, 256};
+  std::vector<Matrix<float>> mats;
+  for (int i = 0; i < 6; ++i)
+    mats.push_back(test::random_symmetric<float>(sizes[i % 3], 9700 + i));
+  std::vector<evd::RequestId> ids(mats.size(), 0);
+  auto run_round = [&] { return round_allocations(service, mats, ropt, ids); };
+
+  run_round();  // warm-up: the arena grows to the n = 256 request
+  run_round();  // second warm-up: slots, telemetry tables, vector capacities
+  const std::uint64_t round_a = run_round();
+  const std::uint64_t round_b = run_round();
+  EXPECT_EQ(round_a, round_b)
+      << "mixed-size rounds must allocate identically (something grows per request)";
+  EXPECT_EQ(service.stats().pooled_contexts, 1u);
+}
+
+// A GEMM engine with Fp32Engine's numerics whose next call, once armed,
+// parks until the test releases it.
+class ParkingEngine final : public tc::GemmEngine {
+ public:
+  const std::string& name() const noexcept override { return inner_.name(); }
+  tc::EngineKind kind() const noexcept override { return inner_.kind(); }
+  void arm() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    armed_ = true;
+  }
+  void wait_parked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ protected:
+  void do_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,
+               ConstMatrixView<float> b, float beta, MatrixView<float> c) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (armed_) {
+        armed_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    inner_.gemm(transa, transb, alpha, a, b, beta, c);
+  }
+
+ private:
+  tc::Fp32Engine inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool parked_ = false;
+  mutable bool released_ = false;
+};
+
+// telemetry_snapshot() and stats() never wait for a running request, and the
+// snapshot skips the Context its runner is solving on: that Context already
+// holds the first request's reduction, so merging it would count one.
+TEST_F(ServiceTest, SnapshotSkipsTheContextOfARunningRequest) {
+  ParkingEngine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  const auto mats = make_set(48, 2, 9800);
+  auto reduction_calls = [&] {
+    const Telemetry t = service.telemetry_snapshot();
+    long calls = 0;
+    for (const auto& s : t.stages())
+      if (s.name == "evd.reduction") calls = s.calls;
+    return calls;
+  };
+
+  auto first = service.submit(mats[0].view(), ropt);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(service.wait(*first).status.ok());
+  EXPECT_EQ(reduction_calls(), 1);
+
+  eng.arm();
+  auto second = service.submit(mats[1].view(), ropt);
+  ASSERT_TRUE(second.ok());
+  eng.wait_parked();  // the runner is mid-request, inside its reduction
+  EXPECT_EQ(reduction_calls(), 0);
+  const evd::ServiceStats mid = service.stats();
+  EXPECT_EQ(mid.completed, 1);
+  EXPECT_EQ(mid.pooled_contexts, 1u);
+  eng.release();
+  EXPECT_TRUE(service.wait(*second).status.ok());
+  EXPECT_EQ(reduction_calls(), 2);
 }
 
 }  // namespace

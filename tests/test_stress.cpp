@@ -15,6 +15,8 @@
 #include <cmath>
 #include <deque>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/blas/blas.hpp"
 #include "src/blas/gemm_threading.hpp"
@@ -50,6 +52,20 @@ Shape random_shape(Rng& rng) {
   return s;
 }
 
+/// Run body(w) for w in [0, kThreads) on one std::thread each, every thread
+/// under a blas::SerialGemmScope for its whole life — the shape of an
+/// EvdService runner — and join them.
+template <typename Body>
+void run_on_runner_threads(Body body) {
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w)
+    threads.emplace_back([&body, w] {
+      blas::SerialGemmScope serial;
+      body(w);
+    });
+  for (std::thread& t : threads) t.join();
+}
+
 // ---------------------------------------------------------------------------
 // 8 threads x 1 shared engine x per-thread Contexts, full EVD pipeline.
 // ---------------------------------------------------------------------------
@@ -67,9 +83,8 @@ TEST_P(SharedEngineStress, ConcurrentSolvesOnOneEngineStayCorrect) {
 
   const long tasks = 48;
   std::atomic<long> failures{0};
-  ThreadPool pool(kThreads);
   auto solve_one = [&](long i) {
-    // Fresh Context per task (not per worker) to also stress construction /
+    // Fresh Context per task (not per thread) to also stress construction /
     // teardown interleaving against the shared engine.
     Rng rng(0x5EED0000u + static_cast<std::uint64_t>(i));
     const Shape s = random_shape(rng);
@@ -98,8 +113,10 @@ TEST_P(SharedEngineStress, ConcurrentSolvesOnOneEngineStayCorrect) {
       failures.fetch_add(1);
     if (ctx.telemetry().recorded().empty()) failures.fetch_add(1);
   };
-  for (long i = 0; i < tasks; ++i) pool.submit([&solve_one, i] { solve_one(i); });
-  pool.wait_idle();
+  std::atomic<long> next{0};
+  run_on_runner_threads([&](int) {
+    for (long i = next.fetch_add(1); i < tasks; i = next.fetch_add(1)) solve_one(i);
+  });
   EXPECT_EQ(failures.load(), 0);
 }
 
@@ -113,11 +130,10 @@ INSTANTIATE_TEST_SUITE_P(Engines, SharedEngineStress,
 
 TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
   tc::EcTcEngine engine;
-  ThreadPool pool(kThreads);
   std::atomic<long> failures{0};
 
-  // One Context per worker, built up front and reused for every task that
-  // worker steals off the shared counter — the shape of a service runner's
+  // One Context per thread, built up front and reused for every task that
+  // thread steals off the shared counter — the shape of a service runner's
   // loop.
   std::deque<Context> contexts;
   for (int w = 0; w < kThreads; ++w) contexts.emplace_back(engine);
@@ -147,14 +163,13 @@ TEST(SharedEngineStressFixture, ReusedContextsAcrossRandomSbrShapes) {
     if (std::abs(frobenius_norm<float>(res->band.view()) - fa) > 1e-3 * fa)
       failures.fetch_add(1);
   };
-  for (Context& ctx : contexts)
-    pool.submit([&, c = &ctx] {
-      for (long i = next.fetch_add(1); i < tasks; i = next.fetch_add(1)) reduce_one(*c, i);
-    });
-  pool.wait_idle();
+  run_on_runner_threads([&](int w) {
+    Context& ctx = contexts[static_cast<std::size_t>(w)];
+    for (long i = next.fetch_add(1); i < tasks; i = next.fetch_add(1)) reduce_one(ctx, i);
+  });
   EXPECT_EQ(failures.load(), 0);
 
-  // Every worker context closed all its scopes.
+  // Every thread's context closed all its scopes.
   for (Context& ctx : contexts) EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
 }
 
@@ -193,22 +208,25 @@ TEST(SharedEngineStressFixture, RepeatedBatchesKeepEngineConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Nested-oversubscription guard: while service runners (or any pool worker)
-// are running solves, the GEMMs inside them must take the serial tile loop
-// instead of fanning out on gemm_pool — the service pool owns the machine at
-// its level. The toggle contrast: the same large GEMM issued from the main
-// thread afterwards DOES dispatch to gemm_pool.
+// Nested-oversubscription guard: while service runners are running solves,
+// the GEMMs inside them must take the serial tile loop instead of fanning out
+// on gemm_pool — the runners own the machine at their level, each under its
+// SerialGemmScope. The toggle contrast: the same large GEMM issued from the
+// main thread afterwards DOES dispatch to gemm_pool.
 // ---------------------------------------------------------------------------
 
 TEST(SharedEngineStressFixture, GemmPoolStandsDownUnderServiceRunners) {
   tc::Fp32Engine engine;
-  const index_t n = 200;  // big enough that its GEMMs clear the pooling floor
+  const index_t n = 200;
   std::vector<Matrix<float>> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(test::random_symmetric<float>(n, 9200 + i));
 
   evd::RequestOptions ropt;
   ropt.evd.bandwidth = 16;
   ropt.evd.big_block = 32;
+  // With vectors, n x n GEMMs of the solve clear the pooling floor; without,
+  // none does and the check below could not fail.
+  ropt.evd.vectors = true;
   evd::ServiceOptions sopt;
   sopt.num_threads = kThreads;
 
@@ -268,7 +286,7 @@ TEST(BroadcastStress, BackToBackBroadcastsRunEachIndexExactlyOnce) {
 
 // ---------------------------------------------------------------------------
 // Wavefront bulge chasing under contention: repeated chases broadcasting on a
-// shared pool while EvdService traffic churns on ANOTHER pool's workers. The
+// shared pool while EvdService traffic churns on the service's runners. The
 // chase's progress-vector spins, per-chunk release publishes, and the block
 // ticket all run with lanes preempted mid-chunk (oversubscribed machine), and
 // every chase must still be bitwise-equal to the serial loop. Run under
@@ -280,11 +298,11 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
   tc::Fp32Engine engine;
 
   // Background EvdService traffic on its own runners, fed for the whole
-  // hammer from a submitted task.
-  ThreadPool traffic_pool(kThreads / 2);
+  // hammer from one thread under a SerialGemmScope, the runner shape.
   std::atomic<bool> stop_traffic{false};
   std::atomic<long> traffic_failures{0};
-  traffic_pool.submit([&] {
+  std::thread traffic([&] {
+    blas::SerialGemmScope serial;
     std::vector<Matrix<float>> batch;
     for (int i = 0; i < 6; ++i) batch.push_back(test::random_symmetric<float>(36, 4400 + i));
     evd::RequestOptions ropt;
@@ -346,7 +364,7 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
         if (q_serial(i, j) != q_wave(i, j)) ++mismatches;
   }
   stop_traffic.store(true);
-  traffic_pool.wait_idle();
+  traffic.join();
 
   EXPECT_EQ(mismatches, 0);
   EXPECT_EQ(traffic_failures.load(), 0);

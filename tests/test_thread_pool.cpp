@@ -1,59 +1,23 @@
-// ThreadPool unit behaviour (submit/wait_idle, the on_worker_thread guard,
-// try_broadcast coverage and exclusivity on gemm_pool()) and the
-// Telemetry::merge_from totals EvdService's snapshot relies on. Label
-// `stress`: the sanitizer CI legs, TSan included, run this file.
+// ThreadPool unit behaviour (try_broadcast coverage, exclusivity and
+// nesting, on its own and on gemm_pool()) and the Telemetry::merge_from
+// totals EvdService's snapshot relies on. Label `stress`: the sanitizer CI
+// legs, TSan included, run this file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "src/blas/blas.hpp"
+#include "src/blas/gemm_threading.hpp"
 #include "src/common/context.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/tensorcore/engine.hpp"
+#include "tests/test_util.hpp"
 
 namespace tcevd {
 namespace {
-
-TEST(ThreadPool, SubmitAndWaitIdleDrainsQueue) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i)
-    pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, SubmittedTasksEachRunOnceOnAWorker) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::atomic<int> off_worker{0};
-  for (int i = 0; i < kTasks; ++i)
-    pool.submit([&, i] {
-      if (!ThreadPool::on_worker_thread()) off_worker.fetch_add(1);
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-    });
-  pool.wait_idle();
-  for (int i = 0; i < kTasks; ++i)
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
-  EXPECT_EQ(off_worker.load(), 0);
-}
-
-TEST(ThreadPool, WaitIdleWithNothingPendingReturns) {
-  // Before any submit, and again on a drained queue.
-  ThreadPool pool(2);
-  pool.wait_idle();
-  std::atomic<int> done{0};
-  pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
-}
 
 TEST(ThreadPool, TryBroadcastOfNoIndicesRunsNothing) {
   ThreadPool pool(2);
@@ -68,46 +32,6 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1);
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
-}
-
-TEST(ThreadPool, SingleWorkerTaskMayWaitOnTheCaller) {
-  // The pool never runs a task on the submitting thread, so a one-worker
-  // pool's task may block until the caller acts after submit() returns.
-  ThreadPool pool(1);
-  std::mutex m;
-  std::condition_variable cv;
-  bool go = false, saw_go = false;
-  std::thread::id task_thread;
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(m);
-    task_thread = std::this_thread::get_id();
-    saw_go = cv.wait_for(lock, std::chrono::seconds(30), [&] { return go; });
-  });
-  {
-    std::lock_guard<std::mutex> lock(m);
-    go = true;
-  }
-  cv.notify_all();
-  pool.wait_idle();
-  EXPECT_TRUE(saw_go);
-  EXPECT_NE(task_thread, std::this_thread::get_id());
-}
-
-TEST(ThreadPool, OnWorkerThreadHoldsOnlyInsidePoolTasks) {
-  // The nested-parallelism guard the packed GEMM consults: true on every
-  // worker of any pool, false on threads the pool does not own.
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
-  ThreadPool pool(2);
-  std::atomic<int> on_worker{0}, off_worker{0};
-  for (int t = 0; t < 17; ++t)
-    pool.submit([&] { (ThreadPool::on_worker_thread() ? on_worker : off_worker).fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(on_worker.load(), 17);
-  EXPECT_EQ(off_worker.load(), 0);
-  bool plain_thread = true;
-  std::thread([&] { plain_thread = ThreadPool::on_worker_thread(); }).join();
-  EXPECT_FALSE(plain_thread);
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 TEST(ThreadPool, TryBroadcastReportsBusyWhileAnotherIsInFlight) {
@@ -146,6 +70,69 @@ TEST(ThreadPool, TryBroadcastReportsBusyWhileAnotherIsInFlight) {
   EXPECT_TRUE(pool.try_broadcast(
       8, [](void* c, long) { static_cast<std::atomic<int>*>(c)->fetch_add(1); }, &second_hits));
   EXPECT_EQ(second_hits.load(), 8);
+}
+
+TEST(ThreadPool, NestedTryBroadcastFromAParticipantIsDeclined) {
+  // A participant that broadcasts on its own pool is refused at once — one
+  // broadcast at a time — and none of the nested indices run, so it runs
+  // them itself instead of waiting on itself.
+  ThreadPool pool(2);
+  constexpr long kOuter = 8;
+  struct Nested {
+    ThreadPool* pool = nullptr;
+    std::atomic<int> accepted{0};
+    std::atomic<int> declined{0};
+    std::atomic<int> inner_hits{0};
+  } nested;
+  nested.pool = &pool;
+  ASSERT_TRUE(pool.try_broadcast(
+      kOuter,
+      [](void* c, long) {
+        auto* s = static_cast<Nested*>(c);
+        const bool ran = s->pool->try_broadcast(
+            4, [](void* h, long) { static_cast<std::atomic<int>*>(h)->fetch_add(1); },
+            &s->inner_hits);
+        (ran ? s->accepted : s->declined).fetch_add(1);
+      },
+      &nested));
+  EXPECT_EQ(nested.declined.load(), kOuter);
+  EXPECT_EQ(nested.accepted.load(), 0);
+  EXPECT_EQ(nested.inner_hits.load(), 0);
+}
+
+TEST(ThreadPool, GemmInsideABroadcastParticipantRunsInline) {
+  // A GEMM above the pooling floor issued from a gemm_pool() broadcast index
+  // finds the pool busy and runs its tiles on the participant's thread: no
+  // deadlock, no second fan-out, and the serial loop's bits.
+  const index_t n = 160;  // 2n^3 ~ 8.2 Mflop: above the pooling floor
+  struct Gemms {
+    Matrix<float> a, b;
+    std::vector<Matrix<float>> c;
+  } g{test::random_matrix_f(n, n, 21), test::random_matrix_f(n, n, 22), {}};
+  Matrix<float> want(n, n);
+  {
+    blas::SerialGemmScope serial;
+    blas::gemm<float>(blas::Trans::No, blas::Trans::No, 1.0f, g.a.view(), g.b.view(), 0.0f,
+                      want.view());
+  }
+  constexpr long kCount = 4;
+  for (long i = 0; i < kCount; ++i) g.c.emplace_back(n, n);
+  const auto before = blas::gemm_pool_dispatches();
+  ASSERT_TRUE(gemm_pool().try_broadcast(
+      kCount,
+      [](void* p, long i) {
+        auto* s = static_cast<Gemms*>(p);
+        blas::gemm<float>(blas::Trans::No, blas::Trans::No, 1.0f, s->a.view(), s->b.view(),
+                          0.0f, s->c[static_cast<std::size_t>(i)].view());
+      },
+      &g));
+  EXPECT_EQ(blas::gemm_pool_dispatches(), before)
+      << "a GEMM inside a gemm_pool() broadcast fanned out again";
+  for (long i = 0; i < kCount; ++i)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r = 0; r < n; ++r)
+        ASSERT_EQ(g.c[static_cast<std::size_t>(i)](r, j), want(r, j))
+            << "index " << i << " entry (" << r << ", " << j << ")";
 }
 
 TEST(ThreadPool, ConcurrentBroadcastCallersEachRunEveryIndexOnce) {
