@@ -74,15 +74,17 @@ inline std::string out_path(const std::string& filename) {
 }
 
 /// Print the per-stage wall-clock splits a context's telemetry accumulated —
-/// one indented line per stage, milliseconds and call counts. The [measured]
+/// one indented line per stage: total milliseconds and call count, then the
+/// p50 and p99 of one call from the stage's histogram. The [measured]
 /// sections call this after each run so the stage timers recorded throughout
 /// the pipeline (evd.reduction, sbr.wy, sbr.dbr.trailing, evd.bulge, ...)
 /// are actually surfaced instead of dying with the context.
 inline void stage_splits(const Telemetry& telemetry, const char* indent = "    ") {
-  if (telemetry.stages().empty()) return;
   for (const Telemetry::StageStat& s : telemetry.stages())
-    std::printf("%s%-24s %9.2f ms  (%ld call%s)\n", indent, s.name.c_str(),
-                1e3 * s.seconds, s.calls, s.calls == 1 ? "" : "s");
+    std::printf("%s%-24s %9.2f ms  (%ld call%s; p50 %.3g ms, p99 %.3g ms)\n", indent,
+                s.name.c_str(), 1e3 * s.seconds, s.calls, s.calls == 1 ? "" : "s",
+                1e3 * telemetry.stage_quantile(s.name, 0.50),
+                1e3 * telemetry.stage_quantile(s.name, 0.99));
 }
 
 }  // namespace tcevd::bench

@@ -1,8 +1,9 @@
 // Streaming-service throughput benchmark: ~10^5 mixed requests (mixed sizes,
 // full/selected spectra, with and without vectors) pushed through a
 // fixed-worker EvdService with windowed admission, measuring end-to-end
-// request throughput plus the service's own stage telemetry — queue wait and
-// per-stage latencies (p50/p95/p99 from the log2 histograms).
+// request throughput plus the merged runner telemetry — queue wait
+// (service.queue) and the evd.* stage times, each as p50/p95/p99 from its
+// log2 histogram and a total.
 //
 // Rows are [measured] on this machine's CPU build; the reproduction claim is
 // that runners each taking the next waiting request keep every worker busy
@@ -12,6 +13,7 @@
 // TCEVD_BENCH_SERVICE_REQUESTS overrides the request count (default 100000);
 // CI's sanitizer soak leg runs a few thousand to shake out races, the
 // perf-trajectory leg runs the full stream.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -171,18 +173,15 @@ int main() {
          "ctx");
 
     std::printf("\n");
-    for (const char* key :
-         {"service.queue", "service.stage.reduction", "service.stage.bulge",
-          "service.stage.solver", "service.stage.verify"}) {
-      bool seen = false;
-      for (const Telemetry::LatencyStat& l : telemetry.latencies())
-        if (l.name == key && l.count > 0) seen = true;
+    for (const std::string key :
+         {"service.queue", "evd.reduction", "evd.bulge", "evd.solver", "evd.verify"}) {
+      const bool seen = std::any_of(telemetry.stages().begin(), telemetry.stages().end(),
+                                    [&](const Telemetry::StageStat& st) { return st.name == key; });
       if (!seen) continue;
-      const std::string base(key);
-      emit(base + "/p50", 1e3 * telemetry.latency_quantile(key, 0.50), "ms");
-      emit(base + "/p95", 1e3 * telemetry.latency_quantile(key, 0.95), "ms");
-      emit(base + "/p99", 1e3 * telemetry.latency_quantile(key, 0.99), "ms");
-      emit(base + "/total", telemetry.stage_seconds(key), "s");
+      emit(key + "/p50", 1e3 * telemetry.stage_quantile(key, 0.50), "ms");
+      emit(key + "/p95", 1e3 * telemetry.stage_quantile(key, 0.95), "ms");
+      emit(key + "/p99", 1e3 * telemetry.stage_quantile(key, 0.99), "ms");
+      emit(key + "/total", telemetry.stage_seconds(key), "s");
     }
   }  // service drains + joins here
 

@@ -71,13 +71,13 @@ int main() {
     ok = ok && resid < 1e-2;
   }
 
-  // 4. The service snapshot sums every runner Context's per-problem stages
-  //    and adds the service's own queue/stage tiers.
+  // 4. The service snapshot merges every runner Context: the queue wait
+  //    (service.queue) and the per-problem evd.* stages, each with quantiles.
   const Telemetry telemetry = service.telemetry_snapshot();
   std::printf("merged stage telemetry:\n");
   for (const auto& s : telemetry.stages())
-    std::printf("  %-24s %8.1f ms across %ld calls\n", s.name.c_str(), s.seconds * 1e3,
-                s.calls);
+    std::printf("  %-24s %8.1f ms across %ld calls, p99 %.2f ms\n", s.name.c_str(),
+                s.seconds * 1e3, s.calls, telemetry.stage_quantile(s.name, 0.99) * 1e3);
   if (!telemetry.recovery().empty())
     std::printf("recovery events: %zu\n", telemetry.recovery().size());
   std::printf("ec-tc fp32 fallbacks (shared atomic counter): %ld\n", engine.fp32_fallbacks());

@@ -9,9 +9,9 @@
 //     out of (see src/common/workspace.hpp) — size it up front with the
 //     workspace_query APIs for allocation-free steady state,
 //   * a telemetry sink: GEMM shape recording (moved off the engine, where it
-//     raced between concurrent callers), per-stage wall-clock timers, and an
-//     aggregated recovery log of every graceful-degradation event taken by
-//     calls on this context.
+//     raced between concurrent callers), per-stage wall-clock timers with
+//     latency histograms, and an aggregated recovery log of every
+//     graceful-degradation event taken by calls on this context.
 //
 // Thread-safety contract: one Context per thread. Engines are stateless
 // (their one diagnostic counter is atomic) and may be shared by any number
@@ -50,40 +50,30 @@ class Telemetry {
   double recorded_flops() const noexcept;
 
   // --- per-stage wall-clock timers ----------------------------------------
+  // Each sample adds to its stage's total and call count and to a log2
+  // microsecond histogram: bucket 0 covers [0, 2) us and bucket i >= 1 covers
+  // [2^i, 2^(i+1)) us, so forty buckets span sub-microsecond noise up to
+  // multi-day outliers without per-sample storage.
+  static constexpr int kStageBuckets = 40;
   struct StageStat {
     std::string name;
-    double seconds = 0.0;
+    double seconds = 0.0;  ///< sum of the samples
     long calls = 0;
+    double min_s = 0.0;  ///< smallest sample
+    double max_s = 0.0;
+    std::array<long, kStageBuckets> buckets{};
   };
-  /// Accumulate `seconds` under `stage` (same stage adds up across calls).
+  /// Add one sample of `seconds` (a negative one counts as 0) under `stage`.
   void record_stage(std::string_view stage, double seconds);
   const std::vector<StageStat>& stages() const noexcept { return stages_; }
   /// Total seconds recorded under `stage` (0.0 if never recorded).
   double stage_seconds(std::string_view stage) const noexcept;
+  /// Approximate q-quantile of the samples recorded under `stage`: the upper
+  /// edge of the bucket holding the round(q * calls)-th sample (at least the
+  /// first), clamped to the observed max. q outside [0, 1] clamps to it, and
+  /// a NaN q reads as 0. Returns 0.0 when nothing was recorded under `stage`.
+  double stage_quantile(std::string_view stage, double q) const noexcept;
   void clear_stages() noexcept { stages_.clear(); }
-
-  // --- latency histograms ---------------------------------------------------
-  // Per-event-class latency distributions for the streaming service tier
-  // (service.queue admission wait, service.stage.* per-stage times).
-  // Buckets are log2-spaced in microseconds: bucket 0 covers [0, 2) us and
-  // bucket i >= 1 covers [2^i, 2^(i+1)) us, so forty buckets span sub-
-  // microsecond noise up to multi-day outliers without per-sample storage.
-  static constexpr int kLatencyBuckets = 40;
-  struct LatencyStat {
-    std::string name;
-    long count = 0;
-    double sum_s = 0.0;
-    double min_s = 0.0;  ///< smallest recorded sample (0 until first record)
-    double max_s = 0.0;
-    std::array<long, kLatencyBuckets> buckets{};
-  };
-  /// Add one latency sample under `name` (same name accumulates).
-  void record_latency(std::string_view name, double seconds);
-  const std::vector<LatencyStat>& latencies() const noexcept { return latencies_; }
-  /// Approximate q-quantile (q in [0, 1]) of the samples recorded under
-  /// `name`: the upper edge of the bucket holding the q-th sample, clamped to
-  /// the observed max. Returns 0.0 when nothing was recorded under `name`.
-  double latency_quantile(std::string_view name, double q) const noexcept;
 
   // --- recovery aggregation -----------------------------------------------
   /// Degradation events accumulated across every call on this context. A
@@ -94,21 +84,19 @@ class Telemetry {
 
   // --- cross-context aggregation --------------------------------------------
   /// Fold another telemetry sink into this one: recorded GEMM shapes are
-  /// appended, stage timers accumulate by name (seconds and call counts both
-  /// add), latency histograms accumulate bucket-wise by name, and recovery
-  /// events are appended. This is how EvdService
-  /// collapses per-context telemetry into one aggregate view; merging is
-  /// lossless for totals (sum over workers == merged totals) but does not
-  /// preserve interleaving order across sources. `other` is left untouched;
-  /// the caller serializes — merge while workers still record and you have a
-  /// race.
+  /// appended, stages accumulate by name (seconds, call counts and buckets
+  /// add; min and max combine), and recovery events are appended. This is how
+  /// EvdService collapses its runner Contexts into one aggregate view; merging
+  /// is lossless for totals and quantiles (sum over workers == merged totals)
+  /// but does not preserve interleaving order across sources. `other` is left
+  /// untouched; the caller serializes — merge while workers still record and
+  /// you have a race.
   void merge_from(const Telemetry& other);
 
  private:
   bool recording_ = false;
   std::vector<tc::GemmShape> shapes_;
   std::vector<StageStat> stages_;
-  std::vector<LatencyStat> latencies_;
   RecoveryLog recovery_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -78,14 +77,19 @@ Status screen_input(ConstMatrixView<float> a, float asym_tol) {
 /// Tc -> EcTc -> Fp32, or nullptr when `engine` is already the most
 /// accurate. A Tc engine's operand precision carries across the Tc -> EcTc
 /// step, so an escalated tc-tf32 solve corrects tf32 numerics, not fp16.
-std::unique_ptr<tc::GemmEngine> next_escalation_engine(const tc::GemmEngine& engine) {
+/// Engines are stateless and shareable, so every escalation shares these.
+tc::GemmEngine* next_escalation_engine(const tc::GemmEngine& engine) {
+  static tc::EcTcEngine ectc_fp16(tc::TcPrecision::Fp16);
+  static tc::EcTcEngine ectc_tf32(tc::TcPrecision::Tf32);
+  static tc::Fp32Engine fp32;
   switch (engine.kind()) {
     case tc::EngineKind::Tc: {
       const auto* tc_engine = dynamic_cast<const tc::TcEngine*>(&engine);
-      return std::make_unique<tc::EcTcEngine>(tc_engine != nullptr ? tc_engine->precision()
-                                                                   : tc::TcPrecision::Fp16);
+      return tc_engine != nullptr && tc_engine->precision() == tc::TcPrecision::Tf32
+                 ? &ectc_tf32
+                 : &ectc_fp16;
     }
-    case tc::EngineKind::EcTc: return std::make_unique<tc::Fp32Engine>();
+    case tc::EngineKind::EcTc: return &fp32;
     case tc::EngineKind::Fp32: return nullptr;  // already the terminal engine
   }
   return nullptr;
@@ -281,9 +285,6 @@ StatusOr<EvdResult> solve_with_escalation(ConstMatrixView<float> a, Context& ctx
   // spectrum.
   const bool verified = opt.verify != verify::Policy::Off && a.rows() > 1 && !range;
   const StageGate enter = [&gate](Stage stage) { return gate ? gate(stage) : ok_status(); };
-  // `escalated` is declared before `engine_override` so the override scope
-  // (which borrows the engine) is destroyed first.
-  std::unique_ptr<tc::GemmEngine> escalated;
   std::optional<EngineOverrideScope> engine_override;
 
   for (int attempt = 1;; ++attempt) {
@@ -330,7 +331,7 @@ StatusOr<EvdResult> solve_with_escalation(ConstMatrixView<float> a, Context& ctx
           std::to_string(report.residual_tol) + ", engine '" + engine.name() + "')");
     }
 
-    std::unique_ptr<tc::GemmEngine> next;
+    tc::GemmEngine* next = nullptr;
     if (verified && opt.verify == verify::Policy::EstimateEscalate && is_recoverable(failure))
       next = next_escalation_engine(ctx.engine());
     if (next == nullptr) {
@@ -348,7 +349,6 @@ StatusOr<EvdResult> solve_with_escalation(ConstMatrixView<float> a, Context& ctx
                        "' (attempt " + std::to_string(attempt + 1) + ")");
     ctx.telemetry().record_stage("evd.verify.escalation", 0.0);
     engine_override.emplace(ctx, *next);  // destroys any previous override first
-    escalated = std::move(next);
   }
 }
 

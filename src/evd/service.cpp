@@ -8,25 +8,10 @@
 #include "src/blas/gemm_threading.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/common/timer.hpp"
 
 namespace tcevd::evd {
 
 namespace {
-
-/// Static telemetry keys: a hot stream records a stage under these every few
-/// microseconds, so the lookups must not allocate.
-constexpr const char* kQueueKey = "service.queue";
-
-const char* stage_key(Stage stage) noexcept {
-  switch (stage) {
-    case Stage::Reduction: return "service.stage.reduction";
-    case Stage::Bulge: return "service.stage.bulge";
-    case Stage::Solver: return "service.stage.solver";
-    case Stage::Verify: return "service.stage.verify";
-  }
-  return "service.stage.unknown";
-}
 
 double elapsed_s(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) noexcept {
@@ -165,8 +150,10 @@ void EvdService::runner_loop(int runner) {
       finalize_locked(req);
       continue;
     }
-    record_locked(kQueueKey, elapsed_s(req.submit_tp, start));
     if (!self.ctx) self.ctx = std::make_unique<Context>(*engine_);
+    // Under the lock and before `solving` is set, as telemetry_snapshot()
+    // reads the Context then.
+    self.ctx->telemetry().record_stage("service.queue", elapsed_s(req.submit_tp, start));
     self.solving = true;
 
     // The slot is out of ready_, so this runner owns the request until it
@@ -183,22 +170,11 @@ void EvdService::runner_loop(int runner) {
 }
 
 void EvdService::solve_request(Request& req, Context& ctx) {
-  const char* key = nullptr;  // the stage the solve is in, timed by stage_timer
-  Timer stage_timer;
-  const StageGate gate = [&](Stage next) -> Status {
-    if (key != nullptr) {
-      const double stage_s = stage_timer.seconds();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        record_locked(std::exchange(key, nullptr), stage_s);
-      }
-      if (req.has_deadline && Clock::now() >= req.deadline_tp)
-        return deadline_exceeded_error("EvdService: request deadline (" +
-                                       std::to_string(req.opt.deadline_s) +
-                                       " s) expired between pipeline stages");
-    }
-    key = stage_key(next);
-    stage_timer.reset();
+  const StageGate gate = [&req](Stage) -> Status {
+    if (req.has_deadline && Clock::now() >= req.deadline_tp)
+      return deadline_exceeded_error("EvdService: request deadline (" +
+                                     std::to_string(req.opt.deadline_s) +
+                                     " s) expired between pipeline stages");
     return ok_status();
   };
 
@@ -228,17 +204,6 @@ void EvdService::solve_request(Request& req, Context& ctx) {
     ctx.telemetry().record_recovery(dropped.events());
   }
   if (!req.result.status.ok()) req.result.recovery = dropped.take();
-
-  const double stage_s = stage_timer.seconds();
-  if (key != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    record_locked(key, stage_s);
-  }
-}
-
-void EvdService::record_locked(const char* key, double seconds) {
-  telemetry_.record_stage(key, seconds);
-  telemetry_.record_latency(key, seconds);
 }
 
 void EvdService::finalize_locked(Request& req) {
@@ -254,14 +219,19 @@ RequestResult EvdService::wait(RequestId id) {
   const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (slot >= slots_.size() || !slots_[slot].in_use || slots_[slot].gen != gen) {
+  // Another wait() on the same id may claim the result first and recycle the
+  // slot, which bumps its generation.
+  const auto claimable = [&] {
+    return slot < slots_.size() && slots_[slot].in_use && slots_[slot].gen == gen;
+  };
+  done_cv_.wait(lock, [&] { return !claimable() || slots_[slot].completed; });
+  if (!claimable()) {
     RequestResult out;
     out.status =
         invalid_argument_error("EvdService::wait: unknown or already-claimed request id");
     return out;
   }
   Request& req = slots_[slot];
-  done_cv_.wait(lock, [&] { return req.completed; });
   RequestResult out = std::move(req.result);
   req.result = RequestResult{};
   req.a.reset();
@@ -280,7 +250,6 @@ void EvdService::wait_all() {
 Telemetry EvdService::telemetry_snapshot() {
   std::lock_guard<std::mutex> lock(mutex_);
   Telemetry out;
-  out.merge_from(telemetry_);
   for (const Runner& r : runners_)
     if (r.ctx && !r.solving) out.merge_from(r.ctx->telemetry());
   return out;

@@ -27,14 +27,15 @@
 // its peak, so once a runner has run its largest request, a stream of any size
 // mix performs zero arena growth per request.
 //
-// Telemetry: per-problem evd.* stages land on the solving Context exactly as
-// in a sequential solve; the service additionally records, under its own
-// aggregate sink, "service.queue" (admission-to-start wait) and
-// "service.stage.<reduction|bulge|solver|verify>" (per-stage wall time),
-// each both as a StageStat (throughput) and a LatencyStat (histogram
-// quantiles). telemetry_snapshot() merges the service sink with every runner
-// Context that is not mid-request; call it quiescent (after wait_all) for
-// complete numbers.
+// Telemetry: the service keeps none of its own. Each runner records on its
+// own Context: "service.queue" (submit-to-start wait, taken under the
+// scheduler mutex as the request starts) and, through run_solve, the same
+// evd.* stages a sequential solve records, each with latency quantiles
+// (Telemetry::stage_quantile). Those time the pipeline's work only:
+// evd.reduction starts after the input screen and the arena reserve, and a
+// stage that throws records nothing. telemetry_snapshot() merges every
+// runner Context that is not mid-request; call it quiescent (after wait_all)
+// for complete numbers.
 //
 // Thread-safety: submit/wait/wait_all/stats/telemetry_snapshot may be called
 // from any thread, concurrently. The submitted matrix view is borrowed and
@@ -92,8 +93,8 @@ struct RequestOptions {
   /// DeadlineExceeded instead of starting, or instead of starting its next
   /// stage. 0, a negative or non-finite value (NaN, +inf), or one too far
   /// out for the steady clock to represent from now (about 292 years) means
-  /// no deadline. Checked before the request starts and between its stages
-  /// only — a stage in execution is never interrupted. Ties among equal
+  /// no deadline. Checked before the request starts and before each of its
+  /// stages only — a stage in execution is never interrupted. Ties among equal
   /// priorities start earliest-deadline first.
   double deadline_s = 0.0;
 };
@@ -155,10 +156,10 @@ class EvdService {
   /// their wait() calls; they do not hold the service open).
   void wait_all();
 
-  /// Service aggregate (queue/stage throughput + latency histograms) merged
-  /// with the per-problem telemetry of every runner Context that is not
-  /// mid-request. A Context whose runner is solving is skipped, not waited
-  /// for — quiesce first for complete numbers.
+  /// The telemetry of every runner Context that is not mid-request, merged:
+  /// service.queue and the evd.* stages, with quantiles, plus recovery
+  /// events. A Context whose runner is solving is skipped, not waited for —
+  /// quiesce first for complete numbers.
   Telemetry telemetry_snapshot();
 
   ServiceStats stats() const;
@@ -196,11 +197,9 @@ class EvdService {
   /// earliest deadline, lowest seq), or -1 when none waits.
   int pick_ready_locked(Clock::time_point now) const noexcept;
   /// Run `req` start to finish on `ctx` on the calling runner, without the
-  /// lock, and fill in its result. Between stages its gate times the stage
-  /// that ended and fails the request once its deadline has passed.
+  /// lock, and fill in its result. Before each stage its gate fails the
+  /// request once its deadline has passed.
   void solve_request(Request& req, Context& ctx);
-  /// One service.queue / service.stage.* sample, as stage and latency.
-  void record_locked(const char* key, double seconds);
   /// Mark `req` complete and wake its waiters.
   void finalize_locked(Request& req);
 
@@ -218,7 +217,6 @@ class EvdService {
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::vector<Runner> runners_;  ///< sized before the threads start, never resized
-  Telemetry telemetry_;          ///< service.queue / service.stage.*
   long submitted_ = 0;
   long completed_ = 0;
   long rejected_ = 0;

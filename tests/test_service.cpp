@@ -5,10 +5,12 @@
 // mix; admission control honors the overflow policy; priorities pick which
 // waiting request starts next and deadlines are honored before the start and
 // between stages; faults, throws and verification stay isolated per request,
-// each keeping its recovery log; a steady-state stream performs the same
-// number of heap allocations every round (runner contexts + slot recycling
-// leave nothing to grow); and each runner solves on one Context under a
-// SerialGemmScope.
+// each keeping its recovery log; each id is claimed once, however many
+// threads wait on it; the telemetry snapshot counts every request's queue
+// wait and stages, also when taken mid-stream; a steady-state stream
+// performs the same number of heap allocations every round (runner contexts
+// + slot recycling leave nothing to grow); and each runner solves on one
+// Context under a SerialGemmScope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -368,9 +370,8 @@ TEST_F(ServiceTest, PriorityPicksWhichWaitingRequestStartsNext) {
   EXPECT_TRUE(service.wait(*blocker_id).status.ok());
 }
 
-// The service's aggregate telemetry carries the new tiers: service.queue and
-// service.stage.* as both throughput stages and latency histograms, plus the
-// per-problem evd.* stages from the runner contexts.
+// The snapshot merges the runner Contexts: each request's queue wait
+// (service.queue) and its evd.* stages, with call counts and quantiles.
 TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
@@ -399,25 +400,12 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
       if (s.name == name) calls = s.calls;
     return calls;
   };
-  EXPECT_EQ(stage_calls("service.queue"), count);
-  EXPECT_EQ(stage_calls("service.stage.reduction"), count);
-  EXPECT_EQ(stage_calls("service.stage.bulge"), count);
-  EXPECT_EQ(stage_calls("service.stage.solver"), count);
-  EXPECT_EQ(stage_calls("service.stage.partial"), 0);
-  // Per-problem pipeline stages arrive via the runner contexts.
-  EXPECT_EQ(stage_calls("evd.reduction"), count);
-  EXPECT_EQ(stage_calls("evd.solver"), count);
-
-  bool found_solver_latency = false;
-  for (const auto& l : t.latencies())
-    if (l.name == "service.stage.solver") {
-      found_solver_latency = true;
-      EXPECT_EQ(l.count, count);
-      EXPECT_GT(l.max_s, 0.0);
-    }
-  EXPECT_TRUE(found_solver_latency);
-  EXPECT_GT(t.latency_quantile("service.stage.solver", 0.5), 0.0);
-  EXPECT_GT(t.latency_quantile("service.queue", 0.99), 0.0);
+  for (const char* name : {"service.queue", "evd.reduction", "evd.bulge", "evd.solver"}) {
+    EXPECT_EQ(stage_calls(name), count) << name;
+    EXPECT_GT(t.stage_quantile(name, 0.5), 0.0) << name;
+    EXPECT_LE(t.stage_quantile(name, 0.5), t.stage_quantile(name, 0.99)) << name;
+  }
+  EXPECT_EQ(stage_calls("evd.verify"), 0);  // no request is verified
 
   for (int i = 0; i < count; ++i) (void)service.wait(ids[static_cast<std::size_t>(i)]);
 }
@@ -1190,6 +1178,113 @@ TEST_F(ServiceTest, SnapshotSkipsTheContextOfARunningRequest) {
   eng.release();
   EXPECT_TRUE(service.wait(*second).status.ok());
   EXPECT_EQ(reduction_calls(), 2);
+}
+
+// Two threads wait on one id. One claims the result and frees the slot; the
+// other returns InvalidArgument instead of sleeping on until the next request
+// in that slot completes and taking its result.
+TEST_F(ServiceTest, ConcurrentWaitsOnOneIdClaimItOnce) {
+  ParkingEngine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 1;
+  evd::EvdService service(eng, sopt);
+  evd::RequestOptions ropt;
+  ropt.evd.bandwidth = 8;
+  ropt.evd.big_block = 32;
+  const auto mats = make_set(48, 2, 9900);
+
+  eng.arm();
+  auto first = service.submit(mats[0].view(), ropt);
+  ASSERT_TRUE(first.ok());
+  eng.wait_parked();  // the request cannot complete until released
+  std::atomic<int> returned{0};
+  evd::RequestResult results[2];
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < 2; ++w)
+    waiters.emplace_back([&, w] {
+      results[w] = service.wait(*first);
+      returned.fetch_add(1);
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // both block in wait()
+  eng.release();
+  while (returned.load() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The claimed slot is free, and the next request takes it (the free list
+  // is LIFO). A waiter still asleep would claim that request's result.
+  const evd::RequestId second = service.submit(mats[1].view(), ropt).value();
+  while (returned.load() < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::thread& w : waiters) w.join();
+
+  const int claimed = (results[0].status.ok() ? 1 : 0) + (results[1].status.ok() ? 1 : 0);
+  EXPECT_EQ(claimed, 1);
+  for (const evd::RequestResult& r : results) {
+    if (!r.status.ok()) {
+      EXPECT_EQ(r.status.code(), ErrorCode::InvalidArgument);
+    }
+  }
+  const evd::RequestResult mine = service.wait(second);
+  EXPECT_TRUE(mine.status.ok()) << mine.status.to_string();
+}
+
+// A snapshot taken while four runners stream reads only the Contexts of
+// runners between requests, so it races with none of them (the service label
+// runs under TSan), and after the stream it counts every request once.
+TEST_F(ServiceTest, SnapshotWhileStreamingCountsEveryRequest) {
+  tc::Fp32Engine eng;
+  evd::ServiceOptions sopt;
+  sopt.num_threads = 4;
+  evd::EvdService service(eng, sopt);
+  const int count = 200;
+  const index_t sizes[] = {16, 24, 32, 48, 64};
+  std::vector<Matrix<float>> mats;
+  std::vector<evd::RequestOptions> opts;
+  for (int i = 0; i < count; ++i) {
+    mats.push_back(
+        test::random_symmetric<float>(sizes[i % 5], 9950 + static_cast<std::uint64_t>(i)));
+    evd::RequestOptions ropt;
+    ropt.evd.bandwidth = 8;
+    ropt.evd.big_block = 32;
+    if (i % 4 == 1) ropt.evd.vectors = true;
+    if (i % 4 == 2) {
+      ropt.selected = true;
+      ropt.il = 2;
+      ropt.iu = 9;
+    }
+    if (i % 4 == 3) ropt.evd.verify = verify::Policy::Estimate;  // never escalates
+    opts.push_back(ropt);
+  }
+  auto calls = [](const Telemetry& t, const char* name) {
+    for (const auto& s : t.stages())
+      if (s.name == name) return s.calls;
+    return 0L;
+  };
+
+  std::atomic<bool> streaming{true};
+  long snapshots = 0;
+  std::thread reader([&] {
+    while (streaming.load()) {
+      const Telemetry t = service.telemetry_snapshot();
+      const evd::ServiceStats stats = service.stats();
+      // A runner between requests has finalized every request it solved.
+      EXPECT_LE(calls(t, "evd.solver"), stats.completed);
+      EXPECT_LE(calls(t, "service.queue"), stats.submitted);
+      ++snapshots;
+    }
+  });
+  std::vector<evd::RequestId> ids;
+  for (int i = 0; i < count; ++i)
+    ids.push_back(service.submit(mats[static_cast<std::size_t>(i)].view(),
+                                 opts[static_cast<std::size_t>(i)]).value());
+  std::size_t ok = 0;
+  for (evd::RequestId id : ids) ok += service.wait(id).status.ok() ? 1 : 0;
+  streaming.store(false);
+  reader.join();
+  service.wait_all();
+
+  EXPECT_EQ(ok, static_cast<std::size_t>(count));
+  EXPECT_GT(snapshots, 0);
+  const Telemetry t = service.telemetry_snapshot();
+  EXPECT_EQ(calls(t, "service.queue"), count);
+  EXPECT_EQ(calls(t, "evd.solver"), count);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // ThreadPool unit behaviour (try_broadcast coverage, exclusivity and
-// nesting, on its own and on gemm_pool()) and the Telemetry::merge_from
-// totals EvdService's snapshot relies on. Label `stress`: the sanitizer CI
+// nesting, on its own and on gemm_pool()), and the Telemetry stage histogram
+// and merge_from totals EvdService's snapshot relies on. Label `stress`: the sanitizer CI
 // legs, TSan included, run this file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -167,14 +170,62 @@ TEST(ThreadPool, ConcurrentBroadcastCallersEachRunEveryIndexOnce) {
           << "caller " << t << " index " << i;
 }
 
-// Telemetry::merge_from: totals equal the sum of the merged sources.
+/// The histogram bucket one sample of `seconds` lands in.
+int stage_bucket_of(double seconds) {
+  Telemetry t;
+  t.record_stage("s", seconds);
+  const auto& buckets = t.stages()[0].buckets;
+  return static_cast<int>(std::find(buckets.begin(), buckets.end(), 1) - buckets.begin());
+}
+
+// record_stage fills a log2 microsecond histogram: bucket 0 is [0, 2) us and
+// bucket i >= 1 is [2^i, 2^(i+1)) us; quantiles read a bucket's upper edge,
+// clamped to the largest sample.
+TEST(Telemetry, RecordStageFillsHistogramMinMaxAndQuantiles) {
+  EXPECT_EQ(stage_bucket_of(0.0), 0);
+  EXPECT_EQ(stage_bucket_of(-1.0), 0);  // a negative sample counts as 0
+  for (int i = 1; i < Telemetry::kStageBuckets; ++i) {
+    const double edge = std::ldexp(1.0, i) * 1e-6;
+    EXPECT_EQ(stage_bucket_of(edge * (1.0 - 1e-9)), i - 1) << "2^" << i << " us";
+    EXPECT_EQ(stage_bucket_of(edge), i) << "2^" << i << " us";
+  }
+  EXPECT_EQ(stage_bucket_of(1e9), Telemetry::kStageBuckets - 1);  // past the last edge
+
+  Telemetry t;
+  for (double s : {5e-6, 100e-6, 3e-6, 6e-6}) t.record_stage("s", s);  // buckets 2, 6, 1, 2
+  const Telemetry::StageStat& st = t.stages()[0];
+  EXPECT_EQ(st.calls, 4);
+  EXPECT_DOUBLE_EQ(st.seconds, 114e-6);
+  EXPECT_EQ(st.min_s, 3e-6);
+  EXPECT_EQ(st.max_s, 100e-6);
+  EXPECT_EQ(st.buckets[1], 1);
+  EXPECT_EQ(st.buckets[2], 2);
+  EXPECT_EQ(st.buckets[6], 1);
+  EXPECT_EQ(std::accumulate(st.buckets.begin(), st.buckets.end(), 0L), 4);
+
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", 0.0), 4e-6);     // 1st sample: bucket 1
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", 0.5), 8e-6);     // 2nd: bucket 2
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", 0.75), 8e-6);    // 3rd: bucket 2
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", 1.0), 100e-6);   // bucket 6's 128 us, clamped
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", -3.0), 4e-6);    // q clamps to [0, 1]
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", 7.0), 100e-6);
+  EXPECT_DOUBLE_EQ(t.stage_quantile("s", std::numeric_limits<double>::quiet_NaN()), 4e-6);
+  EXPECT_EQ(t.stage_quantile("unknown", 0.5), 0.0);
+}
+
+// Telemetry::merge_from: totals equal the sum of the merged sources, and the
+// merged histograms equal those of one sink that recorded every sample.
 TEST(TelemetryMerge, TotalsEqualSumOfPerWorkerCounters) {
-  Telemetry w0, w1, merged;
-  w0.record_stage("evd.reduction", 1.5);
-  w0.record_stage("evd.solver", 0.5);
-  w0.record_stage("evd.solver", 0.25);
-  w1.record_stage("evd.solver", 1.0);
-  w1.record_stage("evd.bulge", 2.0);
+  Telemetry w0, w1, merged, all;
+  auto record = [&all](Telemetry& worker, const char* stage, double seconds) {
+    worker.record_stage(stage, seconds);
+    all.record_stage(stage, seconds);
+  };
+  record(w0, "evd.reduction", 1.5);
+  record(w0, "evd.solver", 0.5);
+  record(w0, "evd.solver", 0.25);
+  record(w1, "evd.solver", 1.0);
+  record(w1, "evd.bulge", 2.0);
   w0.record_recovery({{"evd.solver", "a"}});
   w1.record_recovery({{"sbr.panel", "b"}, {"ec_tcgemm", "c"}});
   w0.set_recording(true);
@@ -188,8 +239,24 @@ TEST(TelemetryMerge, TotalsEqualSumOfPerWorkerCounters) {
   EXPECT_DOUBLE_EQ(merged.stage_seconds("evd.bulge"), 2.0);
   long solver_calls = 0;
   for (const auto& s : merged.stages())
-    if (s.name == "evd.solver") solver_calls = s.calls;
+    if (s.name == "evd.solver") {
+      solver_calls = s.calls;
+      EXPECT_EQ(s.min_s, 0.25);
+      EXPECT_EQ(s.max_s, 1.0);
+    }
   EXPECT_EQ(solver_calls, 3);  // 2 from w0 + 1 from w1
+  ASSERT_EQ(merged.stages().size(), all.stages().size());
+  for (const auto& s : merged.stages())
+    for (const auto& want : all.stages())
+      if (want.name == s.name) {
+        EXPECT_EQ(s.buckets, want.buckets) << s.name;
+        for (double q : {0.0, 0.25, 0.5, 0.99, 1.0})
+          EXPECT_EQ(merged.stage_quantile(s.name, q), all.stage_quantile(s.name, q))
+              << s.name << " q " << q;
+      }
+  // 0.25, 0.5 and 1.0 s sit in buckets 17, 18 and 19; the median is the
+  // second sample's bucket edge, 2^19 us.
+  EXPECT_DOUBLE_EQ(merged.stage_quantile("evd.solver", 0.5), 0.524288);
   EXPECT_EQ(merged.recovery().size(), 3u);
   EXPECT_EQ(merged.recorded().size(), 1u);
   EXPECT_DOUBLE_EQ(merged.recorded_flops(), w0.recorded_flops());
