@@ -77,24 +77,26 @@ inline constexpr index_t kTileRows = 192;
 /// evd/sbr workspace_query.
 std::size_t wavefront_workspace_bytes(index_t n);
 
-/// Smallest n for which the auto route (bulge_threads == 0) runs lanes when
-/// Q is accumulated: the chase-stage crossover on a 4-core host
-/// (EXPERIMENTS.md, "One compact chase": at n = 768 the serial chase still
-/// won; at n = 1024 four lanes did). End to end at n = 1024 lanes led in 7
-/// of 10 pairs by less than the spread, so it is unverified there.
+/// Smallest n for which the auto route (bulge_threads == 0, what every solve
+/// passes) runs lanes when Q is accumulated: the chase-stage crossover on a
+/// 4-core host (EXPERIMENTS.md, "One compact chase": at n = 768 the serial
+/// chase still won; at n = 1024 four lanes did). End to end at n = 1024
+/// lanes led in 7 of 10 pairs by less than the spread, so it is unverified
+/// there.
 inline constexpr index_t kAutoLanesMinN = 1024;
 
 /// The solve drivers' entry point: copies the band of `a` (full storage,
 /// bandwidth `bw`) into compact storage and chases it with bulge_chase_band,
 /// applying every rotation to `q` when it is non-null. Only the lane count
-/// depends on EvdOptions::bulge_threads: 1 runs serially, k >= 2 allows up
-/// to k lanes on gemm_pool(), and 0 uses gemm_pool()'s lanes only when Q is
-/// accumulated and n >= kAutoLanesMinN. Inside a blas::SerialGemmScope —
-/// every EvdService runner holds one, since the runners are the parallelism —
-/// the chase stays on the calling thread at every setting. An explicit
-/// k >= 2 that cannot engage (SerialGemmScope, bandwidth < 2 or n <= 2) runs
-/// serially and notes the downgrade at recovery site "evd.second_stage".
-/// Output never depends on bulge_threads.
+/// depends on `bulge_threads`: 0 (auto, EvdOptions::bulge_threads, what every
+/// solve passes) uses gemm_pool()'s lanes only when Q is accumulated and
+/// n >= kAutoLanesMinN, 1 runs serially, and k >= 2 allows up to k lanes on
+/// gemm_pool() (the benches' lane-scaling grids). Inside a
+/// blas::SerialGemmScope — every EvdService runner holds one, since the
+/// runners are the parallelism — the chase stays on the calling thread at
+/// every setting. An explicit k >= 2 that cannot engage (SerialGemmScope,
+/// bandwidth < 2 or n <= 2) runs serially and notes the downgrade at
+/// recovery site "evd.second_stage". Output never depends on bulge_threads.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, ConstMatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

@@ -55,7 +55,7 @@ Status run_tri_solver(Workspace& ws, TriSolver solver, std::vector<float>& d,
   return ok_status();
 }
 
-Status screen_input(ConstMatrixView<float> a, float asym_tol) {
+Status screen_input(ConstMatrixView<float> a) {
   const index_t n = a.rows();
   float amax = 0.0f;
   for (index_t j = 0; j < n; ++j)
@@ -65,7 +65,7 @@ Status screen_input(ConstMatrixView<float> a, float asym_tol) {
         return invalid_input_error("evd::solve: input matrix has a non-finite entry");
       amax = std::max(amax, std::abs(v));
     }
-  const float tol = asym_tol * std::max(amax, 1e-30f);
+  const float tol = EvdOptions::asymmetry_tol * std::max(amax, 1e-30f);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j + 1; i < n; ++i)
       if (std::abs(a(i, j) - a(j, i)) > tol)
@@ -184,7 +184,7 @@ StatusOr<EvdResult> solve_once(ConstMatrixView<float> a, Context& ctx, const Evd
                                std::optional<IndexRange> range, const StageGate& enter) {
   const index_t n = a.rows();
   TCEVD_RETURN_IF_ERROR(enter(Stage::Reduction));
-  if (opt.screen_input) TCEVD_RETURN_IF_ERROR(screen_input(a, opt.asymmetry_tol));
+  TCEVD_RETURN_IF_ERROR(screen_input(a));
 
   EvdResult result;
   if (n <= 1) {
@@ -241,6 +241,12 @@ StatusOr<EvdResult> solve_once(ConstMatrixView<float> a, Context& ctx, const Evd
         (opt.reduction == Reduction::TwoStageWy)    ? sbr::sbr_wy(a, ctx, sopt)
         : (opt.reduction == Reduction::TwoStageDbr) ? sbr::sbr_dbr(a, ctx, sopt)
                                                     : sbr::sbr_zy(a, ctx, sopt);
+    // The input passed the screen, so a non-finite panel can only come from
+    // the engine's arithmetic (an fp16 overflow, say): a precision failure
+    // that escalation can recover, not bad input.
+    if (!sres.ok() && sres.status().code() == ErrorCode::InvalidInput)
+      return precision_loss_error("evd::solve: reduction lost precision (" +
+                                  sres.status().message() + ")");
     TCEVD_RETURN_IF_ERROR(sres.status());
     result.timings.reduction_s = t.seconds();
     ctx.telemetry().record_stage("evd.reduction", result.timings.reduction_s);
@@ -249,13 +255,22 @@ StatusOr<EvdResult> solve_once(ConstMatrixView<float> a, Context& ctx, const Evd
     Timer tb;
     MatrixView<float> qv = sres->q.view();
     auto tri = bulge::bulge_chase_auto<float>(ctx, sres->band.view(), sopt.bandwidth,
-                                              opt.vectors ? &qv : nullptr, opt.bulge_threads);
+                                              opt.vectors ? &qv : nullptr,
+                                              EvdOptions::bulge_threads);
     d = std::move(tri.d);
     e = std::move(tri.e);
     result.timings.bulge_s = tb.seconds();
     ctx.telemetry().record_stage("evd.bulge", result.timings.bulge_s);
     if (opt.vectors) q = std::move(sres->q);
   }
+  // Likewise a non-finite (d, e): an overflow no panel saw (in the last
+  // trailing block, say). Given one, every solver fails or, like bisection,
+  // returns finite garbage.
+  const auto finite = [](const std::vector<float>& v) {
+    return std::all_of(v.begin(), v.end(), [](float x) { return std::isfinite(x); });
+  };
+  if (!finite(d) || !finite(e))
+    return precision_loss_error("evd::solve: the tridiagonal form has a non-finite entry");
 
   TCEVD_RETURN_IF_ERROR(enter(Stage::Solver));
   Timer ts;
@@ -294,9 +309,7 @@ StatusOr<EvdResult> solve_with_escalation(ConstMatrixView<float> a, Context& ctx
     Status failure = res.status();
     if (breached) {
       TCEVD_RETURN_IF_ERROR(enter(Stage::Verify));
-      verify::Options vopt;
-      vopt.probes = opt.verify_probes;
-      vopt.tol_scale = static_cast<double>(opt.verify_tol_scale);
+      const verify::Options vopt;
       const tc::GemmEngine& engine = ctx.engine();
       Timer tv;
       verify::Report report =
@@ -432,10 +445,8 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   // solve checks out neither.
   if (opt.vectors) bytes += 2 * nn * sizeof(float);
   // The second stage's progress vector, checked out when the chase may run
-  // on more than one lane (bulge_chase_auto: bulge_threads >= 2, or auto
-  // with Q).
-  if (opt.reduction != Reduction::OneStage && opt.bulge_threads != 1 &&
-      (opt.vectors || opt.bulge_threads >= 2))
+  // on more than one lane (bulge_chase_auto's auto rule: only with Q).
+  if (opt.reduction != Reduction::OneStage && opt.vectors)
     bytes += bulge::wavefront_workspace_bytes(n);
   bytes += 64 * Workspace::kAlignment;  // per-checkout alignment slop
   return bytes;

@@ -60,26 +60,6 @@ struct EvdOptions {
   index_t big_block = 128;
   sbr::PanelKind panel = sbr::PanelKind::Tsqr;
   bool vectors = false;                         ///< compute eigenvectors
-  /// Lanes of the second stage (src/bulge/bulge_wavefront.hpp,
-  /// bulge_chase_auto), which chases the band in compact O(n*b) storage with
-  /// or without Q. 0 = auto: up to gemm_pool()'s lanes when Q is accumulated
-  /// and n >= 1024; otherwise serial. 1 = always the serial chase. k >= 2 =
-  /// at most k lanes, with or without Q. Inside a blas::SerialGemmScope every
-  /// setting runs the serial chase; every EvdService runner holds one, so
-  /// service requests keep the serial chase — the runners ARE the
-  /// parallelism. Every setting produces bitwise-identical output — the
-  /// wavefront schedule is pinned to the serial rotation sequence
-  /// (docs/ALGORITHMS.md §14) — so this is a performance knob, never an
-  /// accuracy one. An explicit k >= 2 that cannot engage (SerialGemmScope,
-  /// bandwidth < 2, or n <= 2) runs a serial chase and notes the downgrade in
-  /// EvdResult::recovery at site "evd.second_stage".
-  int bulge_threads = 0;
-  /// Reject NaN/Inf entries and gross asymmetry up front (InvalidInput)
-  /// instead of feeding garbage to the pipeline. O(n^2) scan.
-  bool screen_input = true;
-  /// Relative asymmetry tolerance for the input screen:
-  /// |a_ij - a_ji| <= asymmetry_tol * max|a| is accepted.
-  float asymmetry_tol = 1e-3f;
 
   // --- verified solves (see src/common/verify.hpp and DESIGN.md §12) -------
   /// Post-solve verification policy. Off skips verification entirely.
@@ -94,16 +74,31 @@ struct EvdOptions {
   /// (solve_selected) are never verified — the estimators need the full
   /// spectrum — and note a policy other than Off at "evd.verify" instead.
   verify::Policy verify = verify::Policy::Off;
-  /// Probe vectors per verification (see verify::Options::probes).
-  int verify_probes = 4;
-  /// Multiplies both verification thresholds (tighten < 1, loosen > 1).
-  float verify_tol_scale = 1.0f;
   /// Run every packed GEMM issued during this solve under ABFT checksum
   /// protection (src/blas/abft.hpp): each C micro-tile is verified against a
   /// column-checksum invariant and a corrupted tile is recomputed in place,
   /// with the event recorded at recovery site "blas.abft". ~10% GEMM
   /// overhead; a recovered solve is bitwise-identical to a fault-free one.
   bool abft = false;
+
+  // --- fixed settings ----------------------------------------------------
+  // Every solve runs with these values; they are not options.
+  /// Every solve screens its input: a NaN/Inf entry, or an asymmetry
+  /// |a_ij - a_ji| > asymmetry_tol * max|a|, is InvalidInput before any
+  /// stage runs (an O(n^2) scan). So a non-finite value met later can only
+  /// come from the arithmetic, and is reported as PrecisionLoss.
+  static constexpr bool screen_input = true;
+  static constexpr float asymmetry_tol = 1e-3f;
+  /// Verification uses verify::Options' defaults: 4 probe vectors and the
+  /// unscaled thresholds of verify::thresholds_for.
+  static constexpr int verify_probes = 4;
+  static constexpr float verify_tol_scale = 1.0f;
+  /// The second stage takes the auto lane rule of bulge::bulge_chase_auto:
+  /// gemm_pool()'s lanes when Q is accumulated and n >= kAutoLanesMinN,
+  /// otherwise the serial chase, and always the serial chase inside a
+  /// blas::SerialGemmScope (every EvdService runner holds one; the runners
+  /// are the parallelism). The output never depends on the lane count.
+  static constexpr int bulge_threads = 0;
 };
 
 struct EvdTimings {
@@ -144,10 +139,12 @@ struct EvdResult {
 /// additionally land on the context's telemetry.
 ///
 /// Failure semantics: a non-square matrix or a bandwidth below 1 is
-/// InvalidArgument; invalid input (NaN/Inf/asymmetric) is InvalidInput;
-/// recoverable numerical trouble first walks the documented fallbacks
-/// (TSQR -> blocked QR panels, fp32 GEMM retry, solver chain) and only
-/// propagates if every fallback is exhausted. A returned EvdResult is
+/// InvalidArgument; invalid input (NaN/Inf/asymmetric) is InvalidInput; a
+/// non-finite value the reduction produces from screened input (an fp16
+/// overflow, say) is PrecisionLoss, which a verified EstimateEscalate solve
+/// answers on the next engine up; recoverable numerical trouble first walks
+/// the documented fallbacks (TSQR -> blocked QR panels, fp32 GEMM retry,
+/// solver chain) and only propagates if every fallback is exhausted. A returned EvdResult is
 /// always converged; `recovery` says what it took.
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
 

@@ -55,31 +55,9 @@ void larf_left(const T* v, index_t incv, T tau, MatrixView<T> c, T* work) {
   }
 }
 
-template <typename T>
-void larf_right(const T* v, index_t incv, T tau, MatrixView<T> c, T* work) {
-  if (tau == T{}) return;
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  // work = C v
-  for (index_t i = 0; i < m; ++i) work[i] = c(i, 0);
-  for (index_t j = 1; j < n; ++j) {
-    const T vj = v[j * incv];
-    if (vj == T{}) continue;
-    for (index_t i = 0; i < m; ++i) work[i] += c(i, j) * vj;
-  }
-  // C -= tau * work * v^T
-  for (index_t i = 0; i < m; ++i) c(i, 0) -= tau * work[i];
-  for (index_t j = 1; j < n; ++j) {
-    const T t = tau * v[j * incv];
-    if (t == T{}) continue;
-    for (index_t i = 0; i < m; ++i) c(i, j) -= t * work[i];
-  }
-}
-
-#define TCEVD_HH_INST(T)                                              \
-  template T larfg<T>(index_t, T&, T*, index_t);                      \
-  template void larf_left<T>(const T*, index_t, T, MatrixView<T>, T*); \
-  template void larf_right<T>(const T*, index_t, T, MatrixView<T>, T*);
+#define TCEVD_HH_INST(T)                         \
+  template T larfg<T>(index_t, T&, T*, index_t); \
+  template void larf_left<T>(const T*, index_t, T, MatrixView<T>, T*);
 
 TCEVD_HH_INST(float)
 TCEVD_HH_INST(double)

@@ -22,14 +22,9 @@ T larfg(index_t n, T& alpha, T* x, index_t incx);
 template <typename T>
 void larf_left(const T* v, index_t incv, T tau, MatrixView<T> c, T* work);
 
-/// Apply H from the right: C = C * H. `work` >= C.rows() elements.
-template <typename T>
-void larf_right(const T* v, index_t incv, T tau, MatrixView<T> c, T* work);
-
-#define TCEVD_HH_EXTERN(T)                                                \
-  extern template T larfg<T>(index_t, T&, T*, index_t);                   \
-  extern template void larf_left<T>(const T*, index_t, T, MatrixView<T>, T*);  \
-  extern template void larf_right<T>(const T*, index_t, T, MatrixView<T>, T*);
+#define TCEVD_HH_EXTERN(T)                              \
+  extern template T larfg<T>(index_t, T&, T*, index_t); \
+  extern template void larf_left<T>(const T*, index_t, T, MatrixView<T>, T*);
 
 TCEVD_HH_EXTERN(float)
 TCEVD_HH_EXTERN(double)

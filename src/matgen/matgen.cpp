@@ -32,6 +32,7 @@ std::string matrix_type_name(MatrixType type, double cond) {
 
 std::vector<double> prescribed_spectrum(MatrixType type, index_t n, double cond) {
   TCEVD_CHECK(cond >= 1.0, "condition number must be >= 1");
+  if (n <= 0) return {};  // nothing to prescribe (and no back()/front())
   std::vector<double> s(static_cast<std::size_t>(n));
   const double lo = 1.0 / cond;
   switch (type) {

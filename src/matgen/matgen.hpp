@@ -26,7 +26,8 @@ enum class MatrixType { Normal, Uniform, Cluster0, Cluster1, Arith, Geo };
 std::string matrix_type_name(MatrixType type, double cond);
 
 /// The prescribed spectrum (ascending) for the spectrum-controlled types;
-/// empty for Normal/Uniform (whose spectrum is whatever the entries give).
+/// empty for Normal/Uniform (whose spectrum is whatever the entries give)
+/// and for n = 0.
 std::vector<double> prescribed_spectrum(MatrixType type, index_t n, double cond);
 
 /// Random orthogonal matrix (QR of a Gaussian sample).

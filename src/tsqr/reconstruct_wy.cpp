@@ -5,7 +5,6 @@
 #include "src/blas/blas.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/workspace.hpp"
-#include "src/lapack/lu.hpp"
 
 namespace tcevd::tsqr {
 

@@ -22,7 +22,6 @@
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/service.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band.hpp"
@@ -563,31 +562,6 @@ TEST(BulgeWavefront, ForcedThreadsThatCannotEngageNoteTheDowngrade) {
   for (const RecoveryEvent& ev : scope2.take())
     EXPECT_NE(ev.site, "evd.second_stage") << ev.action;
   EXPECT_GT(ctx2.telemetry().stage_seconds("bulge.chase"), 0.0);
-}
-
-// The downgrade is also visible end-to-end: an EvdService runner holds a
-// SerialGemmScope, so an explicit lane request on a vectors solve serializes
-// there — with the note surfaced in the request's recovery log.
-TEST(BulgeWavefront, ForcedThreadsUnderServiceRunnerNoteTheDowngrade) {
-  std::vector<Matrix<float>> mats;
-  mats.push_back(test::random_symmetric<float>(64, 79));
-  tc::Fp32Engine eng;
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  evd::EvdService service(eng, sopt);
-  evd::RequestOptions ropt;
-  ropt.evd.bandwidth = 8;
-  ropt.evd.big_block = 32;
-  ropt.evd.vectors = true;
-  ropt.evd.bulge_threads = 4;
-  auto res = test::solve_all(service, mats, ropt);
-  ASSERT_TRUE(res[0].status.ok()) << res[0].status.to_string();
-  bool noted = false;
-  for (const RecoveryEvent& ev : res[0].recovery)
-    if (ev.site == "evd.second_stage" &&
-        ev.action.find("SerialGemmScope") != std::string::npos)
-      noted = true;
-  EXPECT_TRUE(noted) << "lane request serialized on a service runner without a note";
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "src/evd/partial.hpp"
 #include "src/evd/pipeline.hpp"
 #include "src/sbr/sbr.hpp"
-#include "src/svd/svd.hpp"
 #include "src/tsqr/tsqr.hpp"
 #include "test_util.hpp"
 
@@ -125,13 +124,6 @@ TEST_F(ContractsDeath, RunSolveInvalidRequestAborts) {
   EXPECT_DEATH((void)evd::run_solve(rect.view(), ctx, {}), "invalid request");
   EXPECT_DEATH((void)evd::run_solve(a.view(), ctx, {}, evd::IndexRange{3, 16}),
                "invalid request");
-}
-
-TEST_F(ContractsDeath, SvdWideInputAborts) {
-  Matrix<float> a(4, 9);
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  EXPECT_DEATH((void)svd::svd_via_evd(a.view(), ctx), "m >= n");
 }
 
 TEST_F(ContractsDeath, MatrixNegativeDimensionAborts) {

@@ -297,17 +297,6 @@ TEST_F(FaultTest, WorkspaceQueryClampsBandwidthBelowOne) {
   }
 }
 
-TEST_F(FaultTest, ScreeningCanBeDisabled) {
-  auto a = test::random_symmetric<float>(32, 7);
-  a(3, 4) += 1e-2f;  // beyond the default tolerance but harmless
-  a(4, 3) += 1e-2f;
-  tc::Fp32Engine engine;
-  Context ctx(engine);
-  evd::EvdOptions opt;
-  opt.screen_input = false;
-  EXPECT_TRUE(evd::solve(ConstMatrixView<float>(a.view()), ctx, opt).ok());
-}
-
 // --- Per-layer fallbacks ---------------------------------------------------
 
 TEST_F(FaultTest, PanelFallsBackToBlockedQr) {

@@ -97,26 +97,6 @@ TEST(Larf, LeftApplicationMatchesDense) {
   }
 }
 
-TEST(Larf, RightApplicationMatchesDense) {
-  const index_t m = 7, n = 9;
-  auto c = test::random_matrix(m, n, 4);
-  auto c0 = c;
-  Rng rng(5);
-  std::vector<double> v(static_cast<std::size_t>(n));
-  v[0] = 1.0;
-  for (index_t i = 1; i < n; ++i) v[static_cast<std::size_t>(i)] = rng.normal();
-  const double tau = -0.8;
-  std::vector<double> work(static_cast<std::size_t>(m));
-  lapack::larf_right(v.data(), 1, tau, c.view(), work.data());
-  // Dense reference: C - tau (C v) v^T.
-  for (index_t i = 0; i < m; ++i) {
-    double dot = 0.0;
-    for (index_t j = 0; j < n; ++j) dot += c0(i, j) * v[static_cast<std::size_t>(j)];
-    for (index_t j = 0; j < n; ++j)
-      EXPECT_NEAR(c(i, j), c0(i, j) - tau * dot * v[static_cast<std::size_t>(j)], 1e-12);
-  }
-}
-
 TEST(Larf, TauZeroIsNoop) {
   auto c = test::random_matrix(5, 5, 6);
   auto c0 = c;

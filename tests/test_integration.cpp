@@ -1,8 +1,8 @@
 // Cross-module integration: the full pipeline exercised end to end in
 // configurations the unit tests don't combine — every engine x reduction x
-// solver on spectrum-controlled matrices, the SVD-on-EVD stack, the
-// refine-after-TC workflow (the library's intended mixed-precision recipe),
-// and engine substitution by a forwarding wrapper.
+// solver on spectrum-controlled matrices, the refine-after-TC workflow (the
+// library's intended mixed-precision recipe), and engine substitution by a
+// forwarding wrapper.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,6 @@
 #include "src/evd/service.hpp"
 #include "src/matgen/matgen.hpp"
 #include "src/sbr/sbr.hpp"
-#include "src/svd/svd.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "test_util.hpp"
 
@@ -116,29 +115,6 @@ TEST(Workflow, PartialMatchesFullOnTc) {
   for (index_t i = 0; i < 10; ++i)
     EXPECT_NEAR(part.eigenvalues[static_cast<std::size_t>(i)],
                 full.eigenvalues[static_cast<std::size_t>(i)], 2e-3);
-}
-
-TEST(Workflow, SvdOfTallMatrixThroughTcEvd) {
-  const index_t m = 120, n = 40;
-  Rng rng(22);
-  Matrix<float> a(m, n);
-  fill_normal(rng, a.view());
-
-  tc::EcTcEngine eng(tc::TcPrecision::Fp16);  // EC keeps the Gram route sane
-  Context ctx(eng);
-  svd::SvdOptions opt;
-  opt.evd.bandwidth = 8;
-  opt.evd.big_block = 16;
-  auto res = svd::svd_via_evd(a.view(), ctx, opt);
-  ASSERT_TRUE(res.converged);
-
-  Matrix<double> ad(m, n);
-  convert_matrix<float, double>(a.view(), ad.view());
-  auto ref = svd::jacobi_svd(ad.view());
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(res.sigma[static_cast<std::size_t>(i)],
-                static_cast<float>(ref.sigma[static_cast<std::size_t>(i)]),
-                2e-3f * static_cast<float>(ref.sigma[0]));
 }
 
 TEST(Workflow, LowRankReconstructionAccuracyChain) {

@@ -1,6 +1,8 @@
 // Matrix generation: spectra, symmetry, condition numbers, names.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/matgen/matgen.hpp"
@@ -34,6 +36,29 @@ TEST(Matgen, AllTypesSymmetric) {
                     MatrixType::Cluster1, MatrixType::Arith, MatrixType::Geo}) {
     auto a = matgen::generate(type, 40, 1e3, rng);
     EXPECT_EQ(sbr::symmetry_violation<double>(a.view()), 0.0);
+  }
+}
+
+// The smallest orders generate too: an n = 0 spectrum-controlled row once
+// wrote through back()/front() of an empty spectrum. At n = 1 the entry is
+// the prescribed eigenvalue (Q = +-1).
+TEST(Matgen, EveryPaperRowGeneratesAtOrdersZeroAndOne) {
+  for (const auto& row : matgen::paper_accuracy_rows()) {
+    SCOPED_TRACE(matgen::matrix_type_name(row.type, row.cond));
+    Rng rng(5);
+    EXPECT_TRUE(matgen::prescribed_spectrum(row.type, 0, row.cond).empty());
+    const auto empty = matgen::generate(row.type, 0, row.cond, rng);
+    EXPECT_EQ(empty.rows(), 0);
+    EXPECT_EQ(empty.cols(), 0);
+
+    const auto one = matgen::generate(row.type, 1, row.cond, rng);
+    ASSERT_EQ(one.rows(), 1);
+    ASSERT_EQ(one.cols(), 1);
+    EXPECT_TRUE(std::isfinite(one(0, 0)));
+    const auto spectrum = matgen::prescribed_spectrum(row.type, 1, row.cond);
+    if (!spectrum.empty()) {
+      EXPECT_NEAR(one(0, 0), spectrum[0], 1e-15);
+    }
   }
 }
 

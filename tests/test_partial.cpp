@@ -177,9 +177,9 @@ TEST(Partial, RangeSolveEndsAfterSolverStage) {
 
 TEST(Partial, ValuesOnlySelectedSolveChasesCompactBand) {
   // The selected solve chases the band in compact storage like a full solve
-  // does, whatever bulge_threads says: its eigenvalues are bit for bit stebz
-  // on the compact chase of the same SBR band, and so are those of a vectors
-  // solve, whose chase also streams the rotations into Q.
+  // does: its eigenvalues are bit for bit stebz on the compact chase of the
+  // same SBR band, and so are those of a vectors solve, whose chase also
+  // streams the rotations into Q.
   const index_t n = 64;
   auto a = test::random_symmetric<float>(n, 10);
   tc::Fp32Engine eng;
@@ -196,17 +196,12 @@ TEST(Partial, ValuesOnlySelectedSolveChasesCompactBand) {
   const auto [d, e] = bulge::bulge_chase_band<float>(ref_ctx, band);
   const std::vector<float> want = lapack::stebz<float>(d, e, 0, n - 1);
 
-  for (int threads : {0, 1, 8}) {
-    opt.bulge_threads = threads;
-    Context ctx(eng);
-    auto compact = *evd::solve_selected(a.view(), ctx, opt, 0, n - 1);
-    ASSERT_EQ(compact.eigenvalues.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_EQ(compact.eigenvalues[i], want[i]) << "bulge_threads = " << threads << ", " << i;
-    EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
-  }
+  Context ctx(eng);
+  auto compact = *evd::solve_selected(a.view(), ctx, opt, 0, n - 1);
+  ASSERT_EQ(compact.eigenvalues.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(compact.eigenvalues[i], want[i]) << i;
+  EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
 
-  opt.bulge_threads = 0;
   Context vctx(eng);
   auto with_vectors = *evd::solve_selected(a.view(), vctx, opt, 0, 3, true);
   EXPECT_GT(vctx.telemetry().stage_seconds("bulge.chase"), 0.0);

@@ -9,6 +9,8 @@
 
 #include "src/common/context.hpp"
 #include "src/blas/blas.hpp"
+#include "src/blas/gemm_threading.hpp"
+#include "src/bulge/bulge_wavefront.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/service.hpp"
@@ -486,65 +488,50 @@ TEST(Degenerate, TinyMatrices) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: the wavefront second stage preserves the spectrum end-to-end.
-// Random matrices with SIGNED spectra at prime orders (worst case for both
-// the SBR blocking and the wavefront's sweep-block remainders), solved
-// through evd::solve with the wavefront forced on (bulge_threads = 8), for
-// both full-width (TwoStageWy) and narrow-band (TwoStageDbr, b = 2) second
-// stages — and the whole solve must be bitwise-identical to bulge_threads=1,
-// vectors included, because the wavefront is pinned to the serial rotation
-// sequence.
+// Property: the second stage preserves the spectrum end-to-end, and its lane
+// count never moves a bit. Random matrices with SIGNED spectra at prime
+// orders (worst case for the SBR blocking and, at 1031, for the wavefront's
+// sweep-block remainders), for both full-width (TwoStageWy, b = 8) and
+// narrow-band (TwoStageDbr, b = 2) second stages.
 // ---------------------------------------------------------------------------
+
+// matgen Normal draws a prescribed spectrum from N(0,1): signed by
+// construction (negative and positive eigenvalues in every draw).
+Matrix<double> signed_spectrum_matrix(index_t n) {
+  Rng rng(3100 + static_cast<std::uint64_t>(n));
+  return matgen::generate(matgen::MatrixType::Normal, n, 0.0, rng);
+}
+
+evd::EvdOptions wavefront_options(evd::Reduction reduction) {
+  evd::EvdOptions opt;
+  opt.reduction = reduction;
+  opt.vectors = true;
+  // DBR's narrow band leaves the bulge chase all the work.
+  opt.bandwidth = reduction == evd::Reduction::TwoStageDbr ? 2 : 8;
+  opt.big_block = 32;
+  return opt;
+}
 
 class BulgeWavefrontInvariant
     : public ::testing::TestWithParam<std::tuple<index_t, evd::Reduction>> {};
 
-TEST_P(BulgeWavefrontInvariant, SpectrumPreservedAndBitwiseEqualToSerial) {
+TEST_P(BulgeWavefrontInvariant, SpectrumPreserved) {
   const auto [n, reduction] = GetParam();
-  Rng rng(3100 + static_cast<std::uint64_t>(n));
-  // matgen Normal draws a prescribed spectrum from N(0,1): signed by
-  // construction (negative and positive eigenvalues in every draw).
-  auto ad = matgen::generate(matgen::MatrixType::Normal, n, 0.0, rng);
+  auto ad = signed_spectrum_matrix(n);
   Matrix<float> a(n, n);
   convert_matrix<double, float>(ad.view(), a.view());
   auto ref = *evd::reference_eigenvalues(ad.view());
 
   tc::Fp32Engine eng;
-  evd::EvdOptions opt;
-  opt.reduction = reduction;
-  opt.vectors = true;
-  if (reduction == evd::Reduction::TwoStageDbr) {
-    opt.bandwidth = 2;  // the DBR narrow-band shape: bulge does all the work
-    opt.big_block = 32;
-  } else {
-    opt.bandwidth = 8;
-    opt.big_block = 32;
-  }
-
-  opt.bulge_threads = 8;  // force the wavefront path
-  Context cw(eng);
-  auto wave = *evd::solve(a.view(), cw, opt);
-  ASSERT_TRUE(wave.converged);
+  Context ctx(eng);
+  auto res = *evd::solve(a.view(), ctx, wavefront_options(reduction));
+  ASSERT_TRUE(res.converged);
 
   // Signed spectrum preserved against the double one-stage reference.
-  std::vector<double> got(wave.eigenvalues.begin(), wave.eigenvalues.end());
+  std::vector<double> got(res.eigenvalues.begin(), res.eigenvalues.end());
   EXPECT_LT(eigenvalue_error(ref.data(), got.data(), n), 1e-4) << "n=" << n;
   EXPECT_LT(got.front(), 0.0) << "spectrum not signed — test lost its point";
   EXPECT_GT(got.back(), 0.0);
-
-  // The whole solve — eigenvalues AND eigenvectors — is bitwise-equal to the
-  // serial second stage.
-  opt.bulge_threads = 1;
-  Context cs(eng);
-  auto serial = *evd::solve(a.view(), cs, opt);
-  ASSERT_TRUE(serial.converged);
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_EQ(wave.eigenvalues[static_cast<std::size_t>(i)],
-              serial.eigenvalues[static_cast<std::size_t>(i)])
-        << "lambda[" << i << "]";
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i)
-      ASSERT_EQ(wave.vectors(i, j), serial.vectors(i, j)) << "V(" << i << "," << j << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -552,6 +539,46 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<index_t>(61, 101, 127),
                        ::testing::Values(evd::Reduction::TwoStageWy,
                                          evd::Reduction::TwoStageDbr)));
+
+// From bulge::kAutoLanesMinN up, a vectors solve chases on gemm_pool()'s
+// lanes (when the pool has workers). The whole solve — eigenvalues AND
+// eigenvectors — must be bitwise the same solve inside a SerialGemmScope,
+// whose chase runs the plain sweep loop, because the wavefront is pinned to
+// the serial rotation sequence. 1031 is the first prime past the crossover.
+class BulgeWavefrontSolve : public ::testing::TestWithParam<evd::Reduction> {};
+
+TEST_P(BulgeWavefrontSolve, AutoLanesBitwiseEqualToSerialGemmScope) {
+  const index_t n = 1031;
+  static_assert(n >= bulge::kAutoLanesMinN);
+  auto ad = signed_spectrum_matrix(n);
+  Matrix<float> a(n, n);
+  convert_matrix<double, float>(ad.view(), a.view());
+  const evd::EvdOptions opt = wavefront_options(GetParam());
+
+  tc::Fp32Engine eng;
+  Context cw(eng);
+  auto wave = *evd::solve(a.view(), cw, opt);
+  ASSERT_TRUE(wave.converged);
+
+  Context cs(eng);
+  evd::EvdResult serial;
+  {
+    blas::SerialGemmScope serial_scope;
+    serial = *evd::solve(a.view(), cs, opt);
+  }
+  ASSERT_TRUE(serial.converged);
+  for (index_t i = 0; i < n; ++i)
+    ASSERT_EQ(wave.eigenvalues[static_cast<std::size_t>(i)],
+              serial.eigenvalues[static_cast<std::size_t>(i)])
+        << "lambda[" << i << "]";
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i)
+      ASSERT_EQ(wave.vectors(i, j), serial.vectors(i, j)) << "V(" << i << "," << j << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(AboveLaneCrossover, BulgeWavefrontSolve,
+                         ::testing::Values(evd::Reduction::TwoStageWy,
+                                           evd::Reduction::TwoStageDbr));
 
 TEST(Degenerate, HugeBandwidthClampedToMatrix) {
   const index_t n = 24;

@@ -229,14 +229,20 @@ TEST(Sbr, CachedOaVariantMatchesLiteral) {
   auto a = test::random_symmetric<float>(n, 31);
   tc::Fp32Engine e1, e2;
   Context c1(e1), c2(e2);
+  c1.telemetry().set_recording(true);
+  c2.telemetry().set_recording(true);
   SbrOptions lit;
   lit.bandwidth = b;
   lit.big_block = 32;
+  lit.wy_cache_oa_product = false;
   SbrOptions cached = lit;
   cached.wy_cache_oa_product = true;
   auto r1 = *sbr::sbr_wy(a.view(), c1, lit);
   auto r2 = *sbr::sbr_wy(a.view(), c2, cached);
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-4);
+  // The two runs took different paths: the literal Algorithm 1 recomputes
+  // the OA product that the cached variant extends per panel.
+  EXPECT_GT(c1.telemetry().recorded_flops(), c2.telemetry().recorded_flops());
 }
 
 // The packed GEMM fans large products out on gemm_pool(); tiles are disjoint

@@ -30,6 +30,7 @@
 #include "src/evd/partial.hpp"
 #include "src/evd/pipeline.hpp"
 #include "src/evd/service.hpp"
+#include "src/matgen/matgen.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
 #include "tests/test_util.hpp"
@@ -455,6 +456,79 @@ TEST_F(VerifyTest, EscalationConvertsCorruptionIntoPassingResolve) {
   for (const auto& s : ctx.telemetry().stages())
     if (s.name == "evd.verify.escalation" && s.calls >= 1) escalation_stage = true;
   EXPECT_TRUE(escalation_stage);
+}
+
+// A Normal matrix scaled by 1e4 passes the input screen, but tc-fp16's
+// trailing updates overflow fp16, so a panel of the reduction holds a
+// non-finite entry. The screen rules out the input as its source, so the
+// solve reports the overflow as PrecisionLoss, which escalation can recover.
+Matrix<float> fp16_overflow_input() {
+  const index_t n = 256;
+  Rng rng(1);
+  const auto ad = matgen::generate(matgen::MatrixType::Normal, n, 0.0, rng);
+  Matrix<float> a(n, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) a(i, j) = static_cast<float>(ad(i, j) * 1e4);
+  return a;
+}
+
+evd::EvdOptions fp16_overflow_options() {
+  evd::EvdOptions opt;
+  opt.reduction = evd::Reduction::TwoStageDbr;
+  opt.bandwidth = 32;
+  opt.big_block = 128;
+  return opt;
+}
+
+TEST_F(VerifyTest, Fp16OverflowInReductionIsPrecisionLoss) {
+  const auto a = fp16_overflow_input();
+  tc::TcEngine engine(tc::TcPrecision::Fp16);
+  Context ctx(engine);
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, fp16_overflow_options());
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::PrecisionLoss) << res.status().to_string();
+  EXPECT_TRUE(is_recoverable(res.status()));
+}
+
+TEST_F(VerifyTest, Fp16OverflowInReductionEscalatesToErrorCorrectedEngine) {
+  const auto a = fp16_overflow_input();
+  tc::TcEngine engine(tc::TcPrecision::Fp16);
+  Context ctx(engine);
+  evd::EvdOptions opt = fp16_overflow_options();
+  opt.verify = verify::Policy::EstimateEscalate;
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  EXPECT_TRUE(res->verify.passed);
+  EXPECT_EQ(res->verify.attempts, 2);
+  EXPECT_EQ(res->verify.engine, "ectc-fp16");
+  bool escalation_noted = false;
+  for (const auto& ev : res->recovery)
+    if (ev.site == "evd.verify" && ev.action.find("PrecisionLoss") != std::string::npos &&
+        ev.action.find("re-solving") != std::string::npos)
+      escalation_noted = true;
+  EXPECT_TRUE(escalation_noted);
+}
+
+// ZY's last trailing block overflows fp16 at the same scale but is never a
+// panel, so the non-finite entries reach the tridiagonal form. Bisection used
+// to return finite garbage for it (eigenvalue errors of about twice max|λ|)
+// with an Ok status.
+TEST_F(VerifyTest, Fp16OverflowOutsideEveryPanelIsPrecisionLoss) {
+  const auto a = fp16_overflow_input();
+  tc::TcEngine engine(tc::TcPrecision::Fp16);
+  evd::EvdOptions opt = fp16_overflow_options();
+  opt.reduction = evd::Reduction::TwoStageZy;
+  Context ctx(engine);
+  auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::PrecisionLoss) << res.status().to_string();
+
+  opt.verify = verify::Policy::EstimateEscalate;
+  Context vctx(engine);
+  auto verified = evd::solve(ConstMatrixView<float>(a.view()), vctx, opt);
+  ASSERT_TRUE(verified.ok()) << verified.status().to_string();
+  EXPECT_TRUE(verified->verify.passed);
+  EXPECT_EQ(verified->verify.engine, "ectc-fp16");
 }
 
 TEST_F(VerifyTest, EscalationWalksTheFullChainToFp32) {
