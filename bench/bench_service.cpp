@@ -136,7 +136,6 @@ int main() {
   evd::ServiceOptions sopt;
   sopt.num_threads = workers;
   sopt.max_in_flight = static_cast<int>(window);
-  sopt.overflow = evd::OverflowPolicy::Block;
 
   long failed = 0;
   Timer total;

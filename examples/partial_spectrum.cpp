@@ -30,9 +30,10 @@ int main() {
   evd::EvdOptions opt;
   opt.bandwidth = 16;
   opt.big_block = 64;
+  opt.vectors = true;
 
   // Selected solve: indices n-k .. n-1 are the k largest eigenvalues.
-  auto part = *evd::solve_selected(a.view(), ctx, opt, n - k, n - 1, /*vectors=*/true);
+  auto part = *evd::solve_selected(a.view(), ctx, opt, n - k, n - 1);
   if (!part.converged) return 1;
   const double res_coarse =
       evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view());

@@ -20,10 +20,6 @@ const char* error_code_name(ErrorCode code) noexcept {
       return "FaultInjected";
     case ErrorCode::Internal:
       return "Internal";
-    case ErrorCode::ResourceExhausted:
-      return "ResourceExhausted";
-    case ErrorCode::DeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }
@@ -63,14 +59,6 @@ Status singular_panel_error(std::string message, std::int64_t detail) {
 
 Status fault_injected_error(std::string site) {
   return Status(ErrorCode::FaultInjected, "injected fault at site " + std::move(site));
-}
-
-Status resource_exhausted_error(std::string message) {
-  return Status(ErrorCode::ResourceExhausted, std::move(message));
-}
-
-Status deadline_exceeded_error(std::string message) {
-  return Status(ErrorCode::DeadlineExceeded, std::move(message));
 }
 
 bool is_recoverable(const Status& status) noexcept {

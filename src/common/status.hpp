@@ -26,8 +26,6 @@ enum class ErrorCode {
   SingularPanel,   ///< panel factorization hit a (near-)zero pivot
   FaultInjected,   ///< a registered fault-injection site fired (tests only)
   Internal,        ///< should-not-happen invariant violation
-  ResourceExhausted, ///< admission control refused the request (queue full)
-  DeadlineExceeded,  ///< a per-request deadline expired before completion
 };
 
 /// Stable short name ("NoConvergence", ...) for logs and messages.
@@ -64,8 +62,6 @@ Status precision_loss_error(std::string message);
 Status singular_panel_error(std::string message, std::int64_t detail = -1);
 /// Status carried by a fired injection site; `site` is the registered name.
 Status fault_injected_error(std::string site);
-Status resource_exhausted_error(std::string message);
-Status deadline_exceeded_error(std::string message);
 
 /// True for failures a driver may answer with a degradation path (solver
 /// fallback, precision escalation, panel retry). InvalidInput,

@@ -154,7 +154,10 @@ Report estimate_values(ConstMatrixView<float> a, const std::vector<float>& lambd
 
   double trace = 0.0;
   for (index_t i = 0; i < n; ++i) trace += static_cast<double>(a(i, i));
-  const double anorm = std::max(frobenius_norm<float>(a), 1e-300);
+  // The clamp only keeps A = 0 from dividing by zero; its exact zero
+  // spectrum must then read as no error, so the difference takes ||A||_F.
+  const double fro = frobenius_norm<float>(a);
+  const double anorm = std::max(fro, 1e-300);
 
   double lsum = 0.0;
   double lsq = 0.0;
@@ -164,7 +167,7 @@ Report estimate_values(ConstMatrixView<float> a, const std::vector<float>& lambd
   }
 
   const double trace_err = std::abs(lsum - trace) / anorm;
-  const double frob_err = std::abs(std::sqrt(lsq) - anorm) / anorm;
+  const double frob_err = std::abs(std::sqrt(lsq) - fro) / anorm;
   rep.residual = std::max(trace_err, frob_err);
   rep.passed = rep.residual <= rep.residual_tol;
   return rep;

@@ -42,9 +42,10 @@ Status run_tri_solver(Workspace& ws, TriSolver solver, std::vector<float>& d,
     TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(d, e, z != nullptr ? &s : nullptr));
   } else {
     // Bisection, and for vectors inverse iteration on its values.
-    const std::vector<float> eigs = lapack::stebz<float>(d, e, 0, n - 1);
-    if (z != nullptr) TCEVD_RETURN_IF_ERROR(lapack::stein<float>(d, e, eigs, s));
-    std::copy(eigs.begin(), eigs.end(), d.begin());
+    StatusOr<std::vector<float>> eigs = lapack::stebz<float>(d, e, 0, n - 1);
+    TCEVD_RETURN_IF_ERROR(eigs.status());
+    if (z != nullptr) TCEVD_RETURN_IF_ERROR(lapack::stein<float>(d, e, *eigs, s));
+    std::copy(eigs->begin(), eigs->end(), d.begin());
   }
   if (z != nullptr) {
     auto zs = scope.matrix<float>(z->rows(), n);
@@ -142,7 +143,9 @@ Status solve_range(Workspace& ws, const EvdOptions& opt, IndexRange range,
                    "verification skipped: a selected range has no full spectrum to "
                    "estimate against; returning the result unverified");
 
-  result.eigenvalues = lapack::stebz<float>(d, e, il, range.iu);
+  StatusOr<std::vector<float>> eigs = lapack::stebz<float>(d, e, il, range.iu);
+  TCEVD_RETURN_IF_ERROR(eigs.status());
+  result.eigenvalues = std::move(*eigs);
   if (!opt.vectors) return ok_status();
 
   // Tridiagonal eigenvectors by inverse iteration, then back-transform.
@@ -421,12 +424,9 @@ StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptio
 }
 
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
-                                   const EvdOptions& opt, index_t il, index_t iu,
-                                   bool vectors) {
+                                   const EvdOptions& opt, index_t il, index_t iu) {
   TCEVD_RETURN_IF_ERROR(validate_request(a, opt, IndexRange{il, iu}, "solve_selected"));
-  EvdOptions sel = opt;
-  sel.vectors = vectors;
-  return run_solve(a, ctx, sel, IndexRange{il, iu});
+  return run_solve(a, ctx, opt, IndexRange{il, iu});
 }
 
 std::size_t workspace_query(index_t n, const EvdOptions& opt) {

@@ -15,19 +15,18 @@
 namespace tcevd::evd {
 
 /// Compute eigenvalues il..iu (0-based, inclusive, ascending order) of
-/// symmetric `a`, optionally with eigenvectors (n x (iu - il + 1)). Uses
-/// opt.reduction / bandwidth / big_block / panel, the input screen and ABFT
-/// exactly as evd::solve does; opt.solver and opt.vectors are ignored
-/// (bisection + stein by construction; `vectors` decides). The result is not
-/// verified: a verify policy other than Off is noted at recovery site
-/// "evd.verify". If inverse iteration fails on a vector (or the
-/// stein.stagnate fault fires), the selected vectors are recomputed with the
-/// full QL solver instead (noted at "evd.partial"); only when that also fails
-/// does the error propagate. A non-square matrix, a bandwidth below 1 or an
-/// out-of-bounds index range returns InvalidArgument (request data, not a
-/// programmer contract — EvdService refuses such a request at submit).
+/// symmetric `a` and, with opt.vectors, their eigenvectors (n x (iu - il + 1)).
+/// Uses opt.reduction / bandwidth / big_block / panel, the input screen and
+/// ABFT exactly as evd::solve does; opt.solver is ignored (bisection + stein
+/// by construction). The result is not verified: a verify policy other than
+/// Off is noted at recovery site "evd.verify". If inverse iteration fails on
+/// a vector (or the stein.stagnate fault fires), the selected vectors are
+/// recomputed with the full QL solver instead (noted at "evd.partial"); only
+/// when that also fails does the error propagate. A non-square matrix, a
+/// bandwidth below 1 or an out-of-bounds index range returns InvalidArgument
+/// (request data, not a programmer contract — EvdService refuses such a
+/// request at submit).
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
-                                   const EvdOptions& opt, index_t il, index_t iu,
-                                   bool vectors = false);
+                                   const EvdOptions& opt, index_t il, index_t iu);
 
 }  // namespace tcevd::evd

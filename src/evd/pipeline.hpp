@@ -46,8 +46,7 @@ enum class Stage { Reduction, Bulge, Solver, Verify };
 
 /// Runs on the solving thread before each stage. A non-OK Status ends the
 /// solve with that Status; it must not be recoverable (is_recoverable), or a
-/// verified solve would escalate on it. EvdService checks the request's
-/// deadline here (DeadlineExceeded).
+/// verified solve would escalate on it.
 using StageGate = std::function<Status(Stage)>;
 
 /// Solves `a` on `ctx`, which nothing else may use during the call. With

@@ -46,16 +46,7 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
   TCEVD_RETURN_IF_ERROR(validate_request(a, ropt.evd, range, "EvdService::submit"));
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (in_flight_ >= opt_.max_in_flight) {
-    if (opt_.overflow == OverflowPolicy::Reject) {
-      ++rejected_;
-      return resource_exhausted_error(
-          "EvdService::submit: " + std::to_string(in_flight_) +
-          " requests already in flight (max_in_flight = " +
-          std::to_string(opt_.max_in_flight) + ") and the overflow policy is Reject");
-    }
-    admit_cv_.wait(lock, [&] { return in_flight_ < opt_.max_in_flight; });
-  }
+  admit_cv_.wait(lock, [&] { return in_flight_ < opt_.max_in_flight; });
 
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -69,18 +60,7 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
   req.in_use = true;
   req.a.emplace(a);
   req.opt = ropt;
-  req.seq = next_seq_++;
   req.submit_tp = Clock::now();
-  // A deadline the clock cannot represent from now (including +inf) would
-  // overflow the conversion below, so it counts as no deadline, as NaN and
-  // values <= 0 do. The min() absorbs the last ulp of double rounding.
-  const Clock::duration headroom = Clock::time_point::max() - req.submit_tp;
-  const std::chrono::duration<double> deadline(ropt.deadline_s);
-  req.has_deadline = ropt.deadline_s > 0.0 && deadline < headroom;
-  if (req.has_deadline)
-    req.deadline_tp =
-        req.submit_tp +
-        std::min(std::chrono::duration_cast<Clock::duration>(deadline), headroom);
   req.range = range;
   req.completed = false;
   req.result = RequestResult{};
@@ -91,37 +71,6 @@ StatusOr<RequestId> EvdService::submit(ConstMatrixView<float> a,
   return (static_cast<RequestId>(req.gen) << 32) | slot;
 }
 
-int EvdService::pick_ready_locked(Clock::time_point now) const noexcept {
-  int best = -1;
-  bool best_expired = false;
-  for (int i = 0; i < static_cast<int>(ready_.size()); ++i) {
-    const Request& r = slots_[ready_[i]];
-    const bool expired = r.has_deadline && now >= r.deadline_tp;
-    if (best < 0) {
-      best = i;
-      best_expired = expired;
-      continue;
-    }
-    const Request& b = slots_[ready_[best]];
-    if (expired != best_expired) {
-      if (expired) {
-        best = i;
-        best_expired = true;
-      }
-      continue;
-    }
-    const bool better =
-        r.opt.priority != b.opt.priority ? r.opt.priority > b.opt.priority
-        : r.has_deadline != b.has_deadline
-            ? r.has_deadline  // a deadline outranks none at equal priority
-        : (r.has_deadline && r.deadline_tp != b.deadline_tp)
-            ? r.deadline_tp < b.deadline_tp
-            : r.seq < b.seq;
-    if (better) best = i;
-  }
-  return best;
-}
-
 void EvdService::runner_loop(int runner) {
   // The runners are the parallelism: the GEMMs and chases of their requests
   // stay on the runner's thread.
@@ -129,27 +78,12 @@ void EvdService::runner_loop(int runner) {
   Runner& self = runners_[static_cast<std::size_t>(runner)];
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    int ri = -1;
-    sched_cv_.wait(lock, [&] {
-      if (stopping_) return true;
-      ri = pick_ready_locked(Clock::now());
-      return ri >= 0;
-    });
-    if (ri < 0) return;  // stopping, drained: the destructor waited for in_flight_ == 0
-    const std::uint32_t slot = ready_[static_cast<std::size_t>(ri)];
-    ready_[static_cast<std::size_t>(ri)] = ready_.back();
-    ready_.pop_back();
-    Request& req = slots_[slot];
+    sched_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
+    if (ready_.empty()) return;  // stopping, drained: the destructor waited for in_flight_ == 0
+    Request& req = slots_[ready_.front()];
+    ready_.erase(ready_.begin());
 
     const Clock::time_point start = Clock::now();
-    if (req.has_deadline && start >= req.deadline_tp) {
-      req.result.status = deadline_exceeded_error(
-          "EvdService: request deadline (" + std::to_string(req.opt.deadline_s) +
-          " s) expired before the solve started");
-      ++expired_;
-      finalize_locked(req);
-      continue;
-    }
     if (!self.ctx) self.ctx = std::make_unique<Context>(*engine_);
     // Under the lock and before `solving` is set, as telemetry_snapshot()
     // reads the Context then.
@@ -164,26 +98,17 @@ void EvdService::runner_loop(int runner) {
     req.result.seconds = elapsed_s(start, Clock::now());
     lock.lock();
     self.solving = false;
-    if (req.result.status.code() == ErrorCode::DeadlineExceeded) ++expired_;
     finalize_locked(req);
   }
 }
 
 void EvdService::solve_request(Request& req, Context& ctx) {
-  const StageGate gate = [&req](Stage) -> Status {
-    if (req.has_deadline && Clock::now() >= req.deadline_tp)
-      return deadline_exceeded_error("EvdService: request deadline (" +
-                                     std::to_string(req.opt.deadline_s) +
-                                     " s) expired between pipeline stages");
-    return ok_status();
-  };
-
   // A failed solve hands its recovery log to this scope; a throwing one
   // leaves it here as it unwinds.
   recovery::Scope dropped;
   Status thrown = ok_status();
   try {
-    StatusOr<EvdResult> r = run_solve(*req.a, ctx, req.opt.evd, req.range, gate);
+    StatusOr<EvdResult> r = run_solve(*req.a, ctx, req.opt.evd, req.range);
     req.result.status = r.status();
     if (r.ok()) {
       req.result.eigenvalues = std::move(r->eigenvalues);
@@ -242,11 +167,6 @@ RequestResult EvdService::wait(RequestId id) {
   return out;
 }
 
-void EvdService::wait_all() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return in_flight_ == 0; });
-}
-
 Telemetry EvdService::telemetry_snapshot() {
   std::lock_guard<std::mutex> lock(mutex_);
   Telemetry out;
@@ -260,9 +180,6 @@ ServiceStats EvdService::stats() const {
   ServiceStats s;
   s.submitted = submitted_;
   s.completed = completed_;
-  s.rejected = rejected_;
-  s.deadline_expired = expired_;
-  s.num_threads = num_threads();
   for (const Runner& r : runners_)
     if (r.ctx) ++s.pooled_contexts;
   return s;

@@ -3,21 +3,17 @@
 //
 // EvdService accepts an open-ended stream of requests — mixed sizes, mixed
 // options, full or selected spectra — and runs them on a fixed set of
-// runners. A runner takes a waiting request and runs the whole solve on its
-// own Context with evd::run_solve (src/evd/pipeline.hpp), the function
+// runners. A runner takes the oldest waiting request and runs the whole solve
+// on its own Context with evd::run_solve (src/evd/pipeline.hpp), the function
 // evd::solve and evd::solve_selected run, so per-request results are
 // bitwise-identical to those calls — the service changes scheduling, never
 // numerics.
 //
 // Admission control: at most ServiceOptions::max_in_flight requests may be
-// submitted-but-not-completed; past that, submit() blocks (Block) or returns
-// ResourceExhausted (Reject). Priorities and deadlines decide which waiting
-// request starts next: the highest priority (ties: earliest deadline, then
-// FIFO). A started request runs to the end on its runner; higher-priority
-// work never overtakes it. A request whose deadline expires before it starts
-// fails with DeadlineExceeded without taking a context, and one whose
-// deadline expires mid-pipeline fails before its next stage. At most
-// num_threads requests are mid-pipeline at once.
+// submitted-but-not-completed; past that, submit() blocks until a slot frees.
+// Waiting requests start first-in-first-out, and a started request runs to
+// the end on its runner. At most num_threads requests are mid-pipeline at
+// once.
 //
 // Runners: num_threads std::threads, joined by the destructor. Each holds one
 // blas::SerialGemmScope for its whole life — the runners are the parallelism,
@@ -34,12 +30,12 @@
 // (Telemetry::stage_quantile). Those time the pipeline's work only:
 // evd.reduction starts after the input screen and the arena reserve, and a
 // stage that throws records nothing. telemetry_snapshot() merges every
-// runner Context that is not mid-request; call it quiescent (after wait_all)
-// for complete numbers.
+// runner Context that is not mid-request; call it once every request has
+// been waited for, for complete numbers.
 //
-// Thread-safety: submit/wait/wait_all/stats/telemetry_snapshot may be called
-// from any thread, concurrently. The submitted matrix view is borrowed and
-// must stay alive and unmodified until the request's wait() returns.
+// Thread-safety: submit/wait/stats/telemetry_snapshot may be called from any
+// thread, concurrently. The submitted matrix view is borrowed and must stay
+// alive and unmodified until the request's wait() returns.
 #pragma once
 
 #include <chrono>
@@ -62,22 +58,16 @@
 
 namespace tcevd::evd {
 
-/// What submit() does when max_in_flight requests are already in flight.
-enum class OverflowPolicy {
-  Block,   ///< block the submitting thread until a slot frees
-  Reject,  ///< return ResourceExhausted immediately
-};
-
 struct ServiceOptions {
   /// Runner count; 0 picks ThreadPool::hardware_threads().
   int num_threads = 0;
   /// Admission bound: submitted-but-not-completed requests (results awaiting
-  /// wait() have already released their slot). Values < 1 clamp to 1.
+  /// wait() have already released their slot); submit() blocks past it.
+  /// Values < 1 clamp to 1.
   int max_in_flight = 256;
-  OverflowPolicy overflow = OverflowPolicy::Block;
 };
 
-/// Per-request configuration: the solve itself plus scheduling attributes.
+/// Per-request configuration: the solve and, optionally, a selected range.
 struct RequestOptions {
   EvdOptions evd;
   /// Partial-spectrum mode: eigenvalue indices [il, iu] (0-based, inclusive),
@@ -87,16 +77,6 @@ struct RequestOptions {
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
-  /// Among waiting requests, higher starts first (default 0).
-  int priority = 0;
-  /// Seconds from submit() after which the request fails with
-  /// DeadlineExceeded instead of starting, or instead of starting its next
-  /// stage. 0, a negative or non-finite value (NaN, +inf), or one too far
-  /// out for the steady clock to represent from now (about 292 years) means
-  /// no deadline. Checked before the request starts and before each of its
-  /// stages only — a stage in execution is never interrupted. Ties among equal
-  /// priorities start earliest-deadline first.
-  double deadline_s = 0.0;
 };
 
 /// Opaque request handle returned by submit() and claimed by wait().
@@ -115,16 +95,13 @@ struct RequestResult {
   double seconds = 0.0;            ///< start -> completion
   /// 1-based service-wide completion ordinal: request k was the
   /// completion_seq-th to finish. This is the observable the scheduling
-  /// tests pin priority/deadline ordering against.
+  /// tests pin the start order against.
   std::uint64_t completion_seq = 0;
 };
 
 struct ServiceStats {
   long submitted = 0;
-  long completed = 0;          ///< includes failed and deadline-expired
-  long rejected = 0;           ///< Reject-policy admission refusals
-  long deadline_expired = 0;   ///< completed with DeadlineExceeded
-  int num_threads = 0;
+  long completed = 0;  ///< includes failed requests
   std::size_t pooled_contexts = 0;  ///< runner Contexts created (<= num_threads)
 };
 
@@ -141,9 +118,9 @@ class EvdService {
 
   int num_threads() const noexcept { return static_cast<int>(runners_.size()); }
 
-  /// Enqueue one request. Fails with InvalidArgument (non-square input,
-  /// bandwidth < 1, bad selected range) or ResourceExhausted (Reject policy,
-  /// queue full) without consuming a slot. `a` is borrowed until wait()
+  /// Enqueue one request, blocking while max_in_flight requests are in
+  /// flight. Fails with InvalidArgument (non-square input, bandwidth < 1, bad
+  /// selected range) without consuming a slot. `a` is borrowed until wait()
   /// returns.
   StatusOr<RequestId> submit(ConstMatrixView<float> a, const RequestOptions& opt = {});
 
@@ -152,14 +129,10 @@ class EvdService {
   /// InvalidArgument in RequestResult::status).
   RequestResult wait(RequestId id);
 
-  /// Block until no request is in flight (unclaimed results keep waiting for
-  /// their wait() calls; they do not hold the service open).
-  void wait_all();
-
   /// The telemetry of every runner Context that is not mid-request, merged:
   /// service.queue and the evd.* stages, with quantiles, plus recovery
   /// events. A Context whose runner is solving is skipped, not waited for —
-  /// quiesce first for complete numbers.
+  /// wait for every request first for complete numbers.
   Telemetry telemetry_snapshot();
 
   ServiceStats stats() const;
@@ -173,10 +146,7 @@ class EvdService {
     // Request payload (set by submit).
     std::optional<ConstMatrixView<float>> a;
     RequestOptions opt;
-    std::uint64_t seq = 0;  ///< FIFO tiebreaker
     Clock::time_point submit_tp;
-    Clock::time_point deadline_tp;
-    bool has_deadline = false;
     std::optional<IndexRange> range;  ///< set for selected requests
     // Completion.
     bool completed = false;
@@ -192,13 +162,8 @@ class EvdService {
   };
 
   void runner_loop(int runner);
-  /// Index into ready_ of the request to start next (expired requests first
-  /// — their finalize is cheap and frees a slot — then highest priority,
-  /// earliest deadline, lowest seq), or -1 when none waits.
-  int pick_ready_locked(Clock::time_point now) const noexcept;
   /// Run `req` start to finish on `ctx` on the calling runner, without the
-  /// lock, and fill in its result. Before each stage its gate fails the
-  /// request once its deadline has passed.
+  /// lock, and fill in its result.
   void solve_request(Request& req, Context& ctx);
   /// Mark `req` complete and wake its waiters.
   void finalize_locked(Request& req);
@@ -212,15 +177,15 @@ class EvdService {
   std::condition_variable done_cv_;   ///< a request completed
   std::deque<Request> slots_;         ///< stable addresses; recycled via free_slots_
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> ready_;  ///< submitted slots not yet started
+  /// Submitted slots not yet started, oldest first. It holds at most
+  /// max_in_flight entries, so popping the front is a short move, and a
+  /// vector at its peak capacity allocates nothing per request.
+  std::vector<std::uint32_t> ready_;
   long in_flight_ = 0;
-  std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::vector<Runner> runners_;  ///< sized before the threads start, never resized
   long submitted_ = 0;
   long completed_ = 0;
-  long rejected_ = 0;
-  long expired_ = 0;
 
   std::vector<std::thread> threads_;  ///< last member: runners touch the above
 };

@@ -33,10 +33,14 @@ index_t sturm_count(const std::vector<T>& d, const std::vector<T>& e, T x) {
 }
 
 template <typename T>
-std::vector<T> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t il, index_t iu,
-                     T tol) {
+StatusOr<std::vector<T>> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t il,
+                               index_t iu, T tol) {
   const index_t n = static_cast<index_t>(d.size());
   TCEVD_CHECK(0 <= il && il <= iu && iu < n, "stebz index range invalid");
+  for (index_t i = 0; i < n; ++i)
+    if (!std::isfinite(d[static_cast<std::size_t>(i)]) ||
+        (i + 1 < n && !std::isfinite(e[static_cast<std::size_t>(i)])))
+      return no_convergence_error("stebz: non-finite entry; bisection cannot converge", i);
 
   // Gershgorin interval containing the whole spectrum.
   T lo = d[0];
@@ -70,10 +74,10 @@ std::vector<T> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t i
   return eigs;
 }
 
-#define TCEVD_STEBZ_INST(T)                                                          \
-  template index_t sturm_count<T>(const std::vector<T>&, const std::vector<T>&, T);  \
-  template std::vector<T> stebz<T>(const std::vector<T>&, const std::vector<T>&,     \
-                                   index_t, index_t, T);
+#define TCEVD_STEBZ_INST(T)                                                              \
+  template index_t sturm_count<T>(const std::vector<T>&, const std::vector<T>&, T);      \
+  template StatusOr<std::vector<T>> stebz<T>(const std::vector<T>&, const std::vector<T>&, \
+                                             index_t, index_t, T);
 
 TCEVD_STEBZ_INST(float)
 TCEVD_STEBZ_INST(double)

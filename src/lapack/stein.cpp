@@ -138,10 +138,22 @@ Status stein(const std::vector<T>& d, const std::vector<T>& e,
         T{0.01} / (static_cast<T>(n) * eps * std::max(anorm, std::numeric_limits<T>::min()));
     for (int iter = 0; iter < 8; ++iter) {
       tri_solve(dl, dd, du, du2, swapped, x.data());
-      // Reorthogonalize against the current cluster.
-      for (index_t c = cluster_start; c < j; ++c) {
-        const T dot = blas::dot(n, &z(0, c), 1, x.data(), 1);
-        blas::axpy(n, -dot, &z(0, c), 1, x.data(), 1);
+      // Reorthogonalize against the current cluster. When the pass removes
+      // most of x, the solve amplified the cluster's directions far above
+      // the new one, and the pass leaves cancellation error of that ratio
+      // times eps; so it runs once more whenever the norm falls below
+      // 1/sqrt(2) of what it was ("twice is enough", Kahan's criterion as in
+      // DGKS). Otherwise one pass is as good as two.
+      if (cluster_start < j) {
+        const auto project_out_cluster = [&] {
+          for (index_t c = cluster_start; c < j; ++c) {
+            const T dot = blas::dot(n, &z(0, c), 1, x.data(), 1);
+            blas::axpy(n, -dot, &z(0, c), 1, x.data(), 1);
+          }
+        };
+        const T before = blas::nrm2(n, x.data(), 1);
+        project_out_cluster();
+        if (blas::nrm2(n, x.data(), 1) < before * std::sqrt(T{0.5})) project_out_cluster();
       }
       const T norm = blas::nrm2(n, x.data(), 1);
       if (norm == T{}) {  // deflated away: restart from fresh randomness

@@ -51,9 +51,11 @@ index_t sturm_count(const std::vector<T>& d, const std::vector<T>& e, T x);
 
 /// Bisection: compute eigenvalues with indices [il, iu] (0-based, inclusive)
 /// to absolute tolerance `tol` (<=0 picks a sensible default).
+/// NoConvergence (with the index in detail()) if d or e holds a NaN or Inf:
+/// Sturm counts are meaningless then, and bisection would return garbage.
 template <typename T>
-std::vector<T> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t il, index_t iu,
-                     T tol = T{-1});
+StatusOr<std::vector<T>> stebz(const std::vector<T>& d, const std::vector<T>& e, index_t il,
+                               index_t iu, T tol = T{-1});
 
 /// Divide & conquer. Same contract as steqr: eigenvalues into d, optional
 /// accumulation into z (z := z * V where V are tridiagonal eigenvectors),
@@ -68,8 +70,8 @@ Status stedc(std::vector<T>& d, std::vector<T>& e, MatrixView<T>* z = nullptr);
   extern template Status steqr<T>(std::vector<T>&, std::vector<T>&, MatrixView<T>*);      \
   extern template Status sterf<T>(std::vector<T>&, std::vector<T>&);                      \
   extern template index_t sturm_count<T>(const std::vector<T>&, const std::vector<T>&, T); \
-  extern template std::vector<T> stebz<T>(const std::vector<T>&, const std::vector<T>&,   \
-                                          index_t, index_t, T);                          \
+  extern template StatusOr<std::vector<T>> stebz<T>(                                      \
+      const std::vector<T>&, const std::vector<T>&, index_t, index_t, T);                  \
   extern template Status stedc<T>(std::vector<T>&, std::vector<T>&, MatrixView<T>*);
 
 TCEVD_TRI_EXTERN(float)

@@ -9,6 +9,7 @@
 
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
+#include "src/common/verify.hpp"
 #include "src/evd/evd.hpp"
 #include "src/evd/partial.hpp"
 #include "src/matgen/matgen.hpp"
@@ -242,7 +243,7 @@ TEST(Evd, TrivialSizesSolveInsteadOfAborting) {
   EXPECT_LE(r2->eigenvalues[0], r2->eigenvalues[1]);
 
   // solve_selected shares the trivial path.
-  auto sel = evd::solve_selected(a1.view(), ctx, opt, 0, 0, /*vectors=*/true);
+  auto sel = evd::solve_selected(a1.view(), ctx, opt, 0, 0);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel->eigenvalues[0], -3.25f);
 }
@@ -261,6 +262,73 @@ TEST(Evd, KnownSpectrumRecovered) {
   ASSERT_TRUE(res.converged);
   std::vector<double> got(res.eigenvalues.begin(), res.eigenvalues.end());
   EXPECT_LT(eigenvalue_error(spectrum.data(), got.data(), n), 1e-6);
+}
+
+// The all-ones matrix (eigenvalue n once, 0 n - 1 times) drives the bulge
+// chase into subnormal entries. A Givens rotation built from subnormal (f, g)
+// has c^2 + s^2 far from 1 unless both are first scaled into the normal range;
+// without that, every two-stage reduction returned Ok with ||V^T V - I||_F
+// between 1 and 10 at these orders.
+TEST(Evd, AllOnesMatrixKeepsVectorsOrthonormal) {
+  tc::Fp32Engine eng;
+  for (Reduction red : {Reduction::TwoStageWy, Reduction::TwoStageZy, Reduction::TwoStageDbr})
+    for (index_t n : {64, 97, 128}) {
+      Matrix<float> a(n, n);
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i) a(i, j) = 1.0f;
+      EvdOptions opt;
+      opt.reduction = red;
+      opt.vectors = true;
+      Context ctx(eng);
+      auto res = evd::solve(a.view(), ctx, opt);
+      ASSERT_TRUE(res.ok()) << res.status().to_string();
+      const verify::Thresholds th = verify::thresholds_for(tc::EngineKind::Fp32, n);
+      const ConstMatrixView<float> v(res->vectors.view());
+      EXPECT_LE(orthogonality_residual<float>(v), th.orthogonality)
+          << "reduction " << static_cast<int>(red) << ", n = " << n;
+      EXPECT_LE(evd::eigenpair_residual(a.view(), res->eigenvalues, v), th.residual)
+          << "reduction " << static_cast<int>(red) << ", n = " << n;
+    }
+}
+
+// A rank-1 matrix u u^T puts n - 1 zero eigenvalues in one cluster.
+// Bisection's inverse iteration amplifies that cluster's directions in every
+// new vector, so one Gram-Schmidt pass against the cluster left
+// ||V^T V - I||_F up to 30x over the engine's bound; a second pass holds it.
+TEST(Evd, RankOneBisectionVectorsStayOrthonormal) {
+  const index_t n = 97;
+  Rng rng(1104);
+  std::vector<float> u(static_cast<std::size_t>(n));
+  for (float& x : u) x = static_cast<float>(2.0 * rng.uniform() - 1.0);
+  Matrix<float> a(n, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i)
+      a(i, j) = u[static_cast<std::size_t>(i)] * u[static_cast<std::size_t>(j)];
+
+  tc::EcTcEngine ectc_fp16(tc::TcPrecision::Fp16);
+  tc::EcTcEngine ectc_tf32(tc::TcPrecision::Tf32);
+  tc::Fp32Engine fp32;
+  const struct {
+    Reduction red;
+    tc::GemmEngine* engine;
+  } cases[] = {{Reduction::TwoStageWy, &ectc_fp16},
+               {Reduction::TwoStageWy, &ectc_tf32},
+               {Reduction::TwoStageZy, &ectc_tf32},
+               {Reduction::TwoStageDbr, &fp32}};
+  for (const auto& c : cases) {
+    EvdOptions opt;
+    opt.reduction = c.red;
+    opt.bandwidth = 4;
+    opt.big_block = 8;
+    opt.solver = TriSolver::Bisection;
+    opt.vectors = true;
+    Context ctx(*c.engine);
+    auto res = evd::solve(a.view(), ctx, opt);
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    const verify::Thresholds th = verify::thresholds_for(c.engine->kind(), n);
+    EXPECT_LE(orthogonality_residual<float>(res->vectors.view()), th.orthogonality)
+        << c.engine->name() << ", reduction " << static_cast<int>(c.red);
+  }
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST_F(FaultTest, SteinFailureReportsStatus) {
   fault::arm(fault::Site::SteinStagnate, 1);
   std::vector<float> d = {1.0f, 2.0f, 4.0f};
   std::vector<float> e = {0.1f, 0.1f};
-  auto eigs = lapack::stebz<float>(d, e, 0, 2);
+  auto eigs = *lapack::stebz<float>(d, e, 0, 2);
   Matrix<float> z(3, 3);
   Status st = lapack::stein<float>(d, e, eigs, z.view());
   EXPECT_FALSE(st.ok());
@@ -202,7 +202,9 @@ void expect_rejected_everywhere(const Matrix<float>& a) {
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.status().code(), ErrorCode::InvalidInput);
 
-  auto sel = evd::solve_selected(av, ctx, {}, 0, 4, /*vectors=*/true);
+  evd::EvdOptions with_vectors;
+  with_vectors.vectors = true;
+  auto sel = evd::solve_selected(av, ctx, with_vectors, 0, 4);
   ASSERT_FALSE(sel.ok()) << "solve_selected accepted unscreened input";
   EXPECT_EQ(sel.status().code(), ErrorCode::InvalidInput);
 
@@ -539,7 +541,9 @@ TEST_F(FaultTest, SolveSelectedRecoversFromSteinFailure) {
   fault::arm(fault::Site::SteinStagnate, 1);
   tc::Fp32Engine engine;
   Context ctx(engine);
-  auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, {}, 0, 9, true);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 0, 9);
   ASSERT_TRUE(res.ok()) << res.status().to_string();
   EXPECT_EQ(fault::fired(fault::Site::SteinStagnate), 1);
   bool noted = false;

@@ -48,12 +48,36 @@ TEST(Partial, VectorsAreEigenvectorsOfA) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 32;
+  opt.vectors = true;
 
-  auto part = *evd::solve_selected(a.view(), ctx, opt, n - 5, n - 1, /*vectors=*/true);
+  auto part = *evd::solve_selected(a.view(), ctx, opt, n - 5, n - 1);
   ASSERT_TRUE(part.converged);
   ASSERT_EQ(part.vectors.cols(), 5);
   EXPECT_LT(evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view()), 1e-4);
   EXPECT_LT(orthogonality_residual<float>(part.vectors.view()), 1e-3);
+}
+
+TEST(Partial, VectorsFollowTheOptions) {
+  // EvdOptions::vectors decides, as it does for evd::solve and a selected
+  // EvdService request: n x (iu - il + 1) vectors with it, none without.
+  const index_t n = 48;
+  auto a = test::random_symmetric<float>(n, 12);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.vectors = true;
+  auto with = evd::solve_selected(a.view(), ctx, opt, 3, 9);
+  ASSERT_TRUE(with.ok()) << with.status().to_string();
+  ASSERT_EQ(with->vectors.rows(), n);
+  ASSERT_EQ(with->vectors.cols(), 7);
+  EXPECT_LT(evd::eigenpair_residual(a.view(), with->eigenvalues, with->vectors.view()), 1e-4);
+
+  opt.vectors = false;
+  auto without = evd::solve_selected(a.view(), ctx, opt, 3, 9);
+  ASSERT_TRUE(without.ok()) << without.status().to_string();
+  EXPECT_EQ(without->vectors.cols(), 0);
+  EXPECT_EQ(without->eigenvalues, with->eigenvalues);
 }
 
 TEST(Partial, ExtremeEndsAndSinglePair) {
@@ -66,8 +90,9 @@ TEST(Partial, ExtremeEndsAndSinglePair) {
   opt.big_block = 16;
 
   auto full = *evd::solve(a.view(), ctx, opt);
-  auto lo = *evd::solve_selected(a.view(), ctx, opt, 0, 0, true);
-  auto hi = *evd::solve_selected(a.view(), ctx, opt, n - 1, n - 1, true);
+  opt.vectors = true;
+  auto lo = *evd::solve_selected(a.view(), ctx, opt, 0, 0);
+  auto hi = *evd::solve_selected(a.view(), ctx, opt, n - 1, n - 1);
   EXPECT_NEAR(lo.eigenvalues[0], full.eigenvalues.front(), 2e-4);
   EXPECT_NEAR(hi.eigenvalues[0], full.eigenvalues.back(), 2e-4);
   EXPECT_LT(evd::eigenpair_residual(a.view(), lo.eigenvalues, lo.vectors.view()), 1e-4);
@@ -82,8 +107,9 @@ TEST(Partial, TensorCoreEngineWorks) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 32;
+  opt.vectors = true;
 
-  auto part = *evd::solve_selected(a.view(), ctx, opt, n - 3, n - 1, true);
+  auto part = *evd::solve_selected(a.view(), ctx, opt, n - 3, n - 1);
   ASSERT_TRUE(part.converged);
   // TC numerics: residual bounded by TC eps.
   EXPECT_LT(evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view()), 1e-2);
@@ -96,7 +122,8 @@ TEST(Partial, OneStageReductionPath) {
   Context ctx(eng);
   evd::EvdOptions opt;
   opt.reduction = evd::Reduction::OneStage;
-  auto part = *evd::solve_selected(a.view(), ctx, opt, 0, 4, true);
+  opt.vectors = true;
+  auto part = *evd::solve_selected(a.view(), ctx, opt, 0, 4);
   ASSERT_TRUE(part.converged);
   EXPECT_LT(evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view()), 1e-4);
 }
@@ -109,7 +136,8 @@ TEST(Partial, ZyReductionPath) {
   evd::EvdOptions opt;
   opt.reduction = evd::Reduction::TwoStageZy;
   opt.bandwidth = 8;
-  auto part = *evd::solve_selected(a.view(), ctx, opt, 20, 24, true);
+  opt.vectors = true;
+  auto part = *evd::solve_selected(a.view(), ctx, opt, 20, 24);
   ASSERT_TRUE(part.converged);
   EXPECT_LT(evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view()), 1e-4);
 }
@@ -125,7 +153,8 @@ TEST(Partial, DbrReductionPath) {
   opt.bandwidth = 4;
   opt.big_block = 16;
   auto full = *evd::solve(a.view(), ctx, opt);
-  auto part = *evd::solve_selected(a.view(), ctx, opt, 30, 39, true);
+  opt.vectors = true;
+  auto part = *evd::solve_selected(a.view(), ctx, opt, 30, 39);
   ASSERT_TRUE(part.converged);
   ASSERT_EQ(part.eigenvalues.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i)
@@ -166,7 +195,7 @@ TEST(Partial, RangeSolveEndsAfterSolverStage) {
     EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
 
     Context ref_ctx(eng);
-    auto ref = *evd::solve_selected(a.view(), ref_ctx, opt, 5, 12, true);
+    auto ref = *evd::solve_selected(a.view(), ref_ctx, opt, 5, 12);
     ASSERT_EQ(res->eigenvalues.size(), 8u);
     ASSERT_EQ(res->vectors.cols(), 8);
     for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(res->eigenvalues[i], ref.eigenvalues[i]);
@@ -194,7 +223,7 @@ TEST(Partial, ValuesOnlySelectedSolveChasesCompactBand) {
   auto sres = *sbr::sbr_wy(a.view(), ref_ctx, sopt);
   auto band = sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(sres.band.view()), 8);
   const auto [d, e] = bulge::bulge_chase_band<float>(ref_ctx, band);
-  const std::vector<float> want = lapack::stebz<float>(d, e, 0, n - 1);
+  const std::vector<float> want = *lapack::stebz<float>(d, e, 0, n - 1);
 
   Context ctx(eng);
   auto compact = *evd::solve_selected(a.view(), ctx, opt, 0, n - 1);
@@ -203,9 +232,11 @@ TEST(Partial, ValuesOnlySelectedSolveChasesCompactBand) {
   EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase"), 0.0);
 
   Context vctx(eng);
-  auto with_vectors = *evd::solve_selected(a.view(), vctx, opt, 0, 3, true);
+  evd::EvdOptions vopt = opt;
+  vopt.vectors = true;
+  auto with_vectors = *evd::solve_selected(a.view(), vctx, vopt, 0, 3);
   EXPECT_GT(vctx.telemetry().stage_seconds("bulge.chase"), 0.0);
-  EXPECT_EQ(with_vectors.eigenvalues, lapack::stebz<float>(d, e, 0, 3));
+  EXPECT_EQ(with_vectors.eigenvalues, *lapack::stebz<float>(d, e, 0, 3));
 }
 
 TEST(Partial, SteadyStateSelectedSolveReusesArena) {
@@ -218,14 +249,15 @@ TEST(Partial, SteadyStateSelectedSolveReusesArena) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
-  auto r1 = *evd::solve_selected(a.view(), ctx, opt, n - 10, n - 1, true);
+  opt.vectors = true;
+  auto r1 = *evd::solve_selected(a.view(), ctx, opt, n - 10, n - 1);
   Workspace& ws = ctx.workspace();
   EXPECT_EQ(ws.spill_count(), 0) << "evd::workspace_query undersized a selected solve";
   EXPECT_EQ(ws.bytes_in_use(), 0u);
   const std::size_t blocks = ws.block_count();
   const std::size_t hwm = ws.high_water_mark();
 
-  auto r2 = *evd::solve_selected(a.view(), ctx, opt, n - 10, n - 1, true);
+  auto r2 = *evd::solve_selected(a.view(), ctx, opt, n - 10, n - 1);
   EXPECT_EQ(ws.block_count(), blocks);
   EXPECT_EQ(ws.spill_count(), 0);
   EXPECT_EQ(ws.high_water_mark(), hwm);

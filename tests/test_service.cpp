@@ -2,9 +2,8 @@
 //
 // The acceptance bar this file enforces: per-request results are
 // bitwise-identical to sequential evd::solve at any worker count and request
-// mix; admission control honors the overflow policy; priorities pick which
-// waiting request starts next and deadlines are honored before the start and
-// between stages; faults, throws and verification stay isolated per request,
+// mix; submit blocks at the admission bound and waiting requests start in
+// submit order; faults, throws and verification stay isolated per request,
 // each keeping its recovery log; each id is claimed once, however many
 // threads wait on it; the telemetry snapshot counts every request's queue
 // wait and stages, also when taken mid-stream; a steady-state stream
@@ -20,7 +19,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -137,7 +135,7 @@ TEST_F(ServiceTest, SelectedRequestsMatchSolveSelected) {
   ASSERT_TRUE(got.status.ok()) << got.status.to_string();
 
   Context ref_ctx(eng);
-  auto want = evd::solve_selected(a.view(), ref_ctx, ropt.evd, ropt.il, ropt.iu, true);
+  auto want = evd::solve_selected(a.view(), ref_ctx, ropt.evd, ropt.il, ropt.iu);
   ASSERT_TRUE(want.ok());
   expect_bitwise_equal(got.eigenvalues, want->eigenvalues, "selected");
   expect_bitwise_equal(got.vectors, want->vectors, "selected");
@@ -199,42 +197,13 @@ TEST_F(ServiceTest, WaitClaimsEachIdExactlyOnce) {
   EXPECT_EQ(bogus.status.code(), ErrorCode::InvalidArgument);
 }
 
-// Reject policy: with one chunky request in flight and max_in_flight == 1,
-// the next submit must be refused with ResourceExhausted immediately.
-TEST_F(ServiceTest, RejectPolicyReturnsResourceExhausted) {
-  tc::Fp32Engine eng;
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  sopt.max_in_flight = 1;
-  sopt.overflow = evd::OverflowPolicy::Reject;
-  evd::EvdService service(eng, sopt);
-
-  auto big = test::random_symmetric<float>(256, 9);
-  evd::RequestOptions ropt;
-  ropt.evd.vectors = true;
-  auto id1 = service.submit(big.view(), ropt);
-  ASSERT_TRUE(id1.ok());
-  auto small = test::random_symmetric<float>(8, 10);
-  auto id2 = service.submit(small.view(), {});
-  ASSERT_FALSE(id2.ok());
-  EXPECT_EQ(id2.status().code(), ErrorCode::ResourceExhausted);
-  EXPECT_EQ(service.stats().rejected, 1);
-
-  evd::RequestResult r1 = service.wait(*id1);
-  EXPECT_TRUE(r1.status.ok());
-  // The slot freed: admission works again.
-  auto id3 = service.submit(small.view(), {});
-  ASSERT_TRUE(id3.ok());
-  EXPECT_TRUE(service.wait(*id3).status.ok());
-}
-
-// Block policy: submission throttles instead of failing; everything lands.
+// At the admission bound submission throttles instead of failing; everything
+// lands.
 TEST_F(ServiceTest, BlockPolicyCompletesEveryRequest) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 2;
   sopt.max_in_flight = 2;
-  sopt.overflow = evd::OverflowPolicy::Block;
   evd::EvdService service(eng, sopt);
 
   std::vector<Matrix<float>> mats;
@@ -250,124 +219,41 @@ TEST_F(ServiceTest, BlockPolicyCompletesEveryRequest) {
     EXPECT_TRUE(r.status.ok()) << "request " << i;
   }
   EXPECT_EQ(service.stats().completed, 12);
-  EXPECT_EQ(service.stats().rejected, 0);
 }
 
-// A request whose deadline expires while a higher-priority solve occupies the
-// only worker fails with DeadlineExceeded before it starts instead of running
-// late.
-TEST_F(ServiceTest, DeadlineExpiresBehindHigherPriorityWork) {
+// One runner, kept busy by a blocker: the six requests queued behind it start,
+// and so complete, in the order they were submitted, whatever their sizes.
+TEST_F(ServiceTest, RequestsStartInSubmitOrder) {
   tc::Fp32Engine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 1;
   evd::EvdService service(eng, sopt);
 
-  auto blocker_mat = test::random_symmetric<float>(256, 21);
+  const auto blocker_mat = test::random_symmetric<float>(192, 31);
   evd::RequestOptions blocker;
   blocker.evd.vectors = true;
-  blocker.priority = 1;
   auto blocker_id = service.submit(blocker_mat.view(), blocker);
   ASSERT_TRUE(blocker_id.ok());
 
-  auto doomed_mat = test::random_symmetric<float>(32, 22);
-  evd::RequestOptions doomed;
-  doomed.priority = 0;
-  doomed.deadline_s = 1e-4;  // the blocker takes orders of magnitude longer
-  auto doomed_id = service.submit(doomed_mat.view(), doomed);
-  ASSERT_TRUE(doomed_id.ok());
-
-  evd::RequestResult doomed_res = service.wait(*doomed_id);
-  EXPECT_EQ(doomed_res.status.code(), ErrorCode::DeadlineExceeded);
-  EXPECT_TRUE(service.wait(*blocker_id).status.ok());
-  EXPECT_EQ(service.stats().deadline_expired, 1);
-}
-
-// A deadline the steady clock cannot represent from now, or a non-finite
-// one, means no deadline: the request runs to completion and returns the
-// bits of the same request without a deadline.
-TEST_F(ServiceTest, UnrepresentableDeadlineMeansNoDeadline) {
-  tc::Fp32Engine eng;
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  evd::EvdService service(eng, sopt);
-
-  auto a = test::random_symmetric<float>(48, 31);
-  evd::RequestOptions plain;
-  plain.evd.vectors = true;
-  auto plain_id = service.submit(a.view(), plain);
-  ASSERT_TRUE(plain_id.ok());
-  const evd::RequestResult want = service.wait(*plain_id);
-  ASSERT_TRUE(want.status.ok()) << want.status.to_string();
-
-  for (const double deadline : {1e10, 1e300, std::numeric_limits<double>::infinity(),
-                                std::numeric_limits<double>::quiet_NaN()}) {
-    evd::RequestOptions ropt = plain;
-    ropt.deadline_s = deadline;
-    auto id = service.submit(a.view(), ropt);
-    ASSERT_TRUE(id.ok());
-    const evd::RequestResult got = service.wait(*id);
-    ASSERT_TRUE(got.status.ok()) << "deadline_s " << deadline << ": "
-                                 << got.status.to_string();
-    expect_bitwise_equal(got.eigenvalues, want.eigenvalues, "eigenvalues");
-    expect_bitwise_equal(got.vectors, want.vectors, "vectors");
+  const std::vector<index_t> sizes{64, 8, 48, 16, 32, 24};
+  std::vector<Matrix<float>> mats;
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    mats.push_back(test::random_symmetric<float>(sizes[i], 40 + i));
+  std::vector<evd::RequestId> ids;
+  for (const Matrix<float>& a : mats) {
+    auto id = service.submit(a.view(), {});
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    ids.push_back(*id);
   }
-  EXPECT_EQ(service.stats().deadline_expired, 0);
-}
 
-// Zero and negative deadlines mean no deadline as well.
-TEST_F(ServiceTest, NonPositiveDeadlineMeansNoDeadline) {
-  tc::Fp32Engine eng;
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  evd::EvdService service(eng, sopt);
-
-  auto a = test::random_symmetric<float>(40, 32);
-  for (const double deadline : {0.0, -1.0, -std::numeric_limits<double>::infinity()}) {
-    evd::RequestOptions ropt;
-    ropt.deadline_s = deadline;
-    auto id = service.submit(a.view(), ropt);
-    ASSERT_TRUE(id.ok());
-    const evd::RequestResult got = service.wait(*id);
-    EXPECT_TRUE(got.status.ok()) << "deadline_s " << deadline << ": "
-                                 << got.status.to_string();
+  const evd::RequestResult first = service.wait(*blocker_id);
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
+  EXPECT_EQ(first.completion_seq, 1u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const evd::RequestResult r = service.wait(ids[i]);
+    ASSERT_TRUE(r.status.ok()) << "request " << i << ": " << r.status.to_string();
+    EXPECT_EQ(r.completion_seq, i + 2) << "request " << i << " (n = " << sizes[i] << ")";
   }
-  EXPECT_EQ(service.stats().deadline_expired, 0);
-}
-
-// With one worker pinned by a long blocker, later-submitted higher-priority
-// work must start, and so complete, before earlier lower-priority work.
-TEST_F(ServiceTest, PriorityPicksWhichWaitingRequestStartsNext) {
-  tc::Fp32Engine eng;
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  evd::EvdService service(eng, sopt);
-
-  auto blocker_mat = test::random_symmetric<float>(192, 31);
-  evd::RequestOptions blocker;
-  blocker.evd.vectors = true;
-  blocker.priority = 10;
-  auto blocker_id = service.submit(blocker_mat.view(), blocker);
-  ASSERT_TRUE(blocker_id.ok());
-
-  auto low_mat = test::random_symmetric<float>(24, 32);
-  evd::RequestOptions low;
-  low.priority = 0;
-  auto low_id = service.submit(low_mat.view(), low);
-  ASSERT_TRUE(low_id.ok());
-
-  auto high_mat = test::random_symmetric<float>(24, 33);
-  evd::RequestOptions high;
-  high.priority = 5;
-  auto high_id = service.submit(high_mat.view(), high);
-  ASSERT_TRUE(high_id.ok());
-
-  evd::RequestResult low_res = service.wait(*low_id);
-  evd::RequestResult high_res = service.wait(*high_id);
-  ASSERT_TRUE(low_res.status.ok());
-  ASSERT_TRUE(high_res.status.ok());
-  EXPECT_LT(high_res.completion_seq, low_res.completion_seq)
-      << "priority 5 must finish before priority 0 on a single worker";
-  EXPECT_TRUE(service.wait(*blocker_id).status.ok());
 }
 
 // The snapshot merges the runner Contexts: each request's queue wait
@@ -391,7 +277,7 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
-  service.wait_all();
+  for (evd::RequestId id : ids) EXPECT_TRUE(service.wait(id).status.ok());
   Telemetry t = service.telemetry_snapshot();
 
   auto stage_calls = [&](const char* name) {
@@ -406,8 +292,6 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
     EXPECT_LE(t.stage_quantile(name, 0.5), t.stage_quantile(name, 0.99)) << name;
   }
   EXPECT_EQ(stage_calls("evd.verify"), 0);  // no request is verified
-
-  for (int i = 0; i < count; ++i) (void)service.wait(ids[static_cast<std::size_t>(i)]);
 }
 
 // Fault isolation, ABFT tier: with gemm.tile_corrupt armed, ABFT-protected
@@ -556,7 +440,7 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
       << "steady-state rounds must not found new contexts";
 }
 
-// Soak: a few hundred mixed requests (size, options, priority) through a
+// Soak: a few hundred mixed requests (size, options) through a
 // small pool; everything completes, spot checks stay bitwise-correct. The
 // TSan CI leg scales this shape up via bench_service.
 TEST_F(ServiceTest, SoakMixedStreamCompletesAndSpotChecksBitwise) {
@@ -580,7 +464,6 @@ TEST_F(ServiceTest, SoakMixedStreamCompletesAndSpotChecksBitwise) {
     ropt.evd.bandwidth = 8;
     ropt.evd.big_block = 32;
     ropt.evd.vectors = (i % 3 == 0);
-    ropt.priority = i % 5;
     opts.push_back(ropt);
   }
 
@@ -605,8 +488,6 @@ TEST_F(ServiceTest, SoakMixedStreamCompletesAndSpotChecksBitwise) {
   }
   const evd::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, count);
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_EQ(stats.deadline_expired, 0);
 }
 
 
@@ -856,27 +737,21 @@ TEST_F(ServiceTest, FailedRequestReturnsItsRecoveryLog) {
   }
 }
 
-// A GEMM engine with Fp32Engine's numerics that misbehaves on its first
-// call only: it throws, or it stalls for 50 ms first.
+// A GEMM engine with Fp32Engine's numerics that throws on its first call
+// only.
 class FirstGemmEngine final : public tc::GemmEngine {
  public:
-  enum class Mode { Throw, Stall };
-  explicit FirstGemmEngine(Mode mode) : mode_(mode) {}
   const std::string& name() const noexcept override { return inner_.name(); }
   tc::EngineKind kind() const noexcept override { return inner_.kind(); }
 
  protected:
   void do_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixView<float> a,
                ConstMatrixView<float> b, float beta, MatrixView<float> c) const override {
-    if (!first_done_.exchange(true)) {
-      if (mode_ == Mode::Throw) throw std::runtime_error("first GEMM failed");
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    if (!first_done_.exchange(true)) throw std::runtime_error("first GEMM failed");
     inner_.gemm(transa, transb, alpha, a, b, beta, c);
   }
 
  private:
-  Mode mode_;
   tc::Fp32Engine inner_;
   mutable std::atomic<bool> first_done_{false};
 };
@@ -898,7 +773,7 @@ long count_site(const RecoveryLog& log, const std::string& site) {
 TEST_F(ServiceTest, ThrowingSolveFailsAloneAndKeepsItsRecoveryLog) {
   // The throw fails the request with Internal; the note made before it
   // reaches the result and, once, the context's telemetry.
-  FirstGemmEngine eng(FirstGemmEngine::Mode::Throw);
+  FirstGemmEngine eng;
   evd::ServiceOptions sopt;
   sopt.num_threads = 1;
   evd::EvdService service(eng, sopt);
@@ -916,27 +791,6 @@ TEST_F(ServiceTest, ThrowingSolveFailsAloneAndKeepsItsRecoveryLog) {
   const evd::RequestResult next = service.wait(*again);
   EXPECT_TRUE(next.status.ok()) << next.status.to_string();
   EXPECT_EQ(service.stats().pooled_contexts, 1u);
-}
-
-TEST_F(ServiceTest, DeadlineExpiresBetweenStagesAndKeepsTheRecoveryLog) {
-  // The request starts at once on the idle runner; its first GEMM outlasts
-  // the deadline, so it fails before its next stage, note included.
-  FirstGemmEngine eng(FirstGemmEngine::Mode::Stall);
-  evd::ServiceOptions sopt;
-  sopt.num_threads = 1;
-  evd::EvdService service(eng, sopt);
-  const auto a = test::random_symmetric<float>(48, 42);
-  evd::RequestOptions ropt = request_noting_options();
-  ropt.deadline_s = 0.010;
-  auto id = service.submit(a.view(), ropt);
-  ASSERT_TRUE(id.ok());
-  const evd::RequestResult res = service.wait(*id);
-  EXPECT_EQ(res.status.code(), ErrorCode::DeadlineExceeded) << res.status.to_string();
-  EXPECT_NE(res.status.message().find("between pipeline stages"), std::string::npos)
-      << res.status.to_string();
-  EXPECT_EQ(count_site(res.recovery, "evd.options"), 1);
-  EXPECT_EQ(count_site(service.telemetry_snapshot().recovery(), "evd.options"), 1);
-  EXPECT_EQ(service.stats().deadline_expired, 1);
 }
 
 TEST_F(ServiceTest, PoisonedRequestRecoversWithFallbacksAndLogsIt) {
@@ -989,15 +843,13 @@ TEST_F(ServiceTest, ContextPoolNeverExceedsStartedRequests) {
     evd::ServiceOptions sopt;
     sopt.num_threads = threads;
     evd::EvdService service(eng, sopt);
-    // Many more requests than runners, all queued at once, with a spread of
-    // priorities.
+    // Many more requests than runners, all queued at once.
     std::vector<Matrix<float>> mats = make_set(48, 24, 9300);
     std::vector<evd::RequestId> ids;
     for (std::size_t i = 0; i < mats.size(); ++i) {
       evd::RequestOptions ropt;
       ropt.evd.bandwidth = 8;
       ropt.evd.vectors = true;
-      ropt.priority = static_cast<int>(i % 3);
       auto id = service.submit(mats[i].view(), ropt);
       ASSERT_TRUE(id.ok());
       ids.push_back(*id);
@@ -1278,7 +1130,6 @@ TEST_F(ServiceTest, SnapshotWhileStreamingCountsEveryRequest) {
   for (evd::RequestId id : ids) ok += service.wait(id).status.ok() ? 1 : 0;
   streaming.store(false);
   reader.join();
-  service.wait_all();
 
   EXPECT_EQ(ok, static_cast<std::size_t>(count));
   EXPECT_GT(snapshots, 0);

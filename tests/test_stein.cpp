@@ -40,7 +40,7 @@ TEST(Stein, AllEigenvectorsOfRandomTridiagonal) {
   std::vector<double> d(static_cast<std::size_t>(n)), e(static_cast<std::size_t>(n - 1));
   for (auto& v : d) v = rng.normal();
   for (auto& v : e) v = rng.normal();
-  auto eigs = lapack::stebz<double>(d, e, 0, n - 1, 1e-14);
+  auto eigs = *lapack::stebz<double>(d, e, 0, n - 1, 1e-14);
   Matrix<double> z(n, n);
   ASSERT_TRUE(lapack::stein<double>(d, e, eigs, z.view()).ok());
   check_eigenvectors(d, e, eigs, z.view(), 1e-10);
@@ -50,7 +50,7 @@ TEST(Stein, SelectedSubset) {
   const index_t n = 120;
   std::vector<double> d(static_cast<std::size_t>(n), 2.0);
   std::vector<double> e(static_cast<std::size_t>(n - 1), -1.0);
-  auto eigs = lapack::stebz<double>(d, e, 10, 19, 1e-14);
+  auto eigs = *lapack::stebz<double>(d, e, 10, 19, 1e-14);
   Matrix<double> z(n, 10);
   ASSERT_TRUE(lapack::stein<double>(d, e, eigs, z.view()).ok());
   check_eigenvectors(d, e, eigs, z.view(), 1e-10);
@@ -71,7 +71,7 @@ TEST(Stein, ClusteredEigenvaluesStayOrthogonal) {
   for (index_t i = 0; i < n; ++i)
     d[static_cast<std::size_t>(i)] = (i % 2 == 0 ? 1.0 : 3.0) + 1e-12 * rng.normal();
   for (auto& v : e) v = 1e-10 * rng.normal();
-  auto eigs = lapack::stebz<double>(d, e, 0, n - 1, 1e-15);
+  auto eigs = *lapack::stebz<double>(d, e, 0, n - 1, 1e-15);
   Matrix<double> z(n, n);
   ASSERT_TRUE(lapack::stein<double>(d, e, eigs, z.view()).ok());
   EXPECT_LT(orthogonality_residual<double>(z.view()), 1e-8 * n);
@@ -84,7 +84,7 @@ TEST(Stein, MatchesSteqrUpToSign) {
   for (auto& v : d) v = rng.normal();
   for (auto& v : e) v = rng.normal();
 
-  auto eigs = lapack::stebz<double>(d, e, 0, n - 1, 1e-14);
+  auto eigs = *lapack::stebz<double>(d, e, 0, n - 1, 1e-14);
   Matrix<double> z1(n, n);
   ASSERT_TRUE(lapack::stein<double>(d, e, eigs, z1.view()).ok());
 
@@ -106,7 +106,7 @@ TEST(Stein, FloatPrecision) {
   const index_t n = 50;
   std::vector<float> d(static_cast<std::size_t>(n), 2.0f);
   std::vector<float> e(static_cast<std::size_t>(n - 1), -1.0f);
-  auto eigs = lapack::stebz<float>(d, e, 0, 4);
+  auto eigs = *lapack::stebz<float>(d, e, 0, 4);
   Matrix<float> z(n, 5);
   ASSERT_TRUE(lapack::stein<float>(d, e, eigs, z.view()).ok());
   EXPECT_LT(orthogonality_residual<float>(z.view()), 1e-4);

@@ -1,19 +1,27 @@
 // Seeded sweep over the solve's option space.
 //
-// Case i fixes the reduction to i % 4, the tridiagonal solver to (i / 4) % 3
-// and the engine to (i / 12) % 5, so the 60 cases cover every reduction x
-// solver x engine triple once. Rng(i) draws the rest: the order n (0-3 or a
-// prime up to 199), a matrix of the paper's accuracy tables, the bandwidth
-// b in [1, 16] with nb equal to b, a multiple of b or a non-multiple, the
-// panel, vectors, the verify policy, ABFT (1 case in 4) and a selected
-// eigenvalue range (1 case in 4, n >= 1).
+// OptionSweep: case i fixes the reduction to i % 4, the tridiagonal solver to
+// (i / 4) % 3 and the engine to (i / 12) % 5, so the 60 cases cover every
+// reduction x solver x engine triple once. Rng(i) draws the rest: the order n
+// (0-3 or a prime up to 199), a matrix of the paper's accuracy tables, the
+// bandwidth b in [1, 16] with nb equal to b, a multiple of b or a
+// non-multiple, the panel, vectors, the verify policy, ABFT (1 case in 4) and
+// a selected eigenvalue range (1 case in 4, n >= 1).
+//
+// AdversarialSweep: case i fixes the matrix kind to i % 7 (zero, all-ones,
+// rank-1 u u^T, identity, diagonal, tridiagonal, band of half-width 3) and
+// the reduction to i / 7, so the 28 cases cover every kind x reduction pair
+// once. Rng(1000 + i) draws the engine, the solver, n (a prime in
+// [61, 199]), the options as above and the matrix entries. The all-ones and
+// rank-1 cases, whose spectra are one big cluster, always ask for vectors.
 //
 // Every case must solve, and:
 //   * each eigenvalue lies within thresholds_for(engine, n).residual * ||A||_F
 //     of the double reference, on the engine that produced the result: Weyl's
 //     bound for a backward error the verify gate accepts;
 //   * with vectors, the eigenpair residual and ||V^T V - I||_F are within
-//     that engine's thresholds;
+//     that engine's thresholds (for A = 0, whose relative residual is 0/0,
+//     every eigenvalue must be exactly 0 instead);
 //   * its bits equal a one-runner EvdService request, the same solve inside a
 //     SerialGemmScope, and, for DBR with b == nb, the WY solve.
 #include <gtest/gtest.h>
@@ -43,6 +51,7 @@ namespace tcevd {
 namespace {
 
 constexpr int kCases = 60;
+constexpr int kAdversarialCases = 28;
 
 const char* const kEngineNames[] = {"fp32", "tc-fp16", "tc-tf32", "ectc-fp16", "ectc-tf32"};
 const char* const kReductionNames[] = {"wy", "zy", "dbr", "one-stage"};  // Reduction order
@@ -63,21 +72,30 @@ tc::EngineKind kind_of(const std::string& engine_name) {
   return tc::EngineKind::Fp32;
 }
 
+bool is_prime(index_t v) {
+  bool prime = v >= 2;
+  for (index_t d = 2; d * d <= v && prime; ++d) prime = v % d != 0;
+  return prime;
+}
+
 /// 0, 1, 2, 3 and the primes up to 199.
 std::vector<index_t> sweep_orders() {
   std::vector<index_t> orders;
-  for (index_t v = 0; v <= 199; ++v) {
-    bool prime = v >= 2;
-    for (index_t d = 2; d * d <= v && prime; ++d) prime = v % d != 0;
-    if (v <= 3 || prime) orders.push_back(v);
-  }
+  for (index_t v = 0; v <= 199; ++v)
+    if (v <= 3 || is_prime(v)) orders.push_back(v);
   return orders;
 }
+
+/// The adversarial matrix kinds, in case order.
+enum class Kind { Zero, Ones, RankOne, Identity, Diagonal, Tridiagonal, Band3 };
+const char* const kKindNames[] = {"zero",     "all-ones",    "rank-1", "identity",
+                                  "diagonal", "tridiagonal", "band-3"};
 
 struct SweepCase {
   int engine = 0;
   index_t n = 0;
   matgen::TableRow matrix{};
+  const char* kind = nullptr;  ///< adversarial kind; `matrix` otherwise
   evd::EvdOptions opt;
   bool selected = false;
   index_t il = 0;
@@ -86,7 +104,7 @@ struct SweepCase {
   std::string describe() const {
     std::ostringstream s;
     s << kEngineNames[engine] << " n=" << n << " "
-      << matgen::matrix_type_name(matrix.type, matrix.cond)
+      << (kind != nullptr ? kind : matgen::matrix_type_name(matrix.type, matrix.cond))
       << " reduction=" << kReductionNames[static_cast<int>(opt.reduction)]
       << " solver=" << evd::tri_solver_name(opt.solver) << " b=" << opt.bandwidth
       << " nb=" << opt.big_block
@@ -98,17 +116,9 @@ struct SweepCase {
   }
 };
 
-SweepCase draw_case(int i) {
-  static const std::vector<index_t> orders = sweep_orders();
-  static const std::vector<matgen::TableRow> rows = matgen::paper_accuracy_rows();
-  SweepCase c;
-  c.opt.reduction = static_cast<evd::Reduction>(i % 4);
-  c.opt.solver = static_cast<evd::TriSolver>((i / 4) % 3);
-  c.engine = (i / 12) % 5;
-
-  Rng rng(static_cast<std::uint64_t>(i));
-  c.n = orders[rng.bounded(orders.size())];
-  c.matrix = rows[rng.bounded(rows.size())];
+/// Draws b, nb, the panel, vectors, the verify policy, ABFT and a selected
+/// range for a case of order c.n.
+void draw_options(Rng& rng, SweepCase& c) {
   const index_t b = 1 + static_cast<index_t>(rng.bounded(16));
   c.opt.bandwidth = b;
   switch (rng.bounded(3)) {
@@ -136,13 +146,79 @@ SweepCase draw_case(int i) {
     c.il = static_cast<index_t>(rng.bounded(n));
     c.iu = c.il + static_cast<index_t>(rng.bounded(n - static_cast<std::uint64_t>(c.il)));
   }
+}
+
+SweepCase draw_case(int i) {
+  static const std::vector<index_t> orders = sweep_orders();
+  static const std::vector<matgen::TableRow> rows = matgen::paper_accuracy_rows();
+  SweepCase c;
+  c.opt.reduction = static_cast<evd::Reduction>(i % 4);
+  c.opt.solver = static_cast<evd::TriSolver>((i / 4) % 3);
+  c.engine = (i / 12) % 5;
+
+  Rng rng(static_cast<std::uint64_t>(i));
+  c.n = orders[rng.bounded(orders.size())];
+  c.matrix = rows[rng.bounded(rows.size())];
+  draw_options(rng, c);
+  return c;
+}
+
+/// The symmetric matrix of kind `kind` and order n; random entries come from
+/// `rng`.
+Matrix<float> adversarial_matrix(Kind kind, index_t n, Rng& rng) {
+  Matrix<float> a(n, n);
+  const auto normal = [&rng] { return static_cast<float>(rng.normal()); };
+  const auto set_band = [&](index_t half_width) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = j; i < n && i - j <= half_width; ++i) a(i, j) = a(j, i) = normal();
+  };
+  switch (kind) {
+    case Kind::Zero: break;
+    case Kind::Ones:
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i) a(i, j) = 1.0f;
+      break;
+    case Kind::RankOne: {
+      std::vector<float> u(static_cast<std::size_t>(n));
+      for (float& x : u) x = static_cast<float>(2.0 * rng.uniform() - 1.0);
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i)
+          a(i, j) = u[static_cast<std::size_t>(i)] * u[static_cast<std::size_t>(j)];
+      break;
+    }
+    case Kind::Identity:
+      for (index_t i = 0; i < n; ++i) a(i, i) = 1.0f;
+      break;
+    case Kind::Diagonal: set_band(0); break;
+    case Kind::Tridiagonal: set_band(1); break;
+    case Kind::Band3: set_band(3); break;
+  }
+  return a;
+}
+
+SweepCase draw_adversarial_case(int i, Rng& rng) {
+  static const std::vector<index_t> orders = [] {
+    std::vector<index_t> o;
+    for (index_t v = 61; v <= 199; ++v)
+      if (is_prime(v)) o.push_back(v);
+    return o;
+  }();
+  SweepCase c;
+  c.kind = kKindNames[i % 7];
+  c.opt.reduction = static_cast<evd::Reduction>(i / 7);
+  c.engine = static_cast<int>(rng.bounded(5));
+  c.opt.solver = static_cast<evd::TriSolver>(rng.bounded(3));
+  c.n = orders[rng.bounded(orders.size())];
+  draw_options(rng, c);
+  const auto kind = static_cast<Kind>(i % 7);
+  if (kind == Kind::Ones || kind == Kind::RankOne) c.opt.vectors = true;
   return c;
 }
 
 StatusOr<evd::EvdResult> run(const SweepCase& c, ConstMatrixView<float> a,
                              const evd::EvdOptions& opt, tc::GemmEngine& engine) {
   Context ctx(engine);
-  return c.selected ? evd::solve_selected(a, ctx, opt, c.il, c.iu, opt.vectors)
+  return c.selected ? evd::solve_selected(a, ctx, opt, c.il, c.iu)
                     : evd::solve(a, ctx, opt);
 }
 
@@ -170,14 +246,11 @@ double orthogonality_error(ConstMatrixView<float> v) {
   return frobenius_norm<double>(vtv.view());
 }
 
-class OptionSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(OptionSweep, SolveMatchesOraclesAndPaths) {
-  const SweepCase c = draw_case(GetParam());
+/// Solves case `c` on `a` and checks it against the oracles and the bitwise
+/// classes.
+void check_case(const SweepCase& c, const Matrix<float>& a) {
   SCOPED_TRACE(c.describe());
   const index_t n = c.n;
-  Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
-  const Matrix<float> a = matgen::generate_f(c.matrix.type, n, c.matrix.cond, rng);
   const auto engine = make_engine(c.engine);
 
   StatusOr<evd::EvdResult> res = run(c, a.view(), c.opt, *engine);
@@ -198,11 +271,18 @@ TEST_P(OptionSweep, SolveMatchesOraclesAndPaths) {
                        ref[static_cast<std::size_t>(c.il + k)]),
               th.residual * anorm)
         << "lambda[" << c.il + k << "]";
+  if (anorm == 0.0) {
+    for (index_t k = 0; k < nev; ++k)
+      EXPECT_EQ(res->eigenvalues[static_cast<std::size_t>(k)], 0.0f)
+          << "lambda[" << c.il + k << "]";
+  }
   if (c.opt.vectors && nev > 0) {
     ASSERT_EQ(res->vectors.rows(), n);
     ASSERT_EQ(res->vectors.cols(), nev);
     const ConstMatrixView<float> v(res->vectors.view());
-    EXPECT_LE(evd::eigenpair_residual(a.view(), res->eigenvalues, v), th.residual);
+    if (anorm > 0.0) {
+      EXPECT_LE(evd::eigenpair_residual(a.view(), res->eigenvalues, v), th.residual);
+    }
     EXPECT_LE(orthogonality_error(v), th.orthogonality);
   }
 
@@ -240,7 +320,26 @@ TEST_P(OptionSweep, SolveMatchesOraclesAndPaths) {
   }
 }
 
+class OptionSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(OptionSweep, SolveMatchesOraclesAndPaths) {
+  const SweepCase c = draw_case(GetParam());
+  Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
+  check_case(c, matgen::generate_f(c.matrix.type, c.n, c.matrix.cond, rng));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeded, OptionSweep, ::testing::Range(0, kCases));
+
+class AdversarialSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AdversarialSweep, SolveMatchesOraclesAndPaths) {
+  const int i = GetParam();
+  Rng rng(1000 + static_cast<std::uint64_t>(i));
+  const SweepCase c = draw_adversarial_case(i, rng);
+  check_case(c, adversarial_matrix(static_cast<Kind>(i % 7), c.n, rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, AdversarialSweep, ::testing::Range(0, kAdversarialCases));
 
 }  // namespace
 }  // namespace tcevd

@@ -59,7 +59,7 @@ TEST_P(SytrdTest, EigenvaluesMatchDirectSolve) {
   ASSERT_TRUE(lapack::sterf(d1, e1).ok());
 
   // Reference: bisection directly on the tridiagonal (independent method).
-  auto d2 = lapack::stebz<double>(d, e, 0, n - 1, 1e-12);
+  auto d2 = *lapack::stebz<double>(d, e, 0, n - 1, 1e-12);
   for (index_t i = 0; i < n; ++i)
     EXPECT_NEAR(d1[static_cast<std::size_t>(i)], d2[static_cast<std::size_t>(i)], 1e-8);
 }

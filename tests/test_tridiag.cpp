@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "src/blas/blas.hpp"
@@ -58,7 +59,7 @@ TEST_P(LaplacianTest, StebzMatchesKnownSpectrum) {
   const index_t n = GetParam();
   std::vector<double> d(static_cast<std::size_t>(n), 2.0);
   std::vector<double> e(static_cast<std::size_t>(n - 1), -1.0);
-  auto eigs = lapack::stebz<double>(d, e, 0, n - 1, 1e-13);
+  auto eigs = *lapack::stebz<double>(d, e, 0, n - 1, 1e-13);
   auto ref = laplacian_eigs(n);
   for (index_t i = 0; i < n; ++i)
     EXPECT_NEAR(eigs[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-10);
@@ -269,7 +270,7 @@ TEST(Stebz, SelectedRange) {
   std::vector<double> d(static_cast<std::size_t>(n), 2.0);
   std::vector<double> e(static_cast<std::size_t>(n - 1), -1.0);
   auto ref = laplacian_eigs(n);
-  auto eigs = lapack::stebz<double>(d, e, 5, 9, 1e-13);
+  auto eigs = *lapack::stebz<double>(d, e, 5, 9, 1e-13);
   ASSERT_EQ(eigs.size(), 5u);
   for (index_t i = 0; i < 5; ++i)
     EXPECT_NEAR(eigs[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(5 + i)], 1e-10);
@@ -279,11 +280,29 @@ TEST(Stebz, RepeatedEigenvalues) {
   // diag(1,1,1,5): three identical eigenvalues.
   std::vector<double> d{1.0, 1.0, 1.0, 5.0};
   std::vector<double> e{0.0, 0.0, 0.0};
-  auto eigs = lapack::stebz<double>(d, e, 0, 3, 1e-13);
+  auto eigs = *lapack::stebz<double>(d, e, 0, 3, 1e-13);
   EXPECT_NEAR(eigs[0], 1.0, 1e-9);
   EXPECT_NEAR(eigs[1], 1.0, 1e-9);
   EXPECT_NEAR(eigs[2], 1.0, 1e-9);
   EXPECT_NEAR(eigs[3], 5.0, 1e-9);
+}
+
+TEST(Stebz, NonFiniteInputIsNoConvergence) {
+  // A NaN in d and an Inf in e, each in a selected and a full range: Sturm
+  // counts mean nothing then, so bisection must report it, as sterf does.
+  for (const bool in_d : {true, false}) {
+    std::vector<float> d(8, 1.0f);
+    std::vector<float> e(7, 0.5f);
+    if (in_d)
+      d[5] = std::numeric_limits<float>::quiet_NaN();
+    else
+      e[2] = std::numeric_limits<float>::infinity();
+    for (const auto& [il, iu] : {std::pair<index_t, index_t>{0, 7}, {3, 3}}) {
+      const StatusOr<std::vector<float>> eigs = lapack::stebz<float>(d, e, il, iu);
+      ASSERT_FALSE(eigs.ok()) << (in_d ? "NaN in d" : "Inf in e");
+      EXPECT_EQ(eigs.status().code(), ErrorCode::NoConvergence) << eigs.status().to_string();
+    }
+  }
 }
 
 TEST(Steqr, FloatPrecision) {

@@ -404,12 +404,10 @@ TEST_F(VerifyTest, AbftSolveUnderCorruptionIsBitwiseEqualToFaultFree) {
   // A selected range runs the same reduction and bulge stages, so ABFT
   // checks its tiles too and leaves its bits alone.
   Context sel_ref_ctx(engine), sel_ctx(engine);
-  auto sel_ref = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ref_ctx, opt, 0,
-                                     9, true);
+  auto sel_ref = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ref_ctx, opt, 0, 9);
   ASSERT_TRUE(sel_ref.ok());
   const auto checked0 = blas::abft::tiles_checked();
-  auto sel = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ctx, abft_opt, 0, 9,
-                                 true);
+  auto sel = evd::solve_selected(ConstMatrixView<float>(a.view()), sel_ctx, abft_opt, 0, 9);
   ASSERT_TRUE(sel.ok()) << sel.status().to_string();
   EXPECT_GT(blas::abft::tiles_checked(), checked0) << "selected solve skipped ABFT";
   EXPECT_EQ(sel->eigenvalues, sel_ref->eigenvalues);
@@ -705,11 +703,11 @@ TEST_F(VerifyTest, GateFailureEndsAVerifiedSolveWithoutEscalating) {
     std::vector<Stage> seen;
     const evd::StageGate gate = [&](Stage stage) {
       seen.push_back(stage);
-      return stage == pass[stop] ? deadline_exceeded_error("gate closed") : ok_status();
+      return stage == pass[stop] ? Status(ErrorCode::Internal, "gate closed") : ok_status();
     };
     auto res = evd::run_solve(ConstMatrixView<float>(a.view()), ctx, opt, std::nullopt, gate);
     ASSERT_FALSE(res.ok()) << stop;
-    EXPECT_EQ(res.status().code(), ErrorCode::DeadlineExceeded) << stop;
+    EXPECT_EQ(res.status().code(), ErrorCode::Internal) << stop;
     EXPECT_EQ(res.status().message(), "gate closed") << stop;
     const std::vector<Stage> want(pass.begin(),
                                   pass.begin() + static_cast<std::ptrdiff_t>(stop) + 1);
@@ -868,14 +866,17 @@ TEST_F(VerifyTest, SelectedRangeNotesSkippedVerification) {
   for (verify::Policy policy : {verify::Policy::Estimate, verify::Policy::EstimateEscalate}) {
     Context ctx(engine);
     evd::EvdOptions opt;
+    opt.vectors = true;
     opt.verify = policy;
-    auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 4, 11, true);
+    auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 4, 11);
     ASSERT_TRUE(res.ok()) << res.status().to_string();
     EXPECT_TRUE(notes_skip(res->recovery)) << verify::policy_name(policy);
     EXPECT_EQ(ctx.telemetry().stage_seconds("evd.verify"), 0.0);
   }
   Context ctx(engine);
-  auto off = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, {}, 4, 11, true);
+  evd::EvdOptions off_opt;
+  off_opt.vectors = true;
+  auto off = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, off_opt, 4, 11);
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(notes_skip(off->recovery));
 }
@@ -892,6 +893,26 @@ TEST_F(VerifyTest, TrivialOrdersSkipVerification) {
   ASSERT_TRUE(res.ok());
   EXPECT_FALSE(res->verify.checked);
   EXPECT_FLOAT_EQ(res->eigenvalues[0], 3.0f);
+}
+
+TEST_F(VerifyTest, ZeroMatrixPassesVerification) {
+  // ||A||_F = 0: the exact zero spectrum must pass the values-only estimate
+  // (its relative errors are 0/0), not escalate until the chain runs out.
+  const index_t n = 24;
+  Matrix<float> a(n, n);
+  tc::Fp32Engine engine;
+  for (const bool vectors : {false, true}) {
+    Context ctx(engine);
+    evd::EvdOptions opt;
+    opt.bandwidth = 4;
+    opt.vectors = vectors;
+    opt.verify = verify::Policy::EstimateEscalate;
+    auto res = evd::solve(ConstMatrixView<float>(a.view()), ctx, opt);
+    ASSERT_TRUE(res.ok()) << "vectors " << vectors << ": " << res.status().to_string();
+    EXPECT_TRUE(res->verify.passed) << "vectors " << vectors;
+    EXPECT_EQ(res->verify.attempts, 1) << "vectors " << vectors;
+    for (float l : res->eigenvalues) EXPECT_EQ(l, 0.0f);
+  }
 }
 
 }  // namespace

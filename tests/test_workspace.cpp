@@ -486,7 +486,7 @@ TEST(Workspace, ValuesOnlySolvesFitTheirQueryWithoutSpilling) {
   }
   {
     Context ctx(eng);
-    auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29, /*vectors=*/false);
+    auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29);
     ASSERT_TRUE(res.ok()) << res.status().to_string();
     EXPECT_EQ(res->eigenvalues.size(), 20u);
     EXPECT_EQ(ctx.workspace().spill_count(), 0) << "selected solve spilled";
@@ -523,9 +523,10 @@ TEST(Workspace, SelectedVectorSolveFitsItsQuery) {
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
+  opt.vectors = true;
   tc::TcEngine eng(tc::TcPrecision::Fp16);
   Context ctx(eng);
-  auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29, /*vectors=*/true);
+  auto res = evd::solve_selected(a.view(), ctx, opt, 10, 29);
   ASSERT_TRUE(res.ok()) << res.status().to_string();
   EXPECT_EQ(res->eigenvalues.size(), 20u);
   EXPECT_EQ(res->vectors.cols(), 20);
